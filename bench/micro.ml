@@ -91,9 +91,8 @@ let queue_transient_wheel ~name config seed =
   Test.make ~name
     (Staged.stage (fun () ->
          ignore (Wheel.add wheel ~key:(!now + timer_delay prng) ());
-         match Wheel.pop wheel with
-         | Some (key, ()) -> now := key
-         | None -> ()))
+         now := Wheel.next_key wheel;
+         Wheel.take wheel))
 
 (* Steady state: the queue holds ~8k pending timers (a large testbed's
    worth of RTOs, drain polls, and sampling clocks) while events churn
@@ -123,11 +122,45 @@ let queue_steady_wheel ~name config seed =
   done;
   Test.make ~name
     (Staged.stage (fun () ->
-         match Wheel.pop wheel with
+         now := Wheel.next_key wheel;
+         Wheel.take wheel;
+         ignore (Wheel.add wheel ~key:(!now + timer_delay prng) ())))
+
+(* Dense tick: ~256 entries stay pending a few ns apart, inside the
+   current 1.024us tick of the default wheel, over few distinct keys
+   (many FIFO ties). This is the engine's shape under 10 Gbps line-rate
+   traffic, where most adds land at or before the cursor's tick; the
+   uniform delays of the rows above almost never build it. *)
+let dense_pending = 256
+let dense_delay prng = Prng.int prng 16
+
+let queue_dense_heap =
+  let heap = Heap.create () in
+  let prng = Prng.create ~seed:6 in
+  let now = ref 0 in
+  for _ = 1 to dense_pending do
+    Heap.add heap ~key:(dense_delay prng) ()
+  done;
+  Test.make ~name:"event-queue dense-tick add+pop (heap baseline)"
+    (Staged.stage (fun () ->
+         match Heap.pop heap with
          | Some (key, ()) ->
              now := key;
-             ignore (Wheel.add wheel ~key:(!now + timer_delay prng) ())
+             Heap.add heap ~key:(!now + dense_delay prng) ()
          | None -> ()))
+
+let queue_dense_wheel =
+  let wheel = Wheel.create () in
+  let prng = Prng.create ~seed:6 in
+  let now = ref 0 in
+  for _ = 1 to dense_pending do
+    ignore (Wheel.add wheel ~key:(dense_delay prng) ())
+  done;
+  Test.make ~name:"event-queue dense-tick add+pop (wheel)"
+    (Staged.stage (fun () ->
+         now := Wheel.next_key wheel;
+         Wheel.take wheel;
+         ignore (Wheel.add wheel ~key:(!now + dense_delay prng) ())))
 
 (* RTO churn. A TCP sender re-arms its retransmit timer on every ACK,
    so almost no timer ever fires. The wheel cancels in O(1) and
@@ -422,6 +455,8 @@ let benchmarks =
       queue_steady_wheel
         ~name:"event-queue 8k-pending add+pop (wheel heap-only)" Wheel.heap_only
         4 );
+    ("event-queue-dense-tick-heap", queue_dense_heap);
+    ("event-queue-dense-tick-wheel", queue_dense_wheel);
     ("rto-churn-wheel", churn_wheel);
     ("rto-churn-heap-zombies", churn_heap_zombies);
     ("engine-100-timer-wheel", engine_timers ~name:"wheel" Wheel.default_config);

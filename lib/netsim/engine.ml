@@ -150,30 +150,31 @@ let periodic t ~period ?until f =
 
 let every t ~period ?until f = ignore (periodic t ~period ?until f : Timer.t)
 
-let step t =
-  match Wheel.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      Metrics.Counter.incr m_events;
-      Profile.enter sp_dispatch;
-      f ();
-      Profile.exit sp_dispatch;
-      true
+(* Fire the next event if it is due by [horizon]. [max_int] is both
+   [next_key]'s empty sentinel and a legal time, so only [is_empty]
+   tells them apart. *)
+let step_until t horizon =
+  let time = Wheel.next_key t.queue in
+  if time > horizon || (time = max_int && Wheel.is_empty t.queue) then false
+  else begin
+    t.clock <- time;
+    let f = Wheel.take t.queue in
+    t.processed <- t.processed + 1;
+    Metrics.Counter.incr m_events;
+    Profile.enter sp_dispatch;
+    f ();
+    Profile.exit sp_dispatch;
+    true
+  end
+
+let step t = step_until t max_int
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let continue = ref true in
-      while !continue do
-        match Wheel.min_key t.queue with
-        | Some time when time <= horizon -> ignore (step t)
-        | Some _ | None ->
-            t.clock <- horizon;
-            continue := false
-      done
+      while step_until t horizon do () done;
+      t.clock <- horizon
 
 let events_processed t = t.processed
 let pending t = Wheel.length t.queue

@@ -3,10 +3,13 @@
    The wheel serves the short horizon with O(1) insert and cancel; far
    future entries overflow into the heap and migrate inward as the
    cursor advances. Every entry carries a strictly increasing sequence
-   number (shared across all tiers), and slot contents are re-sorted by
-   (key, seq) when their tick becomes current, so the global pop order
-   is exactly the heap's: ascending key, FIFO among equal keys. The
-   engine relies on that bit-identical ordering for determinism.
+   number (shared across all tiers). Entries whose tick is current sit
+   in the [due] heap, an in-place binary min-heap of handles ordered by
+   (key, seq): a slot's live entries move there when its tick becomes
+   current, and adds at or before the cursor's tick push straight onto
+   it. The global pop order is therefore exactly the heap's: ascending
+   key, FIFO among equal keys. The engine relies on that bit-identical
+   ordering for determinism.
 
    Layout (default config): ticks are [1 lsl granularity_bits] ns wide.
    Level 0 spans [1 lsl l0_bits] ticks starting at the cursor; it never
@@ -17,7 +20,7 @@
 
    Invariant (engine contract): keys are never below the last popped
    key, so the cursor only moves forward. Entries at or below the
-   cursor's tick land in the sorted [due] list and pop immediately.
+   cursor's tick land in the [due] heap and pop before any slot.
 
    Cancellation is lazy: handles flip to [Cancelled] in O(1) and are
    dropped when their slot drains. When cancelled residents outnumber
@@ -124,7 +127,8 @@ type 'a t = {
   occ0 : int array;
   occ1 : int array;
   overflow : 'a handle Heap.t;
-  mutable due : 'a handle list; (* sorted by (key, seq); ticks <= base0 *)
+  mutable due : 'a handle array; (* min-heap by (key, seq); ticks <= base0 *)
+  mutable n_due : int; (* [due.(0 .. n_due-1)] is the heap *)
   mutable base0 : int; (* cursor, in L0 ticks *)
   mutable base1 : int; (* cursor, in L1 ticks; always base0 lsr l0_bits *)
   mutable next_seq : int;
@@ -158,7 +162,8 @@ let create ?(config = default_config) ?(on_compaction = fun () -> ()) () =
     occ0 = bits_create (max 1 w0);
     occ1 = bits_create (max 1 w1);
     overflow = Heap.create ();
-    due = [];
+    due = [||];
+    n_due = 0;
     base0 = 0;
     base1 = 0;
     next_seq = 0;
@@ -178,18 +183,72 @@ let key h = h.h_key
 let seq h = h.h_seq
 let is_pending h = match h.h_state with Pending -> true | Cancelled | Fired -> false
 
-let handle_before a b =
+let[@inline] handle_before a b =
   a.h_key < b.h_key || (a.h_key = b.h_key && a.h_seq < b.h_seq)
 
-let rec due_insert l h =
-  match l with
-  | [] -> [ h ]
-  | x :: _ when handle_before h x -> h :: l
-  | x :: rest -> x :: due_insert rest h
+(* ---- the due heap ----
 
-let handle_order a b =
-  if a.h_key = b.h_key then Int.compare a.h_seq b.h_seq
-  else Int.compare a.h_key b.h_key
+   Sifts move a hole rather than swapping, so a push or a root removal
+   writes each cell once and allocates nothing beyond array growth. *)
+
+let rec due_sift_up a i h =
+  if i = 0 then a.(0) <- h
+  else begin
+    let p = (i - 1) / 2 in
+    let hp = a.(p) in
+    if handle_before h hp then begin
+      a.(i) <- hp;
+      due_sift_up a p h
+    end
+    else a.(i) <- h
+  end
+
+let rec due_sift_down a n i h =
+  let l = (2 * i) + 1 in
+  if l >= n then a.(i) <- h
+  else begin
+    let c = if l + 1 < n && handle_before a.(l + 1) a.(l) then l + 1 else l in
+    let hc = a.(c) in
+    if handle_before hc h then begin
+      a.(i) <- hc;
+      due_sift_down a n c h
+    end
+    else a.(i) <- h
+  end
+
+(* Make room for one more entry; [h] fills the new cells. *)
+let due_reserve t h =
+  if t.n_due = Array.length t.due then begin
+    let a = Array.make (max 16 (2 * t.n_due)) h in
+    Array.blit t.due 0 a 0 t.n_due;
+    t.due <- a
+  end
+
+(* Append without restoring heap order: callers heapify. *)
+let due_append t h =
+  due_reserve t h;
+  t.due.(t.n_due) <- h;
+  t.n_due <- t.n_due + 1
+
+let due_push t h =
+  due_reserve t h;
+  let i = t.n_due in
+  t.n_due <- i + 1;
+  due_sift_up t.due i h
+
+(* Bottom-up rebuild after bulk appends or in-place filtering: O(n). *)
+let due_heapify t =
+  for i = (t.n_due / 2) - 1 downto 0 do
+    due_sift_down t.due t.n_due i t.due.(i)
+  done
+
+(* The last entry fills the hole, so the vacated cell keeps a duplicate
+   of a resident handle rather than pinning the removed one (only the
+   final removal leaves its handle behind, in cell 0). *)
+let due_drop_root t =
+  let n = t.n_due - 1 in
+  t.n_due <- n;
+  if n > 0 then due_sift_down t.due n 0 t.due.(n)
 
 (* Place a handle in the tier its tick belongs to. L0 only holds ticks
    inside the cursor's current L1 span, so an L0 slot never aliases two
@@ -198,7 +257,7 @@ let route t h =
   if t.w0 = 0 then Heap.add t.overflow ~key:h.h_key h
   else begin
     let tick = h.h_key asr t.g_bits in
-    if tick <= t.base0 then t.due <- due_insert t.due h
+    if tick <= t.base0 then due_push t h
     else begin
       let l1 = tick asr t.l0_bits in
       if l1 = t.base1 then begin
@@ -227,17 +286,19 @@ let add t ~key value =
        bursts, where the wheel was 3x slower than the bare heap
        (BENCH_4). The cursor does not move, so ordering state is
        untouched. *)
-    t.due <- [ h ]
+    due_push t h
   else begin
     (* A parked ahead-of-cursor singleton only stays in [due] while it
        is alone; route it back through the tiers before adding a second
        entry, restoring the [due]-holds-only-reached-ticks invariant
        that pop ordering relies on. *)
-    (match t.due with
-    | [ h0 ] when t.w0 > 0 && h0.h_key asr t.g_bits > t.base0 ->
-        t.due <- [];
+    if t.n_due = 1 && t.w0 > 0 then begin
+      let h0 = t.due.(0) in
+      if h0.h_key asr t.g_bits > t.base0 then begin
+        t.n_due <- 0;
         route t h0
-    | _ -> ());
+      end
+    end;
     route t h
   end;
   h
@@ -252,8 +313,8 @@ let rec overflow_peek t =
   | other -> other
 
 (* Pull overflow entries that now fall inside the L1 window. Heap pop
-   order is (key, seq), and [route] preserves per-slot resorting, so
-   migration cannot reorder equal keys. *)
+   order is (key, seq), and every tier ends in the (key, seq)-ordered
+   [due] heap, so migration cannot reorder equal keys. *)
 let rec migrate_overflow t =
   match overflow_peek t with
   | Some (k, _) when (k asr t.g_bits) asr t.l0_bits < t.base1 + t.w1 -> (
@@ -272,12 +333,21 @@ let keep_live t h =
       false
   | Fired -> assert false (* fired entries are never resident *)
 
+let rec due_append_live t = function
+  | [] -> ()
+  | h :: rest ->
+      if keep_live t h then due_append t h;
+      due_append_live t rest
+
+(* Only called with [due] empty, so the slot's live entries become the
+   whole heap. *)
 let drain_slot0 t ~s ~tick =
   t.base0 <- tick;
   let entries = t.slots0.(s) in
   t.slots0.(s) <- [];
   bits_clear t.occ0 s;
-  t.due <- List.sort handle_order (List.filter (keep_live t) entries)
+  due_append_live t entries;
+  due_heapify t
 
 let cascade_l1 t ~s ~l1_tick =
   t.base1 <- l1_tick;
@@ -291,93 +361,101 @@ let cascade_l1 t ~s ~l1_tick =
 (* Advance the cursor until [due] has a live head. Returns false when
    nothing live is left anywhere. *)
 let rec ensure_due t =
-  match t.due with
-  | h :: rest -> (
-      match h.h_state with
-      | Pending -> true
-      | Cancelled ->
-          t.due <- rest;
-          t.n_cancelled <- t.n_cancelled - 1;
-          ensure_due t
-      | Fired -> assert false)
-  | [] ->
-      t.live > 0
-      && begin
-           let r0 = t.base0 land t.mask0 in
-           let s = bits_next t.occ0 ~from:(r0 + 1) ~limit:t.w0 in
-           if s >= 0 then begin
-             drain_slot0 t ~s ~tick:((t.base1 lsl t.l0_bits) lor s);
+  if t.n_due > 0 then begin
+    match t.due.(0).h_state with
+    | Pending -> true
+    | Cancelled ->
+        due_drop_root t;
+        t.n_cancelled <- t.n_cancelled - 1;
+        ensure_due t
+    | Fired -> assert false
+  end
+  else
+    t.live > 0
+    && begin
+         let r0 = t.base0 land t.mask0 in
+         let s = bits_next t.occ0 ~from:(r0 + 1) ~limit:t.w0 in
+         if s >= 0 then begin
+           drain_slot0 t ~s ~tick:((t.base1 lsl t.l0_bits) lor s);
+           ensure_due t
+         end
+         else begin
+           (* L0 exhausted: the next event is in the earliest occupied
+              L1 slot, which always precedes anything in overflow. *)
+           let r1 = t.base1 land t.mask1 in
+           let s1 =
+             match bits_next t.occ1 ~from:(r1 + 1) ~limit:t.w1 with
+             | -1 -> bits_next t.occ1 ~from:0 ~limit:r1
+             | s1 -> s1
+           in
+           if s1 >= 0 then begin
+             let delta = (s1 - r1 + t.w1) land t.mask1 in
+             cascade_l1 t ~s:s1 ~l1_tick:(t.base1 + delta);
              ensure_due t
            end
            else begin
-             (* L0 exhausted: the next event is in the earliest occupied
-                L1 slot, which always precedes anything in overflow. *)
-             let r1 = t.base1 land t.mask1 in
-             let s1 =
-               match bits_next t.occ1 ~from:(r1 + 1) ~limit:t.w1 with
-               | -1 -> bits_next t.occ1 ~from:0 ~limit:r1
-               | s1 -> s1
-             in
-             if s1 >= 0 then begin
-               let delta = (s1 - r1 + t.w1) land t.mask1 in
-               cascade_l1 t ~s:s1 ~l1_tick:(t.base1 + delta);
-               ensure_due t
-             end
-             else begin
-               match overflow_peek t with
-               | None -> false
-               | Some (k, _) ->
-                   (* Jump the window to the overflow head. *)
-                   let l1 = (k asr t.g_bits) asr t.l0_bits in
-                   t.base1 <- l1;
-                   t.base0 <- l1 lsl t.l0_bits;
-                   migrate_overflow t;
-                   ensure_due t
-             end
+             match overflow_peek t with
+             | None -> false
+             | Some (k, _) ->
+                 (* Jump the window to the overflow head. *)
+                 let l1 = (k asr t.g_bits) asr t.l0_bits in
+                 t.base1 <- l1;
+                 t.base0 <- l1 lsl t.l0_bits;
+                 migrate_overflow t;
+                 ensure_due t
            end
          end
+       end
 
-let rec pop_heap_only t =
+let fire t h =
+  h.h_state <- Fired;
+  t.live <- t.live - 1;
+  h.h_value
+
+let empty () = invalid_arg "Timer_wheel.take: no pending entry"
+
+let rec take_heap_only t =
   match Heap.pop t.overflow with
-  | None -> None
-  | Some (k, h) -> (
+  | None -> empty ()
+  | Some (_, h) -> (
       match h.h_state with
       | Cancelled ->
           t.n_cancelled <- t.n_cancelled - 1;
-          pop_heap_only t
-      | Pending ->
-          h.h_state <- Fired;
-          t.live <- t.live - 1;
-          Some (k, h.h_value)
+          take_heap_only t
+      | Pending -> fire t h
       | Fired -> assert false)
 
-let pop t =
-  if t.w0 = 0 then pop_heap_only t
+let take t =
+  if t.w0 = 0 then take_heap_only t
   else if ensure_due t then begin
-    match t.due with
-    | h :: rest ->
-        t.due <- rest;
-        h.h_state <- Fired;
-        t.live <- t.live - 1;
-        Some (h.h_key, h.h_value)
-    | [] -> assert false
+    let h = t.due.(0) in
+    due_drop_root t;
+    fire t h
   end
-  else None
+  else empty ()
 
-let min_key t =
+let next_key t =
   if t.w0 = 0 then
-    match overflow_peek t with Some (k, _) -> Some k | None -> None
-  else if ensure_due t then begin
-    match t.due with h :: _ -> Some h.h_key | [] -> assert false
-  end
-  else None
+    match overflow_peek t with Some (k, _) -> k | None -> max_int
+  else if ensure_due t then t.due.(0).h_key
+  else max_int
 
-(* Sweep cancelled residents out of every tier. The overflow heap is
-   rebuilt by draining in (key, seq) order and re-adding survivors, so
-   their relative order — including equal-key FIFO — is preserved. *)
+(* Sweep cancelled residents out of every tier. The [due] heap is
+   filtered in place and re-heapified. The overflow heap is rebuilt by
+   draining in (key, seq) order and re-adding survivors, so their
+   relative order — including equal-key FIFO — is preserved. *)
 let compact t =
   t.n_compactions <- t.n_compactions + 1;
-  t.due <- List.filter (keep_live t) t.due;
+  let kept = ref 0 in
+  for i = 0 to t.n_due - 1 do
+    let h = t.due.(i) in
+    if keep_live t h then begin
+      t.due.(!kept) <- h;
+      incr kept
+    end
+  done;
+  t.n_due <- !kept;
+  due_heapify t;
   if t.w0 > 0 then begin
     bits_iter t.occ0 ~limit:t.w0 (fun s ->
         let kept = List.filter (keep_live t) t.slots0.(s) in

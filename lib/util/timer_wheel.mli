@@ -39,8 +39,9 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val add : 'a t -> key:int -> 'a -> 'a handle
-(** Insert with priority [key] (nanoseconds). O(1) inside the wheel
-    horizon, O(log n) in overflow. *)
+(** Insert with priority [key] (nanoseconds). O(1) into a future tick
+    of the wheel horizon; O(log n) into the current tick's due heap or
+    the overflow tier. *)
 
 val cancel : 'a t -> 'a handle -> bool
 (** Lazy-delete: O(1) state flip; the entry is reclaimed when its slot
@@ -55,13 +56,18 @@ val key : 'a handle -> int
 val seq : 'a handle -> int
 (** Insertion sequence number (the FIFO tie-break among equal keys). *)
 
-val min_key : 'a t -> int option
-(** Key of the next live entry, or [None] if none are pending. May
-    advance internal cursors; never changes pop order. *)
+val next_key : 'a t -> int
+(** Key of the next live entry, or [max_int] if none are pending (a
+    pending entry keyed [max_int] reads the same; check {!is_empty}
+    when that matters). May advance internal cursors; never changes
+    pop order. Allocates nothing. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the next live entry: minimum key, FIFO among
-    equal keys. Cancelled entries are skipped and reclaimed. *)
+val take : 'a t -> 'a
+(** Remove the next live entry and return its value; its key is what
+    {!next_key} read just before. Order: minimum key, FIFO among equal
+    keys. Cancelled entries are skipped and reclaimed. Allocates
+    nothing with a wheel configured. Raises [Invalid_argument] if no
+    entry is pending. *)
 
 (** {2 Introspection} — feeds per-engine telemetry and tests. *)
 

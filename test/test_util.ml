@@ -115,16 +115,41 @@ let wheel_small_config =
    cancel outcomes, or the wheel is not a drop-in for the heap. *)
 type wheel_trace = Popped of (int * int) option | Cancelled_ok of bool
 
-let wheel_program_gen =
-  (* (tag, n): tags 0-5 add with a tag-dependent delay magnitude,
-     6/7/9 pop, 8 cancels the (n mod adds)-th handle ever added. *)
+(* (tag, n): tags 0-5 and 10/11 add with a tag-dependent delay, 6/7/9
+   pop, 8 cancels the (n mod adds)-th handle ever added. *)
+let is_add_tag tag = (tag >= 0 && tag <= 5) || tag = 10 || tag = 11
+
+let wheel_spread_gen =
+  (* Short programs with delays of every magnitude. *)
   QCheck.(list (pair (int_bound 9) (int_bound 10_000)))
+
+let wheel_dense_gen =
+  (* Hundreds of adds a few ns apart — far inside one 1.024us tick of
+     the default config — over four distinct delays, so the due tier
+     holds deep equal-key FIFO runs; a quarter of the adds land on the
+     just-popped key. Tag 11 packs the next tick the same way, so whole
+     dense slots drain into the due tier. Pops and cancels interleave. *)
+  QCheck.(
+    list_of_size
+      Gen.(int_range 200 800)
+      (pair (frequencyl [ (5, 10); (2, 11); (3, 6); (1, 8) ]) (int_bound 10_000)))
+
+let wheel_program_gen = QCheck.choose [ wheel_spread_gen; wheel_dense_gen ]
 
 let wheel_delay tag n =
   match tag with
   | 0 | 1 | 2 -> n mod 64 (* sub-tick: forces equal-key FIFO ties *)
   | 3 | 4 -> n (* within the small config's L0/L1/overflow split *)
+  | 10 -> n mod 4 (* dense current tick *)
+  | 11 -> 1_024 + (n mod 4) (* dense next tick *)
   | _ -> n * 997 (* up to ~10ms: default config L0 boundary and beyond *)
+
+(* The wheel's non-allocating pair, as one option-returning step for
+   comparison against the model. *)
+let wheel_pop w =
+  match Wheel.next_key w with
+  | key when key = max_int -> None
+  | key -> Some (key, Wheel.take w)
 
 let run_wheel_program config program =
   let w = Wheel.create ~config () in
@@ -134,14 +159,14 @@ let run_wheel_program config program =
   let idx = ref 0 in
   let trace = ref [] in
   let pop () =
-    let r = Wheel.pop w in
+    let r = wheel_pop w in
     (match r with Some (key, _) -> now := key | None -> ());
     trace := Popped r :: !trace
   in
   List.iter
     (fun (tag, n) ->
       match tag with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
+      | _ when is_add_tag tag ->
           let h = Wheel.add w ~key:(!now + wheel_delay tag n) !idx in
           incr idx;
           handles := h :: !handles;
@@ -155,7 +180,7 @@ let run_wheel_program config program =
   while not (Wheel.is_empty w) do
     pop ()
   done;
-  trace := Popped (Wheel.pop w) :: !trace;
+  trace := Popped (wheel_pop w) :: !trace;
   List.rev !trace
 
 (* The reference: every entry ever added, with the same three-state
@@ -188,7 +213,7 @@ let run_model_program program =
   List.iter
     (fun (tag, n) ->
       match tag with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
+      | _ when is_add_tag tag ->
           entries := (!now + wheel_delay tag n, !idx, ref `Pending) :: !entries;
           incr idx;
           incr n_entries
@@ -206,7 +231,7 @@ let run_model_program program =
   List.rev !trace
 
 let wheel_equivalence_qcheck =
-  QCheck.Test.make ~name:"timer wheel matches heap pop-for-pop" ~count:300
+  QCheck.Test.make ~name:"timer wheel matches heap pop-for-pop" ~count:400
     wheel_program_gen
     (fun program ->
       let reference = run_model_program program in
@@ -230,13 +255,63 @@ let wheel_cancel_compaction () =
   Alcotest.(check bool) "lazy deletes were compacted" true
     (Wheel.compactions w > 0);
   Alcotest.(check bool) "survivor pending" true (Wheel.is_pending keep);
-  Alcotest.(check (option (pair int unit)))
-    "survivor pops" (Some (500_000, ())) (Wheel.pop w);
+  Alcotest.(check int) "survivor is next" 500_000 (Wheel.next_key w);
+  Wheel.take w;
   Alcotest.(check bool) "fired is not pending" false (Wheel.is_pending keep);
   Alcotest.(check bool) "cancel after fire refused" false (Wheel.cancel w keep);
-  Alcotest.(check (option (pair int unit))) "drained" None (Wheel.pop w);
+  Alcotest.(check int) "drained reads max_int" max_int (Wheel.next_key w);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Timer_wheel.take: no pending entry") (fun () ->
+      Wheel.take w);
   Alcotest.(check int) "no cancelled residents left" 0
     (Wheel.cancelled_resident w)
+
+(* One dense tick: 1,000 entries over 10 interleaved keys, all inside
+   the default config's first 1.024us tick, drained halfway, then a
+   burst of cancels (including the entry due next) and adds at the
+   just-popped key. The rest must pop in (key, insertion) order. *)
+let wheel_dense_tick_order () =
+  let w = Wheel.create () in
+  let key_of i = 100 + (i * 7 mod 10) in
+  let hs = Array.init 1_000 (fun i -> Wheel.add w ~key:(key_of i) i) in
+  let drain n =
+    List.init n (fun _ ->
+        let key = Wheel.next_key w in
+        (key, Wheel.take w))
+  in
+  let sorted l = List.sort compare l in
+  let all = sorted (List.init 1_000 (fun i -> (key_of i, i))) in
+  let first = List.filteri (fun n _ -> n < 500) all in
+  let remaining = List.filteri (fun n _ -> n >= 500) all in
+  let popped = drain 500 in
+  Alcotest.(check (list (pair int int)))
+    "first half in (key, insertion) order" first popped;
+  let fired = Array.make 1_000 false in
+  List.iter (fun (_, i) -> fired.(i) <- true) popped;
+  (* The entry due next, plus every 9th index (popped ones refuse). *)
+  let cancelled =
+    List.sort_uniq compare
+      (snd (List.hd remaining) :: List.init 112 (fun j -> j * 9))
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cancel %d" i)
+        (not fired.(i))
+        (Wheel.cancel w hs.(i)))
+    cancelled;
+  let last_key = fst (List.nth popped 499) in
+  let added = List.init 20 (fun j -> (last_key, 1_000 + j)) in
+  List.iter (fun (key, i) -> ignore (Wheel.add w ~key i)) added;
+  let expected =
+    sorted
+      (List.filter (fun (_, i) -> not (List.mem i cancelled)) remaining
+      @ added)
+  in
+  Alcotest.(check (list (pair int int)))
+    "rest in (key, insertion) order after cancels and re-adds" expected
+    (drain (List.length expected));
+  Alcotest.(check bool) "empty" true (Wheel.is_empty w)
 
 (* ---- Ring ---- *)
 
@@ -492,6 +567,8 @@ let tests =
     qtest wheel_equivalence_qcheck;
     Alcotest.test_case "wheel cancel, compaction, lifecycle" `Quick
       wheel_cancel_compaction;
+    Alcotest.test_case "wheel dense tick pops in (key, seq) order" `Quick
+      wheel_dense_tick_order;
     Alcotest.test_case "ring FIFO and drops" `Quick ring_fifo;
     Alcotest.test_case "ring wraparound under interleaved ops" `Quick
       ring_wraparound;

@@ -50,7 +50,8 @@ let default_hot_roots =
     (* engine / timer-wheel dispatch *)
     "Planck_netsim__Engine.step";
     "Planck_util__Timer_wheel.add";
-    "Planck_util__Timer_wheel.pop";
+    "Planck_util__Timer_wheel.next_key";
+    "Planck_util__Timer_wheel.take";
     "Planck_util__Timer_wheel.cancel";
     (* self-profiling spans bracket every hot path above; the disabled
        branch must stay allocation-free *)
