@@ -7,14 +7,14 @@
      dune exec bench/main.exe -- --full       # paper-scale (slow)
      dune exec bench/main.exe -- --list       # what exists
      dune exec bench/main.exe -- fig15 --json out.json   # machine-readable
-     dune exec bench/main.exe -- fig13 --trace-out t.json  # Perfetto trace
+     dune exec bench/main.exe -- fig13 --journal-out j.ndjson  # journal
+     dune exec bin/planck_cli.exe -- inspect j.ndjson --trace-out t.json
 *)
 
 module Json = Planck_telemetry.Json
 module Metrics = Planck_telemetry.Metrics
 module Profile = Planck_telemetry.Profile
 module Bench_gate = Planck_telemetry.Bench_gate
-module Trace = Planck_telemetry.Trace
 module Export = Planck_telemetry.Export
 module Journal = Planck_telemetry.Journal
 module Timeseries = Planck_telemetry.Timeseries
@@ -51,8 +51,8 @@ let experiments : (string * string * (Exp_common.opts -> unit)) list =
       Exp_bounded_state.run );
   ]
 
-let run_selected ?(skip_experiments = false) ?(only = []) names opts with_micro
-    =
+let run_selected ?(skip_experiments = false) ?(only = []) ?recheck names opts
+    with_micro =
   let t0 = Unix.gettimeofday () in
   let selected =
     match names with
@@ -90,7 +90,7 @@ let run_selected ?(skip_experiments = false) ?(only = []) names opts with_micro
         (name, wall, ok))
       selected
   in
-  let micro = if with_micro then Micro.run ~only () else [] in
+  let micro = if with_micro then Micro.run ~only ?recheck () else [] in
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "\nTotal wall time: %.1fs\n%!" total;
   (timed, total, micro)
@@ -173,18 +173,12 @@ let metrics_out =
   let doc = "Enable telemetry and write the metric snapshot as JSON." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let trace_out =
-  let doc =
-    "Enable sim-time tracing and write a Chrome trace_event JSON (open in \
-     chrome://tracing or ui.perfetto.dev)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
 let journal_out =
   let doc =
     "Enable the flight-recorder journal and stream every event (drops, \
      congestion, reroute stages, ...) across all selected experiments as \
-     NDJSON to $(docv); analyse with 'planck-cli inspect'."
+     NDJSON to $(docv); analyse with 'planck-cli inspect', which also \
+     renders it as a Chrome/Perfetto timeline (--trace-out)."
   in
   Arg.(value & opt (some string) None & info [ "journal-out" ] ~docv:"FILE" ~doc)
 
@@ -271,7 +265,7 @@ let profile_flag =
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let main names runs full seed list_experiments with_micro json_path
-    metrics_path trace_path journal_path timeseries_path
+    metrics_path journal_path timeseries_path
     timeseries_interval_us only check against_path tolerance noise_floor_ns
     tolerance_overrides bench_dir trend trend_out profile =
   let with_micro = with_micro || check in
@@ -311,11 +305,10 @@ let main names runs full seed list_experiments with_micro json_path
            with Sys_error msg ->
              Printf.eprintf "planck-bench: cannot write %s\n" msg;
              exit 1))
-      [ json_path; metrics_path; trace_path; journal_path; timeseries_path ];
+      [ json_path; metrics_path; journal_path; timeseries_path ];
     if json_path <> None || metrics_path <> None || profile then
       Metrics.set_enabled Metrics.default true;
     if profile then Profile.set_enabled true;
-    if trace_path <> None then Trace.set_enabled Trace.default true;
     if journal_path <> None then Journal.set_enabled Journal.default true;
     (* Stream journal events as they record: experiments produce far more
        than the in-memory ring holds, the NDJSON file is complete. *)
@@ -361,10 +354,58 @@ let main names runs full seed list_experiments with_micro json_path
         verbose = false;
       }
     in
+    (* --check loads its baseline before spending minutes on the micros,
+       so regressed rows can be re-measured inside Micro.run. *)
+    let baseline =
+      if not check then None
+      else
+        let path =
+          match against_path with
+          | Some path -> Some path
+          | None -> Bench_gate.latest_bench ~dir:bench_dir
+        in
+        match path with
+        | None ->
+            Printf.eprintf "planck-bench --check: no BENCH_*.json under %s\n"
+              bench_dir;
+            Stdlib.exit 1
+        | Some path -> (
+            match Bench_gate.load_rows ~path with
+            | Error e ->
+                Printf.eprintf "planck-bench --check: %s\n" e;
+                Stdlib.exit 1
+            | Ok rows -> Some (path, rows))
+    in
+    let compare ~baseline current =
+      Bench_gate.compare_rows ~tolerance ~noise_floor_ns ~overrides ~baseline
+        ~current ()
+    in
+    (* A shared box can be in a slow scheduler/frequency state for a
+       whole measurement window, so give rows that regressed one
+       re-measure before failing: noise recovers, a real regression
+       fails twice. *)
+    let recheck =
+      Option.map
+        (fun (_, baseline) rows ->
+          List.filter_map
+            (fun c ->
+              match c.Bench_gate.status with
+              | Bench_gate.Regressed _ ->
+                  Option.map
+                    (fun r -> r.Bench_gate.id)
+                    (List.find_opt
+                       (fun r ->
+                         String.equal r.Bench_gate.id c.Bench_gate.cmp_id
+                         || String.equal r.Bench_gate.name c.Bench_gate.cmp_name)
+                       rows)
+              | _ -> None)
+            (compare ~baseline rows))
+        baseline
+    in
     (* --check with no named experiments gates the micros alone. *)
     let skip_experiments = check && names = [] in
     let timed, total, micro =
-      run_selected ~skip_experiments ~only names opts with_micro
+      run_selected ~skip_experiments ~only ?recheck names opts with_micro
     in
     Planck.Experiment.set_observer None;
     if profile then begin
@@ -406,121 +447,34 @@ let main names runs full seed list_experiments with_micro json_path
           path)
       metrics_path;
     Option.iter
-      (fun path ->
-        Export.write_file ~path (Trace.to_chrome_json Trace.default);
-        Printf.printf
-          "wrote %d trace events to %s (open in chrome://tracing or \
-           Perfetto)\n\
-           %!"
-          (Trace.length Trace.default) path)
-      trace_path;
-    if check then begin
-      let gate_failed = ref false in
-      (let baseline =
-         match against_path with
-         | Some path -> Some path
-         | None -> Bench_gate.latest_bench ~dir:bench_dir
-       in
-       match baseline with
-       | None ->
-           Printf.eprintf "planck-bench --check: no BENCH_*.json under %s\n"
-             bench_dir;
-           gate_failed := true
-       | Some path -> (
-           match Bench_gate.load_rows ~path with
-           | Error e ->
-               Printf.eprintf "planck-bench --check: %s\n" e;
-               gate_failed := true
-           | Ok baseline_rows ->
-               (* --only narrows the gate to the selected micros: a
-                  baseline row with no counterpart in this run is a
-                  deliberate non-selection, not a removal. *)
-               let baseline_rows =
-                 if only = [] then baseline_rows
-                 else
-                   List.filter
-                     (fun b ->
-                       List.exists
-                         (fun c ->
-                           String.equal b.Bench_gate.id c.Bench_gate.id
-                           || String.equal b.Bench_gate.name c.Bench_gate.name)
-                         micro)
-                     baseline_rows
-               in
-               let compare current =
-                 Bench_gate.compare_rows ~tolerance ~noise_floor_ns ~overrides
-                   ~baseline:baseline_rows ~current ()
-               in
-               let comparisons = compare micro in
-               (* A shared box can be in a slow scheduler/frequency
-                  state for a whole measurement window, so give rows
-                  that regressed one re-measure before failing: noise
-                  recovers, a real regression fails twice. *)
-               let retry_ids =
-                 List.filter_map
-                   (fun c ->
-                     match c.Bench_gate.status with
-                     | Bench_gate.Regressed _ ->
-                         Option.map
-                           (fun r -> r.Bench_gate.id)
-                           (List.find_opt
-                              (fun r ->
-                                String.equal r.Bench_gate.id c.Bench_gate.cmp_id
-                                || String.equal r.Bench_gate.name
-                                     c.Bench_gate.cmp_name)
-                              micro)
-                     | _ -> None)
-                   comparisons
-               in
-               let comparisons =
-                 match retry_ids with
-                 | [] -> comparisons
-                 | ids ->
-                     Printf.printf
-                       "\n%d row(s) regressed; re-measuring once to shed \
-                        scheduler noise...\n\
-                        %!"
-                       (List.length ids);
-                     let rerun = Micro.run ~only:ids () in
-                     let micro =
-                       List.map
-                         (fun r ->
-                           match
-                             List.find_opt
-                               (fun r2 ->
-                                 String.equal r2.Bench_gate.id r.Bench_gate.id)
-                               rerun
-                           with
-                           | Some
-                               {
-                                 Bench_gate.ns_per_op = Some again;
-                                 _;
-                               } -> (
-                               match r.Bench_gate.ns_per_op with
-                               | Some first ->
-                                   {
-                                     r with
-                                     Bench_gate.ns_per_op =
-                                       Some (Float.min first again);
-                                   }
-                               | None -> r)
-                           | Some _ | None -> r)
-                         micro
-                     in
-                     compare micro
-               in
-               Printf.printf "\nGate against %s (band +/-%.0f%%):\n%s%!" path
-                 (100. *. tolerance)
-                 (Bench_gate.render_check comparisons);
-               if not (Bench_gate.passes comparisons) then
-                 if Sys.getenv_opt "PLANCK_BENCH_NO_GATE" <> None then
-                   Printf.printf
-                     "PLANCK_BENCH_NO_GATE set: regression reported, gate \
-                      not enforced\n\
-                      %!"
-                 else gate_failed := true));
-      if !gate_failed then Stdlib.exit 1
-    end
+      (fun (path, baseline_rows) ->
+        (* --only narrows the gate to the selected micros: a baseline row
+           with no counterpart in this run is a deliberate non-selection,
+           not a removal. *)
+        let baseline_rows =
+          if only = [] then baseline_rows
+          else
+            List.filter
+              (fun b ->
+                List.exists
+                  (fun c ->
+                    String.equal b.Bench_gate.id c.Bench_gate.id
+                    || String.equal b.Bench_gate.name c.Bench_gate.name)
+                  micro)
+              baseline_rows
+        in
+        let comparisons = compare ~baseline:baseline_rows micro in
+        Printf.printf "\nGate against %s (band +/-%.0f%%):\n%s%!" path
+          (100. *. tolerance)
+          (Bench_gate.render_check comparisons);
+        if not (Bench_gate.passes comparisons) then
+          if Sys.getenv_opt "PLANCK_BENCH_NO_GATE" <> None then
+            Printf.printf
+              "PLANCK_BENCH_NO_GATE set: regression reported, gate not \
+               enforced\n\
+               %!"
+          else Stdlib.exit 1)
+      baseline
   end
 
 let cmd =
@@ -532,7 +486,7 @@ let cmd =
     (Cmd.info "planck-bench" ~doc)
     Term.(
       const main $ names $ runs $ full $ seed $ list_flag $ micro_flag
-      $ json_out $ metrics_out $ trace_out $ journal_out $ timeseries_out
+      $ json_out $ metrics_out $ journal_out $ timeseries_out
       $ timeseries_interval_us $ only_micros $ check_flag $ against $ tolerance
       $ noise_floor $ tolerance_overrides $ bench_dir $ trend_flag $ trend_out
       $ profile_flag)

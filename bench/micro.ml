@@ -478,8 +478,11 @@ let benchmarks =
 (* Runs every benchmark and returns one gate row per declared micro —
    declared order, not hashtable order, and a row with [ns_per_op =
    None] when the OLS analyzer produces no estimate, so --check can
-   tell "missing" from "regressed". *)
-let run ?(only = []) () =
+   tell "missing" from "regressed". [recheck] sees the Bechamel rows and
+   names those to measure once more (the gate's regressed rows); each
+   keeps the faster of its two estimates. Custom rows are measured once,
+   after every Bechamel row (see below). *)
+let run ?(only = []) ?(recheck = fun _ -> []) () =
   Exp_common.section "Bechamel microbenchmarks (hot paths)";
   let selected, selected_custom =
     match only with
@@ -547,5 +550,30 @@ let run ?(only = []) () =
     | None -> Printf.printf "  %-55s (no estimate)\n%!" name);
     { Bench_gate.id; name; ns_per_op = est }
   in
-  List.map run_one selected
-  @ List.map (fun (_, measure) -> measure ()) selected_custom
+  (* Every Bechamel measurement, re-measures included, must come before
+     the custom rows. The k=16 sharded run leaves a heap of ~20M words
+     that OCaml 5.1 does not shrink, and Bechamel's per-sample
+     stabilisation (a [Gc.compact]) then inflates every later estimate
+     by 10x or more. The rows are bound with a [let] because OCaml
+     evaluates [@]'s right operand first. *)
+  let rows = List.map run_one selected in
+  let rows =
+    match recheck rows with
+    | [] -> rows
+    | ids ->
+        Printf.printf
+          "\n%d row(s) regressed; re-measuring once to shed scheduler \
+           noise...\n\
+           %!"
+          (List.length ids);
+        List.map2
+          (fun bench (row : Bench_gate.row) ->
+            if not (List.mem row.Bench_gate.id ids) then row
+            else
+              match (row.Bench_gate.ns_per_op, (run_one bench).ns_per_op) with
+              | Some first, Some again ->
+                  { row with ns_per_op = Some (Float.min first again) }
+              | _ -> row)
+          selected rows
+  in
+  rows @ List.map (fun (_, measure) -> measure ()) selected_custom

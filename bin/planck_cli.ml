@@ -19,7 +19,6 @@ module Reroute = Planck_controller.Reroute
 module Controller = Planck_controller.Controller
 module Poller = Planck_baselines.Poller
 module Metrics = Planck_telemetry.Metrics
-module Trace = Planck_telemetry.Trace
 module Export = Planck_telemetry.Export
 module Flusher = Planck_telemetry.Flusher
 module Journal = Planck_telemetry.Journal
@@ -31,16 +30,16 @@ module Json = Planck_telemetry.Json
 module Stats = Planck_util.Stats
 open Planck
 
-(* ---- telemetry plumbing (--metrics-out / --trace-out / --journal-out /
+(* ---- telemetry plumbing (--metrics-out / --journal-out /
    --timeseries-out) ---- *)
 
 (* Passing any of these flags flips the corresponding process-wide
-   registry/trace/journal on for the whole run; at exit the snapshots
+   registry/journal on for the whole run; at exit the snapshots
    are written (the capture subcommand additionally flushes periodically
    on the simulation clock; the journal streams NDJSON as it records).
    Each output path is probed up front so a typo fails before the
    simulation runs, not at the first flush. *)
-let telemetry_setup ?journal_out ?timeseries_out metrics_out trace_out =
+let telemetry_setup ?journal_out ?timeseries_out metrics_out =
   let probe = function
     | None -> true
     | Some path -> (
@@ -52,31 +51,22 @@ let telemetry_setup ?journal_out ?timeseries_out metrics_out trace_out =
           false)
   in
   if
-    probe metrics_out && probe trace_out && probe journal_out
-    && probe timeseries_out
+    probe metrics_out && probe journal_out && probe timeseries_out
   then begin
     if metrics_out <> None then Metrics.set_enabled Metrics.default true;
-    if trace_out <> None then Trace.set_enabled Trace.default true;
     if journal_out <> None then Journal.set_enabled Journal.default true;
     true
   end
   else false
 
-let telemetry_dump metrics_out trace_out =
+let telemetry_dump metrics_out =
   Option.iter
     (fun path ->
       Export.write_file ~path (Export.metrics_json Metrics.default);
       Printf.printf "wrote %d metrics to %s\n"
         (Metrics.size Metrics.default)
         path)
-    metrics_out;
-  Option.iter
-    (fun path ->
-      Export.write_file ~path (Trace.to_chrome_json Trace.default);
-      Printf.printf
-        "wrote %d trace events to %s (open in chrome://tracing or Perfetto)\n"
-        (Trace.length Trace.default) path)
-    trace_out
+    metrics_out
 
 (* ---- topology subcommand ---- *)
 
@@ -164,7 +154,7 @@ let profile_report profile =
   end
 
 let run_experiment () workload_name scheme_name flow_table_name size_mib runs
-    seed shards csv metrics_out trace_out journal_out timeseries_out
+    seed shards csv metrics_out journal_out timeseries_out
     timeseries_interval_us profile =
   match
     ( parse_workload workload_name,
@@ -175,8 +165,7 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
       prerr_endline e;
       1
   | Ok workload, Ok scheme, Ok flow_table
-    when telemetry_setup ?journal_out ?timeseries_out metrics_out trace_out
-    ->
+    when telemetry_setup ?journal_out ?timeseries_out metrics_out ->
       profile_setup profile;
       let spec, sch =
         match scheme with
@@ -289,14 +278,14 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
           (Experiment.mean_avg_goodput summaries)
       end;
       profile_report profile;
-      telemetry_dump metrics_out trace_out;
+      telemetry_dump metrics_out;
       0
   | _ -> 1
 
 (* ---- capture subcommand ---- *)
 
-let capture output duration_ms seed metrics_out trace_out profile =
-  if not (telemetry_setup metrics_out trace_out) then 1
+let capture output duration_ms seed metrics_out profile =
+  if not (telemetry_setup metrics_out) then 1
   else begin
     profile_setup profile;
     let tb = Testbed.create (Testbed.paper_fat_tree ~seed ()) in
@@ -334,7 +323,7 @@ let capture output duration_ms seed metrics_out trace_out profile =
     (Collector.vantage_count collector)
     (String.length pcap) output;
   profile_report profile;
-  telemetry_dump metrics_out trace_out;
+  telemetry_dump metrics_out;
   0
   end
 
@@ -457,7 +446,25 @@ let print_phases events =
       phases
   end
 
-let inspect_journal journal_path timeseries_path =
+(* The Chrome/Perfetto timeline is a view of the journal, rendered
+   offline: a streamed NDJSON journal holds every loop event, where an
+   in-memory ring would have evicted the early ones. *)
+let write_chrome_trace path events loops =
+  match Export.write_file ~path (Inspect.chrome_trace events) with
+  | exception Sys_error msg ->
+      Printf.eprintf "planck-cli: cannot write %s\n" msg;
+      1
+  | () ->
+      Printf.printf
+        "\nwrote a Chrome trace of %d control loop(s) to %s (open in \
+         chrome://tracing or ui.perfetto.dev)\n"
+        (List.length
+           (List.sort_uniq Int.compare
+              (List.map (fun (l : Inspect.loop) -> l.Inspect.corr) loops)))
+        path;
+      0
+
+let inspect_journal journal_path timeseries_path trace_path =
   match Journal.of_ndjson (read_file journal_path) with
   | exception Sys_error msg ->
       Printf.eprintf "planck-cli: %s\n" msg;
@@ -494,7 +501,9 @@ let inspect_journal journal_path timeseries_path =
               Printf.printf "\ntime-series: %d rows x %d series from %s\n"
                 (List.length rows) (List.length names) path;
               print_estimate_errors names rows));
-      0
+      match trace_path with
+      | None -> 0
+      | Some path -> write_chrome_trace path events loops
 
 (* Offline self-profile report from a metrics snapshot (--metrics-out
    of run/capture/bench, or the "metrics" member of bench --json). *)
@@ -516,11 +525,14 @@ let inspect_profile path =
             path (Profile.render rows);
           0)
 
-let inspect () journal_path timeseries_path profile_path =
+let inspect () journal_path timeseries_path trace_path profile_path =
   match (journal_path, profile_path) with
   | None, None ->
       Printf.eprintf
         "planck-cli: inspect needs a JOURNAL argument and/or --profile FILE\n";
+      1
+  | None, Some _ when trace_path <> None ->
+      Printf.eprintf "planck-cli: inspect --trace-out needs a JOURNAL\n";
       1
   | journal, profile ->
       let codes =
@@ -530,7 +542,7 @@ let inspect () journal_path timeseries_path profile_path =
             | Some path -> [ inspect_profile path ]
             | None -> []);
             (match journal with
-            | Some path -> [ inspect_journal path timeseries_path ]
+            | Some path -> [ inspect_journal path timeseries_path trace_path ]
             | None -> []);
           ]
       in
@@ -578,15 +590,6 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Enable telemetry and write the metric snapshot as JSON.")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Enable sim-time tracing and write a Chrome trace_event JSON \
-           (open in chrome://tracing or ui.perfetto.dev).")
 
 let profile_arg =
   Arg.(
@@ -675,8 +678,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a workload under a routing scheme")
     Term.(
       const run_experiment $ debug_arg $ workload $ scheme $ flow_table $ size
-      $ runs $ seed_arg $ shards $ csv $ metrics_out_arg $ trace_out_arg
-      $ journal_out $ timeseries_out $ timeseries_interval $ profile_arg)
+      $ runs $ seed_arg $ shards $ csv $ metrics_out_arg $ journal_out
+      $ timeseries_out $ timeseries_interval $ profile_arg)
 
 let capture_cmd =
   let output =
@@ -692,7 +695,7 @@ let capture_cmd =
     (Cmd.info "capture" ~doc:"Dump a switch vantage point to pcap")
     Term.(
       const capture $ output $ duration $ seed_arg $ metrics_out_arg
-      $ trace_out_arg $ profile_arg)
+      $ profile_arg)
 
 let inspect_cmd =
   let journal =
@@ -713,6 +716,17 @@ let inspect_cmd =
             "Time-series CSV written by $(b,run --timeseries-out); adds \
              estimate-vs-truth error summaries.")
   in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Render the journal as a Chrome trace_event JSON (open in \
+             chrome://tracing or ui.perfetto.dev): one control_loop span \
+             per correlation id, plus an instant per loop stage and \
+             phase marker.")
+  in
   let profile =
     Arg.(
       value
@@ -727,9 +741,10 @@ let inspect_cmd =
     (Cmd.info "inspect"
        ~doc:
          "Analyze a flight-recorder journal: per-loop control stage \
-          breakdowns, reroute flaps, estimate accuracy, runtime \
-          self-profile")
-    Term.(const inspect $ debug_arg $ journal $ timeseries $ profile)
+          breakdowns, reroute flaps, estimate accuracy, a Chrome/Perfetto \
+          timeline, runtime self-profile")
+    Term.(
+      const inspect $ debug_arg $ journal $ timeseries $ trace_out $ profile)
 
 let () =
   let doc = "Planck (SIGCOMM 2014 reproduction) command-line tool" in

@@ -12,7 +12,6 @@ module Pcap = Planck_packet.Pcap
 module Routing = Planck_topology.Routing
 module Fabric = Planck_topology.Fabric
 module Metrics = Planck_telemetry.Metrics
-module Trace = Planck_telemetry.Trace
 module Journal = Planck_telemetry.Journal
 
 let log = Logs.Src.create "planck.collector" ~doc:"Planck collector"
@@ -247,15 +246,6 @@ let check_congestion t ~port =
               t.switch port (utilization /. 1e9));
         Hashtbl.replace t.last_event port now;
         Metrics.Counter.incr t.tel_congestion_events;
-        Trace.instant Trace.default ~now ~cat:"collector"
-          ~name:"congestion_detected"
-          ~args:
-            [
-              ("switch", Trace.Int t.switch);
-              ("port", Trace.Int port);
-              ("gbps", Trace.Float (utilization /. 1e9));
-            ]
-          ();
         (* Mint the correlation id that names this control loop: every
            journal event downstream (notify, decide, install,
            effective) carries it, so Inspect can decompose the loop

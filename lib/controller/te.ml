@@ -8,7 +8,6 @@ module Routing = Planck_topology.Routing
 module Control_channel = Planck_openflow.Control_channel
 module Collector = Planck_collector.Collector
 module Metrics = Planck_telemetry.Metrics
-module Trace = Planck_telemetry.Trace
 module Journal = Planck_telemetry.Journal
 module Profile = Planck_telemetry.Profile
 module Packet = Planck_packet.Packet
@@ -102,18 +101,6 @@ let greedy_route_flow t ~corr flow =
                 !best_mac (!best_btlneck /. 1e9));
           t.reroutes <- t.reroutes + 1;
           Metrics.Counter.incr t.tel_reroutes;
-          Trace.instant Trace.default ~now ~cat:"te" ~name:"reroute"
-            ~args:
-              [
-                ( "flow",
-                  Trace.String
-                    (Format.asprintf "%a" Flow_key.pp flow.Net_view.key) );
-                ( "old_mac",
-                  Trace.String (Mac.to_string flow.Net_view.dst_mac) );
-                ("new_mac", Trace.String (Mac.to_string !best_mac));
-                ("bottleneck_gbps", Trace.Float (!best_btlneck /. 1e9));
-              ]
-            ();
           flow.Net_view.no_reroute_until <- now + t.config.reroute_cooldown;
           Net_view.set_route t.view flow !best_mac;
           let on_install =
@@ -174,18 +161,6 @@ let process t (event : Collector.congestion) =
     Journal.record Journal.default ~ts:now ~corr:event.Collector.corr
       (Journal.Controller_notified
          { switch = event.Collector.switch; port = event.Collector.port });
-  (* The control-loop span of Fig 12/15: opened retroactively at the
-     collector's detection stamp, closed when this handler (and any
-     reroute messages it sent) is done. The span's duration is exactly
-     the detection-to-response gap the reroute experiments print. *)
-  let span_args =
-    [
-      ("switch", Trace.Int event.Collector.switch);
-      ("port", Trace.Int event.Collector.port);
-    ]
-  in
-  Trace.span_begin Trace.default ~now:event.Collector.time ~cat:"te"
-    ~name:"control_loop" ~args:span_args ();
   let flows =
     List.map
       (fun (key, rate, dst_mac) ->
@@ -200,9 +175,6 @@ let process t (event : Collector.congestion) =
     List.sort (fun a b -> Float.compare a.Net_view.rate b.Net_view.rate) flows
   in
   List.iter (greedy_route_flow t ~corr:event.Collector.corr) flows;
-  Trace.span_end Trace.default
-    ~now:(Engine.now t.engine)
-    ~cat:"te" ~name:"control_loop" ();
   Profile.exit sp_decide
 
 let create engine ~routing ~channel ~collectors ~link_rate

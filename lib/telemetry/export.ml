@@ -1,5 +1,5 @@
-(* Snapshot writers: metric registries as JSON or CSV documents, and a
-   tiny file sink shared by the CLI/bench flags and the flusher. *)
+(* Snapshot writers: metric registries as JSON documents, and a tiny
+   file sink shared by the CLI/bench flags and the flusher. *)
 
 let json_of_snapshot (s : Metrics.snapshot) =
   let base =
@@ -44,48 +44,6 @@ let metrics_to_json registry =
     ]
 
 let metrics_json registry = Json.to_string (metrics_to_json registry)
-
-let csv_field s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let metrics_csv registry =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "subsystem,name,label,kind,value,count,sum,min,max\n";
-  List.iter
-    (fun (s : Metrics.snapshot) ->
-      let kind, value, count, sum, min, max =
-        match s.Metrics.value with
-        | Metrics.Counter_value v ->
-            ("counter", string_of_int v, "", "", "", "")
-        | Metrics.Gauge_value { value; max } ->
-            ("gauge", Printf.sprintf "%g" value, "", "", "",
-             Printf.sprintf "%g" max)
-        | Metrics.Histogram_value { count; sum; min; max; _ } ->
-            ( "histogram",
-              "",
-              string_of_int count,
-              string_of_int sum,
-              string_of_int min,
-              string_of_int max )
-      in
-      Buffer.add_string buf
-        (String.concat ","
-           [
-             csv_field s.Metrics.subsystem;
-             csv_field s.Metrics.name;
-             csv_field s.Metrics.label;
-             kind;
-             value;
-             count;
-             sum;
-             min;
-             max;
-           ]);
-      Buffer.add_char buf '\n')
-    (Metrics.snapshot registry);
-  Buffer.contents buf
 
 let write_file ~path contents =
   let oc = open_out path in

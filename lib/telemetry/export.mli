@@ -1,8 +1,8 @@
-(** Pluggable snapshot sinks for {!Metrics} registries.
+(** Snapshot sinks for {!Metrics} registries.
 
-    Both formats render {!Metrics.snapshot}, so they are deterministic
-    (sorted by [(subsystem, name, label)]). Traces export themselves via
-    {!Trace.to_chrome_json}. *)
+    The JSON document renders {!Metrics.snapshot}, so it is
+    deterministic (sorted by [(subsystem, name, label)]). Chrome
+    timelines are a view of the journal: {!Inspect.chrome_trace}. *)
 
 val metrics_to_json : Metrics.registry -> Json.t
 (** [{"metrics": [{subsystem, name, label, kind, ...}, ...]}]. Counters
@@ -11,8 +11,5 @@ val metrics_to_json : Metrics.registry -> Json.t
     [[lo, hi, count]] triples. *)
 
 val metrics_json : Metrics.registry -> string
-val metrics_csv : Metrics.registry -> string
-(** Header [subsystem,name,label,kind,value,count,sum,min,max]; fields
-    not applicable to a kind are left empty. *)
 
 val write_file : path:string -> string -> unit

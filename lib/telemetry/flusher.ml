@@ -1,21 +1,15 @@
 module Time = Planck_util.Time
 
-type output =
-  | Metrics_json of string
-  | Metrics_csv of string
-  | Trace_json of string
-  | Custom of (unit -> unit)
+type output = Metrics_json of string
 
 type t = {
   registry : Metrics.registry;
-  trace : Trace.t;
   outputs : output list;
   mutable flushes : int;
 }
 
-let create ?(registry = Metrics.default) ?(trace = Trace.default) ~outputs ()
-    =
-  { registry; trace; outputs; flushes = 0 }
+let create ?(registry = Metrics.default) ~outputs () =
+  { registry; outputs; flushes = 0 }
 
 let sp_flush = Profile.register "flusher.flush"
 
@@ -23,15 +17,8 @@ let flush t =
   t.flushes <- t.flushes + 1;
   Profile.enter sp_flush;
   List.iter
-    (fun output ->
-      match output with
-      | Metrics_json path ->
-          Export.write_file ~path (Export.metrics_json t.registry)
-      | Metrics_csv path ->
-          Export.write_file ~path (Export.metrics_csv t.registry)
-      | Trace_json path ->
-          Export.write_file ~path (Trace.to_chrome_json t.trace)
-      | Custom f -> f ())
+    (fun (Metrics_json path) ->
+      Export.write_file ~path (Export.metrics_json t.registry))
     t.outputs;
   Profile.exit sp_flush
 

@@ -1,7 +1,7 @@
 (** Periodic snapshot flushing.
 
-    A flusher bundles a metric registry, a trace, and a list of output
-    sinks; each {!flush} rewrites every sink in place (last write wins,
+    A flusher bundles a metric registry and a list of output sinks;
+    each {!flush} rewrites every sink in place (last write wins,
     so a crash mid-run still leaves the latest complete snapshot on
     disk). {!schedule} hooks it onto the simulation clock through a
     scheduler capability, keeping this library independent of the
@@ -18,16 +18,11 @@
 
 type output =
   | Metrics_json of string  (** write {!Export.metrics_json} to path *)
-  | Metrics_csv of string  (** write {!Export.metrics_csv} to path *)
-  | Trace_json of string  (** write {!Trace.to_chrome_json} to path *)
-  | Custom of (unit -> unit)
 
 type t
 
-val create :
-  ?registry:Metrics.registry -> ?trace:Trace.t -> outputs:output list ->
-  unit -> t
-(** Defaults to {!Metrics.default} and {!Trace.default}. *)
+val create : ?registry:Metrics.registry -> outputs:output list -> unit -> t
+(** Defaults to {!Metrics.default}. *)
 
 val flush : t -> unit
 (** Write every output now. *)

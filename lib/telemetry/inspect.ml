@@ -105,15 +105,6 @@ let loops events =
       | c -> c)
     ls
 
-let stage_names =
-  [
-    "detect->notify";
-    "notify->decide";
-    "decide->install";
-    "install->effective";
-    "detect->effective";
-  ]
-
 let stage_durations ls =
   let complete_loops = List.filter complete ls in
   let leg f = List.filter_map f complete_loops in
@@ -194,3 +185,132 @@ let estimate_errors ~names ~rows =
             Some (flow, Planck_util.Stats.mean_relative_error ~truth ~estimate:est)
       | _ -> None)
     flows
+
+(* ---- Chrome trace_event view ---- *)
+
+type chrome_record = {
+  ts : Time.t;
+  cat : string;
+  name : string;
+  ph : string;
+  extra : (string * Json.t) list;
+}
+
+(* The latest stamp a loop recorded, detection included. *)
+let last_stage l =
+  List.fold_left
+    (fun acc -> function Some ts -> max acc ts | None -> acc)
+    l.detect
+    [ l.notify; l.decide; l.install; l.effective ]
+
+let chrome_trace events =
+  (* One control_loop span per correlation id. [loops] orders by
+     (detect, corr) and every loop of a corr shares its detect stamp, so
+     a corr's loops are adjacent. *)
+  let spans =
+    List.fold_left
+      (fun acc l ->
+        match acc with
+        | (corr, detect, last) :: rest when corr = l.corr ->
+            (corr, detect, max last (last_stage l)) :: rest
+        | _ -> (l.corr, l.detect, last_stage l) :: acc)
+      [] (loops events)
+    |> List.rev
+  in
+  (* Async b/e events keyed by corr, so overlapping loops render side by
+     side instead of nesting. They sit on the controller's track, where
+     each loop is decided. *)
+  let span ph ts corr =
+    {
+      ts;
+      cat = "controller";
+      name = "control_loop";
+      ph;
+      extra =
+        [
+          ("id", Json.Int corr); ("args", Json.Obj [ ("corr", Json.Int corr) ]);
+        ];
+    }
+  in
+  let begins = List.map (fun (corr, detect, _) -> span "b" detect corr) spans in
+  let ends = List.map (fun (corr, _, last) -> span "e" last corr) spans in
+  (* Instants reuse the journal's own vocabulary: [ev] names the event,
+     its NDJSON fields (corr included) are the args. Scope "g" renders
+     as a full vertical line in the viewer. *)
+  let instants =
+    List.filter_map
+      (fun (ev : Journal.event) ->
+        let keep =
+          match ev.Journal.body with
+          | Journal.Phase_marker _ -> true
+          | _ -> Option.is_some ev.Journal.corr
+        in
+        if not keep then None
+        else
+          let args =
+            match Journal.event_to_json ev with
+            | Json.Obj kvs ->
+                List.filter
+                  (fun (k, _) -> k <> "ts" && k <> "src" && k <> "ev")
+                  kvs
+            | _ -> []
+          in
+          Some
+            {
+              ts = ev.Journal.ts;
+              cat = Journal.source_of_body ev.Journal.body;
+              name = Journal.name_of_body ev.Journal.body;
+              ph = "i";
+              extra = [ ("s", Json.String "g"); ("args", Json.Obj args) ];
+            })
+      events
+  in
+  (* Stable sort: at equal stamps a loop opens before, and closes after,
+     the instants it contains. *)
+  let records =
+    List.stable_sort
+      (fun a b -> Int.compare a.ts b.ts)
+      (begins @ instants @ ends)
+  in
+  (* Each source renders as its own Perfetto process: pids by first
+     appearance, named by M-phase process_name metadata. *)
+  let cats =
+    List.fold_left
+      (fun cats r -> if List.mem r.cat cats then cats else r.cat :: cats)
+      [] records
+    |> List.rev
+  in
+  let pids = List.mapi (fun i cat -> (cat, i + 1)) cats in
+  let metadata =
+    List.map
+      (fun (cat, pid) ->
+        Json.Obj
+          [
+            ("name", Json.String "process_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int pid);
+            ("args", Json.Obj [ ("name", Json.String cat) ]);
+          ])
+      pids
+  in
+  (* trace_event timestamps are microseconds as doubles; integer
+     nanoseconds up to ~104 days stay exact after /1000 in a double, so
+     ts round-trips through the JSON. *)
+  let json_of_record r =
+    Json.Obj
+      ([
+         ("name", Json.String r.name);
+         ("cat", Json.String r.cat);
+         ("ph", Json.String r.ph);
+         ("ts", Json.Float (float_of_int r.ts /. 1000.0));
+         ("pid", Json.Int (List.assoc r.cat pids));
+         ("tid", Json.Int 0);
+       ]
+      @ r.extra)
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (metadata @ List.map json_of_record records));
+         ("displayTimeUnit", Json.String "ns");
+       ])

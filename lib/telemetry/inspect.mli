@@ -8,7 +8,8 @@
     (controller received the event), decide (TE picked a new route),
     install (ARP packet_out injected / OpenFlow rule installed), and
     effective (first sample of the flow on its new path, the Fig 16
-    vantage point). *)
+    vantage point). {!chrome_trace} renders the same loops as a
+    timeline. *)
 
 module Time = Planck_util.Time
 
@@ -36,13 +37,11 @@ val total : loop -> Time.t option
 val loops : Journal.event list -> loop list
 (** Rebuild loops, ordered by detection time. *)
 
-val stage_names : string list
-(** The four inter-stage legs plus the total, in timeline order. *)
-
 val stage_durations : loop list -> (string * float list) list
-(** Per {!stage_names} entry, the leg's duration in milliseconds for
-    every complete loop (use {!Planck_util.Stats.percentile} on each
-    list). *)
+(** For the four inter-stage legs plus the total, in timeline order
+    (["detect->notify"] ... ["detect->effective"]), the leg's duration
+    in milliseconds for every complete loop (use
+    {!Planck_util.Stats.percentile} on each list). *)
 
 val flap_counts : Journal.event list -> (string * int) list
 (** Reroute decisions per flow, most-rerouted first. A flow rerouted
@@ -51,6 +50,23 @@ val flap_counts : Journal.event list -> (string * int) list
 val count_events : Journal.event list -> (string * int) list
 (** Occurrences per event name ("packet_drop", "retransmit", ...),
     descending. *)
+
+val chrome_trace : Journal.event list -> string
+(** The journal as a Chrome [trace_event] JSON document
+    ([{"traceEvents": [...]}]) for [chrome://tracing] or Perfetto:
+    - one [control_loop] span per correlation id, from detection to the
+      latest stage recorded under that id. Spans are async [b]/[e]
+      pairs with [id] = the correlation id, so overlapping loops render
+      side by side rather than nested;
+    - one instant per correlated stage event and per phase marker,
+      named by the journal's [ev], with its NDJSON fields (including
+      [corr]) as args. Uncorrelated events (drops, retransmits,
+      estimates) are left out.
+
+    Each journal [src] is its own process, named by [process_name]
+    metadata. Events are stably sorted by timestamp. [ts] is in
+    microseconds; integer-nanosecond stamps divide by 1000 exactly in a
+    double, so they round-trip. *)
 
 val estimate_errors :
   names:string list ->

@@ -57,7 +57,7 @@ let create ?(capacity = 65536) ?(enabled = true) () =
     writer = None }
 
 (* The process-wide journal every built-in instrumentation point records
-   into. Disabled by default, like Metrics.default and Trace.default. *)
+   into. Disabled by default, like Metrics.default. *)
 let default = create ~enabled:false ()
 
 let set_enabled t on = t.on <- on

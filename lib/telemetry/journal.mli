@@ -9,12 +9,14 @@
     first post-reroute sample on the new path all reference that id, so
     each control loop decomposes into the named stages of the paper's
     Fig 12/15 timeline (detect -> notify -> decide -> install ->
-    effective). {!Inspect} rebuilds the loops from a journal.
+    effective). {!Inspect} rebuilds the loops from a journal and renders
+    them as a Chrome/Perfetto timeline; the journal is the only event
+    stream the stack records.
 
-    Like {!Metrics} and {!Trace}, the process-wide {!default} journal is
-    disabled by default and every instrumentation point costs a single
-    branch when it is off. Event bodies allocate, so hot call sites must
-    guard construction with [if Journal.enabled Journal.default]. *)
+    Like {!Metrics}, the process-wide {!default} journal is disabled by
+    default and every instrumentation point costs a single branch when
+    it is off. Event bodies allocate, so hot call sites must guard
+    construction with [if Journal.enabled Journal.default]. *)
 
 module Time = Planck_util.Time
 

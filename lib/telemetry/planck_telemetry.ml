@@ -1,24 +1,23 @@
 (** Always-on observability for the Planck reproduction: a typed metric
-    registry ({!Metrics}), sim-time tracing with Chrome [trace_event]
-    export ({!Trace}), a correlated cross-layer event journal
-    ({!Journal}) with its loop analyzer ({!Inspect}), a ground-truth
-    time-series recorder ({!Timeseries}), snapshot writers ({!Export}),
-    periodic flushing ({!Flusher}), a sim-time [Logs] reporter
-    ({!Reporter}), and the self-contained JSON codec they share
-    ({!Json}).
+    registry ({!Metrics}), a correlated cross-layer event journal
+    ({!Journal}) with its loop analyzer and Chrome [trace_event] view
+    ({!Inspect}), a ground-truth time-series recorder ({!Timeseries}),
+    snapshot writers ({!Export}), periodic flushing ({!Flusher}), a
+    sim-time [Logs] reporter ({!Reporter}), and the self-contained JSON
+    codec they share ({!Json}).
 
     Instrumentation is compiled into the simulator's hot paths but
     guarded by per-registry enabled flags that default to off, so an
-    uninstrumented run pays one branch per tracepoint. Experiments and
-    the CLI/bench [--metrics-out] / [--trace-out] / [--journal-out]
-    flags flip the process-wide {!Metrics.default} / {!Trace.default} /
-    {!Journal.default} on. *)
+    uninstrumented run pays one branch per instrumentation point.
+    Experiments and the CLI/bench [--metrics-out] / [--journal-out]
+    flags flip the process-wide {!Metrics.default} / {!Journal.default}
+    on. The journal is the only event stream: timelines are rendered
+    from it after the run. *)
 
 module Json = Json
 module Metrics = Metrics
 module Profile = Profile
 module Bench_gate = Bench_gate
-module Trace = Trace
 module Journal = Journal
 module Timeseries = Timeseries
 module Inspect = Inspect

@@ -7,12 +7,11 @@ type t = {
   interval : Time.t;
   mutable series : series list; (* reversed: newest registration first *)
   ring : (Time.t * float array) Ring.t;
-  mutable evicted : int;
 }
 
 let create ?(capacity = 65536) ~interval () =
   if interval <= 0 then invalid_arg "Timeseries.create: interval <= 0";
-  { interval; series = []; ring = Ring.create ~capacity; evicted = 0 }
+  { interval; series = []; ring = Ring.create ~capacity }
 
 let interval t = t.interval
 
@@ -31,23 +30,15 @@ let sample t ~now =
   List.iteri
     (fun i s -> row.(n - 1 - i) <- s.probe ())
     t.series;
-  if Ring.is_full t.ring then begin
-    ignore (Ring.pop t.ring);
-    t.evicted <- t.evicted + 1
-  end;
+  if Ring.is_full t.ring then ignore (Ring.pop t.ring);
   ignore (Ring.push t.ring (now, row))
 
 let start t ~every ~clock =
   every ~period:t.interval (fun () -> sample t ~now:(clock ()))
 
 let rows t = Ring.to_list t.ring
-let evicted t = t.evicted
 
-let clear t =
-  Ring.clear t.ring;
-  t.evicted <- 0
-
-(* ---- export / import ---- *)
+(* ---- CSV export / import ---- *)
 
 (* Reuse the JSON float emitter: shortest representation that
    round-trips the double, so of_csv (float_of_string) is lossless. *)
@@ -82,21 +73,6 @@ let to_csv t =
       Buffer.add_char buf '\n')
     (rows t);
   Buffer.contents buf
-
-let to_json t =
-  Json.Obj
-    [
-      ("interval_ns", Json.Int t.interval);
-      ("names", Json.List (List.map (fun n -> Json.String n) (names t)));
-      ( "rows",
-        Json.List
-          (List.map
-             (fun (ts, row) ->
-               Json.List
-                 (Json.Int ts
-                  :: Array.to_list (Array.map (fun v -> Json.Float v) row)))
-             (rows t)) );
-    ]
 
 let of_csv s =
   let lines =

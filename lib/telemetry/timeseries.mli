@@ -3,7 +3,7 @@
     Complements the {!Journal}: where the journal captures discrete
     events, a timeseries samples continuous state — link utilization,
     shared-buffer occupancy, per-flow true vs collector-estimated rate —
-    at a fixed simulated interval, for export as CSV/JSON. Series are
+    at a fixed simulated interval, for export as CSV. Series are
     probe thunks registered by name; new series may be added after
     sampling has started (earlier rows are padded with [nan] on
     export). *)
@@ -14,7 +14,8 @@ type t
 
 val create : ?capacity:int -> interval:Time.t -> unit -> t
 (** [create ~interval ()] records at most [capacity] (default 65536)
-    rows, sampled every [interval] of simulated time once {!start}ed. *)
+    rows (the oldest is evicted when full), sampled every [interval] of
+    simulated time once {!start}ed. *)
 
 val interval : t -> Time.t
 
@@ -44,18 +45,12 @@ val rows : t -> (Time.t * float array) list
 (** Sampled rows, oldest first. Arrays are as wide as the series list
     was at sampling time. *)
 
-val evicted : t -> int
-val clear : t -> unit
-
 (** {2 Export / import} *)
 
 val to_csv : t -> string
 (** Header [time_s,<name>,...]; one row per sample, times in seconds,
     values in shortest round-trip float form, short rows padded with
     [nan]. *)
-
-val to_json : t -> Json.t
-(** [{"interval_ns":..,"names":[..],"rows":[[ts_ns, v, ..], ..]}]. *)
 
 val of_csv : string -> (string list * (float * float array) list, string) result
 (** Parse a {!to_csv} document back into series names and

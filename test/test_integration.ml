@@ -91,92 +91,139 @@ let detection_latency_under_2ms () =
         true
         (latency < Time.ms 10)
 
-(* The flight recorder end to end: a PlanckTE run with the journal on
-   must produce at least one control loop with all five correlated
-   stages (detect -> notify -> decide -> install -> effective), in
-   timeline order and millisecond-scale overall — the Fig 12/15/16
-   decomposition the inspect subcommand prints. *)
-let journal_records_complete_control_loops () =
+let has_substring line sub =
+  let n = String.length line and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+  go 0
+
+(* A 5 MiB stride(8) PlanckTE run with the journal on, streaming only the
+   NDJSON lines [keep] accepts: a full run drops far more packets than
+   the default ring holds, and the early loops must not be lost to
+   eviction. Returns the run summary and the parsed events. *)
+let planck_te_journal ~keep =
   let module Journal = Planck_telemetry.Journal in
-  let module Inspect = Planck_telemetry.Inspect in
-  let has_substring line sub =
-    let n = String.length line and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-    go 0
-  in
-  (* Stream only the control-loop events: a full run drops far more
-     packets than the default ring holds, and the early loops must not
-     be lost to eviction. *)
-  let keep =
-    [
-      "congestion_detected"; "notified"; "reroute_decision";
-      "reroute_install"; "reroute_effective";
-    ]
-  in
   let buf = Buffer.create 4096 in
   let was = Journal.enabled Journal.default in
   Journal.set_enabled Journal.default true;
   Journal.set_writer Journal.default
     (Some
        (fun line ->
-         if
-           List.exists
-             (fun ev -> has_substring line ("\"ev\":\"" ^ ev ^ "\""))
-             keep
-         then begin
+         if keep line then begin
            Buffer.add_string buf line;
            Buffer.add_char buf '\n'
          end));
-  Fun.protect
-    ~finally:(fun () ->
-      Journal.set_writer Journal.default None;
-      Journal.set_enabled Journal.default was;
-      Journal.clear Journal.default)
-    (fun () ->
-      let summary =
+  let summary =
+    Fun.protect
+      ~finally:(fun () ->
+        Journal.set_writer Journal.default None;
+        Journal.set_enabled Journal.default was;
+        Journal.clear Journal.default)
+      (fun () ->
         run ~scheme:Scheme.planck_te_default
           ~spec:(Testbed.paper_fat_tree ())
-          ~size:(5 * 1024 * 1024) ()
+          ~size:(5 * 1024 * 1024) ())
+  in
+  match Journal.of_ndjson (Buffer.contents buf) with
+  | Error e -> Alcotest.failf "streamed journal invalid: %s" e
+  | Ok events -> (summary, events)
+
+(* The flight recorder end to end: a PlanckTE run with the journal on
+   must produce at least one control loop with all five correlated
+   stages (detect -> notify -> decide -> install -> effective), in
+   timeline order and millisecond-scale overall — the Fig 12/15/16
+   decomposition the inspect subcommand prints. *)
+let journal_records_complete_control_loops () =
+  let module Inspect = Planck_telemetry.Inspect in
+  let keep =
+    [
+      "congestion_detected"; "notified"; "reroute_decision";
+      "reroute_install"; "reroute_effective";
+    ]
+  in
+  let summary, events =
+    planck_te_journal ~keep:(fun line ->
+        List.exists
+          (fun ev -> has_substring line ("\"ev\":\"" ^ ev ^ "\""))
+          keep)
+  in
+  Alcotest.(check bool) "run rerouted" true (summary.Experiment.reroutes > 0);
+  let loops = Inspect.loops events in
+  let complete = List.filter Inspect.complete loops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d loops complete" (List.length complete)
+       (List.length loops))
+    true (complete <> []);
+  Alcotest.(check int) "one loop per reroute decision"
+    summary.Experiment.reroutes
+    (List.length (List.filter (fun l -> l.Inspect.flow <> None) loops));
+  List.iter
+    (fun (l : Inspect.loop) ->
+      let ordered =
+        match
+          (l.Inspect.notify, l.Inspect.decide, l.Inspect.install,
+           l.Inspect.effective)
+        with
+        | Some n, Some d, Some i, Some e ->
+            l.Inspect.detect <= n && n <= d && d <= i && i <= e
+        | _ -> false
       in
-      Alcotest.(check bool) "run rerouted" true
-        (summary.Experiment.reroutes > 0);
-      match Journal.of_ndjson (Buffer.contents buf) with
-      | Error e -> Alcotest.failf "streamed journal invalid: %s" e
-      | Ok events ->
-          let loops = Inspect.loops events in
-          let complete = List.filter Inspect.complete loops in
+      Alcotest.(check bool)
+        (Printf.sprintf "loop %d stages in timeline order" l.Inspect.corr)
+        true ordered;
+      match Inspect.total l with
+      | Some total ->
           Alcotest.(check bool)
-            (Printf.sprintf "%d of %d loops complete" (List.length complete)
-               (List.length loops))
+            (Printf.sprintf "loop %d total %s is millisecond-scale"
+               l.Inspect.corr (Time.to_string total))
             true
-            (complete <> []);
-          Alcotest.(check int) "one loop per reroute decision"
-            summary.Experiment.reroutes
-            (List.length
-               (List.filter (fun l -> l.Inspect.flow <> None) loops));
-          List.iter
-            (fun (l : Inspect.loop) ->
-              let ordered =
-                match (l.Inspect.notify, l.Inspect.decide, l.Inspect.install,
-                       l.Inspect.effective)
-                with
-                | Some n, Some d, Some i, Some e ->
-                    l.Inspect.detect <= n && n <= d && d <= i && i <= e
-                | _ -> false
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "loop %d stages in timeline order"
-                   l.Inspect.corr)
-                true ordered;
-              match Inspect.total l with
-              | Some total ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "loop %d total %s is millisecond-scale"
-                       l.Inspect.corr (Time.to_string total))
-                    true
-                    (total > 0 && total < Time.ms 10)
-              | None -> ())
-            complete)
+            (total > 0 && total < Time.ms 10)
+      | None -> ())
+    complete
+
+(* The Chrome view of the same run: exactly one control_loop begin/end
+   pair per correlation id, and one reroute_decision instant per
+   reroute the scheme counted. *)
+let chrome_view_of_te_journal () =
+  let module Journal = Planck_telemetry.Journal in
+  let module Inspect = Planck_telemetry.Inspect in
+  let module Json = Planck_telemetry.Json in
+  let summary, events =
+    planck_te_journal ~keep:(fun line ->
+        has_substring line "\"corr\":" || has_substring line "\"ev\":\"phase\"")
+  in
+  let trace =
+    match Json.of_string (Inspect.chrome_trace events) with
+    | Error e -> Alcotest.failf "chrome JSON invalid: %s" e
+    | Ok doc ->
+        Option.value ~default:[]
+          (Option.bind (Json.member doc "traceEvents") Json.to_list_opt)
+  in
+  let str e key = Option.bind (Json.member e key) Json.to_string_opt in
+  let span_ids ph =
+    List.filter_map
+      (fun e ->
+        if str e "name" = Some "control_loop" && str e "ph" = Some ph then
+          Option.bind (Json.member e "id") Json.to_int_opt
+        else None)
+      trace
+    |> List.sort Int.compare
+  in
+  let corrs =
+    List.filter_map (fun ev -> ev.Journal.corr) events
+    |> List.sort_uniq Int.compare
+  in
+  Alcotest.(check bool) "loops recorded" true (corrs <> []);
+  Alcotest.(check (list int)) "one begin per correlation id" corrs
+    (span_ids "b");
+  Alcotest.(check (list int)) "one end per correlation id" corrs
+    (span_ids "e");
+  Alcotest.(check int) "one reroute_decision instant per reroute"
+    summary.Experiment.reroutes
+    (List.length
+       (List.filter
+          (fun e ->
+            str e "name" = Some "reroute_decision" && str e "ph" = Some "i")
+          trace))
 
 (* The whole stack A/B'd over the scheduler swap: the same PlanckTE
    run (same spec, same seed) once on the pre-wheel heap-only queue and
@@ -270,6 +317,8 @@ let tests =
       detection_latency_under_2ms;
     Alcotest.test_case "journal records complete control loops" `Quick
       journal_records_complete_control_loops;
+    Alcotest.test_case "chrome view of a PlanckTE journal" `Quick
+      chrome_view_of_te_journal;
     Alcotest.test_case "reroute timeline invariant under scheduler swap"
       `Quick reroute_timeline_scheduler_invariant;
     Alcotest.test_case "repeat varies seeds" `Quick

@@ -1,11 +1,14 @@
-(* Tests for Planck_telemetry: the metric registry, sim-time trace ring,
-   JSON codec, exporters, and the flusher, plus the engine wiring into
-   the process-wide default registry. *)
+(* Tests for Planck_telemetry: the metric registry, JSON codec, the
+   journal and its loop analyzer and Chrome view, time-series,
+   exporters, and the flusher, plus the engine wiring into the
+   process-wide default registry. *)
 
 module Time = Planck_util.Time
 module Json = Planck_telemetry.Json
 module Metrics = Planck_telemetry.Metrics
-module Trace = Planck_telemetry.Trace
+module Journal = Planck_telemetry.Journal
+module Timeseries = Planck_telemetry.Timeseries
+module Inspect = Planck_telemetry.Inspect
 module Export = Planck_telemetry.Export
 module Flusher = Planck_telemetry.Flusher
 module Engine = Planck_netsim.Engine
@@ -157,54 +160,6 @@ let histogram_observations () =
   let q50 = Metrics.Histogram.quantile h 0.5 in
   Alcotest.(check bool) "q0.5 within 2x of 100" true (q50 >= 100 && q50 < 256)
 
-(* ---- trace ring ---- *)
-
-let trace_bounded_eviction () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.instant t ~now:(Time.ns i) ~cat:"c" ~name:(string_of_int i) ()
-  done;
-  Alcotest.(check int) "length bounded" 4 (Trace.length t);
-  Alcotest.(check int) "capacity" 4 (Trace.capacity t);
-  Alcotest.(check int) "evicted counted" 6 (Trace.evicted t);
-  Alcotest.(check (list string))
-    "keeps the newest window" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.name) (Trace.events t));
-  Trace.clear t;
-  Alcotest.(check int) "clear empties" 0 (Trace.length t)
-
-let trace_disabled_and_spans () =
-  let t = Trace.create ~enabled:false () in
-  Trace.instant t ~now:(Time.ns 1) ~cat:"c" ~name:"x" ();
-  Alcotest.(check int) "disabled records nothing" 0 (Trace.length t);
-  Trace.set_enabled t true;
-  let clock = ref (Time.us 5) in
-  let result =
-    Trace.with_span t
-      ~clock:(fun () -> !clock)
-      ~cat:"c" ~name:"work"
-      (fun () ->
-        clock := Time.us 9;
-        17)
-  in
-  Alcotest.(check int) "with_span passes result" 17 result;
-  (match Trace.events t with
-  | [ b; e ] ->
-      Alcotest.(check bool) "begin phase" true (b.Trace.phase = Trace.Span_begin);
-      Alcotest.(check bool) "end phase" true (e.Trace.phase = Trace.Span_end);
-      Alcotest.(check int) "begin ts" (Time.us 5) b.Trace.ts;
-      Alcotest.(check int) "end ts" (Time.us 9) e.Trace.ts
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
-  (* The span closes even when the body raises. *)
-  Trace.clear t;
-  (try
-     Trace.with_span t
-       ~clock:(fun () -> Time.us 1)
-       ~cat:"c" ~name:"boom"
-       (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span closed on raise" 2 (Trace.length t)
-
 (* ---- JSON codec ---- *)
 
 let json_roundtrip () =
@@ -236,131 +191,7 @@ let json_rejects_malformed () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
 
-(* ---- Chrome trace export ---- *)
-
-let chrome_json_valid_and_roundtrips () =
-  let t = Trace.create () in
-  (* Deliberately record out of timestamp order: the TE app stamps its
-     detection time retroactively, and the exporter must sort. *)
-  Trace.span_end t ~now:(Time.us 300) ~cat:"te" ~name:"loop" ();
-  Trace.span_begin t
-    ~now:(Time.us 100)
-    ~cat:"te" ~name:"loop"
-    ~args:[ ("switch", Trace.Int 3) ]
-    ();
-  Trace.instant t ~now:(Time.us 200) ~cat:"col" ~name:"hit" ();
-  let json = Trace.to_chrome_json t in
-  match Json.of_string json with
-  | Error e -> Alcotest.failf "chrome JSON invalid: %s" e
-  | Ok doc -> (
-      match Option.bind (Json.member doc "traceEvents") Json.to_list_opt with
-      | None -> Alcotest.fail "no traceEvents array"
-      | Some records ->
-          let phase_of e =
-            Option.value ~default:"?"
-              (Option.bind (Json.member e "ph") Json.to_string_opt)
-          in
-          let metadata, events =
-            List.partition (fun e -> phase_of e = "M") records
-          in
-          (* One process_name metadata record per category, so Perfetto
-             shows each cat as a named process track. *)
-          Alcotest.(check int) "one metadata per cat" 2
-            (List.length metadata);
-          let proc_names =
-            List.filter_map
-              (fun m ->
-                Option.bind (Json.member m "args") (fun args ->
-                    Option.bind (Json.member args "name") Json.to_string_opt))
-              metadata
-          in
-          Alcotest.(check (list string))
-            "cats named in first-appearance order" [ "te"; "col" ] proc_names;
-          List.iter
-            (fun m ->
-              Alcotest.(check (option string))
-                "metadata kind" (Some "process_name")
-                (Option.bind (Json.member m "name") Json.to_string_opt))
-            metadata;
-          Alcotest.(check int) "3 events" 3 (List.length events);
-          let ts_of e =
-            match Option.bind (Json.member e "ts") Json.to_float_opt with
-            | Some ts -> ts
-            | None -> Alcotest.fail "event without ts"
-          in
-          (* Sorted by timestamp (microseconds), despite recording order. *)
-          Alcotest.(check (list (pair string (float 1e-9))))
-            "sorted ts in us"
-            [ ("B", 100.0); ("i", 200.0); ("E", 300.0) ]
-            (List.map (fun e -> (phase_of e, ts_of e)) events);
-          (* Every event's pid matches its category's metadata pid. *)
-          let pid_of e =
-            Option.bind (Json.member e "pid") Json.to_int_opt
-          in
-          let pid_by_cat =
-            List.filter_map
-              (fun m ->
-                match
-                  ( Option.bind (Json.member m "args") (fun a ->
-                        Option.bind (Json.member a "name") Json.to_string_opt),
-                    pid_of m )
-                with
-                | Some cat, Some pid -> Some (cat, pid)
-                | _ -> None)
-              metadata
-          in
-          List.iter
-            (fun e ->
-              let cat =
-                Option.value ~default:"?"
-                  (Option.bind (Json.member e "cat") Json.to_string_opt)
-              in
-              Alcotest.(check (option int))
-                (Printf.sprintf "pid of cat %s" cat)
-                (List.assoc_opt cat pid_by_cat)
-                (pid_of e))
-            events)
-
-let chrome_ts_roundtrip_exact () =
-  (* Integer-nanosecond stamps written as microsecond doubles must
-     round-trip exactly through print-and-parse for realistic sim
-     times. *)
-  let t = Trace.create ~capacity:2048 () in
-  let stamps =
-    List.init 1000 (fun i -> (i * i * 977) + (i * 13) + (i mod 7))
-  in
-  List.iter
-    (fun ns -> Trace.instant t ~now:ns ~cat:"c" ~name:"x" ())
-    stamps;
-  match Json.of_string (Trace.to_chrome_json t) with
-  | Error e -> Alcotest.failf "invalid: %s" e
-  | Ok doc ->
-      let events =
-        List.filter
-          (fun e ->
-            Option.bind (Json.member e "ph") Json.to_string_opt <> Some "M")
-          (Option.get
-             (Option.bind (Json.member doc "traceEvents") Json.to_list_opt))
-      in
-      let got =
-        List.map
-          (fun e ->
-            let us =
-              Option.get (Option.bind (Json.member e "ts") Json.to_float_opt)
-            in
-            int_of_float (Float.round (us *. 1000.0)))
-          events
-      in
-      Alcotest.(check (list int))
-        "every stamp recovered to the nanosecond"
-        (List.sort compare stamps)
-        got
-
 (* ---- journal (flight recorder) ---- *)
-
-module Journal = Planck_telemetry.Journal
-module Timeseries = Planck_telemetry.Timeseries
-module Inspect = Planck_telemetry.Inspect
 
 let journal_disabled_and_corr () =
   let j = Journal.create ~enabled:false () in
@@ -675,6 +506,185 @@ let inspect_estimate_errors () =
       Alcotest.failf "expected f1 and f2, got %d entries"
         (List.length errors)
 
+(* ---- Chrome trace view of the journal ---- *)
+
+let chrome_records json =
+  match Json.of_string json with
+  | Error e -> Alcotest.failf "chrome JSON invalid: %s" e
+  | Ok doc -> (
+      match Option.bind (Json.member doc "traceEvents") Json.to_list_opt with
+      | None -> Alcotest.fail "no traceEvents array"
+      | Some records -> records)
+
+let str_member e key = Option.bind (Json.member e key) Json.to_string_opt
+let int_member e key = Option.bind (Json.member e key) Json.to_int_opt
+
+let chrome_ts e =
+  match Option.bind (Json.member e "ts") Json.to_float_opt with
+  | Some ts -> ts
+  | None -> Alcotest.fail "event without ts"
+
+let chrome_json_valid_and_roundtrips () =
+  let ev ?corr us body = { Journal.ts = Time.us us; corr; body } in
+  let flow = "10.0.0.1:1 > 10.0.0.2:2/tcp" in
+  let flow2 = "10.0.0.3:1 > 10.0.0.4:2/tcp" in
+  let detect switch =
+    Journal.Congestion_detected
+      { switch; port = 1; gbps = 9.0; capacity_gbps = 10.0; flows = 1 }
+  in
+  (* Two overlapping loops: corr 1 (100-1000 us) reroutes two flows and
+     its span ends at the later one's effective stamp; corr 2
+     (200-1100 us) goes nowhere. Neither contains the other, which
+     synchronous B/E spans would mis-pair. The phase marker comes last
+     although it is the earliest event: the view must sort. The
+     uncorrelated drop is left out. *)
+  let events =
+    [
+      ev ~corr:1 100 (detect 0);
+      ev ~corr:1 150 (Journal.Controller_notified { switch = 0; port = 1 });
+      ev ~corr:1 150
+        (Journal.Reroute_decision
+           {
+             flow;
+             old_mac = "02:00:00:00:00:02";
+             new_mac = "02:01:00:00:00:02";
+             bottleneck_gbps = 8.0;
+             mechanism = "arp";
+           });
+      ev ~corr:1 150
+        (Journal.Reroute_decision
+           {
+             flow = flow2;
+             old_mac = "02:00:00:00:00:04";
+             new_mac = "02:01:00:00:00:04";
+             bottleneck_gbps = 7.0;
+             mechanism = "arp";
+           });
+      ev ~corr:2 200 (detect 3);
+      ev 300 (Journal.Packet_drop { switch = "s3"; port = 2; mirror = false });
+      ev ~corr:1 400 (Journal.Reroute_install { flow; mechanism = "arp" });
+      ev ~corr:1 420
+        (Journal.Reroute_install { flow = flow2; mechanism = "arp" });
+      ev ~corr:1 900
+        (Journal.Reroute_effective
+           { flow; new_mac = "02:01:00:00:00:02"; switch = 0 });
+      ev ~corr:1 1000
+        (Journal.Reroute_effective
+           { flow = flow2; new_mac = "02:01:00:00:00:04"; switch = 0 });
+      ev ~corr:2 1100 (Journal.Controller_notified { switch = 3; port = 1 });
+      ev 0 (Journal.Phase_marker { name = "run_start"; detail = "test" });
+    ]
+  in
+  let records = chrome_records (Inspect.chrome_trace events) in
+  let metadata, trace =
+    List.partition (fun e -> str_member e "ph" = Some "M") records
+  in
+  (* One process_name metadata record per journal source, so Perfetto
+     shows each source as a named process track. *)
+  List.iter
+    (fun m ->
+      Alcotest.(check (option string))
+        "metadata kind" (Some "process_name") (str_member m "name"))
+    metadata;
+  let proc_name m =
+    Option.bind (Json.member m "args") (fun a -> str_member a "name")
+  in
+  Alcotest.(check (list (option string)))
+    "sources named in first-appearance order"
+    [ Some "experiment"; Some "controller"; Some "collector" ]
+    (List.map proc_name metadata);
+  (* Sorted by timestamp (microseconds); at equal stamps a loop opens
+     before and closes after its instants. *)
+  Alcotest.(check (list (triple string string (float 1e-9))))
+    "sorted ts in us"
+    [
+      ("i", "phase", 0.0);
+      ("b", "control_loop", 100.0);
+      ("i", "congestion_detected", 100.0);
+      ("i", "notified", 150.0);
+      ("i", "reroute_decision", 150.0);
+      ("i", "reroute_decision", 150.0);
+      ("b", "control_loop", 200.0);
+      ("i", "congestion_detected", 200.0);
+      ("i", "reroute_install", 400.0);
+      ("i", "reroute_install", 420.0);
+      ("i", "reroute_effective", 900.0);
+      ("i", "reroute_effective", 1000.0);
+      ("e", "control_loop", 1000.0);
+      ("i", "notified", 1100.0);
+      ("e", "control_loop", 1100.0);
+    ]
+    (List.map
+       (fun e ->
+         ( Option.value ~default:"?" (str_member e "ph"),
+           Option.value ~default:"?" (str_member e "name"),
+           chrome_ts e ))
+       trace);
+  (* Spans are async and keyed by correlation id. *)
+  Alcotest.(check (list (pair string (option int))))
+    "span ids"
+    [ ("b", Some 1); ("b", Some 2); ("e", Some 1); ("e", Some 2) ]
+    (List.filter_map
+       (fun e ->
+         if str_member e "name" = Some "control_loop" then
+           Some
+             (Option.value ~default:"?" (str_member e "ph"), int_member e "id")
+         else None)
+       trace);
+  (* Instants carry the journal's own fields as args. *)
+  (match
+     List.find_opt
+       (fun e -> str_member e "name" = Some "reroute_decision")
+       trace
+   with
+  | None -> Alcotest.fail "no reroute_decision instant"
+  | Some e ->
+      let args = Option.get (Json.member e "args") in
+      Alcotest.(check (option int))
+        "corr arg" (Some 1) (int_member args "corr");
+      Alcotest.(check (option string)) "flow arg" (Some flow)
+        (str_member args "flow");
+      Alcotest.(check (option string)) "no ev arg" None (str_member args "ev"));
+  (* Every event's pid matches its source's metadata pid. *)
+  let pid_by_cat =
+    List.filter_map
+      (fun m ->
+        match (proc_name m, int_member m "pid") with
+        | Some cat, Some pid -> Some (cat, pid)
+        | _ -> None)
+      metadata
+  in
+  List.iter
+    (fun e ->
+      let cat = Option.value ~default:"?" (str_member e "cat") in
+      Alcotest.(check (option int))
+        (Printf.sprintf "pid of cat %s" cat)
+        (List.assoc_opt cat pid_by_cat)
+        (int_member e "pid"))
+    trace
+
+let chrome_ts_roundtrip_exact () =
+  (* Integer-nanosecond stamps written as microsecond doubles must
+     round-trip exactly through print-and-parse for realistic sim
+     times. *)
+  let stamps = List.init 1000 (fun i -> (i * i * 977) + (i * 13) + (i mod 7)) in
+  let events =
+    List.map
+      (fun ts ->
+        { Journal.ts; corr = None;
+          body = Journal.Phase_marker { name = "x"; detail = "" } })
+      stamps
+  in
+  let got =
+    List.filter_map
+      (fun e ->
+        if str_member e "ph" = Some "M" then None
+        else Some (int_of_float (Float.round (chrome_ts e *. 1000.0))))
+      (chrome_records (Inspect.chrome_trace events))
+  in
+  Alcotest.(check (list int))
+    "every stamp recovered to the nanosecond" (List.sort compare stamps) got
+
 (* ---- qcheck: JSON codec is the identity on printable documents ---- *)
 
 (* Finite floats only (nan/inf deliberately print as null) and valid
@@ -746,7 +756,7 @@ let export_shapes () =
   Metrics.Histogram.observe
     (Metrics.histogram ~registry:reg ~subsystem:"b" ~name:"h" ())
     100;
-  (match Json.of_string (Export.metrics_json reg) with
+  match Json.of_string (Export.metrics_json reg) with
   | Error e -> Alcotest.failf "metrics JSON invalid: %s" e
   | Ok doc -> (
       match Option.bind (Json.member doc "metrics") Json.to_list_opt with
@@ -763,14 +773,7 @@ let export_shapes () =
           Alcotest.(check (list string))
             "kinds in sorted key order"
             [ "counter"; "gauge"; "histogram" ]
-            kinds));
-  let csv = Export.metrics_csv reg in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 3 rows" 4 (List.length lines);
-  Alcotest.(check string) "csv header"
-    "subsystem,name,label,kind,value,count,sum,min,max" (List.hd lines);
-  Alcotest.(check bool) "counter row" true
-    (List.exists (fun l -> l = "a,c,l,counter,3,,,,") lines)
+            kinds)
 
 let flusher_writes_and_schedules () =
   let reg = Metrics.create () in
@@ -889,10 +892,6 @@ let tests =
     Alcotest.test_case "histogram bucket boundaries" `Quick
       histogram_bucket_boundaries;
     Alcotest.test_case "histogram observations" `Quick histogram_observations;
-    Alcotest.test_case "trace ring bounded eviction" `Quick
-      trace_bounded_eviction;
-    Alcotest.test_case "trace disabled flag and spans" `Quick
-      trace_disabled_and_spans;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip;
     Alcotest.test_case "json rejects malformed input" `Quick
       json_rejects_malformed;
@@ -900,7 +899,7 @@ let tests =
       chrome_json_valid_and_roundtrips;
     Alcotest.test_case "chrome ts round-trips exactly" `Quick
       chrome_ts_roundtrip_exact;
-    Alcotest.test_case "export shapes (json + csv)" `Quick export_shapes;
+    Alcotest.test_case "export metrics JSON shape" `Quick export_shapes;
     Alcotest.test_case "flusher writes and schedules" `Quick
       flusher_writes_and_schedules;
     Alcotest.test_case "flusher final flush captures end state" `Quick
