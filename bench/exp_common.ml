@@ -136,23 +136,34 @@ let sends_of_flow trace key =
 
 (* ---- One-way latency recorder (send trace -> receive trace) ---- *)
 
+(* Frames are immutable values and the single-switch testbed delivers
+   the very value that was sent (no MAC rewrites), so physical identity
+   follows one transmission from send trace to receive trace; a
+   retransmission is a new value. *)
+module Frame_table = Hashtbl.Make (struct
+  type t = P.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type latency_recorder = {
-  in_flight : (int, Time.t) Hashtbl.t; (* packet id -> send time *)
+  in_flight : Time.t Frame_table.t; (* frame -> send time *)
   mutable latencies : Time.t list;
 }
 
 let record_latencies tb hosts =
-  let recorder = { in_flight = Hashtbl.create 65536; latencies = [] } in
+  let recorder = { in_flight = Frame_table.create 65536; latencies = [] } in
   List.iter
     (fun h ->
       let host = Fabric.host tb.Testbed.fabric h in
       Host.add_send_trace host (fun time packet ->
           if P.tcp_payload_len packet > 0 then
-            Hashtbl.replace recorder.in_flight packet.P.id time);
+            Frame_table.replace recorder.in_flight packet time);
       Host.add_recv_trace host (fun time packet ->
-          match Hashtbl.find_opt recorder.in_flight packet.P.id with
+          match Frame_table.find_opt recorder.in_flight packet with
           | Some sent ->
-              Hashtbl.remove recorder.in_flight packet.P.id;
+              Frame_table.remove recorder.in_flight packet;
               recorder.latencies <- (time - sent) :: recorder.latencies
           | None -> ()))
     hosts;

@@ -54,13 +54,19 @@ let test_estimator =
               ~time:(!counter * 1168)
               ~seq32:(Seq32.wrap (!counter * 1460)))))
 
+(* Remove the minimum entry and return its key. *)
+let heap_pop heap =
+  let key = Heap.top_key heap in
+  Heap.drop heap;
+  key
+
 let test_heap =
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:() () in
   let prng = Prng.create ~seed:1 in
   Test.make ~name:"event heap add+pop"
     (Staged.stage (fun () ->
          Heap.add heap ~key:(Prng.int prng 1_000_000) ();
-         ignore (Heap.pop heap)))
+         ignore (heap_pop heap : int)))
 
 (* ---- event-queue trajectory: min-heap baseline vs timer wheel ----
 
@@ -74,18 +80,16 @@ let timer_delay prng =
   else Prng.int prng 100_000_000 (* <=100ms: overflow tier *)
 
 let queue_transient_heap =
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:() () in
   let prng = Prng.create ~seed:2 in
   let now = ref 0 in
   Test.make ~name:"event-queue transient add+pop (heap baseline)"
     (Staged.stage (fun () ->
          Heap.add heap ~key:(!now + timer_delay prng) ();
-         match Heap.pop heap with
-         | Some (key, ()) -> now := key
-         | None -> ()))
+         now := heap_pop heap))
 
 let queue_transient_wheel ~name config seed =
-  let wheel = Wheel.create ~config () in
+  let wheel = Wheel.create ~config ~dummy:() () in
   let prng = Prng.create ~seed in
   let now = ref 0 in
   Test.make ~name
@@ -99,7 +103,7 @@ let queue_transient_wheel ~name config seed =
    through it. This is where heap add/pop pays O(log n) against the
    wheel's O(1) slot insert. *)
 let queue_steady_heap =
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:() () in
   let prng = Prng.create ~seed:4 in
   let now = ref 0 in
   for _ = 1 to 8_192 do
@@ -107,14 +111,11 @@ let queue_steady_heap =
   done;
   Test.make ~name:"event-queue 8k-pending add+pop (heap baseline)"
     (Staged.stage (fun () ->
-         match Heap.pop heap with
-         | Some (key, ()) ->
-             now := key;
-             Heap.add heap ~key:(!now + timer_delay prng) ()
-         | None -> ()))
+         now := heap_pop heap;
+         Heap.add heap ~key:(!now + timer_delay prng) ()))
 
 let queue_steady_wheel ~name config seed =
-  let wheel = Wheel.create ~config () in
+  let wheel = Wheel.create ~config ~dummy:() () in
   let prng = Prng.create ~seed in
   let now = ref 0 in
   for _ = 1 to 8_192 do
@@ -135,7 +136,7 @@ let dense_pending = 256
 let dense_delay prng = Prng.int prng 16
 
 let queue_dense_heap =
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:() () in
   let prng = Prng.create ~seed:6 in
   let now = ref 0 in
   for _ = 1 to dense_pending do
@@ -143,14 +144,11 @@ let queue_dense_heap =
   done;
   Test.make ~name:"event-queue dense-tick add+pop (heap baseline)"
     (Staged.stage (fun () ->
-         match Heap.pop heap with
-         | Some (key, ()) ->
-             now := key;
-             Heap.add heap ~key:(!now + dense_delay prng) ()
-         | None -> ()))
+         now := heap_pop heap;
+         Heap.add heap ~key:(!now + dense_delay prng) ()))
 
 let queue_dense_wheel =
-  let wheel = Wheel.create () in
+  let wheel = Wheel.create ~dummy:() () in
   let prng = Prng.create ~seed:6 in
   let now = ref 0 in
   for _ = 1 to dense_pending do
@@ -171,7 +169,7 @@ let rto = 200_000 (* 200us *)
 let ack_gap = 2_000 (* one ACK every 2us: ~100 zombies resident *)
 
 let churn_wheel =
-  let wheel = Wheel.create () in
+  let wheel = Wheel.create ~dummy:() () in
   let now = ref 0 in
   let handle = ref (Wheel.add wheel ~key:rto ()) in
   Test.make ~name:"rto churn cancel+rearm (wheel)"
@@ -181,7 +179,7 @@ let churn_wheel =
          handle := Wheel.add wheel ~key:(!now + rto) ()))
 
 let churn_heap_zombies =
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:0 () in
   let now = ref 0 in
   let generation = ref 0 in
   Test.make ~name:"rto churn zombie discard (heap baseline)"
@@ -192,13 +190,12 @@ let churn_heap_zombies =
          (* Expired zombies fire and are discarded by the generation
             check — the cost the cancellable timer removes. *)
          let rec drain () =
-           match Heap.peek heap with
-           | Some (key, _) when key <= !now ->
-               (match Heap.pop heap with
-               | Some (_, gen) -> if gen = !generation then ()
-               | None -> ());
-               drain ()
-           | _ -> ()
+           if (not (Heap.is_empty heap)) && Heap.top_key heap <= !now then begin
+             let gen = Heap.top heap in
+             Heap.drop heap;
+             if gen = !generation then ();
+             drain ()
+           end
          in
          drain ()))
 
@@ -217,6 +214,19 @@ let engine_timers ~name config =
     (Staged.stage (fun () ->
          horizon := !horizon + 100_000;
          Engine.run ~until:!horizon engine))
+
+(* The per-frame timer rhythm (a port's serializer, a host's stack
+   queue): one Engine.Timer re-armed from its own callback, so each
+   iteration is one dispatch plus an in-place re-arm of the handle that
+   just fired. *)
+let engine_timer_rearm =
+  let engine = Engine.create ~label:"bench-timer-rearm" () in
+  let tm = Engine.Timer.create engine ignore in
+  Engine.Timer.set_callback tm (fun () ->
+      Engine.Timer.reschedule tm ~delay:1_000);
+  Engine.Timer.reschedule tm ~delay:1_000;
+  Test.make ~name:"engine timer fire+re-arm (in place)"
+    (Staged.stage (fun () -> ignore (Engine.step engine : bool)))
 
 let test_switch_forward =
   let engine = Engine.create () in
@@ -462,6 +472,7 @@ let benchmarks =
     ("engine-100-timer-wheel", engine_timers ~name:"wheel" Wheel.default_config);
     ( "engine-100-timer-heap-only",
       engine_timers ~name:"heap-only" Wheel.heap_only );
+    ("engine-timer-rearm", engine_timer_rearm);
     ("switch-forward-mirror", test_switch_forward);
     ("cms-update", test_cms_update);
     ("cms-query", test_cms_query);

@@ -51,7 +51,7 @@ let create ?label ?queue () =
     queue =
       Wheel.create ~config
         ~on_compaction:(fun () -> Metrics.Counter.incr tel_compactions)
-        ();
+        ~dummy:ignore ();
     label;
     clock = 0;
     processed = 0;
@@ -98,37 +98,36 @@ let schedule t ~delay f =
 module Timer = struct
   type engine = t
 
+  (* The handle carries the one closure ever queued for this timer. It
+     starts detached (fired, in no tier); once it fires again the wheel
+     re-arms it in place, so a steady reschedule allocates nothing. *)
   type t = {
     engine : engine;
     mutable callback : unit -> unit;
-    run : unit -> unit; (* the one closure ever queued for this timer *)
-    mutable handle : (unit -> unit) Wheel.handle option;
+    mutable handle : (unit -> unit) Wheel.handle;
   }
 
   let create engine callback =
-    let rec tm =
-      { engine; callback; run = (fun () -> tm.callback ()); handle = None }
-    in
+    let tm = { engine; callback; handle = Wheel.detached ignore } in
+    tm.handle <- Wheel.detached (fun () -> tm.callback ());
     tm
 
   let set_callback tm f = tm.callback <- f
-
-  let pending tm =
-    match tm.handle with Some h -> Wheel.is_pending h | None -> false
+  let pending tm = Wheel.is_pending tm.handle
 
   let cancel tm =
-    match tm.handle with
-    | None -> ()
-    | Some h ->
-        if Wheel.cancel tm.engine.queue h then
-          Metrics.Counter.incr tm.engine.tel_cancelled;
-        tm.handle <- None
+    if Wheel.cancel tm.engine.queue tm.handle then
+      Metrics.Counter.incr tm.engine.tel_cancelled
 
   let reschedule_at tm ~time =
     if time < tm.engine.clock then
       invalid_arg "Engine.Timer.reschedule_at: time in the past";
     cancel tm;
-    tm.handle <- Some (insert tm.engine ~key:time tm.run)
+    let h = Wheel.rearm tm.engine.queue tm.handle ~key:time in
+    (* Skip the store when re-armed in place: the handle lives in the
+       major heap, and every pointer store there pays a write barrier. *)
+    if h != tm.handle then tm.handle <- h;
+    note_scheduled tm.engine
 
   let reschedule tm ~delay =
     if delay < 0 then invalid_arg "Engine.Timer.reschedule: negative delay";

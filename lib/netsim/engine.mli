@@ -40,7 +40,9 @@ val schedule_at : t -> time:Planck_util.Time.t -> (unit -> unit) -> unit
 
 (** Cancellable, reusable timers. A [Timer.t] owns a single queued
     closure allocated at {!Timer.create}; {!Timer.reschedule} re-queues
-    that same closure, and {!Timer.cancel} is an O(1) lazy delete (the
+    that same closure, re-arming the fired wheel handle in place so a
+    steady fire-and-reschedule rhythm allocates nothing, and
+    {!Timer.cancel} is an O(1) lazy delete (the
     wheel reclaims the slot, compacting when cancelled entries pile
     up). This replaces the generation-counter idiom: a cancelled timer
     leaves no zombie event to fire later. *)

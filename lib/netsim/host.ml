@@ -1,5 +1,6 @@
 module Time = Planck_util.Time
 module Prng = Planck_util.Prng
+module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 module Headers = Planck_packet.Headers
 module Flow_key = Planck_packet.Flow_key
@@ -40,9 +41,10 @@ type t = {
   mutable filtered : int;
   (* The kernel stack is FIFO in each direction: later frames can never
      overtake earlier ones even though per-frame delays are random — so
-     one preallocated timer per direction paces the whole queue. *)
-  pending_sends : (Time.t * int * Packet.t) Queue.t; (* ready, cls, pkt *)
-  pending_recvs : (Time.t * Packet.t) Queue.t;
+     one preallocated timer per direction paces the whole queue. Keys
+     are the times the frames become ready. *)
+  pending_sends : Packet.t Fifo.t;
+  pending_recvs : Packet.t Fifo.t;
   send_timer : Engine.Timer.t;
   recv_timer : Engine.Timer.t;
   mutable last_send_ready : Time.t;
@@ -74,31 +76,38 @@ let connect t ~rate ~prop_delay ~deliver =
 let uniform_delay t lo hi =
   if hi <= lo then lo else lo + Prng.int t.prng (hi - lo + 1)
 
+let rec run_traces traces now packet =
+  match traces with
+  | [] -> ()
+  | trace :: rest ->
+      trace now packet;
+      run_traces rest now packet
+
 let send t packet =
   let now = Engine.now t.engine in
-  List.iter (fun trace -> trace now packet) t.send_traces;
+  run_traces t.send_traces now packet;
   let delay = uniform_delay t t.stack.send_delay_min t.stack.send_delay_max in
   let ready = max (now + delay) (t.last_send_ready + 1) in
   t.last_send_ready <- ready;
-  let cls =
-    match Flow_key.of_packet packet with
-    | None -> 0
-    | Some key -> Flow_key.hash key mod nic_classes
-  in
-  Queue.push (ready, cls, packet) t.pending_sends;
+  Fifo.push t.pending_sends ~key:ready packet;
   if not (Engine.Timer.pending t.send_timer) then
     Engine.Timer.reschedule_at t.send_timer ~time:ready
 
+(* The NIC class is a pure function of the frame, so it is picked at
+   dequeue; ARP hashes to 0, i.e. class 0. *)
 let on_send_ready t =
-  (match Queue.take_opt t.pending_sends with
-  | None -> ()
-  | Some (_, cls, packet) -> (
-      match t.nic with
-      | None -> ()
-      | Some nic -> Txport.enqueue nic ~cls packet));
-  match Queue.peek_opt t.pending_sends with
-  | Some (ready, _, _) -> Engine.Timer.reschedule_at t.send_timer ~time:ready
-  | None -> ()
+  if not (Fifo.is_empty t.pending_sends) then begin
+    let packet = Fifo.pop t.pending_sends in
+    match t.nic with
+    | None -> ()
+    | Some nic ->
+        Txport.enqueue nic
+          ~cls:(Flow_key.hash_packet packet mod nic_classes)
+          packet
+  end;
+  if not (Fifo.is_empty t.pending_sends) then
+    Engine.Timer.reschedule_at t.send_timer
+      ~time:(Fifo.peek_key t.pending_sends)
 
 let set_receive t f = t.receive <- f
 let add_send_trace t f = t.send_traces <- t.send_traces @ [ f ]
@@ -167,18 +176,17 @@ let accepts t packet =
   Mac.equal dst t.mac || Mac.equal dst Mac.broadcast
 
 let on_recv_ready t =
-  (match Queue.take_opt t.pending_recvs with
-  | None -> ()
-  | Some (_, packet) -> (
-      match packet.Packet.body with
-      | Packet.Arp a -> arp_input t a
-      | Packet.Ipv4 _ ->
-          let now = Engine.now t.engine in
-          List.iter (fun trace -> trace now packet) t.recv_traces;
-          t.receive packet));
-  match Queue.peek_opt t.pending_recvs with
-  | Some (ready, _) -> Engine.Timer.reschedule_at t.recv_timer ~time:ready
-  | None -> ()
+  if not (Fifo.is_empty t.pending_recvs) then begin
+    let packet = Fifo.pop t.pending_recvs in
+    match packet.Packet.body with
+    | Packet.Arp a -> arp_input t a
+    | Packet.Ipv4 _ ->
+        run_traces t.recv_traces (Engine.now t.engine) packet;
+        t.receive packet
+  end;
+  if not (Fifo.is_empty t.pending_recvs) then
+    Engine.Timer.reschedule_at t.recv_timer
+      ~time:(Fifo.peek_key t.pending_recvs)
 
 let ingress t packet =
   if not (accepts t packet) then t.filtered <- t.filtered + 1
@@ -189,7 +197,7 @@ let ingress t packet =
     in
     let ready = max (now + delay) (t.last_recv_ready + 1) in
     t.last_recv_ready <- ready;
-    Queue.push (ready, packet) t.pending_recvs;
+    Fifo.push t.pending_recvs ~key:ready packet;
     if not (Engine.Timer.pending t.recv_timer) then
       Engine.Timer.reschedule_at t.recv_timer ~time:ready
   end
@@ -209,8 +217,8 @@ let create engine ~id ?(stack = default_stack) ~prng () =
       send_traces = [];
       recv_traces = [];
       filtered = 0;
-      pending_sends = Queue.create ();
-      pending_recvs = Queue.create ();
+      pending_sends = Fifo.create ~dummy:Packet.placeholder ();
+      pending_recvs = Fifo.create ~dummy:Packet.placeholder ();
       send_timer = Engine.Timer.create engine ignore;
       recv_timer = Engine.Timer.create engine ignore;
       last_send_ready = 0;

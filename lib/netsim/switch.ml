@@ -81,8 +81,15 @@ type t = {
      time. Jitter makes exit times non-monotone, so a min-heap orders
      them and a single preallocated timer tracks its head — no
      per-packet closure. FIFO seq in the heap keeps equal exit times in
-     arrival order. *)
-  pipeline : (int * Packet.t) Heap.t;
+     arrival order. The heap holds slot numbers: a frame and its ingress
+     port wait in [pipe_packets]/[pipe_ports], and freed slots are
+     recycled through the [pipe_free] stack, so admitting a frame
+     allocates nothing. *)
+  pipeline : int Heap.t;
+  mutable pipe_packets : Packet.t array;
+  mutable pipe_ports : int array;
+  mutable pipe_free : int array;
+  mutable n_free : int;
   pipeline_timer : Engine.Timer.t;
   mutable pipeline_armed_at : Time.t;
   prng : Prng.t;
@@ -223,6 +230,13 @@ let enqueue t ~port ~cls ~mirror packet =
       end
       else drop t ~port ~mirror
 
+let rec run_taps taps ~in_port ~out_port packet =
+  match taps with
+  | [] -> ()
+  | tap :: rest ->
+      tap ~in_port ~out_port packet;
+      run_taps rest ~in_port ~out_port packet
+
 let forward t ~in_port packet =
   (* Ingress match-action: per-flow destination rewrite (OpenFlow
      rerouting) happens before the forwarding lookup. The key is only
@@ -237,15 +251,19 @@ let forward t ~in_port packet =
           | None -> packet
           | Some to_mac -> Packet.with_dst_mac packet to_mac)
   in
-  match Hashtbl.find_opt t.fdb (Packet.dst_mac packet) with
-  | None -> t.unroutable <- t.unroutable + 1
-  | Some out_port ->
+  (* The FDB lookup hits on every routable frame, so it uses [find]
+     with a [Not_found] handler rather than [find_opt]: no [Some] per
+     frame. The rewrite lookup usually misses, where [find_opt]
+     allocates nothing and raises nothing. *)
+  match Hashtbl.find t.fdb (Packet.dst_mac packet) with
+  | exception Not_found -> t.unroutable <- t.unroutable + 1
+  | out_port ->
       let outgoing =
         match Hashtbl.find_opt t.rewrites (Packet.dst_mac packet) with
         | None -> packet
         | Some to_mac -> Packet.with_dst_mac packet to_mac
       in
-      List.iter (fun tap -> tap ~in_port ~out_port packet) t.forward_taps;
+      run_taps t.forward_taps ~in_port ~out_port packet;
       enqueue t ~port:out_port ~cls:0 ~mirror:false outgoing;
       (* Mirror the pre-rewrite frame so the collector sees the routing
          (shadow) MAC. The mirror copy is arbitrated into the monitor
@@ -292,31 +310,54 @@ let forward t ~in_port packet =
 (* Arm the pipeline timer at the heap's head; re-arm only when a new
    frame beats the armed exit time. *)
 let arm_pipeline t =
-  match Heap.min_key t.pipeline with
-  | None -> ()
-  | Some ready ->
-      if
-        (not (Engine.Timer.pending t.pipeline_timer))
-        || ready < t.pipeline_armed_at
-      then begin
-        t.pipeline_armed_at <- ready;
-        Engine.Timer.reschedule_at t.pipeline_timer ~time:ready
-      end
+  if not (Heap.is_empty t.pipeline) then begin
+    let ready = Heap.top_key t.pipeline in
+    if
+      (not (Engine.Timer.pending t.pipeline_timer))
+      || ready < t.pipeline_armed_at
+    then begin
+      t.pipeline_armed_at <- ready;
+      Engine.Timer.reschedule_at t.pipeline_timer ~time:ready
+    end
+  end
+
+(* Double the slot arrays; the new slots go on the free stack. *)
+let grow_pipe t =
+  let cap = Array.length t.pipe_ports in
+  let cap' = max 8 (2 * cap) in
+  let packets = Array.make cap' Packet.placeholder in
+  let ports = Array.make cap' 0 in
+  Array.blit t.pipe_packets 0 packets 0 cap;
+  Array.blit t.pipe_ports 0 ports 0 cap;
+  t.pipe_packets <- packets;
+  t.pipe_ports <- ports;
+  t.pipe_free <- Array.init cap' (fun i -> cap' - 1 - i);
+  t.n_free <- cap' - cap
+
+let pipe_enter t ~ready ~port packet =
+  if t.n_free = 0 then grow_pipe t;
+  t.n_free <- t.n_free - 1;
+  let slot = t.pipe_free.(t.n_free) in
+  t.pipe_packets.(slot) <- packet;
+  t.pipe_ports.(slot) <- port;
+  Heap.add t.pipeline ~key:ready slot
+
+let rec drain_pipeline t now =
+  if (not (Heap.is_empty t.pipeline)) && Heap.top_key t.pipeline <= now
+  then begin
+    let slot = Heap.top t.pipeline in
+    Heap.drop t.pipeline;
+    let packet = t.pipe_packets.(slot) and in_port = t.pipe_ports.(slot) in
+    t.pipe_packets.(slot) <- Packet.placeholder;
+    t.pipe_free.(t.n_free) <- slot;
+    t.n_free <- t.n_free + 1;
+    forward t ~in_port packet;
+    drain_pipeline t now
+  end
 
 let on_pipeline t =
   Profile.enter sp_pipeline;
-  let now = Engine.now t.engine in
-  let rec loop () =
-    match Heap.min_key t.pipeline with
-    | Some ready when ready <= now -> (
-        match Heap.pop t.pipeline with
-        | Some (_, (in_port, packet)) ->
-            forward t ~in_port packet;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ();
+  drain_pipeline t (Engine.now t.engine);
   arm_pipeline t;
   Profile.exit sp_pipeline
 
@@ -350,7 +391,11 @@ let create engine ~name ~ports ~config ?prng () =
       mirror_total = 0;
       mirror_special = 0;
       hw_level = 0;
-      pipeline = Heap.create ();
+      pipeline = Heap.create ~dummy:0 ();
+      pipe_packets = [||];
+      pipe_ports = [||];
+      pipe_free = [||];
+      n_free = 0;
       pipeline_timer = Engine.Timer.create engine ignore;
       pipeline_armed_at = 0;
       prng;
@@ -390,7 +435,7 @@ let ingress t ~port packet =
   let ready =
     Engine.now t.engine + t.config.pipeline_latency + jitter
   in
-  Heap.add t.pipeline ~key:ready (port, packet);
+  pipe_enter t ~ready ~port packet;
   arm_pipeline t
 
 type port_stats = {

@@ -1,12 +1,13 @@
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
+module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 
 type t = {
   engine : Engine.t;
   rate : Rate.t;
   prop_delay : Time.t;
-  queues : Packet.t Queue.t array;
+  queues : Packet.t Fifo.t array; (* keys unused *)
   priority_class : int option;
   deliver : Packet.t -> unit;
   on_depart : Packet.t -> unit;
@@ -16,11 +17,11 @@ type t = {
   handoff : (Time.t -> Packet.t -> unit) option;
   mutable next_class : int; (* round-robin scan position *)
   mutable busy : bool;
-  mutable in_flight : Packet.t option; (* frame on the serializer *)
-  (* Frames propagating towards the peer. The propagation delay is a
-     per-port constant, so arrivals are FIFO and one timer paces them
-     all; no per-packet closure is allocated. *)
-  deliveries : (Time.t * Packet.t) Queue.t;
+  mutable in_flight : Packet.t; (* frame on the serializer, while [busy] *)
+  (* Frames propagating towards the peer, keyed by arrival time. The
+     propagation delay is a per-port constant, so arrivals are FIFO and
+     one timer paces them all; no per-packet closure is allocated. *)
+  deliveries : Packet.t Fifo.t;
   tx_timer : Engine.Timer.t;
   delivery_timer : Engine.Timer.t;
   mutable queued_bytes : int;
@@ -29,68 +30,60 @@ type t = {
   mutable tx_bytes : int;
 }
 
-(* Strict priority first, then round-robin: scan from next_class for
-   the first non-empty sub-queue. *)
-let pop_next t =
+let is_priority t cls =
+  match t.priority_class with Some p -> p = cls | None -> false
+
+(* Round-robin: the first non-empty sub-queue from next_class on. *)
+let rec scan t i =
   let n = Array.length t.queues in
-  let from_priority =
-    match t.priority_class with
-    | Some p when not (Queue.is_empty t.queues.(p)) ->
-        Some (Queue.pop t.queues.(p))
-    | Some _ | None -> None
-  in
-  match from_priority with
-  | Some _ as packet -> packet
-  | None ->
-      let skip cls = t.priority_class = Some cls in
-      let rec scan i =
-        if i = n then None
-        else begin
-          let cls = (t.next_class + i) mod n in
-          if skip cls || Queue.is_empty t.queues.(cls) then scan (i + 1)
-          else begin
-            t.next_class <- (cls + 1) mod n;
-            Some (Queue.pop t.queues.(cls))
-          end
-        end
-      in
-      scan 0
+  let cls = (t.next_class + i) mod n in
+  if is_priority t cls || Fifo.is_empty t.queues.(cls) then scan t (i + 1)
+  else begin
+    t.next_class <- (cls + 1) mod n;
+    Fifo.pop t.queues.(cls)
+  end
+
+(* Strict priority first, then round-robin. Only called with a frame
+   queued. *)
+let pop_next t =
+  match t.priority_class with
+  | Some p when not (Fifo.is_empty t.queues.(p)) -> Fifo.pop t.queues.(p)
+  | Some _ | None -> scan t 0
 
 let rec transmit_next t =
-  match pop_next t with
-  | None -> t.busy <- false
-  | Some packet ->
-      t.busy <- true;
-      t.in_flight <- Some packet;
-      t.queued_bytes <- t.queued_bytes - packet.Packet.wire_size;
-      t.queued_packets <- t.queued_packets - 1;
-      let tx = Rate.tx_time t.rate ~bytes_:packet.Packet.wire_size in
-      Engine.Timer.reschedule t.tx_timer ~delay:tx
+  if t.queued_packets = 0 then t.busy <- false
+  else begin
+    let packet = pop_next t in
+    t.busy <- true;
+    t.in_flight <- packet;
+    t.queued_bytes <- t.queued_bytes - packet.Packet.wire_size;
+    t.queued_packets <- t.queued_packets - 1;
+    let tx = Rate.tx_time t.rate ~bytes_:packet.Packet.wire_size in
+    Engine.Timer.reschedule t.tx_timer ~delay:tx
+  end
 
 and on_tx_done t =
-  match t.in_flight with
-  | None -> ()
-  | Some packet ->
-      t.in_flight <- None;
-      t.tx_packets <- t.tx_packets + 1;
-      t.tx_bytes <- t.tx_bytes + packet.Packet.wire_size;
-      t.on_depart packet;
-      let ready = Engine.now t.engine + t.prop_delay in
-      (match t.handoff with
-      | Some h -> h ready packet
-      | None ->
-          Queue.push (ready, packet) t.deliveries;
-          if not (Engine.Timer.pending t.delivery_timer) then
-            Engine.Timer.reschedule_at t.delivery_timer ~time:ready);
-      transmit_next t
+  if t.busy then begin
+    let packet = t.in_flight in
+    t.in_flight <- Packet.placeholder;
+    t.tx_packets <- t.tx_packets + 1;
+    t.tx_bytes <- t.tx_bytes + packet.Packet.wire_size;
+    t.on_depart packet;
+    let ready = Engine.now t.engine + t.prop_delay in
+    (match t.handoff with
+    | Some h -> h ready packet
+    | None ->
+        Fifo.push t.deliveries ~key:ready packet;
+        if not (Engine.Timer.pending t.delivery_timer) then
+          Engine.Timer.reschedule_at t.delivery_timer ~time:ready);
+    transmit_next t
+  end
 
 let on_delivery t =
-  (match Queue.take_opt t.deliveries with
-  | None -> ()
-  | Some (_, packet) -> t.deliver packet);
-  match Queue.peek_opt t.deliveries with
-  | Some (ready, _) -> Engine.Timer.reschedule_at t.delivery_timer ~time:ready
-  | None -> ()
+  if not (Fifo.is_empty t.deliveries) then t.deliver (Fifo.pop t.deliveries);
+  if not (Fifo.is_empty t.deliveries) then
+    Engine.Timer.reschedule_at t.delivery_timer
+      ~time:(Fifo.peek_key t.deliveries)
 
 let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
     ~on_depart () =
@@ -104,15 +97,16 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
       engine;
       rate;
       prop_delay;
-      queues = Array.init classes (fun _ -> Queue.create ());
+      queues =
+        Array.init classes (fun _ -> Fifo.create ~dummy:Packet.placeholder ());
       priority_class;
       deliver;
       on_depart;
       handoff;
       next_class = 0;
       busy = false;
-      in_flight = None;
-      deliveries = Queue.create ();
+      in_flight = Packet.placeholder;
+      deliveries = Fifo.create ~dummy:Packet.placeholder ();
       tx_timer = Engine.Timer.create engine ignore;
       delivery_timer = Engine.Timer.create engine ignore;
       queued_bytes = 0;
@@ -126,7 +120,7 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
   t
 
 let enqueue t ~cls packet =
-  Queue.push packet t.queues.(cls);
+  Fifo.push t.queues.(cls) ~key:0 packet;
   t.queued_bytes <- t.queued_bytes + packet.Packet.wire_size;
   t.queued_packets <- t.queued_packets + 1;
   if not t.busy then transmit_next t

@@ -56,15 +56,32 @@ let compare (a : t) (b : t) =
 
 (* Multiplicative mixing over the five fields; every field already fits
    in an int, so no structure walk and no float boxing. *)
-let hash (t : t) =
-  let mix h x = ((h * 486187739) + x) land max_int in
+let[@inline] mix h x = ((h * 486187739) + x) land max_int
+
+let hash5 ~src_ip ~dst_ip ~src_port ~dst_port ~protocol =
   mix
     (mix
-       (mix
-          (mix (mix 17 (Ipv4_addr.to_int t.src_ip)) (Ipv4_addr.to_int t.dst_ip))
-          t.src_port)
-       t.dst_port)
-    t.protocol
+       (mix (mix (mix 17 (Ipv4_addr.to_int src_ip)) (Ipv4_addr.to_int dst_ip))
+          src_port)
+       dst_port)
+    protocol
+
+let hash (t : t) =
+  hash5 ~src_ip:t.src_ip ~dst_ip:t.dst_ip ~src_port:t.src_port
+    ~dst_port:t.dst_port ~protocol:t.protocol
+
+(* [hash] of [of_packet p], read straight off the headers. *)
+let hash_packet (p : Packet.t) =
+  match p.body with
+  | Packet.Arp _ -> 0
+  | Packet.Ipv4 (ip, Packet.Tcp tcp) ->
+      hash5 ~src_ip:ip.Headers.Ipv4.src ~dst_ip:ip.Headers.Ipv4.dst
+        ~src_port:tcp.Headers.Tcp.src_port ~dst_port:tcp.Headers.Tcp.dst_port
+        ~protocol:ip.Headers.Ipv4.protocol
+  | Packet.Ipv4 (ip, Packet.Udp udp) ->
+      hash5 ~src_ip:ip.Headers.Ipv4.src ~dst_ip:ip.Headers.Ipv4.dst
+        ~src_port:udp.Headers.Udp.src_port ~dst_port:udp.Headers.Udp.dst_port
+        ~protocol:ip.Headers.Ipv4.protocol
 
 let pp ppf t =
   (* planck-lint: allow hot-alloc -- journal labels only; call sites guard with Journal.enabled *)

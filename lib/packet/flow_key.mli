@@ -20,6 +20,11 @@ val reverse : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+val hash_packet : Packet.t -> int
+(** [hash k] for [of_packet p = Some k], computed without building the
+    key; [0] for ARP frames. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

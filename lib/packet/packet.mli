@@ -16,7 +16,6 @@ type l4 = Tcp of Headers.Tcp.t | Udp of Headers.Udp.t
 type body = Ipv4 of Headers.Ipv4.t * l4 | Arp of Headers.Arp.t
 
 type t = private {
-  id : int;  (** unique per constructed packet, for tracing *)
   eth : Headers.Eth.t;
   body : body;
   wire_size : int;  (** full frame length on the wire, bytes *)
@@ -59,10 +58,14 @@ val udp :
 
 val arp : src_mac:Mac.t -> dst_mac:Mac.t -> Headers.Arp.t -> t
 
+val placeholder : t
+(** A fixed all-zero ARP frame that is never sent: the sentinel that
+    fills empty cells of the simulator's packet queues. *)
+
 val with_dst_mac : t -> Mac.t -> t
-(** A copy with the Ethernet destination replaced and everything else —
-    including the tracing [id] — preserved. Models a switch egress
-    MAC-rewrite rule acting on the same logical frame. *)
+(** A copy with the Ethernet destination replaced and every other
+    header preserved. Models a switch egress MAC-rewrite rule acting on
+    the same logical frame. *)
 
 val tcp_headers : t -> (Headers.Ipv4.t * Headers.Tcp.t) option
 (** The IPv4 and TCP headers if this is a TCP segment. *)
@@ -82,11 +85,9 @@ val to_wire : t -> bytes
 
 val parse : bytes -> wire_size:int -> t option
 (** Parse bytes produced by {!to_wire} back into a frame with the given
-    on-wire length. Returns [None] on malformed or unsupported input.
-    The result has a fresh [id]. *)
+    on-wire length. Returns [None] on malformed or unsupported input. *)
 
 val same_headers : t -> t -> bool
-(** Equality ignoring [id] — i.e. equality of everything {!to_wire}
-    writes, plus [wire_size]. *)
+(** Equality of everything {!to_wire} writes, plus [wire_size]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,6 +16,18 @@ type sample = {
   sampling_rate : int;
 }
 
+(* Fills the export heap's empty cells; never delivered. *)
+let no_sample =
+  {
+    time = 0;
+    key = None;
+    wire_size = 0;
+    in_port = 0;
+    out_port = 0;
+    dst_mac = Planck_packet.Mac.of_int 0;
+    sampling_rate = 0;
+  }
+
 type config = {
   sampling_rate : int;
   max_samples_per_sec : int;
@@ -62,27 +74,25 @@ let refill t =
   t.last_refill <- now
 
 let arm_export t =
-  match Heap.min_key t.pending with
-  | None -> ()
-  | Some at ->
-      if
-        (not (Engine.Timer.pending t.export_timer)) || at < t.export_armed_at
-      then begin
-        t.export_armed_at <- at;
-        Engine.Timer.reschedule_at t.export_timer ~time:at
-      end
+  if not (Heap.is_empty t.pending) then begin
+    let at = Heap.top_key t.pending in
+    if (not (Engine.Timer.pending t.export_timer)) || at < t.export_armed_at
+    then begin
+      t.export_armed_at <- at;
+      Engine.Timer.reschedule_at t.export_timer ~time:at
+    end
+  end
 
 let on_export t =
   let now = Engine.now t.engine in
   let rec loop () =
-    match Heap.min_key t.pending with
-    | Some at when at <= now -> (
-        match Heap.pop t.pending with
-        | Some (_, sample) ->
-            t.collector sample;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
+    if (not (Heap.is_empty t.pending)) && Heap.top_key t.pending <= now
+    then begin
+      let sample = Heap.top t.pending in
+      Heap.drop t.pending;
+      t.collector sample;
+      loop ()
+    end
   in
   loop ();
   arm_export t
@@ -123,7 +133,7 @@ let attach engine switch ?(config = default_config) ~prng ~collector () =
       collector;
       tokens = bucket_burst;
       last_refill = 0;
-      pending = Heap.create ();
+      pending = Heap.create ~dummy:no_sample ();
       export_timer = Engine.Timer.create engine ignore;
       export_armed_at = 0;
       selected = 0;

@@ -1,84 +1,97 @@
-(* A standard array-backed binary min-heap. Each entry carries a strictly
-   increasing sequence number so that equal keys pop in insertion order,
-   which the simulator relies on for deterministic event ordering. *)
+(* An array-backed binary min-heap kept in three parallel arrays: keys,
+   insertion sequence numbers and values. Each entry's seq is strictly
+   increasing, so equal keys pop in insertion order, which the
+   simulator relies on for deterministic event ordering.
 
-type 'a entry = { key : int; seq : int; value : 'a }
+   Nothing is boxed per entry: an add writes three cells and a removal
+   moves a hole rather than swapping, so steady-state adds and drops
+   allocate nothing. Vacated value cells are overwritten with the
+   sentinel given at creation, so no removed value stays reachable. *)
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
+  dummy : 'a;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create ~dummy () =
+  { keys = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0; dummy }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let grow h =
+  let capacity = max 16 (2 * h.size) in
+  let keys = Array.make capacity 0 in
+  let seqs = Array.make capacity 0 in
+  let values = Array.make capacity h.dummy in
+  Array.blit h.keys 0 keys 0 h.size;
+  Array.blit h.seqs 0 seqs 0 h.size;
+  Array.blit h.values 0 values 0 h.size;
+  h.keys <- keys;
+  h.seqs <- seqs;
+  h.values <- values
 
-(* Total from any state: [fill] seeds fresh slots, so growing works even
-   when the backing array is empty (no [h.data.(0)] dummy read). *)
-let ensure_capacity h fill =
-  if h.size = Array.length h.data then begin
-    let capacity = max 16 (2 * Array.length h.data) in
-    let data = Array.make capacity fill in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end
+let[@inline] set h i key seq v =
+  h.keys.(i) <- key;
+  h.seqs.(i) <- seq;
+  h.values.(i) <- v
 
-let swap h i j =
-  let tmp = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- tmp
+let[@inline] move h ~src ~dst =
+  set h dst h.keys.(src) h.seqs.(src) h.values.(src)
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt h.data.(i) h.data.(parent) then begin
-      swap h i parent;
-      sift_up h parent
+let[@inline] before h i key seq =
+  let ki = h.keys.(i) in
+  ki < key || (ki = key && h.seqs.(i) < seq)
+
+(* Place (key, seq, v) by moving the hole at [i] up past larger parents. *)
+let rec sift_up h i key seq v =
+  if i = 0 then set h 0 key seq v
+  else begin
+    let p = (i - 1) / 2 in
+    if before h p key seq then set h i key seq v
+    else begin
+      move h ~src:p ~dst:i;
+      sift_up h p key seq v
     end
   end
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < h.size && entry_lt h.data.(left) h.data.(!smallest) then
-    smallest := left;
-  if right < h.size && entry_lt h.data.(right) h.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let add h ~key value =
-  let entry = { key; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  ensure_capacity h entry;
-  h.data.(h.size) <- entry;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1)
-
-let min_key h = if h.size = 0 then None else Some h.data.(0).key
-
-let peek h =
-  if h.size = 0 then None
-  else
-    let top = h.data.(0) in
-    Some (top.key, top.value)
-
-let pop h =
-  if h.size = 0 then None
+(* Place (key, seq, v) by moving the hole at [i] down past smaller
+   children, within the first [n] cells. *)
+let rec sift_down h n i key seq v =
+  let l = (2 * i) + 1 in
+  if l >= n then set h i key seq v
   else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some (top.key, top.value)
+    let c =
+      if l + 1 < n && before h (l + 1) h.keys.(l) h.seqs.(l) then l + 1 else l
+    in
+    if before h c key seq then begin
+      move h ~src:c ~dst:i;
+      sift_down h n c key seq v
+    end
+    else set h i key seq v
   end
 
-let clear h = h.size <- 0
+let add h ~key v =
+  if h.size = Array.length h.keys then grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = h.size in
+  h.size <- i + 1;
+  sift_up h i key seq v
+
+let top_key h = if h.size = 0 then max_int else h.keys.(0)
+
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty heap";
+  h.values.(0)
+
+let drop h =
+  if h.size = 0 then invalid_arg "Heap.drop: empty heap";
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then sift_down h n 0 h.keys.(n) h.seqs.(n) h.values.(n);
+  h.values.(n) <- h.dummy

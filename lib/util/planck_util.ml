@@ -1,9 +1,10 @@
 (** Shared utilities for the Planck reproduction: simulated time, event
-    heap, ring buffers, deterministic PRNG, statistics, data rates and
-    table rendering. *)
+    heap, array FIFOs, ring buffers, deterministic PRNG, statistics,
+    data rates and table rendering. *)
 
 module Time = Time
 module Heap = Heap
+module Fifo = Fifo
 module Timer_wheel = Timer_wheel
 module Ring = Ring
 module Spsc = Spsc

@@ -1,35 +1,49 @@
 (* SplitMix64 (Steele, Lea, Flood 2014): state advances by a fixed odd
-   gamma; output is a bijective finalizer of the state. *)
+   gamma; output is a bijective finalizer of the state.
 
-type t = { mutable state : int64 }
+   The state lives unboxed in an 8-byte buffer: a mutable [int64] field
+   would box a fresh value on every draw, and the switch pipeline and
+   host stack draw once per frame. *)
+
+type t = { state : Bytes.t }
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state z =
+  let state = Bytes.create 8 in
+  set_state state 0 z;
+  { state }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let z = Int64.add (get_state t.state 0) golden_gamma in
+  set_state t.state 0 z;
+  mix z
+
+let split t = of_state (bits64 t)
+
+(* Rejection sampling over the low 62 bits avoids modulo bias. *)
+let mask62 = 0x3FFF_FFFF_FFFF_FFFF
+
+let rec draw t bound =
+  let r = Int64.to_int (bits64 t) land mask62 in
+  let v = r mod bound in
+  if r - v > mask62 - bound + 1 then draw t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling over the low 62 bits avoids modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let r = Int64.to_int (bits64 t) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  draw t bound
 
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

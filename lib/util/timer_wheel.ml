@@ -37,12 +37,16 @@ let heap_only = { granularity_bits = 0; l0_bits = 0; l1_bits = 0 }
 
 type state = Pending | Cancelled | Fired
 
+(* A fired handle sits in no tier, so [rearm] reuses it in place: the
+   key and seq are rewritten exactly as [add] would assign them. *)
 type 'a handle = {
-  h_key : int;
-  h_seq : int;
+  mutable h_key : int;
+  mutable h_seq : int;
   h_value : 'a;
   mutable h_state : state;
 }
+
+let detached v = { h_key = 0; h_seq = 0; h_value = v; h_state = Fired }
 
 (* ---- occupancy bitmaps (62 usable bits per word) ---- *)
 
@@ -83,21 +87,21 @@ let bits_clear b i =
   let w = i / bits_per_word in
   b.(w) <- b.(w) land lnot (1 lsl (i mod bits_per_word))
 
+let rec bits_scan b ~limit w word =
+  if word <> 0 then begin
+    let i = (w * bits_per_word) + ntz word in
+    if i < limit then i else -1
+  end
+  else
+    let w = w + 1 in
+    if w * bits_per_word >= limit then -1 else bits_scan b ~limit w b.(w)
+
 (* Lowest set index in [from, limit), or -1. *)
 let bits_next b ~from ~limit =
   if from >= limit then -1
   else begin
-    let rec scan w word =
-      if word <> 0 then begin
-        let i = (w * bits_per_word) + ntz word in
-        if i < limit then i else -1
-      end
-      else
-        let w = w + 1 in
-        if w * bits_per_word >= limit then -1 else scan w b.(w)
-    in
     let w0 = from / bits_per_word in
-    scan w0 (b.(w0) land (-1 lsl (from mod bits_per_word)))
+    bits_scan b ~limit w0 (b.(w0) land (-1 lsl (from mod bits_per_word)))
   end
 
 let bits_iter b ~limit f =
@@ -127,6 +131,7 @@ type 'a t = {
   occ0 : int array;
   occ1 : int array;
   overflow : 'a handle Heap.t;
+  sentinel : 'a handle; (* fills empty [due] and overflow cells *)
   mutable due : 'a handle array; (* min-heap by (key, seq); ticks <= base0 *)
   mutable n_due : int; (* [due.(0 .. n_due-1)] is the heap *)
   mutable base0 : int; (* cursor, in L0 ticks *)
@@ -139,7 +144,8 @@ type 'a t = {
   on_compaction : unit -> unit;
 }
 
-let create ?(config = default_config) ?(on_compaction = fun () -> ()) () =
+let create ?(config = default_config) ?(on_compaction = fun () -> ()) ~dummy
+    () =
   if config.granularity_bits < 0 || config.granularity_bits > 30 then
     invalid_arg "Timer_wheel.create: granularity_bits out of range";
   if config.l0_bits < 0 || config.l0_bits > 20 then
@@ -150,6 +156,7 @@ let create ?(config = default_config) ?(on_compaction = fun () -> ()) () =
     invalid_arg "Timer_wheel.create: l1_bits must be positive with a wheel";
   let w0 = if config.l0_bits = 0 then 0 else 1 lsl config.l0_bits in
   let w1 = if w0 = 0 then 0 else 1 lsl config.l1_bits in
+  let sentinel = detached dummy in
   {
     g_bits = config.granularity_bits;
     l0_bits = config.l0_bits;
@@ -161,7 +168,8 @@ let create ?(config = default_config) ?(on_compaction = fun () -> ()) () =
     slots1 = Array.make (max 1 w1) [];
     occ0 = bits_create (max 1 w0);
     occ1 = bits_create (max 1 w1);
-    overflow = Heap.create ();
+    overflow = Heap.create ~dummy:sentinel ();
+    sentinel;
     due = [||];
     n_due = 0;
     base0 = 0;
@@ -216,22 +224,22 @@ let rec due_sift_down a n i h =
     else a.(i) <- h
   end
 
-(* Make room for one more entry; [h] fills the new cells. *)
-let due_reserve t h =
+(* Make room for one more entry. *)
+let due_reserve t =
   if t.n_due = Array.length t.due then begin
-    let a = Array.make (max 16 (2 * t.n_due)) h in
+    let a = Array.make (max 16 (2 * t.n_due)) t.sentinel in
     Array.blit t.due 0 a 0 t.n_due;
     t.due <- a
   end
 
 (* Append without restoring heap order: callers heapify. *)
 let due_append t h =
-  due_reserve t h;
+  due_reserve t;
   t.due.(t.n_due) <- h;
   t.n_due <- t.n_due + 1
 
 let due_push t h =
-  due_reserve t h;
+  due_reserve t;
   let i = t.n_due in
   t.n_due <- i + 1;
   due_sift_up t.due i h
@@ -244,7 +252,10 @@ let due_heapify t =
 
 (* The last entry fills the hole, so the vacated cell keeps a duplicate
    of a resident handle rather than pinning the removed one (only the
-   final removal leaves its handle behind, in cell 0). *)
+   final removal leaves its handle behind, in cell 0, until the next
+   push). Clearing it would cost a write barrier per event: handles of
+   re-armed timers live in the major heap, and overwriting a major
+   pointer darkens it. *)
 let due_drop_root t =
   let n = t.n_due - 1 in
   t.n_due <- n;
@@ -274,9 +285,8 @@ let route t h =
     end
   end
 
-let add t ~key value =
-  let h = { h_key = key; h_seq = t.next_seq; h_value = value; h_state = Pending } in
-  t.next_seq <- t.next_seq + 1;
+(* Place a handle whose key and seq were just assigned. *)
+let insert t h =
   t.live <- t.live + 1;
   if t.w0 > 0 && t.live = 1 && t.n_cancelled = 0 then
     (* Empty wheel: the sole resident entry parks directly in [due]
@@ -300,30 +310,39 @@ let add t ~key value =
       end
     end;
     route t h
-  end;
+  end
+
+let add t ~key value =
+  let h = { h_key = key; h_seq = t.next_seq; h_value = value; h_state = Pending } in
+  t.next_seq <- t.next_seq + 1;
+  insert t h;
   h
 
-(* Drop dead entries off the overflow head so its min is a live entry. *)
-let rec overflow_peek t =
-  match Heap.peek t.overflow with
-  | Some (_, h) when not (is_pending h) ->
-      ignore (Heap.pop t.overflow);
-      t.n_cancelled <- t.n_cancelled - 1;
-      overflow_peek t
-  | other -> other
+(* Drop dead entries off the overflow head so its top is a live entry;
+   returns that entry's key ([max_int] once the overflow is empty). *)
+let rec overflow_top_key t =
+  if Heap.is_empty t.overflow || is_pending (Heap.top t.overflow) then
+    Heap.top_key t.overflow
+  else begin
+    Heap.drop t.overflow;
+    t.n_cancelled <- t.n_cancelled - 1;
+    overflow_top_key t
+  end
 
 (* Pull overflow entries that now fall inside the L1 window. Heap pop
    order is (key, seq), and every tier ends in the (key, seq)-ordered
    [due] heap, so migration cannot reorder equal keys. *)
 let rec migrate_overflow t =
-  match overflow_peek t with
-  | Some (k, _) when (k asr t.g_bits) asr t.l0_bits < t.base1 + t.w1 -> (
-      match Heap.pop t.overflow with
-      | Some (_, h) ->
-          route t h;
-          migrate_overflow t
-      | None -> ())
-  | Some _ | None -> ()
+  let k = overflow_top_key t in
+  if
+    (not (Heap.is_empty t.overflow))
+    && (k asr t.g_bits) asr t.l0_bits < t.base1 + t.w1
+  then begin
+    let h = Heap.top t.overflow in
+    Heap.drop t.overflow;
+    route t h;
+    migrate_overflow t
+  end
 
 let keep_live t h =
   match h.h_state with
@@ -394,15 +413,16 @@ let rec ensure_due t =
              ensure_due t
            end
            else begin
-             match overflow_peek t with
-             | None -> false
-             | Some (k, _) ->
-                 (* Jump the window to the overflow head. *)
-                 let l1 = (k asr t.g_bits) asr t.l0_bits in
-                 t.base1 <- l1;
-                 t.base0 <- l1 lsl t.l0_bits;
-                 migrate_overflow t;
-                 ensure_due t
+             let k = overflow_top_key t in
+             (not (Heap.is_empty t.overflow))
+             && begin
+                  (* Jump the window to the overflow head. *)
+                  let l1 = (k asr t.g_bits) asr t.l0_bits in
+                  t.base1 <- l1;
+                  t.base0 <- l1 lsl t.l0_bits;
+                  migrate_overflow t;
+                  ensure_due t
+                end
            end
          end
        end
@@ -415,15 +435,17 @@ let fire t h =
 let empty () = invalid_arg "Timer_wheel.take: no pending entry"
 
 let rec take_heap_only t =
-  match Heap.pop t.overflow with
-  | None -> empty ()
-  | Some (_, h) -> (
-      match h.h_state with
-      | Cancelled ->
-          t.n_cancelled <- t.n_cancelled - 1;
-          take_heap_only t
-      | Pending -> fire t h
-      | Fired -> assert false)
+  if Heap.is_empty t.overflow then empty ()
+  else begin
+    let h = Heap.top t.overflow in
+    Heap.drop t.overflow;
+    match h.h_state with
+    | Cancelled ->
+        t.n_cancelled <- t.n_cancelled - 1;
+        take_heap_only t
+    | Pending -> fire t h
+    | Fired -> assert false
+  end
 
 let take t =
   if t.w0 = 0 then take_heap_only t
@@ -435,8 +457,7 @@ let take t =
   else empty ()
 
 let next_key t =
-  if t.w0 = 0 then
-    match overflow_peek t with Some (k, _) -> k | None -> max_int
+  if t.w0 = 0 then overflow_top_key t
   else if ensure_due t then t.due.(0).h_key
   else max_int
 
@@ -454,6 +475,7 @@ let compact t =
       incr kept
     end
   done;
+  Array.fill t.due !kept (t.n_due - !kept) t.sentinel;
   t.n_due <- !kept;
   due_heapify t;
   if t.w0 > 0 then begin
@@ -467,9 +489,12 @@ let compact t =
         match kept with [] -> bits_clear t.occ1 s | _ :: _ -> ())
   end;
   let rec drain acc =
-    match Heap.pop t.overflow with
-    | None -> List.rev acc
-    | Some (_, h) -> drain (if keep_live t h then h :: acc else acc)
+    if Heap.is_empty t.overflow then List.rev acc
+    else begin
+      let h = Heap.top t.overflow in
+      Heap.drop t.overflow;
+      drain (if keep_live t h then h :: acc else acc)
+    end
   in
   List.iter (fun h -> Heap.add t.overflow ~key:h.h_key h) (drain []);
   t.on_compaction ()
@@ -487,3 +512,19 @@ let cancel t h =
       if t.n_cancelled > compaction_floor && t.n_cancelled > t.live then
         compact t;
       true
+
+let rearm t h ~key =
+  match h.h_state with
+  | Fired ->
+      h.h_key <- key;
+      h.h_seq <- t.next_seq;
+      h.h_state <- Pending;
+      t.next_seq <- t.next_seq + 1;
+      insert t h;
+      h
+  | Pending ->
+      ignore (cancel t h : bool);
+      add t ~key h.h_value
+  | Cancelled ->
+      (* Possibly still resident in a tier: it cannot be reused. *)
+      add t ~key h.h_value

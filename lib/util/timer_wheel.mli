@@ -29,9 +29,11 @@ type 'a handle
 (** A scheduled entry. Exactly one of: pending, cancelled, fired. *)
 
 val create :
-  ?config:config -> ?on_compaction:(unit -> unit) -> unit -> 'a t
+  ?config:config -> ?on_compaction:(unit -> unit) -> dummy:'a -> unit -> 'a t
 (** [on_compaction] fires after each lazy-delete compaction sweep (for
-    telemetry). Raises [Invalid_argument] on out-of-range config. *)
+    telemetry). [dummy] is the value of the wheel's internal sentinel
+    handle, which fills empty cells; it never fires. Raises
+    [Invalid_argument] on out-of-range config. *)
 
 val length : 'a t -> int
 (** Live (pending) entries; cancelled residents are not counted. *)
@@ -42,6 +44,17 @@ val add : 'a t -> key:int -> 'a -> 'a handle
 (** Insert with priority [key] (nanoseconds). O(1) into a future tick
     of the wheel horizon; O(log n) into the current tick's due heap or
     the overflow tier. *)
+
+val detached : 'a -> 'a handle
+(** A fired handle carrying [v] that sits in no wheel: the starting
+    point for a reusable timer, which {!rearm} schedules. *)
+
+val rearm : 'a t -> 'a handle -> key:int -> 'a handle
+(** Schedule [h]'s value again at [key], taking a fresh seq exactly as
+    {!add} does, so pop order matches [add t ~key v]. A fired handle is
+    reused in place and returned: no allocation. A pending handle is
+    cancelled first, and a cancelled one may still be resident in a
+    tier; both get a new handle. Callers keep the returned handle. *)
 
 val cancel : 'a t -> 'a handle -> bool
 (** Lazy-delete: O(1) state flip; the entry is reclaimed when its slot

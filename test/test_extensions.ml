@@ -16,6 +16,10 @@ let mk ?(seq = 0) ?(payload = 1460) () =
     ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq ~ack_seq:0
     ~flags:H.Tcp_flags.ack ~payload_len:payload ()
 
+(* Test frames are told apart by their TCP sequence number. *)
+let seq_of p =
+  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+
 (* ---- Txport strict priority ---- *)
 
 let txport_priority_class () =
@@ -24,11 +28,11 @@ let txport_priority_class () =
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:0 ~classes:3
       ~priority_class:2
-      ~deliver:(fun p -> order := p.P.id :: !order)
+      ~deliver:(fun p -> order := seq_of p :: !order)
       ~on_depart:(fun _ -> ())
       ()
   in
-  let a = mk () and b = mk () and special = mk () in
+  let a = mk ~seq:1 () and b = mk ~seq:2 () and special = mk ~seq:3 () in
   Engine.schedule e ~delay:0 (fun () ->
       Txport.enqueue tx ~cls:0 a;
       Txport.enqueue tx ~cls:0 b;
@@ -36,7 +40,7 @@ let txport_priority_class () =
   Engine.run e;
   (* a transmits immediately; the priority frame preempts b. *)
   Alcotest.(check (list int)) "priority preempts round-robin"
-    [ a.P.id; special.P.id; b.P.id ]
+    (List.map seq_of [ a; special; b ])
     (List.rev !order)
 
 (* ---- Preferential sampling end-to-end ---- *)

@@ -89,6 +89,21 @@ let test_hot_includes_heap_add () =
     end
   end
 
+(* A root missing from the index contributes nothing, so a renamed or
+   deleted entry point would silently drop its whole path out of the
+   hot set. Every default root must name a real definition. *)
+let test_hot_roots_resolve () =
+  let root = Filename.dirname (Sys.getcwd ()) in
+  if Sys.file_exists (Filename.concat root "lib") then begin
+    let ix = Index.load ~dirs:[ root ] in
+    if Index.unit_count ix > 0 then
+      Alcotest.(check (list string))
+        "hot roots missing from the index" []
+        (List.filter
+           (fun r -> Option.is_none (Index.find_def ix r))
+           Deep.default_hot_roots)
+  end
+
 (* ---- type-aware poly-compare ---- *)
 
 let poly_fixture =
@@ -370,6 +385,8 @@ let tests =
     Alcotest.test_case "hot reachability closure" `Quick test_hot_reachability;
     Alcotest.test_case "hot set includes Heap.add (repo cmts)" `Quick
       test_hot_includes_heap_add;
+    Alcotest.test_case "every hot root resolves (repo cmts)" `Quick
+      test_hot_roots_resolve;
     Alcotest.test_case "typed poly-compare" `Quick test_typed_poly_compare;
     Alcotest.test_case "typed float-equality" `Quick test_typed_float_equality;
     Alcotest.test_case "hot structural equality" `Quick

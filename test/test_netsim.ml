@@ -22,6 +22,10 @@ let mk_tcp ?(src = 0) ?(dst = 1) ?(seq = 0) ?(payload = 1460) () =
     ~dst_ip:(Ip.host dst) ~src_port:(1000 + src) ~dst_port:(2000 + dst) ~seq
     ~ack_seq:0 ~flags:H.Tcp_flags.ack ~payload_len:payload ()
 
+(* Test frames are told apart by their TCP sequence number. *)
+let seq_of p =
+  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+
 (* ---- Engine ---- *)
 
 let engine_ordering () =
@@ -116,6 +120,29 @@ let engine_timer_reschedule_supersedes () =
   Alcotest.(check (list int))
     "chained fires" [ Time.us 100; Time.us 50; Time.us 30 ]
     !log
+
+(* A fired timer is re-armed in place: 10,000 fire-and-re-arm rounds
+   (the per-frame rhythm of a port's serializer timer) stay under one
+   minor word per re-arm, dispatch included. *)
+let engine_timer_rearm_alloc () =
+  let e = Engine.create () in
+  let rounds = 10_000 in
+  let fired = ref 0 in
+  let t = Engine.Timer.create e ignore in
+  Engine.Timer.set_callback t (fun () ->
+      incr fired;
+      if !fired < rounds then Engine.Timer.reschedule t ~delay:(Time.ns 100));
+  (* Warm up: the first arm sizes the wheel's arrays. *)
+  Engine.Timer.reschedule t ~delay:(Time.ns 100);
+  ignore (Engine.step e : bool);
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every round fired" rounds !fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d re-arms" words (rounds - 1))
+    true
+    (words < float_of_int (rounds - 1))
 
 let engine_timer_periodic () =
   let e = Engine.create () in
@@ -242,11 +269,11 @@ let txport_serialization_timing () =
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:(Time.ns 300)
       ~classes:1
-      ~deliver:(fun p -> arrivals := (Engine.now e, p.P.id) :: !arrivals)
+      ~deliver:(fun p -> arrivals := (Engine.now e, seq_of p) :: !arrivals)
       ~on_depart:(fun _ -> ())
       ()
   in
-  let p1 = mk_tcp () and p2 = mk_tcp () in
+  let p1 = mk_tcp ~seq:1 () and p2 = mk_tcp ~seq:2 () in
   Txport.enqueue tx ~cls:0 p1;
   Txport.enqueue tx ~cls:0 p2;
   Engine.run e;
@@ -255,21 +282,21 @@ let txport_serialization_timing () =
   Alcotest.(check int) "first arrival" 1512 (fst (List.nth arrivals 0));
   Alcotest.(check int) "second arrival" (1512 + 1212)
     (fst (List.nth arrivals 1));
-  Alcotest.(check int) "order" p1.P.id (snd (List.nth arrivals 0))
+  Alcotest.(check int) "order" 1 (snd (List.nth arrivals 0))
 
 let txport_round_robin () =
   let e = Engine.create () in
   let order = ref [] in
   let tx =
     Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:0 ~classes:3
-      ~deliver:(fun p -> order := p.P.id :: !order)
+      ~deliver:(fun p -> order := seq_of p :: !order)
       ~on_depart:(fun _ -> ())
       ()
   in
   (* Fill class 0 with 3 frames, classes 1 and 2 with 1 each, before
      the serializer runs: schedule enqueues at t=0 inside the engine. *)
-  let a1 = mk_tcp () and a2 = mk_tcp () and a3 = mk_tcp () in
-  let b = mk_tcp () and c = mk_tcp () in
+  let a1 = mk_tcp ~seq:1 () and a2 = mk_tcp ~seq:2 () in
+  let a3 = mk_tcp ~seq:3 () and b = mk_tcp ~seq:4 () and c = mk_tcp ~seq:5 () in
   Engine.schedule e ~delay:0 (fun () ->
       Txport.enqueue tx ~cls:0 a1;
       Txport.enqueue tx ~cls:0 a2;
@@ -279,7 +306,7 @@ let txport_round_robin () =
   Engine.run e;
   (* a1 starts immediately; then round-robin picks 1, 2, 0, 0. *)
   Alcotest.(check (list int)) "round robin interleave"
-    [ a1.P.id; b.P.id; c.P.id; a2.P.id; a3.P.id ]
+    (List.map seq_of [ a1; b; c; a2; a3 ])
     (List.rev !order)
 
 (* ---- Switch ---- *)
@@ -554,6 +581,8 @@ let tests =
       engine_timer_cancel;
     Alcotest.test_case "engine timer reschedule supersedes" `Quick
       engine_timer_reschedule_supersedes;
+    Alcotest.test_case "engine timer re-arm allocates nothing" `Quick
+      engine_timer_rearm_alloc;
     Alcotest.test_case "engine periodic handle pause/resume" `Quick
       engine_timer_periodic;
     Alcotest.test_case "engine instance metrics" `Quick

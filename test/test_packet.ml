@@ -93,6 +93,40 @@ let tcp_wire_roundtrip_qcheck =
       | None -> false
       | Some q -> P.same_headers p q && P.tcp_payload_len q = P.tcp_payload_len p)
 
+(* TCP, UDP and ARP frames with arbitrary addresses and ports. *)
+let any_packet_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        tcp_packet_gen;
+        map
+          (fun ((src, dst), (sp, dp)) ->
+            P.udp ~src_mac:(Mac.host src) ~dst_mac:(Mac.host dst)
+              ~src_ip:(Ip.of_int src) ~dst_ip:(Ip.of_int dst) ~src_port:sp
+              ~dst_port:dp ~payload_len:100 ())
+          (pair
+             (pair (int_range 0 0xFFFF_FFFF) (int_range 0 0xFFFF_FFFF))
+             (pair (int_range 0 65535) (int_range 0 65535)));
+        map
+          (fun (src, dst) ->
+            P.arp ~src_mac:(Mac.host src) ~dst_mac:(Mac.host dst)
+              {
+                H.Arp.op = H.Arp.Request;
+                sender_mac = Mac.host src;
+                sender_ip = Ip.host src;
+                target_mac = Mac.host dst;
+                target_ip = Ip.host dst;
+              })
+          (pair (int_range 0 999) (int_range 0 999));
+      ])
+
+let hash_packet_matches_key_qcheck =
+  QCheck.Test.make ~name:"hash_packet equals the flow key's hash" ~count:500
+    (QCheck.make any_packet_gen) (fun p ->
+      match FK.of_packet p with
+      | Some k -> FK.hash_packet p = FK.hash k
+      | None -> FK.hash_packet p = 0)
+
 let udp_wire_roundtrip () =
   let p =
     P.udp ~src_mac:(Mac.host 1) ~dst_mac:(Mac.host 2) ~src_ip:(Ip.host 1)
@@ -136,16 +170,23 @@ let packet_sizes () =
   Alcotest.(check int) "mtu constant" 1500 P.mtu;
   Alcotest.(check int) "max payload" 1460 P.max_tcp_payload
 
-let with_dst_mac_preserves_id () =
+let with_dst_mac_preserves_headers () =
   let p =
     P.tcp ~src_mac:(Mac.host 0) ~dst_mac:(Mac.host 1) ~src_ip:(Ip.host 0)
-      ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0
+      ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq:7 ~ack_seq:3
       ~flags:H.Tcp_flags.ack ~payload_len:10 ()
   in
   let q = P.with_dst_mac p (Mac.host 9) in
-  Alcotest.(check int) "id preserved" p.P.id q.P.id;
   Alcotest.(check bool) "dst changed" true
-    (Mac.equal (P.dst_mac q) (Mac.host 9))
+    (Mac.equal (P.dst_mac q) (Mac.host 9));
+  Alcotest.(check bool) "src kept" true (Mac.equal (P.src_mac q) (P.src_mac p));
+  Alcotest.(check int) "ethertype kept" p.P.eth.H.Eth.ethertype
+    q.P.eth.H.Eth.ethertype;
+  Alcotest.(check int) "wire size kept" p.P.wire_size q.P.wire_size;
+  (* Restoring the destination gives back a frame equal in every
+     header, so nothing but the destination changed. *)
+  Alcotest.(check bool) "other headers kept" true
+    (P.same_headers p (P.with_dst_mac q (P.dst_mac p)))
 
 (* ---- Flow keys ---- *)
 
@@ -268,9 +309,11 @@ let tests =
     Alcotest.test_case "arp wire roundtrip" `Quick arp_wire_roundtrip;
     Alcotest.test_case "parse rejects garbage" `Quick parse_garbage;
     Alcotest.test_case "packet sizes" `Quick packet_sizes;
-    Alcotest.test_case "rewrite preserves id" `Quick with_dst_mac_preserves_id;
+    Alcotest.test_case "rewrite preserves other headers" `Quick
+      with_dst_mac_preserves_headers;
     Alcotest.test_case "flow key extraction" `Quick flow_key_of_packet;
     Alcotest.test_case "arp has no flow key" `Quick flow_key_arp_none;
+    qtest hash_packet_matches_key_qcheck;
     Alcotest.test_case "flow key to_string matches pp" `Quick
       flow_key_to_string_matches_pp;
     Alcotest.test_case "seq32 basics" `Quick seq32_basics;

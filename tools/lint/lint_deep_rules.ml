@@ -33,8 +33,14 @@ let default_hot_roots =
     "Planck_netsim__Switch.on_pipeline";
     "Planck_netsim__Sink.ingress";
     "Planck_netsim__Sink.drain";
-    "Planck_netsim__Host.deliver";
-    "Planck_netsim__Txport.transmit";
+    (* the timer-driven hop: NIC and port queues, stack delays *)
+    "Planck_netsim__Txport.enqueue";
+    "Planck_netsim__Txport.on_tx_done";
+    "Planck_netsim__Txport.on_delivery";
+    "Planck_netsim__Host.send";
+    "Planck_netsim__Host.ingress";
+    "Planck_netsim__Host.on_send_ready";
+    "Planck_netsim__Host.on_recv_ready";
     (* collector sample path *)
     "Planck_collector__Collector.process";
     (* sketch tier: the collector reaches these through a backend
@@ -49,6 +55,7 @@ let default_hot_roots =
     "Planck_tcp__Flow.try_send";
     (* engine / timer-wheel dispatch *)
     "Planck_netsim__Engine.step";
+    "Planck_netsim__Engine.Timer.reschedule_at";
     "Planck_util__Timer_wheel.add";
     "Planck_util__Timer_wheel.next_key";
     "Planck_util__Timer_wheel.take";
