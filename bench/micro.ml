@@ -39,7 +39,7 @@ let test_serialize =
     (Staged.stage (fun () -> ignore (P.to_wire sample_packet)))
 
 let test_parse =
-  Test.make ~name:"packet parse (collector hot path)"
+  Test.make ~name:"packet parse (from wire bytes)"
     (Staged.stage (fun () ->
          ignore (P.parse sample_wire ~wire_size:sample_packet.P.wire_size)))
 

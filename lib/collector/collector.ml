@@ -1,6 +1,6 @@
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
-module Ring = Planck_util.Ring
+module Fifo = Planck_util.Fifo
 module Engine = Planck_netsim.Engine
 module Sink = Planck_netsim.Sink
 module Packet = Planck_packet.Packet
@@ -113,10 +113,10 @@ type t = {
   backend : table_backend;
   flows : Flow_table.t;  (* = backend.b_table; the query surface *)
   mutable sink : Sink.t option;
-  (* (src ip, routing dst MAC) -> (in_port, out_port) at this switch;
+  (* src ip -> routing dst MAC -> (in_port, out_port) at this switch;
      trees are static so entries never go stale. *)
-  port_cache : (int * Mac.t, int * int) Hashtbl.t;
-  vantage : (Time.t * Packet.t) Ring.t;
+  port_cache : (int, (int, int * int) Hashtbl.t) Hashtbl.t;
+  vantage : Packet.t Fifo.t;  (* keyed by rx time *)
   mutable subscriptions : subscription list;
   mutable taps : (sample -> unit) list;
   mutable flow_event_subs : (flow_event -> unit) list;
@@ -124,13 +124,11 @@ type t = {
   last_event : (int, Time.t) Hashtbl.t; (* port -> last event time *)
   mutable samples_seen : int;
   mutable data_samples : int;
-  mutable parse_errors : int;
   (* Telemetry handles, labelled "s<switch>" in the process-wide
      registry. Sample latency is rx - arrival: the netmap batching
      delay the sink adds (the "collector" slice of Fig 12). *)
   tel_samples : Metrics.counter;
   tel_data_samples : Metrics.counter;
-  tel_parse_errors : Metrics.counter;
   tel_estimates : Metrics.counter;
   tel_congestion_events : Metrics.counter;
   tel_poll_latency : Metrics.histogram;
@@ -139,6 +137,8 @@ type t = {
 }
 
 let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
+  if config.vantage_capacity <= 0 then
+    invalid_arg "Collector.create: vantage_capacity <= 0";
   let tel_label = Printf.sprintf "s%d" switch in
   let tel name = Metrics.counter ~subsystem:"collector" ~name ~label:tel_label () in
   let backend =
@@ -158,8 +158,8 @@ let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
     backend;
     flows = backend.b_table;
     sink = None;
-    port_cache = Hashtbl.create 256;
-    vantage = Ring.create ~capacity:config.vantage_capacity;
+    port_cache = Hashtbl.create 64;
+    vantage = Fifo.create ~dummy:Packet.placeholder ();
     subscriptions = [];
     taps = [];
     flow_event_subs = [];
@@ -167,10 +167,8 @@ let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
     last_event = Hashtbl.create 16;
     samples_seen = 0;
     data_samples = 0;
-    parse_errors = 0;
     tel_samples = tel "samples";
     tel_data_samples = tel "data_samples";
-    tel_parse_errors = tel "parse_errors";
     tel_estimates = tel "estimate_updates";
     tel_congestion_events = tel "congestion_events";
     tel_poll_latency =
@@ -187,27 +185,28 @@ let switch_id t = t.switch
 (* ---- Port inference (§4.2) ---- *)
 
 let infer_ports t ~src_ip ~dst_mac =
-  let cache_key = (Ipv4_addr.to_int src_ip, dst_mac) in
-  match Hashtbl.find_opt t.port_cache cache_key with
-  | Some ports -> ports
-  | None ->
-      let ports =
-        match Ipv4_addr.host_id src_ip with
-        | None -> (-1, -1)
-        | Some src -> (
-            match Routing.path t.routing ~src ~dst_mac with
-            | exception Invalid_argument _ -> (-1, -1)
-            | hops -> (
-                match
-                  List.find_opt
-                    (fun hop -> hop.Routing.switch = t.switch)
-                    hops
-                with
-                | Some hop -> (hop.Routing.in_port, hop.Routing.out_port)
-                | None -> (-1, -1)))
-      in
-      Hashtbl.replace t.port_cache cache_key ports;
-      ports
+  let ip = Ipv4_addr.to_int src_ip and mac = Mac.to_int dst_mac in
+  let by_mac =
+    try Hashtbl.find t.port_cache ip
+    with Not_found ->
+      let tbl = Hashtbl.create 8 in
+      Hashtbl.replace t.port_cache ip tbl;
+      tbl
+  in
+  try Hashtbl.find by_mac mac
+  with Not_found ->
+    let on_path hop = hop.Routing.switch = t.switch in
+    let ports =
+      match Ipv4_addr.host_id src_ip with
+      | None -> (-1, -1)
+      | Some src -> (
+          match List.find_opt on_path (Routing.path t.routing ~src ~dst_mac)
+          with
+          | Some hop -> (hop.Routing.in_port, hop.Routing.out_port)
+          | None | (exception Invalid_argument _) -> (-1, -1))
+    in
+    Hashtbl.replace by_mac mac ports;
+    ports
 
 (* ---- Event generation ---- *)
 
@@ -279,109 +278,107 @@ let check_congestion t ~port =
 
 (* ---- Sample processing ---- *)
 
-let process t (record : Sink.record) =
+(* Flow events and the data-sample path read the headers of the frame
+   the sink delivered in place; only a TCP frame that carries payload
+   or a lifecycle flag someone listens for builds its flow key. *)
+let process t ~arrival ~rx (packet : Packet.t) =
   t.samples_seen <- t.samples_seen + 1;
   Metrics.Counter.incr t.tel_samples;
-  Metrics.Histogram.observe t.tel_poll_latency
-    (record.Sink.rx - record.Sink.arrival);
-  match Packet.parse record.Sink.wire ~wire_size:record.Sink.wire_size with
-  | None ->
-      t.parse_errors <- t.parse_errors + 1;
-      Metrics.Counter.incr t.tel_parse_errors
-  | Some packet ->
-      if Ring.is_full t.vantage then ignore (Ring.pop t.vantage);
-      ignore (Ring.push t.vantage (record.Sink.rx, packet));
-      let key = Flow_key.of_packet packet in
+  Metrics.Histogram.observe t.tel_poll_latency (rx - arrival);
+  if Fifo.length t.vantage >= t.config.vantage_capacity then
+    ignore (Fifo.pop t.vantage : Packet.t);
+  Fifo.push t.vantage ~key:rx packet;
+  (match packet.Packet.body with
+  | Packet.Ipv4 (ip, Packet.Tcp tcp) ->
       let payload = Packet.tcp_payload_len packet in
-      let seq32 =
-        match Packet.tcp_headers packet with
-        | Some (_, tcp) -> Some tcp.Headers.Tcp.seq
-        | None -> None
+      let f = tcp.Headers.Tcp.flags in
+      let starts = f.Headers.Tcp_flags.syn in
+      let notify =
+        t.flow_event_subs <> []
+        && (starts || f.Headers.Tcp_flags.fin || f.Headers.Tcp_flags.rst)
       in
-      let in_port, out_port =
-        match key with
-        | Some k -> infer_ports t ~src_ip:k.Flow_key.src_ip
-                      ~dst_mac:(Packet.dst_mac packet)
-        | None -> (-1, -1)
-      in
-      (match key with
-      | Some key when t.flow_event_subs <> [] -> (
-          match Packet.tcp_headers packet with
-          | Some (_, tcp) ->
-              let f = tcp.Headers.Tcp.flags in
-              let kind =
-                if f.Headers.Tcp_flags.syn then Some Flow_started
-                else if f.Headers.Tcp_flags.fin || f.Headers.Tcp_flags.rst
-                then Some Flow_ended
-                else None
-              in
-              (match kind with
-              | Some kind ->
-                  let event = { time = record.Sink.rx; flow = key; kind } in
-                  List.iter (fun sub -> sub event) t.flow_event_subs
-              | None -> ())
-          | None -> ())
-      | Some _ | None -> ());
-      (match (key, seq32) with
-      | Some key, Some seq32 when payload > 0 -> (
-          t.data_samples <- t.data_samples + 1;
-          Metrics.Counter.incr t.tel_data_samples;
-          t.backend.b_tick ~now:record.Sink.rx;
-          match
-            t.backend.b_sample ~key ~now:record.Sink.rx ~bytes:payload
-              ~max_rate:t.link_rate
-              ~dst_mac:(Packet.dst_mac packet)
-          with
-          | None ->
-              (* Sketch tier only: the sample is accounted approximately
-                 and the flow has no exact entry (yet). *)
-              Metrics.Gauge.set_int t.tel_flow_entries
-                (Flow_table.size t.flows)
-          | Some entry ->
-          entry.Flow_table.in_port <- in_port;
-          entry.Flow_table.out_port <- out_port;
-          entry.Flow_table.sampled_packets <-
-            entry.Flow_table.sampled_packets + 1;
-          entry.Flow_table.sampled_bytes <-
-            entry.Flow_table.sampled_bytes + payload;
-          Flow_table.note_seq entry ~seq32 ~payload;
-          Metrics.Gauge.set_int t.tel_flow_entries (Flow_table.size t.flows);
-          (match
-             Rate_estimator.update entry.Flow_table.estimator
-               ~time:record.Sink.rx ~seq32
-           with
-          | Some rate ->
-              Metrics.Counter.incr t.tel_estimates;
-              if Journal.enabled Journal.default then
-                Journal.record Journal.default ~ts:record.Sink.rx
-                  (Journal.Estimate_update
-                     {
-                       switch = t.switch;
-                       (* planck-lint: allow hot-alloc -- journal-enabled runs only; the disabled path pays the one branch above *)
-                       flow = Format.asprintf "%a" Flow_key.pp key;
-                       gbps = rate /. 1e9;
-                     });
-              List.iter
-                (fun hook -> hook key rate record.Sink.rx)
-                t.estimate_hooks;
-              check_congestion t ~port:out_port
-          | None -> ()))
-      | _ -> ());
-      if t.taps <> [] then begin
-        let sample =
+      if payload > 0 || notify then begin
+        let key =
           {
-            rx = record.Sink.rx;
-            arrival = record.Sink.arrival;
-            packet;
-            key;
-            payload;
-            seq32;
-            in_port;
-            out_port;
+            Flow_key.src_ip = ip.Headers.Ipv4.src;
+            dst_ip = ip.Headers.Ipv4.dst;
+            src_port = tcp.Headers.Tcp.src_port;
+            dst_port = tcp.Headers.Tcp.dst_port;
+            protocol = ip.Headers.Ipv4.protocol;
           }
         in
-        List.iter (fun tap -> tap sample) t.taps
+        if notify then begin
+          let kind = if starts then Flow_started else Flow_ended in
+          let event = { time = rx; flow = key; kind } in
+          List.iter (fun sub -> sub event) t.flow_event_subs
+        end;
+        if payload > 0 then begin
+          let seq32 = tcp.Headers.Tcp.seq in
+          let dst_mac = Packet.dst_mac packet in
+          t.data_samples <- t.data_samples + 1;
+          Metrics.Counter.incr t.tel_data_samples;
+          t.backend.b_tick ~now:rx;
+          let admitted =
+            t.backend.b_sample ~key ~now:rx ~bytes:payload
+              ~max_rate:t.link_rate ~dst_mac
+          in
+          (* Re-setting an unchanged gauge would box a float per sample. *)
+          let entries = Flow_table.size t.flows in
+          if entries <> int_of_float (Metrics.Gauge.value t.tel_flow_entries)
+          then Metrics.Gauge.set_int t.tel_flow_entries entries;
+          match admitted with
+          | None -> () (* sketch tier only: no exact entry (yet) *)
+          | Some entry -> (
+              let in_port, out_port =
+                infer_ports t ~src_ip:ip.Headers.Ipv4.src ~dst_mac
+              in
+              entry.Flow_table.in_port <- in_port;
+              entry.Flow_table.out_port <- out_port;
+              entry.Flow_table.sampled_packets <-
+                entry.Flow_table.sampled_packets + 1;
+              entry.Flow_table.sampled_bytes <-
+                entry.Flow_table.sampled_bytes + payload;
+              Flow_table.note_seq entry ~seq32 ~payload;
+              match
+                Rate_estimator.update entry.Flow_table.estimator ~time:rx
+                  ~seq32
+              with
+              | Some rate ->
+                  Metrics.Counter.incr t.tel_estimates;
+                  if Journal.enabled Journal.default then
+                    Journal.record Journal.default ~ts:rx
+                      (Journal.Estimate_update
+                         {
+                           switch = t.switch;
+                           flow = Flow_key.to_string key;
+                           gbps = rate /. 1e9;
+                         });
+                  List.iter (fun hook -> hook key rate rx) t.estimate_hooks;
+                  check_congestion t ~port:out_port
+              | None -> ())
+        end
       end
+  | Packet.Ipv4 (_, Packet.Udp _) | Packet.Arp _ -> ());
+  if t.taps <> [] then begin
+    let key = Flow_key.of_packet packet in
+    let in_port, out_port =
+      match key with
+      | Some k ->
+          infer_ports t ~src_ip:k.Flow_key.src_ip
+            ~dst_mac:(Packet.dst_mac packet)
+      | None -> (-1, -1)
+    in
+    let payload = Packet.tcp_payload_len packet in
+    let seq32 =
+      Option.map
+        (fun (_, tcp) -> tcp.Headers.Tcp.seq)
+        (Packet.tcp_headers packet)
+    in
+    let sample =
+      { rx; arrival; packet; key; payload; seq32; in_port; out_port }
+    in
+    List.iter (fun tap -> tap sample) t.taps
+  end
 
 let attach t =
   match t.sink with
@@ -391,7 +388,7 @@ let attach t =
         Sink.create t.engine ~ring_capacity:t.config.ring_capacity
           ~poll_interval:t.config.poll_interval
           ~label:(Printf.sprintf "s%d" t.switch)
-          ~consumer:(fun record -> process t record)
+          ~consumer:(process t)
           ()
       in
       t.sink <- Some sink;
@@ -410,7 +407,7 @@ let flow_rate t key =
 let samples_seen t = t.samples_seen
 let data_samples t = t.data_samples
 let flows_tracked t = Flow_table.size t.flows
-let parse_errors t = t.parse_errors
+let sink t = t.sink
 
 let subscribe_congestion t ~threshold callback =
   t.subscriptions <- { threshold; callback } :: t.subscriptions
@@ -439,9 +436,7 @@ let on_estimate t hook = t.estimate_hooks <- hook :: t.estimate_hooks
 
 let vantage_pcap t =
   let pcap = Pcap.create () in
-  List.iter
-    (fun (time, packet) -> Pcap.add pcap ~time packet)
-    (Ring.to_list t.vantage);
+  Fifo.iter (fun time packet -> Pcap.add pcap ~time packet) t.vantage;
   Pcap.contents pcap
 
-let vantage_count t = Ring.length t.vantage
+let vantage_count t = Fifo.length t.vantage

@@ -2,7 +2,9 @@
 
     One collector per monitored switch. It consumes the mirrored frame
     stream from the switch's monitor port through a netmap-style
-    {!Planck_netsim.Sink}, parses the raw bytes, and maintains:
+    {!Planck_netsim.Sink}, reads each delivered frame's headers in
+    place (flow key, payload length, sequence number, flags), and
+    maintains:
 
     - a flow table with per-flow throughput estimates
       ({!Rate_estimator});
@@ -91,8 +93,9 @@ type config = {
   flow_timeout : Planck_util.Time.t;
   event_cooldown : Planck_util.Time.t;
       (** minimum spacing of events per link *)
-  vantage_capacity : int;  (** samples retained for pcap dumps *)
-  ring_capacity : int;
+  vantage_capacity : int;
+      (** samples retained for pcap dumps; must be positive *)
+  ring_capacity : int;  (** sink ring slots; must be positive *)
   poll_interval : Planck_util.Time.t;  (** netmap batch timer *)
   table : table_kind;  (** flow-state backend; default [Exact] *)
 }
@@ -109,10 +112,12 @@ val create :
   ?config:config ->
   unit ->
   t
+(** Raises [Invalid_argument] if [config.vantage_capacity <= 0]. *)
 
 val attach : t -> unit
 (** Cable this collector to its switch's reserved monitor port and turn
-    on mirroring of all data ports (via {!Planck_topology.Fabric}). *)
+    on mirroring of all data ports (via {!Planck_topology.Fabric}).
+    Raises [Invalid_argument] if [config.ring_capacity <= 0]. *)
 
 val switch_id : t -> int
 
@@ -132,7 +137,10 @@ val flows_on_port :
 val samples_seen : t -> int
 val data_samples : t -> int
 val flows_tracked : t -> int
-val parse_errors : t -> int
+
+val sink : t -> Planck_netsim.Sink.t option
+(** The capture endpoint {!attach} cabled to the monitor port; its
+    counters account for every frame the port delivered. *)
 
 (** {2 Subscriptions} *)
 

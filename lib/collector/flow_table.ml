@@ -30,12 +30,12 @@ let create ?(timeout = Time.ms 10) () =
 let add_on_expire t f = t.on_expire <- t.on_expire @ [ f ]
 
 let touch t ~key ~time ?max_rate ~dst_mac () =
-  match Flow_key.Table.find_opt t.entries key with
-  | Some entry ->
+  match Flow_key.Table.find t.entries key with
+  | entry ->
       entry.last_seen <- time;
       entry.dst_mac <- dst_mac;
       entry
-  | None ->
+  | exception Not_found ->
       let entry =
         {
           key;

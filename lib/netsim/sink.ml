@@ -1,55 +1,48 @@
 module Time = Planck_util.Time
-module Ring = Planck_util.Ring
+module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 module Metrics = Planck_telemetry.Metrics
 module Profile = Planck_telemetry.Profile
 
 let sp_drain = Profile.register "sink.drain"
 
-type record = { arrival : Time.t; rx : Time.t; wire : bytes; wire_size : int }
-
-type pending = { arrived : Time.t; packet : Packet.t }
-
+(* [ring] holds the accepted frames keyed by arrival time; [capacity]
+   bounds it the way the NIC ring's slot count does. *)
 type t = {
   engine : Engine.t;
-  ring : pending Ring.t;
+  ring : Packet.t Fifo.t;
+  capacity : int;
   poll_interval : Time.t;
-  consumer : record -> unit;
+  consumer : arrival:Time.t -> rx:Time.t -> Packet.t -> unit;
   poll_timer : Engine.Timer.t;
   mutable seen : int;
+  mutable drops : int;
   tel_frames : Metrics.counter;
   tel_ring_drops : Metrics.counter;
 }
 
 let drain t =
   Profile.enter sp_drain;
-  let now = Engine.now t.engine in
-  let rec loop () =
-    match Ring.pop t.ring with
-    | None -> ()
-    | Some { arrived; packet } ->
-        t.consumer
-          {
-            arrival = arrived;
-            rx = now;
-            wire = Packet.to_wire packet;
-            wire_size = packet.Packet.wire_size;
-          };
-        loop ()
-  in
-  loop ();
+  let rx = Engine.now t.engine in
+  while not (Fifo.is_empty t.ring) do
+    let arrival = Fifo.peek_key t.ring in
+    t.consumer ~arrival ~rx (Fifo.pop t.ring)
+  done;
   Profile.exit sp_drain
 
 let create engine ?(ring_capacity = 2048) ?(poll_interval = Time.us 25)
     ?(label = "") ~consumer () =
+  if ring_capacity <= 0 then invalid_arg "Sink.create: ring_capacity <= 0";
   let t =
     {
       engine;
-      ring = Ring.create ~capacity:ring_capacity;
+      ring = Fifo.create ~dummy:Packet.placeholder ();
+      capacity = ring_capacity;
       poll_interval;
       consumer;
       poll_timer = Engine.Timer.create engine ignore;
       seen = 0;
+      drops = 0;
       tel_frames = Metrics.counter ~subsystem:"sink" ~name:"frames" ~label ();
       tel_ring_drops =
         Metrics.counter ~subsystem:"sink" ~name:"ring_drops" ~label ();
@@ -59,14 +52,17 @@ let create engine ?(ring_capacity = 2048) ?(poll_interval = Time.us 25)
   t
 
 let ingress t packet =
-  let now = Engine.now t.engine in
-  if Ring.push t.ring { arrived = now; packet } then begin
+  if Fifo.length t.ring < t.capacity then begin
+    Fifo.push t.ring ~key:(Engine.now t.engine) packet;
     t.seen <- t.seen + 1;
     Metrics.Counter.incr t.tel_frames;
     if not (Engine.Timer.pending t.poll_timer) then
       Engine.Timer.reschedule t.poll_timer ~delay:t.poll_interval
   end
-  else Metrics.Counter.incr t.tel_ring_drops
+  else begin
+    t.drops <- t.drops + 1;
+    Metrics.Counter.incr t.tel_ring_drops
+  end
 
 let frames_seen t = t.seen
-let ring_drops t = Ring.drops t.ring
+let ring_drops t = t.drops

@@ -1,10 +1,9 @@
 (** Simulated network frames.
 
-    Inside the simulator a frame is this structured value; on the capture
-    path (mirrored copies delivered to a collector, pcap dumps) frames are
-    serialized to real wire bytes with {!to_wire} and parsed back with
-    {!parse}, so the collector exercises an honest parse path like the
-    netmap-based collector in the paper.
+    Inside the simulator a frame is this structured value, the mirrored
+    copies a collector reads included. Pcap dumps serialize frames to
+    real wire bytes with {!to_wire}; {!parse} reads such bytes back
+    into the identical frame.
 
     Payloads are virtual: only their length travels with the frame (the
     IPv4 [total_length] accounts for it), which keeps multi-gigabyte

@@ -49,3 +49,11 @@ let pop q =
   q.head <- (if next = Array.length q.keys then 0 else next);
   q.size <- q.size - 1;
   v
+
+let iter f q =
+  let cap = Array.length q.keys in
+  for n = 0 to q.size - 1 do
+    let i = q.head + n in
+    let i = if i >= cap then i - cap else i in
+    f q.keys.(i) q.values.(i)
+  done

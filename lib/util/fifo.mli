@@ -26,3 +26,7 @@ val peek_key : 'a t -> int
 val pop : 'a t -> 'a
 (** Remove and return the oldest value. Raises [Invalid_argument] if
     the queue is empty. *)
+
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+(** [iter f q] applies [f key v] to every entry, oldest first, without
+    removing any. *)

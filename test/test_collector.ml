@@ -10,6 +10,7 @@ module Mac = Planck_packet.Mac
 module Seq32 = Planck_packet.Seq32
 module FK = Planck_packet.Flow_key
 module Ip = Planck_packet.Ipv4_addr
+module Sink = Planck_netsim.Sink
 
 (* ---- Rate estimator ---- *)
 
@@ -296,7 +297,24 @@ let collector_vantage_pcap () =
   Alcotest.(check bool) "has samples" true (Collector.vantage_count collector > 100);
   Alcotest.(check char) "pcap magic" '\xd4' pcap.[0];
   Alcotest.(check bool) "plausible size" true
-    (String.length pcap > 24 + (Collector.vantage_count collector * 16))
+    (String.length pcap > 24 + (Collector.vantage_count collector * 16));
+  (* Pinned capture: the ring keeps the frames the monitor port
+     delivered, and dumping them must give these exact bytes. *)
+  Alcotest.(check int) "samples retained" 1441
+    (Collector.vantage_count collector);
+  Alcotest.(check string) "capture md5" "1a388d56aa179c256683efa0d4bb1d04"
+    (Digest.to_hex (Digest.string pcap))
+
+let collector_rejects_empty_vantage () =
+  let tb = single_switch () in
+  let config =
+    { Collector.default_config with Collector.vantage_capacity = 0 }
+  in
+  Alcotest.check_raises "vantage_capacity 0"
+    (Invalid_argument "Collector.create: vantage_capacity <= 0") (fun () ->
+      ignore
+        (Collector.create tb.engine ~switch:0 ~routing:tb.routing
+           ~link_rate:rate_10g ~config ()))
 
 let collector_oversubscription_samples () =
   (* Saturate 3 flows to distinct ports: 30G of mirror traffic into a
@@ -314,7 +332,19 @@ let collector_oversubscription_samples () =
     flows;
   Alcotest.(check bool) "mirror drops happened" true
     (Switch.total_mirror_drops (Fabric.switch tb.fabric 0) > 100);
-  Alcotest.(check int) "no parse errors" 0 (Collector.parse_errors collector)
+  (* Conservation once the engine has drained: every frame the monitor
+     port transmitted was either accepted by the sink or dropped at its
+     full ring, and every accepted frame reached the collector. *)
+  Engine.run tb.engine;
+  let sink = Option.get (Collector.sink collector) in
+  let sw = Fabric.switch tb.fabric 0 in
+  let monitor = Option.get (Switch.monitor_port sw) in
+  Alcotest.(check int) "accepted frames all sampled"
+    (Sink.frames_seen sink)
+    (Collector.samples_seen collector);
+  Alcotest.(check int) "monitor tx = accepted + ring drops"
+    (Switch.port_stats sw ~port:monitor).Switch.tx_packets
+    (Sink.frames_seen sink + Sink.ring_drops sink)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -342,6 +372,8 @@ let tests =
     Alcotest.test_case "link utilization" `Quick collector_link_utilization;
     Alcotest.test_case "congestion events" `Quick collector_congestion_event;
     Alcotest.test_case "vantage pcap dump" `Quick collector_vantage_pcap;
+    Alcotest.test_case "vantage capacity must be positive" `Quick
+      collector_rejects_empty_vantage;
     Alcotest.test_case "oversubscribed sampling" `Quick
       collector_oversubscription_samples;
   ]

@@ -538,7 +538,7 @@ let sink_batches () =
   let got = ref [] in
   let sink =
     Sink.create e ~ring_capacity:16 ~poll_interval:(Time.us 25)
-      ~consumer:(fun r -> got := r :: !got)
+      ~consumer:(fun ~arrival ~rx _ -> got := (arrival, rx) :: !got)
       ()
   in
   Engine.schedule e ~delay:(Time.us 10) (fun () ->
@@ -546,16 +546,16 @@ let sink_batches () =
       Sink.ingress sink (mk_tcp ~seq:1460 ()));
   Engine.run e;
   Alcotest.(check int) "both consumed" 2 (List.length !got);
-  let r = List.hd !got in
-  Alcotest.(check int) "rx at poll boundary" (Time.us 35) r.Sink.rx;
-  Alcotest.(check int) "arrival preserved" (Time.us 10) r.Sink.arrival;
+  let arrival, rx = List.hd !got in
+  Alcotest.(check int) "rx at poll boundary" (Time.us 35) rx;
+  Alcotest.(check int) "arrival preserved" (Time.us 10) arrival;
   Alcotest.(check int) "frames seen" 2 (Sink.frames_seen sink)
 
 let sink_ring_overflow () =
   let e = Engine.create () in
   let sink =
     Sink.create e ~ring_capacity:4 ~poll_interval:(Time.ms 1)
-      ~consumer:(fun _ -> ())
+      ~consumer:(fun ~arrival:_ ~rx:_ _ -> ())
       ()
   in
   Engine.schedule e ~delay:0 (fun () ->
@@ -564,6 +564,46 @@ let sink_ring_overflow () =
       done);
   Engine.run e;
   Alcotest.(check int) "ring drops counted" 6 (Sink.ring_drops sink)
+
+let sink_rejects_empty_ring () =
+  Alcotest.check_raises "ring_capacity 0"
+    (Invalid_argument "Sink.create: ring_capacity <= 0") (fun () ->
+      ignore
+        (Sink.create (Engine.create ()) ~ring_capacity:0
+           ~consumer:(fun ~arrival:_ ~rx:_ _ -> ())
+           ()))
+
+(* The mirror sample path hands the delivered frame itself to the
+   consumer: once the ring's arrays are sized, accepting and draining
+   10,000 frames stays under one minor word per frame, poll timer
+   included. *)
+let sink_drain_alloc () =
+  let e = Engine.create () in
+  let frames = 10_000 in
+  let consumed = ref 0 in
+  let sink =
+    Sink.create e ~ring_capacity:frames ~poll_interval:(Time.us 25)
+      ~consumer:(fun ~arrival:_ ~rx:_ _ -> incr consumed)
+      ()
+  in
+  let packet = mk_tcp () in
+  let fill () =
+    for _ = 1 to frames do
+      Sink.ingress sink packet
+    done;
+    Engine.run e
+  in
+  (* Warm up: the first fill sizes the ring's arrays. *)
+  fill ();
+  let before = Gc.minor_words () in
+  fill ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every frame consumed" (2 * frames) !consumed;
+  Alcotest.(check int) "no ring drops" 0 (Sink.ring_drops sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d frames" words frames)
+    true
+    (words < float_of_int frames)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -617,4 +657,7 @@ let tests =
     Alcotest.test_case "host ARP locktime" `Quick host_arp_locktime;
     Alcotest.test_case "sink poll batching" `Quick sink_batches;
     Alcotest.test_case "sink ring overflow" `Quick sink_ring_overflow;
+    Alcotest.test_case "sink rejects an empty ring" `Quick
+      sink_rejects_empty_ring;
+    Alcotest.test_case "sink drain allocation-free" `Quick sink_drain_alloc;
   ]

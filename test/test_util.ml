@@ -134,7 +134,8 @@ let heap_mixed_ops_qcheck =
 
 (* Bursts of pushes then pops against Stdlib.Queue. Uneven bursts walk
    the head around the ring, so the queue often doubles while its
-   contents wrap past the end of the arrays. *)
+   contents wrap past the end of the arrays; [iter] must walk the
+   wrapped contents in order. *)
 let fifo_matches_queue_qcheck =
   QCheck.Test.make ~name:"fifo matches Stdlib.Queue, growing while wrapped"
     ~count:300
@@ -150,6 +151,12 @@ let fifo_matches_queue_qcheck =
              | Some v -> 2 * v
              | None -> max_int)
       in
+      let same_contents () =
+        let seen = ref [] in
+        Fifo.iter (fun k v -> seen := (k, v) :: !seen) q;
+        List.rev !seen
+        = List.map (fun v -> (2 * v, v)) (List.of_seq (Queue.to_seq model))
+      in
       List.for_all
         (fun (pushes, pops) ->
           for _ = 1 to pushes do
@@ -164,7 +171,7 @@ let fifo_matches_queue_qcheck =
                && Fifo.pop q = Queue.pop model
                && pop_n (n - 1))
           in
-          pop_n pops && same_head ())
+          pop_n pops && same_head () && same_contents ())
         bursts
       && List.for_all
            (fun v -> Fifo.pop q = v)
