@@ -88,15 +88,20 @@ let queue_transient_heap =
          Heap.add heap ~key:(!now + timer_delay prng) ();
          now := heap_pop heap))
 
+(* The wheel rows schedule one-shot ids the way the engine does: an id
+   from the free list per schedule, released as it fires. *)
+let wheel_add wheel ~key = Wheel.schedule wheel (Wheel.alloc wheel) ~key
+let wheel_pop wheel = Wheel.release wheel (Wheel.take wheel)
+
 let queue_transient_wheel ~name config seed =
-  let wheel = Wheel.create ~config ~dummy:() () in
+  let wheel = Wheel.create ~config () in
   let prng = Prng.create ~seed in
   let now = ref 0 in
   Test.make ~name
     (Staged.stage (fun () ->
-         ignore (Wheel.add wheel ~key:(!now + timer_delay prng) ());
+         wheel_add wheel ~key:(!now + timer_delay prng);
          now := Wheel.next_key wheel;
-         Wheel.take wheel))
+         wheel_pop wheel))
 
 (* Steady state: the queue holds ~8k pending timers (a large testbed's
    worth of RTOs, drain polls, and sampling clocks) while events churn
@@ -115,17 +120,17 @@ let queue_steady_heap =
          Heap.add heap ~key:(!now + timer_delay prng) ()))
 
 let queue_steady_wheel ~name config seed =
-  let wheel = Wheel.create ~config ~dummy:() () in
+  let wheel = Wheel.create ~config () in
   let prng = Prng.create ~seed in
   let now = ref 0 in
   for _ = 1 to 8_192 do
-    ignore (Wheel.add wheel ~key:(timer_delay prng) ())
+    wheel_add wheel ~key:(timer_delay prng)
   done;
   Test.make ~name
     (Staged.stage (fun () ->
          now := Wheel.next_key wheel;
-         Wheel.take wheel;
-         ignore (Wheel.add wheel ~key:(!now + timer_delay prng) ())))
+         wheel_pop wheel;
+         wheel_add wheel ~key:(!now + timer_delay prng)))
 
 (* Dense tick: ~256 entries stay pending a few ns apart, inside the
    current 1.024us tick of the default wheel, over few distinct keys
@@ -148,35 +153,36 @@ let queue_dense_heap =
          Heap.add heap ~key:(!now + dense_delay prng) ()))
 
 let queue_dense_wheel =
-  let wheel = Wheel.create ~dummy:() () in
+  let wheel = Wheel.create () in
   let prng = Prng.create ~seed:6 in
   let now = ref 0 in
   for _ = 1 to dense_pending do
-    ignore (Wheel.add wheel ~key:(dense_delay prng) ())
+    wheel_add wheel ~key:(dense_delay prng)
   done;
   Test.make ~name:"event-queue dense-tick add+pop (wheel)"
     (Staged.stage (fun () ->
          now := Wheel.next_key wheel;
-         Wheel.take wheel;
-         ignore (Wheel.add wheel ~key:(!now + dense_delay prng) ())))
+         wheel_pop wheel;
+         wheel_add wheel ~key:(!now + dense_delay prng)))
 
 (* RTO churn. A TCP sender re-arms its retransmit timer on every ACK,
-   so almost no timer ever fires. The wheel cancels in O(1) and
-   compacts lazily; the pre-wheel generation-counter idiom left every
-   superseded timer in the heap as a zombie to pop and discard at its
-   original deadline. *)
+   so almost no timer ever fires. The wheel unlinks the cancelled id at
+   once; the pre-wheel generation-counter idiom left every superseded
+   timer in the heap as a zombie to pop and discard at its original
+   deadline. *)
 let rto = 200_000 (* 200us *)
 let ack_gap = 2_000 (* one ACK every 2us: ~100 zombies resident *)
 
 let churn_wheel =
-  let wheel = Wheel.create ~dummy:() () in
+  let wheel = Wheel.create () in
   let now = ref 0 in
-  let handle = ref (Wheel.add wheel ~key:rto ()) in
+  let id = Wheel.alloc wheel in
+  Wheel.schedule wheel id ~key:rto;
   Test.make ~name:"rto churn cancel+rearm (wheel)"
     (Staged.stage (fun () ->
-         ignore (Wheel.cancel wheel !handle);
+         ignore (Wheel.cancel wheel id : bool);
          now := !now + ack_gap;
-         handle := Wheel.add wheel ~key:(!now + rto) ()))
+         Wheel.schedule wheel id ~key:(!now + rto)))
 
 let churn_heap_zombies =
   let heap = Heap.create ~dummy:0 () in
@@ -217,8 +223,8 @@ let engine_timers ~name config =
 
 (* The per-frame timer rhythm (a port's serializer, a host's stack
    queue): one Engine.Timer re-armed from its own callback, so each
-   iteration is one dispatch plus an in-place re-arm of the handle that
-   just fired. *)
+   iteration is one dispatch plus a re-schedule of the id that just
+   fired. *)
 let engine_timer_rearm =
   let engine = Engine.create ~label:"bench-timer-rearm" () in
   let tm = Engine.Timer.create engine ignore in

@@ -23,8 +23,13 @@ let default_queue_config = Atomic.make Wheel.default_config
 let set_default_queue c = Atomic.set default_queue_config c
 let default_queue () = Atomic.get default_queue_config
 
+(* The queue hands out int ids; [callbacks] maps each id to what runs
+   when it fires. A one-shot id is released as it fires, so the table
+   stays as large as the most ids ever held at once. *)
 type t = {
-  queue : (unit -> unit) Wheel.t;
+  queue : Wheel.t;
+  mutable callbacks : (unit -> unit) array;
+  mutable one_shot : bool array;
   label : string;
   mutable clock : Time.t;
   mutable processed : int;
@@ -32,6 +37,10 @@ type t = {
   tel_pending_hw : Metrics.gauge;
   tel_cancelled : Metrics.counter;
 }
+
+(* Sized like the wheel's id arrays: a small testbed's set-up fills the
+   table without growing it in the major heap. *)
+let initial_ids = 512
 
 let create ?label ?queue () =
   let label =
@@ -41,17 +50,13 @@ let create ?label ?queue () =
         let id = Atomic.fetch_and_add next_engine_id 1 in
         Printf.sprintf "engine%d" id
   in
-  let tel_compactions =
-    Metrics.counter ~subsystem:"engine" ~name:"compactions" ~label ()
-  in
   let config =
     match queue with Some c -> c | None -> Atomic.get default_queue_config
   in
   {
-    queue =
-      Wheel.create ~config
-        ~on_compaction:(fun () -> Metrics.Counter.incr tel_compactions)
-        ~dummy:ignore ();
+    queue = Wheel.create ~config ();
+    callbacks = Array.make initial_ids ignore;
+    one_shot = Array.make initial_ids false;
     label;
     clock = 0;
     processed = 0;
@@ -82,52 +87,57 @@ let note_scheduled t =
     bump ()
   end
 
-let insert t ~key f =
-  let h = Wheel.add t.queue ~key f in
-  note_scheduled t;
-  h
+(* An id from the queue, with its table cells set. Ids are dense, so a
+   new one is at most the table's length. *)
+let alloc t f ~one_shot =
+  let id = Wheel.alloc t.queue in
+  if id = Array.length t.callbacks then begin
+    let n = 2 * id in
+    let callbacks = Array.make n ignore and flags = Array.make n false in
+    Array.blit t.callbacks 0 callbacks 0 id;
+    Array.blit t.one_shot 0 flags 0 id;
+    t.callbacks <- callbacks;
+    t.one_shot <- flags
+  end;
+  t.callbacks.(id) <- f;
+  t.one_shot.(id) <- one_shot;
+  id
 
 let schedule_at t ~time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  ignore (insert t ~key:time f : (unit -> unit) Wheel.handle)
+  Wheel.schedule t.queue (alloc t f ~one_shot:true) ~key:time;
+  note_scheduled t
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  ignore (insert t ~key:(t.clock + delay) f : (unit -> unit) Wheel.handle)
+  schedule_at t ~time:(t.clock + delay) f
 
 module Timer = struct
   type engine = t
 
-  (* The handle carries the one closure ever queued for this timer. It
-     starts detached (fired, in no tier); once it fires again the wheel
-     re-arms it in place, so a steady reschedule allocates nothing. *)
-  type t = {
-    engine : engine;
-    mutable callback : unit -> unit;
-    mutable handle : (unit -> unit) Wheel.handle;
-  }
+  (* The timer's id is never released: it owns one cell of the
+     callback table for the engine's lifetime. *)
+  type t = { engine : engine; id : int }
 
   let create engine callback =
-    let tm = { engine; callback; handle = Wheel.detached ignore } in
-    tm.handle <- Wheel.detached (fun () -> tm.callback ());
-    tm
+    { engine; id = alloc engine callback ~one_shot:false }
 
-  let set_callback tm f = tm.callback <- f
-  let pending tm = Wheel.is_pending tm.handle
+  let set_callback tm f = tm.engine.callbacks.(tm.id) <- f
+  let pending tm = Wheel.is_pending tm.engine.queue tm.id
 
   let cancel tm =
-    if Wheel.cancel tm.engine.queue tm.handle then
+    if Wheel.cancel tm.engine.queue tm.id then
       Metrics.Counter.incr tm.engine.tel_cancelled
 
+  (* Scheduling a pending id supersedes it, which the wheel counts as
+     a cancellation. *)
   let reschedule_at tm ~time =
-    if time < tm.engine.clock then
+    let e = tm.engine in
+    if time < e.clock then
       invalid_arg "Engine.Timer.reschedule_at: time in the past";
-    cancel tm;
-    let h = Wheel.rearm tm.engine.queue tm.handle ~key:time in
-    (* Skip the store when re-armed in place: the handle lives in the
-       major heap, and every pointer store there pays a write barrier. *)
-    if h != tm.handle then tm.handle <- h;
-    note_scheduled tm.engine
+    if Wheel.is_pending e.queue tm.id then Metrics.Counter.incr e.tel_cancelled;
+    Wheel.schedule e.queue tm.id ~key:time;
+    note_scheduled e
 
   let reschedule tm ~delay =
     if delay < 0 then invalid_arg "Engine.Timer.reschedule: negative delay";
@@ -157,26 +167,37 @@ let step_until t horizon =
   if time > horizon || (time = max_int && Wheel.is_empty t.queue) then false
   else begin
     t.clock <- time;
-    let f = Wheel.take t.queue in
+    let id = Wheel.take t.queue in
+    let f = t.callbacks.(id) in
+    if t.one_shot.(id) then begin
+      t.callbacks.(id) <- ignore;
+      Wheel.release t.queue id
+    end;
     t.processed <- t.processed + 1;
-    Metrics.Counter.incr m_events;
     Profile.enter sp_dispatch;
     f ();
     Profile.exit sp_dispatch;
     true
   end
 
-let step t = step_until t max_int
+(* The process-wide count is fed once per [step]/[run] rather than per
+   event: shard domains run their engines concurrently, and a per-event
+   add would contend on one counter cell. *)
+let step t =
+  let fired = step_until t max_int in
+  if fired then Metrics.Counter.incr m_events;
+  fired
 
 let run ?until t =
-  match until with
-  | None -> while step t do () done
+  let before = t.processed in
+  (match until with
+  | None -> while step_until t max_int do () done
   | Some horizon ->
       while step_until t horizon do () done;
-      t.clock <- horizon
+      t.clock <- horizon);
+  Metrics.Counter.add m_events (t.processed - before)
 
 let events_processed t = t.processed
 let pending t = Wheel.length t.queue
 let max_pending t = t.max_pending
 let timers_cancelled t = Wheel.total_cancelled t.queue
-let compactions t = Wheel.compactions t.queue

@@ -2,9 +2,11 @@
 
     A single-threaded event loop over a hierarchical timer wheel
     ({!Planck_util.Timer_wheel}: O(1) insert/cancel short horizon,
-    min-heap overflow). Events at equal times fire in scheduling order,
-    so the simulation is fully deterministic — the wheel preserves the
-    heap's exact (time, seq) pop order. *)
+    min-heap overflow). Every scheduled thing is an int id of the
+    wheel, and the engine keeps a callback table indexed by id. Events
+    at equal times fire in scheduling order, so the simulation is fully
+    deterministic — the wheel preserves the heap's exact (time, seq)
+    pop order. *)
 
 type t
 
@@ -36,16 +38,17 @@ val schedule : t -> delay:Planck_util.Time.t -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:Planck_util.Time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute time [time], which must
-    not be in the past. *)
+    not be in the past. The event takes a wheel id that is released
+    when it fires, so queue memory stays bounded by the most events
+    pending at once. *)
 
-(** Cancellable, reusable timers. A [Timer.t] owns a single queued
-    closure allocated at {!Timer.create}; {!Timer.reschedule} re-queues
-    that same closure, re-arming the fired wheel handle in place so a
-    steady fire-and-reschedule rhythm allocates nothing, and
-    {!Timer.cancel} is an O(1) lazy delete (the
-    wheel reclaims the slot, compacting when cancelled entries pile
-    up). This replaces the generation-counter idiom: a cancelled timer
-    leaves no zombie event to fire later. *)
+(** Cancellable, reusable timers. A [Timer.t] owns one wheel id and
+    its cell of the callback table for the engine's lifetime;
+    {!Timer.reschedule} re-queues that id, so a steady
+    fire-and-reschedule rhythm allocates nothing, and {!Timer.cancel}
+    removes it from the queue at once (O(1) from a wheel slot, O(log n)
+    from a heap tier). This replaces the generation-counter idiom: a
+    cancelled timer leaves no zombie event to fire later. *)
 module Timer : sig
   type engine = t
 
@@ -90,8 +93,8 @@ val every :
 val run : ?until:Planck_util.Time.t -> t -> unit
 (** Process events in time order. With [until], stops once the next
     event would be strictly later than [until] (and advances the clock
-    to [until]); otherwise runs until the queue drains. Cancelled
-    timers are skipped without waking the loop. *)
+    to [until]); otherwise runs until the queue drains. A cancelled
+    timer has left the queue, so it never wakes the loop. *)
 
 val step : t -> bool
 (** Process exactly one event; [false] if the queue was empty. *)
@@ -100,9 +103,9 @@ val step : t -> bool
 
     Exposed so telemetry and tests can assert on scheduler state. Each
     engine also registers instance metrics labelled with {!label}
-    ([engine.pending_high_water], [engine.timers_cancelled],
-    [engine.compactions]) plus the process-wide aggregates
-    ([engine.events_processed] counter and a monotone
+    ([engine.pending_high_water], [engine.timers_cancelled]) plus the
+    process-wide aggregates ([engine.events_processed] counter, added
+    to once as each {!step}/{!run} returns, and a monotone
     [engine.pending_high_water] gauge) in
     {!Planck_telemetry.Metrics.default}. *)
 
@@ -110,13 +113,10 @@ val events_processed : t -> int
 (** Events executed by {!step}/{!run} since creation. *)
 
 val pending : t -> int
-(** Live events currently queued (cancelled entries excluded). *)
+(** Events currently queued. *)
 
 val max_pending : t -> int
 (** High-water mark of {!pending} over the engine's lifetime. *)
 
 val timers_cancelled : t -> int
 (** Successful cancellations since creation. *)
-
-val compactions : t -> int
-(** Lazy-delete compaction sweeps since creation. *)

@@ -20,11 +20,20 @@
 
 module Time = Planck_util.Time
 module Spsc = Planck_util.Spsc
+module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 module Journal = Planck_telemetry.Journal
 
 type entry = { w : int; ts : Time.t; pkt : Packet.t }
-type chan = { q : entry Spsc.t; deliver : Packet.t -> unit }
+(* [arrivals] holds drained frames waiting for their arrival event, keyed
+   by arrival time; every such event runs the one [deliver_next], which
+   delivers the oldest. *)
+type chan = {
+  q : entry Spsc.t;
+  arrivals : Packet.t Fifo.t;
+  mutable last_ts : Time.t;
+  deliver_next : unit -> unit;
+}
 
 type barrier = {
   m : Mutex.t;
@@ -98,7 +107,10 @@ let channel g ~src ~dst ~prop_delay ~deliver =
   g.look <-
     Some (match g.look with None -> prop_delay | Some l -> min l prop_delay);
   let q = Spsc.create () in
-  g.incoming.(dst) <- g.incoming.(dst) @ [ { q; deliver } ];
+  let arrivals = Fifo.create ~dummy:Packet.placeholder () in
+  let deliver_next () = deliver (Fifo.pop arrivals) in
+  g.incoming.(dst) <-
+    g.incoming.(dst) @ [ { q; arrivals; last_ts = Time.zero; deliver_next } ];
   fun ts pkt -> Spsc.push q { w = g.rounds.(src); ts; pkt }
 
 (* The window: the lookahead bound, capped at the 10 ms chunk the
@@ -138,9 +150,13 @@ let barrier_abort b =
   Mutex.unlock b.m
 
 (* Pop every entry transmitted before round [r] and schedule its
-   arrival in this shard's wheel. Entries are popped in channel
-   registration order, then FIFO per channel — both deterministic — and
-   their timestamps are >= the shard's clock by the lookahead bound. *)
+   arrival in this shard's wheel, one event per frame. Entries are
+   popped in channel registration order, then FIFO per channel — both
+   deterministic — and their timestamps are >= the shard's clock by the
+   lookahead bound. A channel's arrival events fire in (time, seq)
+   order, which is the order its frames were queued only while arrival
+   times never decrease; one link's [now + prop_delay] guarantees
+   that, and the check keeps it so. *)
 let drain g me r =
   let eng = g.engines.(me) in
   List.iter
@@ -149,8 +165,11 @@ let drain g me r =
         match Spsc.peek c.q with
         | Some e when e.w < r ->
             ignore (Spsc.pop c.q);
-            let deliver = c.deliver and pkt = e.pkt in
-            Engine.schedule_at eng ~time:e.ts (fun () -> deliver pkt);
+            if e.ts < c.last_ts then
+              invalid_arg "Shard: arrival times decrease on a channel";
+            c.last_ts <- e.ts;
+            Fifo.push c.arrivals ~key:e.ts e.pkt;
+            Engine.schedule_at eng ~time:e.ts c.deliver_next;
             go ()
         | Some _ | None -> ()
       in

@@ -53,7 +53,11 @@ val channel :
     the frame for the [dst] shard, which schedules [deliver] in its own
     wheel at that time. Channels must all be registered before {!run}
     (wiring happens on the spawning domain). [prop_delay] must be
-    positive — it tightens the group lookahead. *)
+    positive — it tightens the group lookahead. Arrival times passed to
+    one handoff must never decrease (one link's [now + prop_delay]
+    cannot): frames are delivered in the order they were handed off,
+    and {!run} raises [Invalid_argument] if a later frame would arrive
+    earlier. *)
 
 val run :
   group ->

@@ -14,7 +14,9 @@ and entry = { key : key; data : data }
 
 and data = C of counter | G of gauge | H of histogram
 
-and counter = { c_reg : registry; mutable c_value : int }
+(* Atomic: shard domains update shared counters concurrently (the
+   engine's process-wide event count among them). *)
+and counter = { c_reg : registry; c_value : int Atomic.t }
 
 and gauge = {
   g_reg : registry;
@@ -59,7 +61,7 @@ let kind_mismatch key =
 let counter ?(registry = default) ~subsystem ~name ?(label = "") () =
   match
     register registry ~subsystem ~name ~label (fun () ->
-        C { c_reg = registry; c_value = 0 })
+        C { c_reg = registry; c_value = Atomic.make 0 })
   with
   | C c -> c
   | G _ | H _ ->
@@ -92,9 +94,11 @@ let histogram ?(registry = default) ~subsystem ~name ?(label = "") () =
       kind_mismatch { k_subsystem = subsystem; k_name = name; k_label = label }
 
 module Counter = struct
-  let add c n = if c.c_reg.on then c.c_value <- c.c_value + n
+  let add c n =
+    if c.c_reg.on then ignore (Atomic.fetch_and_add c.c_value n : int)
+
   let incr c = add c 1
-  let value c = c.c_value
+  let value c = Atomic.get c.c_value
 end
 
 module Gauge = struct
@@ -199,7 +203,7 @@ type snapshot = {
 let snapshot_entry entry =
   let value =
     match entry.data with
-    | C c -> Counter_value c.c_value
+    | C c -> Counter_value (Atomic.get c.c_value)
     | G g -> Gauge_value { value = g.g_value; max = Gauge.max_value g }
     | H h ->
         Histogram_value
@@ -232,7 +236,7 @@ let reset reg =
   Hashtbl.iter
     (fun _ entry ->
       match entry.data with
-      | C c -> c.c_value <- 0
+      | C c -> Atomic.set c.c_value 0
       | G g ->
           g.g_value <- 0.0;
           g.g_max <- neg_infinity

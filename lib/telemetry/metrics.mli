@@ -62,6 +62,8 @@ val histogram :
 
 (** {2 Updates (hot paths)} *)
 
+(** Counter updates are atomic, so shard domains may share a counter
+    without losing increments. *)
 module Counter : sig
   val incr : counter -> unit
   val add : counter -> int -> unit

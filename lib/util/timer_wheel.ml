@@ -1,52 +1,51 @@
-(* A two-level hierarchical timer wheel layered over the binary min-heap.
+(* A two-level hierarchical timer wheel over integer ids, with min-heap
+   tiers.
+
+   Every scheduled thing is an int id. Per-id parallel arrays hold its
+   key, sequence number, tier, position and chain links, so no queue
+   operation stores a pointer: in OCaml 5 every pointer store into the
+   major heap pays the write barrier, and queue entries are long-lived.
 
    The wheel serves the short horizon with O(1) insert and cancel; far
-   future entries overflow into the heap and migrate inward as the
-   cursor advances. Every entry carries a strictly increasing sequence
-   number (shared across all tiers). Entries whose tick is current sit
-   in the [due] heap, an in-place binary min-heap of handles ordered by
-   (key, seq): a slot's live entries move there when its tick becomes
-   current, and adds at or before the cursor's tick push straight onto
-   it. The global pop order is therefore exactly the heap's: ascending
-   key, FIFO among equal keys. The engine relies on that bit-identical
-   ordering for determinism.
+   future ids overflow into a heap and migrate inward as the cursor
+   advances. Every schedule takes a strictly increasing sequence number
+   (shared across all tiers). Ids whose tick is current sit in the
+   [due] heap, ordered by (key, seq): a slot's ids move there when its
+   tick becomes current, and schedules at or before the cursor's tick
+   push straight onto it. The global pop order is therefore exactly a
+   binary heap's: ascending key, FIFO among equal keys. The engine
+   relies on that bit-identical ordering for determinism.
 
    Layout (default config): ticks are [1 lsl granularity_bits] ns wide.
    Level 0 spans [1 lsl l0_bits] ticks starting at the cursor; it never
    crosses a level-1 boundary, so each L0 slot holds exactly one tick.
    Level 1 spans [1 lsl l1_bits] L0-spans; each L1 slot holds one L0
    span and cascades into level 0 when the cursor reaches it. Anything
-   beyond the L1 window goes to the overflow heap.
+   beyond the L1 window goes to the overflow heap. A slot is an
+   intrusive doubly-linked chain through [next]/[prev]; its order does
+   not matter, since every slot ends in the (key, seq)-ordered [due]
+   heap.
 
    Invariant (engine contract): keys are never below the last popped
-   key, so the cursor only moves forward. Entries at or below the
-   cursor's tick land in the [due] heap and pop before any slot.
+   key, so the cursor only moves forward. Ids at or below the cursor's
+   tick land in the [due] heap and pop before any slot.
 
-   Cancellation is lazy: handles flip to [Cancelled] in O(1) and are
-   dropped when their slot drains. When cancelled residents outnumber
-   live ones (past a floor), a compaction sweep reclaims them. *)
+   Cancellation is eager: an id is unlinked from its slot in O(1) or
+   removed from its heap in O(log n), so every resident id is
+   pending. *)
 
 type config = { granularity_bits : int; l0_bits : int; l1_bits : int }
 
 (* 1.024us ticks, ~4.2ms L0 horizon, ~17.2s L1 horizon. *)
 let default_config = { granularity_bits = 10; l0_bits = 12; l1_bits = 12 }
 
-(* Wheel disabled: every entry lives in the overflow heap. This is the
+(* Wheel disabled: every id lives in the overflow heap. This is the
    pre-wheel scheduler, kept as the equivalence/bench baseline. *)
 let heap_only = { granularity_bits = 0; l0_bits = 0; l1_bits = 0 }
 
-type state = Pending | Cancelled | Fired
-
-(* A fired handle sits in no tier, so [rearm] reuses it in place: the
-   key and seq are rewritten exactly as [add] would assign them. *)
-type 'a handle = {
-  mutable h_key : int;
-  mutable h_seq : int;
-  h_value : 'a;
-  mutable h_state : state;
-}
-
-let detached v = { h_key = 0; h_seq = 0; h_value = v; h_state = Fired }
+(* Where an id is. Constant constructors only, so a [tier array] is an
+   array of immediates and stores into it skip the write barrier. *)
+type tier = Free | Idle | Due | Over | L0 | L1
 
 (* ---- occupancy bitmaps (62 usable bits per word) ---- *)
 
@@ -104,48 +103,47 @@ let bits_next b ~from ~limit =
     bits_scan b ~limit w0 (b.(w0) land (-1 lsl (from mod bits_per_word)))
   end
 
-let bits_iter b ~limit f =
-  Array.iteri
-    (fun w word ->
-      let rec go word =
-        if word <> 0 then begin
-          let i = (w * bits_per_word) + ntz word in
-          if i < limit then f i;
-          go (word land (word - 1))
-        end
-      in
-      go word)
-    b
-
 (* ---- the wheel ---- *)
 
-type 'a t = {
+(* An indexed binary min-heap of ids by (key, seq): [ids.(0 .. n-1)],
+   with each resident id's index kept in [pos]. *)
+type heap = { mutable ids : int array; mutable n : int }
+
+type t = {
   g_bits : int;
   l0_bits : int;
   w0 : int; (* L0 slot count; 0 = wheel disabled (heap-only) *)
   w1 : int;
   mask0 : int;
   mask1 : int;
-  slots0 : 'a handle list array;
-  slots1 : 'a handle list array;
+  heads0 : int array; (* first id of each L0 slot's chain, or -1 *)
+  heads1 : int array;
   occ0 : int array;
   occ1 : int array;
-  overflow : 'a handle Heap.t;
-  sentinel : 'a handle; (* fills empty [due] and overflow cells *)
-  mutable due : 'a handle array; (* min-heap by (key, seq); ticks <= base0 *)
-  mutable n_due : int; (* [due.(0 .. n_due-1)] is the heap *)
+  due : heap; (* ticks <= base0, plus the empty-wheel singleton *)
+  over : heap;
+  (* per-id state, indexed by id *)
+  mutable key : int array;
+  mutable seq : int array;
+  mutable tier : tier array;
+  mutable pos : int array; (* heap index, or slot index *)
+  mutable next : int array; (* slot chain, or free list *)
+  mutable prev : int array; (* slot chain *)
+  mutable n_ids : int;
+  mutable free : int; (* free-list head, or -1 *)
   mutable base0 : int; (* cursor, in L0 ticks *)
   mutable base1 : int; (* cursor, in L1 ticks; always base0 lsr l0_bits *)
   mutable next_seq : int;
   mutable live : int;
-  mutable n_cancelled : int; (* cancelled entries still resident *)
   mutable n_total_cancelled : int;
-  mutable n_compactions : int;
-  on_compaction : unit -> unit;
 }
 
-let create ?(config = default_config) ?(on_compaction = fun () -> ()) ~dummy
-    () =
+(* Room for a small testbed's timers (a k=4 fat tree holds about 300)
+   without growing: past 256 ids every growth allocates in the major
+   heap, which set-up would otherwise pay for. *)
+let initial_ids = 512
+
+let create ?(config = default_config) () =
   if config.granularity_bits < 0 || config.granularity_bits > 30 then
     invalid_arg "Timer_wheel.create: granularity_bits out of range";
   if config.l0_bits < 0 || config.l0_bits > 20 then
@@ -156,7 +154,6 @@ let create ?(config = default_config) ?(on_compaction = fun () -> ()) ~dummy
     invalid_arg "Timer_wheel.create: l1_bits must be positive with a wheel";
   let w0 = if config.l0_bits = 0 then 0 else 1 lsl config.l0_bits in
   let w1 = if w0 = 0 then 0 else 1 lsl config.l1_bits in
-  let sentinel = detached dummy in
   {
     g_bits = config.granularity_bits;
     l0_bits = config.l0_bits;
@@ -164,367 +161,340 @@ let create ?(config = default_config) ?(on_compaction = fun () -> ()) ~dummy
     w1;
     mask0 = w0 - 1;
     mask1 = w1 - 1;
-    slots0 = Array.make (max 1 w0) [];
-    slots1 = Array.make (max 1 w1) [];
+    heads0 = Array.make (max 1 w0) (-1);
+    heads1 = Array.make (max 1 w1) (-1);
     occ0 = bits_create (max 1 w0);
     occ1 = bits_create (max 1 w1);
-    overflow = Heap.create ~dummy:sentinel ();
-    sentinel;
-    due = [||];
-    n_due = 0;
+    due = { ids = [||]; n = 0 };
+    over = { ids = [||]; n = 0 };
+    key = Array.make initial_ids 0;
+    seq = Array.make initial_ids 0;
+    tier = Array.make initial_ids Free;
+    pos = Array.make initial_ids 0;
+    next = Array.make initial_ids (-1);
+    prev = Array.make initial_ids (-1);
+    n_ids = 0;
+    free = -1;
     base0 = 0;
     base1 = 0;
     next_seq = 0;
     live = 0;
-    n_cancelled = 0;
     n_total_cancelled = 0;
-    n_compactions = 0;
-    on_compaction;
   }
 
 let length t = t.live
 let is_empty t = t.live = 0
-let cancelled_resident t = t.n_cancelled
 let total_cancelled t = t.n_total_cancelled
-let compactions t = t.n_compactions
-let key h = h.h_key
-let seq h = h.h_seq
-let is_pending h = match h.h_state with Pending -> true | Cancelled | Fired -> false
+let ids t = t.n_ids
 
-let[@inline] handle_before a b =
-  a.h_key < b.h_key || (a.h_key = b.h_key && a.h_seq < b.h_seq)
+let is_pending t id =
+  match t.tier.(id) with Due | Over | L0 | L1 -> true | Free | Idle -> false
 
-(* ---- the due heap ----
+(* ---- ids ---- *)
 
-   Sifts move a hole rather than swapping, so a push or a root removal
-   writes each cell once and allocates nothing beyond array growth. *)
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let rec due_sift_up a i h =
-  if i = 0 then a.(0) <- h
+let grow_ids t =
+  let n = 2 * Array.length t.key in
+  t.key <- extend t.key n 0;
+  t.seq <- extend t.seq n 0;
+  t.tier <- extend t.tier n Free;
+  t.pos <- extend t.pos n 0;
+  t.next <- extend t.next n (-1);
+  t.prev <- extend t.prev n (-1)
+
+let alloc t =
+  let id =
+    if t.free >= 0 then begin
+      let id = t.free in
+      t.free <- t.next.(id);
+      id
+    end
+    else begin
+      if t.n_ids = Array.length t.key then grow_ids t;
+      let id = t.n_ids in
+      t.n_ids <- id + 1;
+      id
+    end
+  in
+  t.tier.(id) <- Idle;
+  id
+
+let release t id =
+  match t.tier.(id) with
+  | Idle ->
+      t.tier.(id) <- Free;
+      t.next.(id) <- t.free;
+      t.free <- id
+  | Free | Due | Over | L0 | L1 ->
+      invalid_arg "Timer_wheel.release: id is not idle"
+
+(* ---- the heap tiers ----
+
+   Sifts move a hole rather than swapping, so each moved id is written
+   once, along with its new index. *)
+
+let[@inline] before t a b =
+  let ka = t.key.(a) and kb = t.key.(b) in
+  ka < kb || (ka = kb && t.seq.(a) < t.seq.(b))
+
+let[@inline] place t ids i id =
+  ids.(i) <- id;
+  t.pos.(id) <- i
+
+let rec sift_up t ids i id =
+  if i = 0 then place t ids 0 id
   else begin
     let p = (i - 1) / 2 in
-    let hp = a.(p) in
-    if handle_before h hp then begin
-      a.(i) <- hp;
-      due_sift_up a p h
+    let q = ids.(p) in
+    if before t id q then begin
+      place t ids i q;
+      sift_up t ids p id
     end
-    else a.(i) <- h
+    else place t ids i id
   end
 
-let rec due_sift_down a n i h =
+let rec sift_down t ids n i id =
   let l = (2 * i) + 1 in
-  if l >= n then a.(i) <- h
+  if l >= n then place t ids i id
   else begin
-    let c = if l + 1 < n && handle_before a.(l + 1) a.(l) then l + 1 else l in
-    let hc = a.(c) in
-    if handle_before hc h then begin
-      a.(i) <- hc;
-      due_sift_down a n c h
+    let c = if l + 1 < n && before t ids.(l + 1) ids.(l) then l + 1 else l in
+    let q = ids.(c) in
+    if before t q id then begin
+      place t ids i q;
+      sift_down t ids n c id
     end
-    else a.(i) <- h
+    else place t ids i id
   end
 
-(* Make room for one more entry. *)
-let due_reserve t =
-  if t.n_due = Array.length t.due then begin
-    let a = Array.make (max 16 (2 * t.n_due)) t.sentinel in
-    Array.blit t.due 0 a 0 t.n_due;
-    t.due <- a
+let heap_reserve h =
+  if h.n = Array.length h.ids then h.ids <- extend h.ids (max 16 (2 * h.n)) (-1)
+
+let heap_push t h tier id =
+  heap_reserve h;
+  t.tier.(id) <- tier;
+  let i = h.n in
+  h.n <- i + 1;
+  sift_up t h.ids i id
+
+(* Remove the id at index [i]: the last id fills the hole and moves up
+   or down to restore the order. *)
+let heap_remove t h i =
+  let n = h.n - 1 in
+  h.n <- n;
+  if i < n then begin
+    let last = h.ids.(n) in
+    if i > 0 && before t last h.ids.((i - 1) / 2) then sift_up t h.ids i last
+    else sift_down t h.ids n i last
   end
 
-(* Append without restoring heap order: callers heapify. *)
-let due_append t h =
-  due_reserve t;
-  t.due.(t.n_due) <- h;
-  t.n_due <- t.n_due + 1
+(* ---- the wheel slots ---- *)
 
-let due_push t h =
-  due_reserve t;
-  let i = t.n_due in
-  t.n_due <- i + 1;
-  due_sift_up t.due i h
+let slot_push t heads occ tier s id =
+  let first = heads.(s) in
+  t.next.(id) <- first;
+  t.prev.(id) <- -1;
+  if first >= 0 then t.prev.(first) <- id else bits_set occ s;
+  heads.(s) <- id;
+  t.tier.(id) <- tier;
+  t.pos.(id) <- s
 
-(* Bottom-up rebuild after bulk appends or in-place filtering: O(n). *)
-let due_heapify t =
-  for i = (t.n_due / 2) - 1 downto 0 do
-    due_sift_down t.due t.n_due i t.due.(i)
-  done
+let slot_unlink t heads occ id =
+  let s = t.pos.(id) and p = t.prev.(id) and n = t.next.(id) in
+  if n >= 0 then t.prev.(n) <- p;
+  if p >= 0 then t.next.(p) <- n
+  else begin
+    heads.(s) <- n;
+    if n < 0 then bits_clear occ s
+  end
 
-(* The last entry fills the hole, so the vacated cell keeps a duplicate
-   of a resident handle rather than pinning the removed one (only the
-   final removal leaves its handle behind, in cell 0, until the next
-   push). Clearing it would cost a write barrier per event: handles of
-   re-armed timers live in the major heap, and overwriting a major
-   pointer darkens it. *)
-let due_drop_root t =
-  let n = t.n_due - 1 in
-  t.n_due <- n;
-  if n > 0 then due_sift_down t.due n 0 t.due.(n)
-
-(* Place a handle in the tier its tick belongs to. L0 only holds ticks
+(* Place an id in the tier its tick belongs to. L0 only holds ticks
    inside the cursor's current L1 span, so an L0 slot never aliases two
    different ticks. *)
-let route t h =
-  if t.w0 = 0 then Heap.add t.overflow ~key:h.h_key h
+let route t id =
+  if t.w0 = 0 then heap_push t t.over Over id
   else begin
-    let tick = h.h_key asr t.g_bits in
-    if tick <= t.base0 then due_push t h
+    let tick = t.key.(id) asr t.g_bits in
+    if tick <= t.base0 then heap_push t t.due Due id
     else begin
       let l1 = tick asr t.l0_bits in
-      if l1 = t.base1 then begin
-        let s = tick land t.mask0 in
-        t.slots0.(s) <- h :: t.slots0.(s);
-        bits_set t.occ0 s
-      end
-      else if l1 - t.base1 < t.w1 then begin
-        let s = l1 land t.mask1 in
-        t.slots1.(s) <- h :: t.slots1.(s);
-        bits_set t.occ1 s
-      end
-      else Heap.add t.overflow ~key:h.h_key h
+      if l1 = t.base1 then
+        slot_push t t.heads0 t.occ0 L0 (tick land t.mask0) id
+      else if l1 - t.base1 < t.w1 then
+        slot_push t t.heads1 t.occ1 L1 (l1 land t.mask1) id
+      else heap_push t t.over Over id
     end
   end
 
-(* Place a handle whose key and seq were just assigned. *)
-let insert t h =
+(* Place an id whose key and seq were just assigned. *)
+let insert t id =
   t.live <- t.live + 1;
-  if t.w0 > 0 && t.live = 1 && t.n_cancelled = 0 then
-    (* Empty wheel: the sole resident entry parks directly in [due]
+  if t.w0 > 0 && t.live = 1 then
+    (* Empty wheel: the sole pending id parks directly in [due]
        (possibly ahead of the cursor — the one place that is allowed),
-       skipping the slot insert on add and the bitmap scan on pop. This
-       is the transient add/pop rhythm the engine settles into between
-       bursts, where the wheel was 3x slower than the bare heap
-       (BENCH_4). The cursor does not move, so ordering state is
+       skipping the slot insert on schedule and the bitmap scan on pop.
+       This is the transient schedule/pop rhythm the engine settles
+       into between bursts, where the wheel was 3x slower than the bare
+       heap (BENCH_4). The cursor does not move, so ordering state is
        untouched. *)
-    due_push t h
+    heap_push t t.due Due id
   else begin
     (* A parked ahead-of-cursor singleton only stays in [due] while it
        is alone; route it back through the tiers before adding a second
-       entry, restoring the [due]-holds-only-reached-ticks invariant
-       that pop ordering relies on. *)
-    if t.n_due = 1 && t.w0 > 0 then begin
-      let h0 = t.due.(0) in
-      if h0.h_key asr t.g_bits > t.base0 then begin
-        t.n_due <- 0;
-        route t h0
+       id, restoring the [due]-holds-only-reached-ticks invariant that
+       pop ordering relies on. *)
+    if t.w0 > 0 && t.due.n = 1 then begin
+      let id0 = t.due.ids.(0) in
+      if t.key.(id0) asr t.g_bits > t.base0 then begin
+        t.due.n <- 0;
+        route t id0
       end
     end;
-    route t h
+    route t id
   end
 
-let add t ~key value =
-  let h = { h_key = key; h_seq = t.next_seq; h_value = value; h_state = Pending } in
+(* Take a pending id out of its tier; it becomes idle. *)
+let unlink t id =
+  (match t.tier.(id) with
+  | Due -> heap_remove t t.due t.pos.(id)
+  | Over -> heap_remove t t.over t.pos.(id)
+  | L0 -> slot_unlink t t.heads0 t.occ0 id
+  | L1 -> slot_unlink t t.heads1 t.occ1 id
+  | Free | Idle -> invalid_arg "Timer_wheel: id is not pending");
+  t.tier.(id) <- Idle;
+  t.live <- t.live - 1
+
+let cancel t id =
+  is_pending t id
+  && begin
+       unlink t id;
+       t.n_total_cancelled <- t.n_total_cancelled + 1;
+       true
+     end
+
+let schedule t id ~key =
+  (match t.tier.(id) with
+  | Due | Over | L0 | L1 -> ignore (cancel t id : bool)
+  | Idle -> ()
+  | Free -> invalid_arg "Timer_wheel.schedule: id is released");
+  t.key.(id) <- key;
+  t.seq.(id) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  insert t h;
-  h
+  insert t id
 
-(* Drop dead entries off the overflow head so its top is a live entry;
-   returns that entry's key ([max_int] once the overflow is empty). *)
-let rec overflow_top_key t =
-  if Heap.is_empty t.overflow || is_pending (Heap.top t.overflow) then
-    Heap.top_key t.overflow
-  else begin
-    Heap.drop t.overflow;
-    t.n_cancelled <- t.n_cancelled - 1;
-    overflow_top_key t
-  end
+(* ---- advancing the cursor ---- *)
 
-(* Pull overflow entries that now fall inside the L1 window. Heap pop
-   order is (key, seq), and every tier ends in the (key, seq)-ordered
-   [due] heap, so migration cannot reorder equal keys. *)
+(* Pull overflow ids that now fall inside the L1 window. *)
 let rec migrate_overflow t =
-  let k = overflow_top_key t in
-  if
-    (not (Heap.is_empty t.overflow))
-    && (k asr t.g_bits) asr t.l0_bits < t.base1 + t.w1
-  then begin
-    let h = Heap.top t.overflow in
-    Heap.drop t.overflow;
-    route t h;
-    migrate_overflow t
+  if t.over.n > 0 then begin
+    let id = t.over.ids.(0) in
+    if (t.key.(id) asr t.g_bits) asr t.l0_bits < t.base1 + t.w1 then begin
+      heap_remove t t.over 0;
+      route t id;
+      migrate_overflow t
+    end
   end
 
-let keep_live t h =
-  match h.h_state with
-  | Pending -> true
-  | Cancelled ->
-      t.n_cancelled <- t.n_cancelled - 1;
-      false
-  | Fired -> assert false (* fired entries are never resident *)
+(* Append a slot's chain to [due] without restoring heap order. *)
+let rec append_due t id =
+  if id >= 0 then begin
+    let next = t.next.(id) in
+    let h = t.due in
+    heap_reserve h;
+    t.tier.(id) <- Due;
+    place t h.ids h.n id;
+    h.n <- h.n + 1;
+    append_due t next
+  end
 
-let rec due_append_live t = function
-  | [] -> ()
-  | h :: rest ->
-      if keep_live t h then due_append t h;
-      due_append_live t rest
+let rec route_chain t id =
+  if id >= 0 then begin
+    let next = t.next.(id) in
+    route t id;
+    route_chain t next
+  end
 
-(* Only called with [due] empty, so the slot's live entries become the
-   whole heap. *)
+(* Only called with [due] empty, so the slot's ids become the whole
+   heap, ordered by a bottom-up O(n) heapify. *)
 let drain_slot0 t ~s ~tick =
   t.base0 <- tick;
-  let entries = t.slots0.(s) in
-  t.slots0.(s) <- [];
+  let first = t.heads0.(s) in
+  t.heads0.(s) <- -1;
   bits_clear t.occ0 s;
-  due_append_live t entries;
-  due_heapify t
+  append_due t first;
+  let h = t.due in
+  for i = (h.n / 2) - 1 downto 0 do
+    sift_down t h.ids h.n i h.ids.(i)
+  done
 
 let cascade_l1 t ~s ~l1_tick =
   t.base1 <- l1_tick;
   t.base0 <- l1_tick lsl t.l0_bits;
-  let entries = t.slots1.(s) in
-  t.slots1.(s) <- [];
+  let first = t.heads1.(s) in
+  t.heads1.(s) <- -1;
   bits_clear t.occ1 s;
   migrate_overflow t;
-  List.iter (fun h -> if keep_live t h then route t h) entries
+  route_chain t first
 
-(* Advance the cursor until [due] has a live head. Returns false when
-   nothing live is left anywhere. *)
-let rec ensure_due t =
-  if t.n_due > 0 then begin
-    match t.due.(0).h_state with
-    | Pending -> true
-    | Cancelled ->
-        due_drop_root t;
-        t.n_cancelled <- t.n_cancelled - 1;
-        ensure_due t
-    | Fired -> assert false
-  end
-  else
-    t.live > 0
-    && begin
-         let r0 = t.base0 land t.mask0 in
-         let s = bits_next t.occ0 ~from:(r0 + 1) ~limit:t.w0 in
-         if s >= 0 then begin
-           drain_slot0 t ~s ~tick:((t.base1 lsl t.l0_bits) lor s);
-           ensure_due t
-         end
-         else begin
-           (* L0 exhausted: the next event is in the earliest occupied
-              L1 slot, which always precedes anything in overflow. *)
-           let r1 = t.base1 land t.mask1 in
-           let s1 =
-             match bits_next t.occ1 ~from:(r1 + 1) ~limit:t.w1 with
-             | -1 -> bits_next t.occ1 ~from:0 ~limit:r1
-             | s1 -> s1
-           in
-           if s1 >= 0 then begin
-             let delta = (s1 - r1 + t.w1) land t.mask1 in
-             cascade_l1 t ~s:s1 ~l1_tick:(t.base1 + delta);
-             ensure_due t
-           end
-           else begin
-             let k = overflow_top_key t in
-             (not (Heap.is_empty t.overflow))
-             && begin
-                  (* Jump the window to the overflow head. *)
-                  let l1 = (k asr t.g_bits) asr t.l0_bits in
-                  t.base1 <- l1;
-                  t.base0 <- l1 lsl t.l0_bits;
-                  migrate_overflow t;
-                  ensure_due t
-                end
-           end
-         end
-       end
+(* With [due] empty, advance the cursor until it is not. Returns false
+   when nothing is pending. *)
+let rec refill_due t =
+  t.live > 0
+  && begin
+          let r0 = t.base0 land t.mask0 in
+          let s = bits_next t.occ0 ~from:(r0 + 1) ~limit:t.w0 in
+          if s >= 0 then begin
+            drain_slot0 t ~s ~tick:((t.base1 lsl t.l0_bits) lor s);
+            true
+          end
+          else begin
+            (* L0 exhausted: the next id is in the earliest occupied L1
+               slot, which always precedes anything in overflow. *)
+            let r1 = t.base1 land t.mask1 in
+            let s1 =
+              match bits_next t.occ1 ~from:(r1 + 1) ~limit:t.w1 with
+              | -1 -> bits_next t.occ1 ~from:0 ~limit:r1
+              | s1 -> s1
+            in
+            if s1 >= 0 then begin
+              let delta = (s1 - r1 + t.w1) land t.mask1 in
+              cascade_l1 t ~s:s1 ~l1_tick:(t.base1 + delta);
+              t.due.n > 0 || refill_due t
+            end
+            else
+              t.over.n > 0
+              && begin
+                   (* Jump the window to the overflow head. *)
+                   let k = t.key.(t.over.ids.(0)) in
+                   let l1 = (k asr t.g_bits) asr t.l0_bits in
+                   t.base1 <- l1;
+                   t.base0 <- l1 lsl t.l0_bits;
+                   migrate_overflow t;
+                   t.due.n > 0 || refill_due t
+                 end
+          end
+        end
 
-let fire t h =
-  h.h_state <- Fired;
+let[@inline] ensure_due t = t.due.n > 0 || refill_due t
+
+let pop_root t h =
+  let id = h.ids.(0) in
+  heap_remove t h 0;
+  t.tier.(id) <- Idle;
   t.live <- t.live - 1;
-  h.h_value
+  id
 
 let empty () = invalid_arg "Timer_wheel.take: no pending entry"
 
-let rec take_heap_only t =
-  if Heap.is_empty t.overflow then empty ()
-  else begin
-    let h = Heap.top t.overflow in
-    Heap.drop t.overflow;
-    match h.h_state with
-    | Cancelled ->
-        t.n_cancelled <- t.n_cancelled - 1;
-        take_heap_only t
-    | Pending -> fire t h
-    | Fired -> assert false
-  end
-
 let take t =
-  if t.w0 = 0 then take_heap_only t
-  else if ensure_due t then begin
-    let h = t.due.(0) in
-    due_drop_root t;
-    fire t h
-  end
+  if t.w0 = 0 then if t.over.n = 0 then empty () else pop_root t t.over
+  else if ensure_due t then pop_root t t.due
   else empty ()
 
 let next_key t =
-  if t.w0 = 0 then overflow_top_key t
-  else if ensure_due t then t.due.(0).h_key
+  if t.w0 = 0 then if t.over.n = 0 then max_int else t.key.(t.over.ids.(0))
+  else if ensure_due t then t.key.(t.due.ids.(0))
   else max_int
-
-(* Sweep cancelled residents out of every tier. The [due] heap is
-   filtered in place and re-heapified. The overflow heap is rebuilt by
-   draining in (key, seq) order and re-adding survivors, so their
-   relative order — including equal-key FIFO — is preserved. *)
-let compact t =
-  t.n_compactions <- t.n_compactions + 1;
-  let kept = ref 0 in
-  for i = 0 to t.n_due - 1 do
-    let h = t.due.(i) in
-    if keep_live t h then begin
-      t.due.(!kept) <- h;
-      incr kept
-    end
-  done;
-  Array.fill t.due !kept (t.n_due - !kept) t.sentinel;
-  t.n_due <- !kept;
-  due_heapify t;
-  if t.w0 > 0 then begin
-    bits_iter t.occ0 ~limit:t.w0 (fun s ->
-        let kept = List.filter (keep_live t) t.slots0.(s) in
-        t.slots0.(s) <- kept;
-        match kept with [] -> bits_clear t.occ0 s | _ :: _ -> ());
-    bits_iter t.occ1 ~limit:t.w1 (fun s ->
-        let kept = List.filter (keep_live t) t.slots1.(s) in
-        t.slots1.(s) <- kept;
-        match kept with [] -> bits_clear t.occ1 s | _ :: _ -> ())
-  end;
-  let rec drain acc =
-    if Heap.is_empty t.overflow then List.rev acc
-    else begin
-      let h = Heap.top t.overflow in
-      Heap.drop t.overflow;
-      drain (if keep_live t h then h :: acc else acc)
-    end
-  in
-  List.iter (fun h -> Heap.add t.overflow ~key:h.h_key h) (drain []);
-  t.on_compaction ()
-
-let compaction_floor = 64
-
-let cancel t h =
-  match h.h_state with
-  | Cancelled | Fired -> false
-  | Pending ->
-      h.h_state <- Cancelled;
-      t.live <- t.live - 1;
-      t.n_cancelled <- t.n_cancelled + 1;
-      t.n_total_cancelled <- t.n_total_cancelled + 1;
-      if t.n_cancelled > compaction_floor && t.n_cancelled > t.live then
-        compact t;
-      true
-
-let rearm t h ~key =
-  match h.h_state with
-  | Fired ->
-      h.h_key <- key;
-      h.h_seq <- t.next_seq;
-      h.h_state <- Pending;
-      t.next_seq <- t.next_seq + 1;
-      insert t h;
-      h
-  | Pending ->
-      ignore (cancel t h : bool);
-      add t ~key h.h_value
-  | Cancelled ->
-      (* Possibly still resident in a tier: it cannot be reused. *)
-      add t ~key h.h_value

@@ -1,10 +1,18 @@
-(** A hierarchical timer wheel layered over the binary min-heap.
+(** A hierarchical timer wheel over integer ids, with min-heap tiers.
 
     The event-queue behind {!Engine}: O(1) insert and cancel for the
     short horizon (two wheel levels), with a min-heap overflow tier for
-    the far future. Pop order is exactly {!Heap}'s — ascending key,
-    strict FIFO among equal keys — across all tiers, so swapping the
-    wheel in for the bare heap changes no event ordering.
+    the far future. Pop order is exactly a binary heap's — ascending
+    key, strict FIFO among equal keys — across all tiers, so swapping
+    the wheel in for the bare heap changes no event ordering.
+
+    Every scheduled thing is an [int] id handed out by {!alloc}. The
+    wheel keeps each id's key, sequence number and tier position in
+    parallel [int] arrays, so scheduling, cancelling and popping store
+    no pointers and allocate nothing beyond array growth. A caller maps
+    ids to payloads itself (the engine keeps a callback table). An id
+    is in one of three states: released (on the free list), idle
+    (allocated, not scheduled) or pending.
 
     Keys must never go below the last popped key (the engine's clock
     guarantees this); behaviour is still total for smaller keys, which
@@ -23,72 +31,59 @@ val heap_only : config
 (** Wheel disabled: a plain min-heap. The pre-wheel scheduler, kept as
     the equivalence-test and benchmark baseline. *)
 
-type 'a t
+type t
 
-type 'a handle
-(** A scheduled entry. Exactly one of: pending, cancelled, fired. *)
+val create : ?config:config -> unit -> t
+(** Raises [Invalid_argument] on out-of-range config. *)
 
-val create :
-  ?config:config -> ?on_compaction:(unit -> unit) -> dummy:'a -> unit -> 'a t
-(** [on_compaction] fires after each lazy-delete compaction sweep (for
-    telemetry). [dummy] is the value of the wheel's internal sentinel
-    handle, which fills empty cells; it never fires. Raises
-    [Invalid_argument] on out-of-range config. *)
+val alloc : t -> int
+(** An idle id: the most recently released one, else a fresh one (ids
+    are dense from 0, so the id arrays grow only when every id handed
+    out so far is in use). *)
 
-val length : 'a t -> int
-(** Live (pending) entries; cancelled residents are not counted. *)
+val release : t -> int -> unit
+(** Return an idle id to the free list. Raises [Invalid_argument] if
+    the id is pending or already released. *)
 
-val is_empty : 'a t -> bool
+val schedule : t -> int -> key:int -> unit
+(** Make [id] pending at priority [key] (nanoseconds), taking a fresh
+    sequence number: among equal keys it pops after everything
+    scheduled before it. A pending id is first removed, which counts
+    as a cancellation. O(1) into a future tick of the wheel horizon;
+    O(log n) into the current tick's due heap or the overflow tier.
+    Raises [Invalid_argument] on a released id. *)
 
-val add : 'a t -> key:int -> 'a -> 'a handle
-(** Insert with priority [key] (nanoseconds). O(1) into a future tick
-    of the wheel horizon; O(log n) into the current tick's due heap or
-    the overflow tier. *)
+val cancel : t -> int -> bool
+(** Remove a pending id: O(1) from a wheel slot, O(log n) from a heap
+    tier. It becomes idle. Returns [false] (and does nothing) if the id
+    was not pending. *)
 
-val detached : 'a -> 'a handle
-(** A fired handle carrying [v] that sits in no wheel: the starting
-    point for a reusable timer, which {!rearm} schedules. *)
+val is_pending : t -> int -> bool
 
-val rearm : 'a t -> 'a handle -> key:int -> 'a handle
-(** Schedule [h]'s value again at [key], taking a fresh seq exactly as
-    {!add} does, so pop order matches [add t ~key v]. A fired handle is
-    reused in place and returned: no allocation. A pending handle is
-    cancelled first, and a cancelled one may still be resident in a
-    tier; both get a new handle. Callers keep the returned handle. *)
+val length : t -> int
+(** Pending ids. *)
 
-val cancel : 'a t -> 'a handle -> bool
-(** Lazy-delete: O(1) state flip; the entry is reclaimed when its slot
-    drains, or by a compaction sweep once cancelled residents outnumber
-    live entries (past a small floor). Returns [false] if the handle
-    was already cancelled or had fired. *)
+val is_empty : t -> bool
 
-val is_pending : 'a handle -> bool
+val next_key : t -> int
+(** Key of the next pending id, or [max_int] if none is pending (a
+    pending id keyed [max_int] reads the same; check {!is_empty} when
+    that matters). May advance internal cursors; never changes pop
+    order. Allocates nothing. *)
 
-val key : 'a handle -> int
-
-val seq : 'a handle -> int
-(** Insertion sequence number (the FIFO tie-break among equal keys). *)
-
-val next_key : 'a t -> int
-(** Key of the next live entry, or [max_int] if none are pending (a
-    pending entry keyed [max_int] reads the same; check {!is_empty}
-    when that matters). May advance internal cursors; never changes
-    pop order. Allocates nothing. *)
-
-val take : 'a t -> 'a
-(** Remove the next live entry and return its value; its key is what
+val take : t -> int
+(** Remove the next pending id and return it, idle; its key is what
     {!next_key} read just before. Order: minimum key, FIFO among equal
-    keys. Cancelled entries are skipped and reclaimed. Allocates
-    nothing with a wheel configured. Raises [Invalid_argument] if no
-    entry is pending. *)
+    keys. Allocates nothing. Raises [Invalid_argument] if no id is
+    pending. *)
 
 (** {2 Introspection} — feeds per-engine telemetry and tests. *)
 
-val cancelled_resident : 'a t -> int
-(** Cancelled entries not yet reclaimed. *)
+val total_cancelled : t -> int
+(** Pending ids removed without firing ({!cancel}, or {!schedule} of a
+    pending id) since creation. *)
 
-val total_cancelled : 'a t -> int
-(** Successful {!cancel} calls since creation. *)
-
-val compactions : 'a t -> int
-(** Compaction sweeps since creation. *)
+val ids : t -> int
+(** Distinct ids handed out since creation: the extent of the id
+    arrays in use. With ids released as they fire, it stays at the
+    high-water mark of ids held at once. *)

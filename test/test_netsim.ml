@@ -121,28 +121,42 @@ let engine_timer_reschedule_supersedes () =
     "chained fires" [ Time.us 100; Time.us 50; Time.us 30 ]
     !log
 
-(* A fired timer is re-armed in place: 10,000 fire-and-re-arm rounds
-   (the per-frame rhythm of a port's serializer timer) stay under one
-   minor word per re-arm, dispatch included. *)
+(* Neither the timer rhythm nor one-shot events allocate per event.
+   100,000 fire-and-re-arm rounds of one Engine.Timer (the per-frame
+   rhythm of a port's serializer timer), then 100,000 one-shot
+   [schedule_at]s of one preallocated closure (a cross-shard arrival's
+   shape), each scheduling the next: under one minor word per event,
+   dispatch included, once the first round has sized the queue. *)
 let engine_timer_rearm_alloc () =
   let e = Engine.create () in
-  let rounds = 10_000 in
+  let rounds = 100_000 in
   let fired = ref 0 in
   let t = Engine.Timer.create e ignore in
   Engine.Timer.set_callback t (fun () ->
       incr fired;
       if !fired < rounds then Engine.Timer.reschedule t ~delay:(Time.ns 100));
-  (* Warm up: the first arm sizes the wheel's arrays. *)
-  Engine.Timer.reschedule t ~delay:(Time.ns 100);
-  ignore (Engine.step e : bool);
-  let before = Gc.minor_words () in
-  Engine.run e;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "every round fired" rounds !fired;
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f words over %d re-arms" words (rounds - 1))
-    true
-    (words < float_of_int (rounds - 1))
+  let shots = ref 0 in
+  let rec shot () =
+    incr shots;
+    if !shots < rounds then
+      Engine.schedule_at e ~time:(Engine.now e + Time.ns 100) shot
+  in
+  let measure ~label ~count start =
+    start ();
+    ignore (Engine.step e : bool);
+    let before = Gc.minor_words () in
+    Engine.run e;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) (label ^ ": every round fired") rounds !count;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words over %d events" label words (rounds - 1))
+      true
+      (words < float_of_int (rounds - 1))
+  in
+  measure ~label:"timer re-arm" ~count:fired (fun () ->
+      Engine.Timer.reschedule t ~delay:(Time.ns 100));
+  measure ~label:"one-shot schedule_at" ~count:shots (fun () ->
+      Engine.schedule e ~delay:(Time.ns 100) shot)
 
 let engine_timer_periodic () =
   let e = Engine.create () in

@@ -242,6 +242,89 @@ let delivery_exactly_at_lookahead_horizon () =
   Alcotest.(check int) "clocks end equal" (Time.us 30)
     (Engine.now (Shard.engine g 1))
 
+(* Frames on one channel are delivered in the order they were handed
+   off, each at its own arrival time: several at one instant, one
+   mid-window, and others in later windows. A handoff whose arrival
+   times go backwards is refused, since delivery order would then
+   differ from arrival order. *)
+let seq_pkt seq =
+  P.tcp ~src_mac:(Mac.host 0) ~dst_mac:(Mac.host 1) ~src_ip:(Ip.host 0)
+    ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq ~ack_seq:0
+    ~flags:H.Tcp_flags.ack ~payload_len:64 ()
+
+let seq_of p =
+  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+
+let channel_arrivals_in_order () =
+  let g = Shard.create ~shards:2 in
+  let e0 = Shard.engine g 0 and e1 = Shard.engine g 1 in
+  let got = ref [] in
+  let send =
+    Shard.channel g ~src:0 ~dst:1 ~prop_delay:(Time.us 2) ~deliver:(fun p ->
+        got := (seq_of p, Engine.now e1) :: !got)
+  in
+  let send_at time seqs =
+    Engine.schedule_at e0 ~time (fun () ->
+        List.iter (fun seq -> send (Engine.now e0 + Time.us 2) (seq_pkt seq)) seqs)
+  in
+  send_at 0 [ 1; 2; 3 ];
+  send_at (Time.us 1) [ 4 ];
+  send_at (Time.us 5) [ 5; 6 ];
+  send_at (Time.us 11) [ 7 ];
+  Shard.run g ~horizon:(Time.us 30) ~local_done:(fun _ -> false);
+  Alcotest.(check (list (pair int int)))
+    "handoff order, each at its arrival time"
+    [
+      (1, Time.us 2); (2, Time.us 2); (3, Time.us 2); (4, Time.us 3);
+      (5, Time.us 7); (6, Time.us 7); (7, Time.us 13);
+    ]
+    (List.rev !got);
+  let g = Shard.create ~shards:2 in
+  let send =
+    Shard.channel g ~src:0 ~dst:1 ~prop_delay:(Time.us 2) ~deliver:ignore
+  in
+  Engine.schedule (Shard.engine g 0) ~delay:0 (fun () ->
+      send (Time.us 5) (seq_pkt 1);
+      send (Time.us 4) (seq_pkt 2));
+  Alcotest.check_raises "decreasing arrival times refused"
+    (Invalid_argument "Shard: arrival times decrease on a channel") (fun () ->
+      Shard.run g ~horizon:(Time.us 30) ~local_done:(fun _ -> false))
+
+(* The process-wide event count is fed once per engine run, not per
+   event: with two shard domains running their engines concurrently,
+   the aggregate must still equal the sum of the per-engine counts. *)
+let aggregate_events_exact () =
+  let module Metrics = Planck_telemetry.Metrics in
+  let was = Metrics.enabled Metrics.default in
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset Metrics.default;
+      Metrics.set_enabled Metrics.default was)
+    (fun () ->
+      let g = Shard.create ~shards:2 in
+      (* An idle 1us link makes 1us windows: 5,000 rounds, in each of
+         which both shards run ticks. *)
+      ignore
+        (Shard.channel g ~src:0 ~dst:1 ~prop_delay:(Time.us 1) ~deliver:ignore
+          : Time.t -> P.t -> unit);
+      for s = 0 to 1 do
+        ignore
+          (Engine.periodic (Shard.engine g s) ~period:(Time.ns 50) ignore
+            : Engine.Timer.t)
+      done;
+      Shard.run g ~horizon:(Time.ms 5) ~local_done:(fun _ -> false);
+      let per_engine =
+        List.init 2 (fun s -> Engine.events_processed (Shard.engine g s))
+      in
+      Alcotest.(check int) "every shard ran its ticks" 200_000
+        (List.fold_left ( + ) 0 per_engine);
+      Alcotest.(check int) "aggregate counter is the sum of the engines"
+        (List.fold_left ( + ) 0 per_engine)
+        (Metrics.Counter.value
+           (Metrics.counter ~subsystem:"engine" ~name:"events_processed" ())))
+
 (* ---- journal merge determinism ---- *)
 
 let marker name = Journal.Phase_marker { name; detail = "" }
@@ -444,6 +527,10 @@ let tests =
     Alcotest.test_case "group construction validates" `Quick group_validation;
     Alcotest.test_case "empty shard advances by pure lookahead" `Quick
       empty_shard_pure_advance;
+    Alcotest.test_case "channel delivers in handoff order" `Quick
+      channel_arrivals_in_order;
+    Alcotest.test_case "aggregate event count exact" `Quick
+      aggregate_events_exact;
     Alcotest.test_case "delivery exactly at the lookahead horizon" `Quick
       delivery_exactly_at_lookahead_horizon;
     Alcotest.test_case "merge orders by (time, shard)" `Quick

@@ -233,22 +233,30 @@ let wheel_small_config =
   { Wheel.granularity_bits = 5; l0_bits = 4; l1_bits = 3 }
 
 (* Scheduler equivalence: one random event program (adds across every
-   delay magnitude, cancels, re-arms, pops) replayed against a reference
-   model and every queue geometry — default wheel, a tiny cascade-heavy
-   wheel, and heap-only. All four must produce identical pop order
-   (key AND value, i.e. the FIFO tie-break) and identical cancel and
-   re-arm outcomes, or the wheel is not a drop-in for the heap. *)
+   delay magnitude, cancels, reschedules, releases, pops) replayed
+   against a reference model and every queue geometry — default wheel,
+   a tiny cascade-heavy wheel, and heap-only. All four must produce
+   identical pop order (key AND slot, i.e. the FIFO tie-break),
+   identical cancel and release outcomes and identical final counts,
+   or the wheel is not a drop-in for the heap. *)
 type wheel_trace =
   | Popped of (int * int) option
   | Cancelled_ok of bool
-  | Reused of bool (* did the re-arm keep the same handle? *)
+  | Released_ok of bool
+  | Counts of int * int (* length, total_cancelled *)
 
 (* (tag, n): tags 0-5 and 10/11 add with a tag-dependent delay, 6/7/9
-   pop, 8 cancels the (n mod adds)-th slot. Each add opens a slot whose
-   value is the slot number; re-arms reschedule a slot's handle at a
-   fresh seq: 12 re-arms slot (n mod adds) whatever its state (pending,
-   cancelled or fired), 13 pops and re-arms the fired entry as its own
-   firing callback would, 14 cancels a slot and then re-arms it. *)
+   pop, 8 cancels the (n mod adds)-th slot. Each add allocates an id
+   for a new slot. The timer-shaped tags reschedule a slot's id at a
+   fresh seq: 12 reschedules slot (n mod adds) whatever its state
+   (pending: superseded, counted as a cancel; idle: armed again), 13
+   pops and reschedules the fired slot as its own firing callback
+   would, 14 cancels a slot and then reschedules it. The one-shot tags
+   release ids: 15 pops, releases the fired slot's id (as the engine
+   does for a one-shot event) and adds a new slot, which reuses it; 16
+   releases slot (n mod adds), refused unless it is idle. A released
+   slot is never touched again, since its id may now be another
+   slot's. *)
 let is_add_tag tag = (tag >= 0 && tag <= 5) || tag = 10 || tag = 11
 
 let wheel_spread_gen =
@@ -266,19 +274,23 @@ let wheel_dense_gen =
       Gen.(int_range 200 800)
       (pair (frequencyl [ (5, 10); (2, 11); (3, 6); (1, 8) ]) (int_bound 10_000)))
 
-let wheel_rearm_gen =
-  (* Timer-shaped programs: a few slots re-armed over and over, from
-     their own firing, after a cancel and while still pending. *)
+let wheel_timer_gen =
+  (* Timer-shaped programs: a few slots rescheduled over and over, from
+     their own firing, after a cancel and while still pending, mixed
+     with one-shot ids released as they fire and reused. *)
   QCheck.(
     list_of_size
       Gen.(int_range 20 300)
       (pair
          (frequencyl
-            [ (3, 0); (2, 4); (2, 5); (3, 6); (1, 8); (3, 12); (4, 13); (2, 14) ])
+            [
+              (3, 0); (2, 4); (2, 5); (3, 6); (1, 8); (3, 12); (4, 13); (2, 14);
+              (3, 15); (1, 16);
+            ])
          (int_bound 10_000)))
 
 let wheel_program_gen =
-  QCheck.choose [ wheel_spread_gen; wheel_dense_gen; wheel_rearm_gen ]
+  QCheck.choose [ wheel_spread_gen; wheel_dense_gen; wheel_timer_gen ]
 
 let wheel_delay tag n =
   match tag with
@@ -298,60 +310,99 @@ let wheel_pop w =
   | key -> Some (key, Wheel.take w)
 
 let run_wheel_program config program =
-  let w = Wheel.create ~config ~dummy:(-1) () in
-  let slots = Hashtbl.create 64 in
+  let w = Wheel.create ~config () in
+  let id_of = Hashtbl.create 64 and slot_of = Hashtbl.create 64 in
+  let released = Hashtbl.create 64 in
   let n_slots = ref 0 in
   let now = ref 0 in
   let trace = ref [] in
+  let add delay =
+    let id = Wheel.alloc w in
+    Hashtbl.replace id_of !n_slots id;
+    Hashtbl.replace slot_of id !n_slots;
+    Wheel.schedule w id ~key:(!now + delay);
+    incr n_slots
+  in
   let pop () =
-    let r = wheel_pop w in
-    (match r with Some (key, _) -> now := key | None -> ());
+    let r =
+      match wheel_pop w with
+      | None -> None
+      | Some (key, id) ->
+          now := key;
+          Some (key, Hashtbl.find slot_of id)
+    in
     trace := Popped r :: !trace;
     r
   in
-  let rearm slot n =
-    let h = Hashtbl.find slots slot in
-    let h' = Wheel.rearm w h ~key:(!now + rearm_delay n) in
-    Hashtbl.replace slots slot h';
-    trace := Reused (h' == h) :: !trace
+  let live slot = not (Hashtbl.mem released slot) in
+  let reschedule slot n =
+    if live slot then
+      Wheel.schedule w (Hashtbl.find id_of slot) ~key:(!now + rearm_delay n)
   in
   let cancel slot =
-    trace := Cancelled_ok (Wheel.cancel w (Hashtbl.find slots slot)) :: !trace
+    let ok = live slot && Wheel.cancel w (Hashtbl.find id_of slot) in
+    trace := Cancelled_ok ok :: !trace
+  in
+  let release slot =
+    let ok =
+      live slot
+      &&
+      match Wheel.release w (Hashtbl.find id_of slot) with
+      | () ->
+          Hashtbl.replace released slot ();
+          true
+      | exception Invalid_argument _ -> false
+    in
+    trace := Released_ok ok :: !trace
   in
   List.iter
     (fun (tag, n) ->
       match tag with
-      | _ when is_add_tag tag ->
-          Hashtbl.replace slots !n_slots
-            (Wheel.add w ~key:(!now + wheel_delay tag n) !n_slots);
-          incr n_slots
-      | (8 | 12 | 14) when !n_slots = 0 -> ()
+      | _ when is_add_tag tag -> add (wheel_delay tag n)
+      | (8 | 12 | 14 | 16) when !n_slots = 0 -> ()
       | 8 -> cancel (n mod !n_slots)
-      | 12 -> rearm (n mod !n_slots) n
+      | 12 -> reschedule (n mod !n_slots) n
       | 13 -> (
-          match pop () with Some (_, slot) -> rearm slot n | None -> ())
+          match pop () with Some (_, slot) -> reschedule slot n | None -> ())
       | 14 ->
           cancel (n mod !n_slots);
-          rearm (n mod !n_slots) n
+          reschedule (n mod !n_slots) n
+      | 15 -> (
+          match pop () with
+          | Some (_, slot) ->
+              release slot;
+              add (rearm_delay n)
+          | None -> ())
+      | 16 -> release (n mod !n_slots)
       | _ -> ignore (pop ()))
     program;
+  trace := Counts (Wheel.length w, Wheel.total_cancelled w) :: !trace;
   while not (Wheel.is_empty w) do
     ignore (pop ())
   done;
   ignore (pop ());
   List.rev !trace
 
-(* The reference: every slot's current entry, with the same three-state
-   lifecycle as a wheel handle and an explicit (key, seq) order. *)
+(* The reference: every slot's (key, seq, state), with an explicit
+   (key, seq) order. *)
 let run_model_program program =
   let slots = Hashtbl.create 64 in
   let n_slots = ref 0 in
   let next_seq = ref 0 in
   let now = ref 0 in
+  let cancels = ref 0 in
   let trace = ref [] in
   let enter slot key =
     Hashtbl.replace slots slot (key, !next_seq, ref `Pending);
     incr next_seq
+  in
+  let add delay =
+    enter !n_slots (!now + delay);
+    incr n_slots
+  in
+  let state slot =
+    let _, _, state = Hashtbl.find slots slot in
+    state
   in
   let pop () =
     let best =
@@ -367,42 +418,63 @@ let run_model_program program =
       match best with
       | None -> None
       | Some (key, _, slot, state) ->
-          state := `Fired;
+          state := `Idle;
           now := key;
           Some (key, slot)
     in
     trace := Popped r :: !trace;
     r
   in
-  let rearm slot n =
-    let _, _, state = Hashtbl.find slots slot in
-    let reused = !state = `Fired in
-    if !state = `Pending then state := `Cancelled;
-    enter slot (!now + rearm_delay n);
-    trace := Reused reused :: !trace
+  let reschedule slot n =
+    match !(state slot) with
+    | `Released -> ()
+    | `Pending ->
+        incr cancels;
+        enter slot (!now + rearm_delay n)
+    | `Idle -> enter slot (!now + rearm_delay n)
   in
   let cancel slot =
-    let _, _, state = Hashtbl.find slots slot in
+    let state = state slot in
     let ok = !state = `Pending in
-    if ok then state := `Cancelled;
+    if ok then begin
+      state := `Idle;
+      incr cancels
+    end;
     trace := Cancelled_ok ok :: !trace
+  in
+  let release slot =
+    let state = state slot in
+    let ok = !state = `Idle in
+    if ok then state := `Released;
+    trace := Released_ok ok :: !trace
   in
   List.iter
     (fun (tag, n) ->
       match tag with
-      | _ when is_add_tag tag ->
-          enter !n_slots (!now + wheel_delay tag n);
-          incr n_slots
-      | (8 | 12 | 14) when !n_slots = 0 -> ()
+      | _ when is_add_tag tag -> add (wheel_delay tag n)
+      | (8 | 12 | 14 | 16) when !n_slots = 0 -> ()
       | 8 -> cancel (n mod !n_slots)
-      | 12 -> rearm (n mod !n_slots) n
+      | 12 -> reschedule (n mod !n_slots) n
       | 13 -> (
-          match pop () with Some (_, slot) -> rearm slot n | None -> ())
+          match pop () with Some (_, slot) -> reschedule slot n | None -> ())
       | 14 ->
           cancel (n mod !n_slots);
-          rearm (n mod !n_slots) n
+          reschedule (n mod !n_slots) n
+      | 15 -> (
+          match pop () with
+          | Some (_, slot) ->
+              release slot;
+              add (rearm_delay n)
+          | None -> ())
+      | 16 -> release (n mod !n_slots)
       | _ -> ignore (pop ()))
     program;
+  let pending =
+    Hashtbl.fold
+      (fun _ (_, _, state) acc -> if !state = `Pending then acc + 1 else acc)
+      slots 0
+  in
+  trace := Counts (pending, !cancels) :: !trace;
   while pop () <> None do
     ()
   done;
@@ -417,41 +489,94 @@ let wheel_equivalence_qcheck =
         (fun config -> run_wheel_program config program = reference)
         [ Wheel.default_config; wheel_small_config; Wheel.heap_only ])
 
-let wheel_cancel_compaction () =
-  let w = Wheel.create ~dummy:() () in
-  let keep = Wheel.add w ~key:500_000 () in
-  let hs = List.init 200 (fun i -> Wheel.add w ~key:(1_000 * (i + 1)) ()) in
-  Alcotest.(check int) "seq is insertion order" 0 (Wheel.seq keep);
-  Alcotest.(check int) "key recorded" 500_000 (Wheel.key keep);
+(* Eager cancel: a cancelled id leaves the queue at once, in every
+   tier, and only a pending id can be cancelled; an id is released only
+   when idle, and the free list hands it out again. *)
+let wheel_cancel_lifecycle () =
+  let w = Wheel.create () in
+  let add key =
+    let id = Wheel.alloc w in
+    Wheel.schedule w id ~key;
+    id
+  in
+  let keep = add 500_000 in
+  (* The due heap, L0 slots, L1 slots and the overflow heap. *)
+  let ids =
+    List.init 200 (fun i ->
+        add
+          (match i mod 4 with
+          | 0 -> i
+          | 1 -> 10_000 * i
+          | 2 -> 10_000_000 * i
+          | _ -> 100_000_000_000 + i))
+  in
+  Alcotest.(check int) "all pending" 201 (Wheel.length w);
   List.iter
-    (fun h -> Alcotest.(check bool) "cancel live" true (Wheel.cancel w h))
-    hs;
+    (fun id -> Alcotest.(check bool) "cancel pending" true (Wheel.cancel w id))
+    ids;
   Alcotest.(check bool) "double cancel refused" false
-    (Wheel.cancel w (List.hd hs));
-  Alcotest.(check int) "one live entry" 1 (Wheel.length w);
+    (Wheel.cancel w (List.hd ids));
+  Alcotest.(check int) "one pending id" 1 (Wheel.length w);
   Alcotest.(check int) "total cancelled" 200 (Wheel.total_cancelled w);
-  Alcotest.(check bool) "lazy deletes were compacted" true
-    (Wheel.compactions w > 0);
-  Alcotest.(check bool) "survivor pending" true (Wheel.is_pending keep);
+  Alcotest.(check bool) "survivor pending" true (Wheel.is_pending w keep);
   Alcotest.(check int) "survivor is next" 500_000 (Wheel.next_key w);
-  Wheel.take w;
-  Alcotest.(check bool) "fired is not pending" false (Wheel.is_pending keep);
+  Alcotest.(check int) "take returns the survivor" keep (Wheel.take w);
+  Alcotest.(check bool) "fired is not pending" false (Wheel.is_pending w keep);
   Alcotest.(check bool) "cancel after fire refused" false (Wheel.cancel w keep);
   Alcotest.(check int) "drained reads max_int" max_int (Wheel.next_key w);
+  Alcotest.(check bool) "empty" true (Wheel.is_empty w);
   Alcotest.check_raises "take on empty"
     (Invalid_argument "Timer_wheel.take: no pending entry") (fun () ->
-      Wheel.take w);
-  Alcotest.(check int) "no cancelled residents left" 0
-    (Wheel.cancelled_resident w)
+      ignore (Wheel.take w : int));
+  (* A pending id cannot be released; an idle one can, once. *)
+  let pending = add 1_000 in
+  Alcotest.check_raises "release of a pending id"
+    (Invalid_argument "Timer_wheel.release: id is not idle") (fun () ->
+      Wheel.release w pending);
+  Wheel.release w keep;
+  Alcotest.check_raises "double release"
+    (Invalid_argument "Timer_wheel.release: id is not idle") (fun () ->
+      Wheel.release w keep);
+  Alcotest.check_raises "schedule of a released id"
+    (Invalid_argument "Timer_wheel.schedule: id is released") (fun () ->
+      Wheel.schedule w keep ~key:2_000);
+  Alcotest.(check int) "the free list hands it out again" keep (Wheel.alloc w);
+  Alcotest.(check int) "no id beyond the ones handed out" 202 (Wheel.ids w);
+  Alcotest.(check int) "total cancelled unchanged" 200
+    (Wheel.total_cancelled w)
+
+(* One-shot ids released as they fire keep the id arrays at the most
+   ids ever pending at once: a sliding window of 50 pending one-shots,
+   each fire scheduling the next, over 100,000 fires. *)
+let wheel_ids_bounded () =
+  let w = Wheel.create () in
+  let window = 50 in
+  for i = 1 to window do
+    Wheel.schedule w (Wheel.alloc w) ~key:(i * 1_000)
+  done;
+  for _ = 1 to 100_000 do
+    let key = Wheel.next_key w in
+    Wheel.release w (Wheel.take w);
+    Wheel.schedule w (Wheel.alloc w) ~key:(key + (window * 1_000))
+  done;
+  Alcotest.(check int) "still pending" window (Wheel.length w);
+  Alcotest.(check int) "ids never exceed the pending high-water" window
+    (Wheel.ids w)
 
 (* One dense tick: 1,000 entries over 10 interleaved keys, all inside
    the default config's first 1.024us tick, drained halfway, then a
    burst of cancels (including the entry due next) and adds at the
    just-popped key. The rest must pop in (key, insertion) order. *)
 let wheel_dense_tick_order () =
-  let w = Wheel.create ~dummy:(-1) () in
+  let w = Wheel.create () in
   let key_of i = 100 + (i * 7 mod 10) in
-  let hs = Array.init 1_000 (fun i -> Wheel.add w ~key:(key_of i) i) in
+  let add key =
+    let id = Wheel.alloc w in
+    Wheel.schedule w id ~key;
+    id
+  in
+  (* Ids are dense from 0, so entry i is id i. *)
+  let hs = Array.init 1_000 (fun i -> add (key_of i)) in
   let drain n =
     List.init n (fun _ ->
         let key = Wheel.next_key w in
@@ -480,7 +605,7 @@ let wheel_dense_tick_order () =
     cancelled;
   let last_key = fst (List.nth popped 499) in
   let added = List.init 20 (fun j -> (last_key, 1_000 + j)) in
-  List.iter (fun (key, i) -> ignore (Wheel.add w ~key i)) added;
+  List.iter (fun (key, i) -> Alcotest.(check int) "fresh id" i (add key)) added;
   let expected =
     sorted
       (List.filter (fun (_, i) -> not (List.mem i cancelled)) remaining
@@ -763,8 +888,10 @@ let tests =
     qtest heap_sorts_qcheck;
     qtest heap_mixed_ops_qcheck;
     qtest wheel_equivalence_qcheck;
-    Alcotest.test_case "wheel cancel, compaction, lifecycle" `Quick
-      wheel_cancel_compaction;
+    Alcotest.test_case "wheel eager cancel and lifecycle" `Quick
+      wheel_cancel_lifecycle;
+    Alcotest.test_case "wheel ids bounded by pending" `Quick
+      wheel_ids_bounded;
     Alcotest.test_case "wheel dense tick pops in (key, seq) order" `Quick
       wheel_dense_tick_order;
     Alcotest.test_case "ring FIFO and drops" `Quick ring_fifo;

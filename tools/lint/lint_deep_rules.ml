@@ -56,7 +56,7 @@ let default_hot_roots =
     (* engine / timer-wheel dispatch *)
     "Planck_netsim__Engine.step";
     "Planck_netsim__Engine.Timer.reschedule_at";
-    "Planck_util__Timer_wheel.add";
+    "Planck_util__Timer_wheel.schedule";
     "Planck_util__Timer_wheel.next_key";
     "Planck_util__Timer_wheel.take";
     "Planck_util__Timer_wheel.cancel";

@@ -33,7 +33,7 @@ let default_sinks =
     "Engine.Timer.create";
     "Engine.Timer.reschedule";
     "Engine.Timer.reschedule_at";
-    "Timer_wheel.add";
+    "Timer_wheel.schedule";
     "Reroute.apply";
     "Net_view.set_route";
   ]
