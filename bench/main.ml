@@ -13,7 +13,6 @@
 
 module Json = Planck_telemetry.Json
 module Metrics = Planck_telemetry.Metrics
-module Profile = Planck_telemetry.Profile
 module Bench_gate = Planck_telemetry.Bench_gate
 module Export = Planck_telemetry.Export
 module Journal = Planck_telemetry.Journal
@@ -97,9 +96,7 @@ let run_selected ?(skip_experiments = false) ?(only = []) ?recheck names opts
 
 (* The machine-readable emitter behind --json: one document per
    invocation, so perf trajectories (BENCH_*.json) can accumulate
-   across PRs. The [metrics] member is the process-wide telemetry
-   snapshot, giving every bench id a common vocabulary of internals
-   (events processed, drops, sample counts, ...) for free. *)
+   across PRs. The telemetry snapshot goes to --metrics-out, not here. *)
 let emit_json path timed total micro =
   let doc =
     Json.Obj
@@ -119,11 +116,6 @@ let emit_json path timed total micro =
                    ])
                timed) );
         ("micro", Bench_gate.rows_to_json micro);
-        ( "metrics",
-          match Json.member (Export.metrics_to_json Metrics.default) "metrics"
-          with
-          | Some metrics -> metrics
-          | None -> Json.List [] );
         ("wall_time", Json.Float total);
       ]
   in
@@ -164,8 +156,8 @@ let micro_flag =
 
 let json_out =
   let doc =
-    "Write a machine-readable summary {id, experiments, metrics, wall_time} \
-     to $(docv). Implies telemetry collection."
+    "Write a machine-readable summary {id, experiments, micro, wall_time} \
+     to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
@@ -256,18 +248,10 @@ let trend_out =
   let doc = "Like --trend but write the markdown to $(docv)." in
   Arg.(value & opt (some string) None & info [ "trend-out" ] ~docv:"FILE" ~doc)
 
-let profile_flag =
-  let doc =
-    "Enable the self-profiling spans (and the metric registry backing \
-     them) and print the per-subsystem report after the run; the span \
-     metrics also land in --json/--metrics-out snapshots."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
 let main names runs full seed list_experiments with_micro json_path
     metrics_path journal_path timeseries_path
     timeseries_interval_us only check against_path tolerance noise_floor_ns
-    tolerance_overrides bench_dir trend trend_out profile =
+    tolerance_overrides bench_dir trend trend_out =
   let with_micro = with_micro || check in
   let overrides =
     List.map
@@ -306,9 +290,7 @@ let main names runs full seed list_experiments with_micro json_path
              Printf.eprintf "planck-bench: cannot write %s\n" msg;
              exit 1))
       [ json_path; metrics_path; journal_path; timeseries_path ];
-    if json_path <> None || metrics_path <> None || profile then
-      Metrics.set_enabled Metrics.default true;
-    if profile then Profile.set_enabled true;
+    if metrics_path <> None then Metrics.set_enabled Metrics.default true;
     if journal_path <> None then Journal.set_enabled Journal.default true;
     (* Stream journal events as they record: experiments produce far more
        than the in-memory ring holds, the NDJSON file is complete. *)
@@ -408,14 +390,6 @@ let main names runs full seed list_experiments with_micro json_path
       run_selected ~skip_experiments ~only ?recheck names opts with_micro
     in
     Planck.Experiment.set_observer None;
-    if profile then begin
-      Profile.set_enabled false;
-      Printf.printf "\nSelf-profile (wall clock + GC, by span):\n%s%!"
-        (Profile.render (Profile.summary ()))
-    end;
-    (* Drop scoped-registry spans (micro fixtures) from the process
-       catalog so repeated in-process runs don't accumulate them. *)
-    Profile.reset ();
     (match journal_channel with
     | Some oc ->
         Journal.set_writer Journal.default None;
@@ -488,7 +462,6 @@ let cmd =
       const main $ names $ runs $ full $ seed $ list_flag $ micro_flag
       $ json_out $ metrics_out $ journal_out $ timeseries_out
       $ timeseries_interval_us $ only_micros $ check_flag $ against $ tolerance
-      $ noise_floor $ tolerance_overrides $ bench_dir $ trend_flag $ trend_out
-      $ profile_flag)
+      $ noise_floor $ tolerance_overrides $ bench_dir $ trend_flag $ trend_out)
 
 let () = exit (Cmd.eval cmd)

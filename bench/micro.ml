@@ -18,7 +18,6 @@ module Engine = Planck_netsim.Engine
 module Switch = Planck_netsim.Switch
 module Metrics = Planck_telemetry.Metrics
 module Journal = Planck_telemetry.Journal
-module Profile = Planck_telemetry.Profile
 module Bench_gate = Planck_telemetry.Bench_gate
 module FK = Planck_packet.Flow_key
 module Flow_table = Planck_collector.Flow_table
@@ -368,29 +367,6 @@ let test_flow_table_touch =
            (Flow_table.touch table ~key:(next_key ()) ~time:!now ~dst_mac:mac
               ())))
 
-(* Profiler overhead guards (the gate's <3% switch-micro bound rides on
-   the disabled path being a single branch; the enabled path pays two
-   clock reads and two [Gc.quick_stat]s). The enabled stage flips the
-   process-wide flag around each visit so every other micro in this
-   file always measures the disabled path. *)
-let profile_reg = Metrics.create ~enabled:true ()
-let profile_span_cold = Profile.register ~registry:profile_reg "bench.cold"
-let profile_span_hot = Profile.register ~registry:profile_reg "bench.hot"
-
-let test_profile_disabled =
-  Test.make ~name:"profile span enter+exit (disabled)"
-    (Staged.stage (fun () ->
-         Profile.enter profile_span_cold;
-         Profile.exit profile_span_cold))
-
-let test_profile_enabled =
-  Test.make ~name:"profile span enter+exit (enabled)"
-    (Staged.stage (fun () ->
-         Profile.set_enabled true;
-         Profile.enter profile_span_hot;
-         Profile.exit profile_span_hot;
-         Profile.set_enabled false))
-
 (* ---- sharded-engine speedup (wall clock, not Bechamel) ----
 
    One k = 16 fat-tree stride workload under static routing, run on
@@ -488,8 +464,6 @@ let benchmarks =
     ("telemetry-enabled", test_telemetry_enabled);
     ("journal-disabled", test_journal_disabled);
     ("journal-enabled", test_journal_enabled);
-    ("profile-span-disabled", test_profile_disabled);
-    ("profile-span-enabled", test_profile_enabled);
   ]
 
 (* Runs every benchmark and returns one gate row per declared micro —

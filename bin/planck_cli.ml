@@ -25,9 +25,10 @@ module Journal = Planck_telemetry.Journal
 module Timeseries = Planck_telemetry.Timeseries
 module Inspect = Planck_telemetry.Inspect
 module Reporter = Planck_telemetry.Reporter
-module Profile = Planck_telemetry.Profile
 module Json = Planck_telemetry.Json
 module Stats = Planck_util.Stats
+module Sampler = E2e_bench.Sampler
+module Layer = E2e_bench.Layer
 open Planck
 
 (* ---- telemetry plumbing (--metrics-out / --journal-out /
@@ -136,21 +137,27 @@ let parse_scheme = function
   | "optimal" -> Ok `Optimal
   | s -> Error (Printf.sprintf "unknown scheme %s" s)
 
-(* --profile: spans need both the profiler flag and the metric registry
-   backing their counters; the report prints from the live registry
-   after the run (and also lands in --metrics-out snapshots, which
-   [inspect --profile] re-renders offline). *)
-let profile_setup profile =
-  if profile then begin
-    Metrics.set_enabled Metrics.default true;
-    Profile.set_enabled true
-  end
-
+(* --profile: the SIGPROF sampler charges each CPU tick to the lib/
+   layer on top of the stack. It touches no simulator state, so a
+   sampled run costs what an unsampled one does. The table prints after
+   the run; with --metrics-out the counts also land in the snapshot as
+   profile.cpu_samples{<layer>}, which [inspect --profile] re-renders. *)
 let profile_report profile =
   if profile then begin
-    Profile.set_enabled false;
-    Printf.printf "\nself-profile (wall clock + GC, by span):\n%s"
-      (Profile.render (Profile.summary ()))
+    Sampler.stop ();
+    let samples =
+      List.combine (Array.to_list Layer.all)
+        (Array.to_list (Sampler.snapshot ()))
+    in
+    List.iter
+      (fun (layer, n) ->
+        Metrics.Counter.add
+          (Metrics.counter ~subsystem:"profile" ~name:"cpu_samples"
+             ~label:layer ())
+          n)
+      samples;
+    Printf.printf "\nCPU samples by layer:\n%s"
+      (Inspect.render_cpu_samples samples)
   end
 
 let run_experiment () workload_name scheme_name flow_table_name size_mib runs
@@ -166,7 +173,7 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
       1
   | Ok workload, Ok scheme, Ok flow_table
     when telemetry_setup ?journal_out ?timeseries_out metrics_out ->
-      profile_setup profile;
+      if profile then Sampler.start ();
       let spec, sch =
         match scheme with
         | `Fabric s -> (Testbed.paper_fat_tree ~seed (), s)
@@ -287,7 +294,7 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
 let capture output duration_ms seed metrics_out profile =
   if not (telemetry_setup metrics_out) then 1
   else begin
-    profile_setup profile;
+    if profile then Sampler.start ();
     let tb = Testbed.create (Testbed.paper_fat_tree ~seed ()) in
   let collector =
     Collector.create tb.Testbed.engine ~switch:0 ~routing:tb.Testbed.routing
@@ -505,8 +512,8 @@ let inspect_journal journal_path timeseries_path trace_path =
       | None -> 0
       | Some path -> write_chrome_trace path events loops
 
-(* Offline self-profile report from a metrics snapshot (--metrics-out
-   of run/capture/bench, or the "metrics" member of bench --json). *)
+(* Offline CPU-sample table from the --metrics-out snapshot of a
+   run/capture --profile. *)
 let inspect_profile path =
   match Json.of_string (read_file path) with
   | exception Sys_error msg ->
@@ -516,13 +523,13 @@ let inspect_profile path =
       Printf.eprintf "planck-cli: %s: %s\n" path e;
       1
   | Ok doc -> (
-      match Profile.rows_of_metrics_json doc with
+      match Inspect.cpu_samples_of_metrics_json doc with
       | Error e ->
           Printf.eprintf "planck-cli: %s: %s\n" path e;
           1
-      | Ok rows ->
-          Printf.printf "self-profile from %s (top spans by self time):\n%s"
-            path (Profile.render rows);
+      | Ok samples ->
+          Printf.printf "CPU samples by layer from %s:\n%s" path
+            (Inspect.render_cpu_samples samples);
           0)
 
 let inspect () journal_path timeseries_path trace_path profile_path =
@@ -596,10 +603,9 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Enable the self-profiling spans (wall clock + GC per \
-           subsystem) and print the report after the run; span metrics \
-           also land in --metrics-out snapshots for $(b,inspect \
-           --profile).")
+          "Sample the CPU with SIGPROF and print the share of samples \
+           per simulator layer after the run; with --metrics-out the \
+           counts also land in the snapshot for $(b,inspect --profile).")
 
 let topology_cmd =
   let k = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Fat-tree arity.") in
@@ -733,16 +739,16 @@ let inspect_cmd =
       & opt (some string) None
       & info [ "profile" ] ~docv:"FILE"
           ~doc:
-            "Metrics snapshot written by $(b,--metrics-out) (or a \
-             $(b,bench --json) document); prints the self-profile report \
-             — top spans by self time, allocation rates, GC counts.")
+            "Metrics snapshot written by $(b,run --profile --metrics-out) \
+             or $(b,capture --profile --metrics-out); prints its CPU \
+             samples by layer.")
   in
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
          "Analyze a flight-recorder journal: per-loop control stage \
           breakdowns, reroute flaps, estimate accuracy, a Chrome/Perfetto \
-          timeline, runtime self-profile")
+          timeline, CPU samples by layer")
     Term.(
       const inspect $ debug_arg $ journal $ timeseries $ trace_out $ profile)
 

@@ -9,11 +9,7 @@ module Control_channel = Planck_openflow.Control_channel
 module Collector = Planck_collector.Collector
 module Metrics = Planck_telemetry.Metrics
 module Journal = Planck_telemetry.Journal
-module Profile = Planck_telemetry.Profile
 module Packet = Planck_packet.Packet
-
-let sp_decide = Profile.register "te.decide"
-let sp_install = Profile.register "te.install"
 
 let log = Logs.Src.create "planck.te" ~doc:"Traffic-engineering application"
 
@@ -134,10 +130,8 @@ let greedy_route_flow t ~corr flow =
             end
             else None
           in
-          Profile.enter sp_install;
           Reroute.apply ?on_install t.config.mechanism ~channel:t.channel
             ~routing:t.routing ~key:flow.Net_view.key ~new_mac:!best_mac;
-          Profile.exit sp_install;
           List.iter
             (fun hook ->
               hook now flow.Net_view.key ~old_mac:current_mac
@@ -148,7 +142,6 @@ let greedy_route_flow t ~corr flow =
 
 (* process_cong_ntfy of Algorithm 1. *)
 let process t (event : Collector.congestion) =
-  Profile.enter sp_decide;
   Log.debug (fun m ->
       m "congestion notification: switch %d port %d at %.2f Gbps (%d flows)"
         event.Collector.switch event.Collector.port
@@ -174,8 +167,7 @@ let process t (event : Collector.congestion) =
   let flows =
     List.sort (fun a b -> Float.compare a.Net_view.rate b.Net_view.rate) flows
   in
-  List.iter (greedy_route_flow t ~corr:event.Collector.corr) flows;
-  Profile.exit sp_decide
+  List.iter (greedy_route_flow t ~corr:event.Collector.corr) flows
 
 let create engine ~routing ~channel ~collectors ~link_rate
     ?(config = default_config) () =

@@ -1,14 +1,12 @@
 module Time = Planck_util.Time
 module Wheel = Planck_util.Timer_wheel
 module Metrics = Planck_telemetry.Metrics
-module Profile = Planck_telemetry.Profile
 
 (* Process-wide aggregates (label-less) for CLI and bench snapshots;
    each engine additionally registers instance metrics under its own
    label so concurrent testbeds in one process don't clobber each
    other. The aggregate high-water is kept monotone across engines. *)
 let m_events = Metrics.counter ~subsystem:"engine" ~name:"events_processed" ()
-let sp_dispatch = Profile.register "engine.dispatch"
 
 let m_pending_hw =
   Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ()
@@ -174,9 +172,7 @@ let step_until t horizon =
       Wheel.release t.queue id
     end;
     t.processed <- t.processed + 1;
-    Profile.enter sp_dispatch;
     f ();
-    Profile.exit sp_dispatch;
     true
   end
 

@@ -2,9 +2,6 @@ module Time = Planck_util.Time
 module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 module Metrics = Planck_telemetry.Metrics
-module Profile = Planck_telemetry.Profile
-
-let sp_drain = Profile.register "sink.drain"
 
 (* [ring] holds the accepted frames keyed by arrival time; [capacity]
    bounds it the way the NIC ring's slot count does. *)
@@ -22,13 +19,11 @@ type t = {
 }
 
 let drain t =
-  Profile.enter sp_drain;
   let rx = Engine.now t.engine in
   while not (Fifo.is_empty t.ring) do
     let arrival = Fifo.peek_key t.ring in
     t.consumer ~arrival ~rx (Fifo.pop t.ring)
-  done;
-  Profile.exit sp_drain
+  done
 
 let create engine ?(ring_capacity = 2048) ?(poll_interval = Time.us 25)
     ?(label = "") ~consumer () =

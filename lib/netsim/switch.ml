@@ -6,9 +6,6 @@ module Packet = Planck_packet.Packet
 module Mac = Planck_packet.Mac
 module Metrics = Planck_telemetry.Metrics
 module Journal = Planck_telemetry.Journal
-module Profile = Planck_telemetry.Profile
-
-let sp_pipeline = Profile.register "switch.pipeline"
 
 type arbitration = Round_robin | Fifo
 
@@ -356,10 +353,8 @@ let rec drain_pipeline t now =
   end
 
 let on_pipeline t =
-  Profile.enter sp_pipeline;
   drain_pipeline t (Engine.now t.engine);
-  arm_pipeline t;
-  Profile.exit sp_pipeline
+  arm_pipeline t
 
 let create engine ~name ~ports ~config ?prng () =
   if ports <= 0 then invalid_arg "Switch.create: ports must be positive";

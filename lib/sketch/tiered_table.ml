@@ -4,9 +4,6 @@ module Flow_table = Planck_collector.Flow_table
 module Collector = Planck_collector.Collector
 module Journal = Planck_telemetry.Journal
 module Metrics = Planck_telemetry.Metrics
-module Profile = Planck_telemetry.Profile
-
-let sp_update = Profile.register "sketch.update"
 
 type config = {
   seed : int;
@@ -106,7 +103,7 @@ let create ?(config = default_config) ~switch ~flow_timeout () =
   Flow_table.add_on_expire table (fun ~now entry -> demote t ~now entry);
   t
 
-let sample_impl t ~key ~now ~bytes ~max_rate ~dst_mac =
+let sample t ~key ~now ~bytes ~max_rate ~dst_mac =
   match Flow_table.find t.table key with
   | Some entry ->
       (* promoted: refresh liveness in place, no second lookup *)
@@ -149,12 +146,6 @@ let sample_impl t ~key ~now ~bytes ~max_rate ~dst_mac =
                });
         Some entry
       end
-
-let sample t ~key ~now ~bytes ~max_rate ~dst_mac =
-  Profile.enter sp_update;
-  let entry = sample_impl t ~key ~now ~bytes ~max_rate ~dst_mac in
-  Profile.exit sp_update;
-  entry
 
 let tick t ~now =
   (if t.next_decay = Time.zero then

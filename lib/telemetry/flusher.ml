@@ -11,16 +11,12 @@ type t = {
 let create ?(registry = Metrics.default) ~outputs () =
   { registry; outputs; flushes = 0 }
 
-let sp_flush = Profile.register "flusher.flush"
-
 let flush t =
   t.flushes <- t.flushes + 1;
-  Profile.enter sp_flush;
   List.iter
     (fun (Metrics_json path) ->
       Export.write_file ~path (Export.metrics_json t.registry))
-    t.outputs;
-  Profile.exit sp_flush
+    t.outputs
 
 let flushes t = t.flushes
 

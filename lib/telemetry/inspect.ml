@@ -121,10 +121,14 @@ let stage_durations ls =
     ("detect->effective", leg (fun l -> ms (Some l.detect) l.effective));
   ]
 
+let by_count_desc counts =
+  List.sort
+    (fun (ka, a) (kb, b) ->
+      match Int.compare b a with 0 -> String.compare ka kb | c -> c)
+    counts
+
 let desc_counts tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (ka, a) (kb, b) ->
-         match Int.compare b a with 0 -> String.compare ka kb | c -> c)
+  by_count_desc (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let flap_counts events =
   let tbl = Hashtbl.create 16 in
@@ -314,3 +318,36 @@ let chrome_trace events =
          ("traceEvents", Json.List (metadata @ List.map json_of_record records));
          ("displayTimeUnit", Json.String "ns");
        ])
+
+(* ---- CPU samples (run/capture --profile) ---- *)
+
+let cpu_samples_of_metrics_json doc =
+  match Option.bind (Json.member doc "metrics") Json.to_list_opt with
+  | None -> Error "not a metrics snapshot: expected {\"metrics\": [...]}"
+  | Some entries ->
+      let str e key = Option.bind (Json.member e key) Json.to_string_opt in
+      Ok
+        (List.filter_map
+           (fun e ->
+             match (str e "subsystem", str e "name", str e "label") with
+             | Some "profile", Some "cpu_samples", Some layer ->
+                 Option.map
+                   (fun n -> (layer, n))
+                   (Option.bind (Json.member e "value") Json.to_int_opt)
+             | _ -> None)
+           entries)
+
+let render_cpu_samples samples =
+  let samples = List.filter (fun (_, n) -> n > 0) samples in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 samples in
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf "%-18s %8s %6s\n" "layer" "samples" "share";
+  List.iter
+    (fun (layer, n) ->
+      Printf.bprintf buf "%-18s %8d %5.1f%%\n" layer n
+        (100. *. float_of_int n /. float_of_int total))
+    (by_count_desc samples);
+  Printf.bprintf buf "%-18s %8d\n" "total" total;
+  if total = 0 then
+    Buffer.add_string buf "  (no CPU samples recorded; run with --profile)\n";
+  Buffer.contents buf

@@ -76,3 +76,19 @@ val estimate_errors :
     each flow's mean relative estimation error over samples where the
     true rate is significant (> 0.05 Gbps) and the estimate is
     defined. *)
+
+(** {2 CPU samples}
+
+    [planck_cli run --profile] and [capture --profile] charge SIGPROF
+    ticks to the simulator layer on top of the stack, and with
+    [--metrics-out] record one [profile.cpu_samples] counter per layer
+    (label = layer name). *)
+
+val cpu_samples_of_metrics_json : Json.t -> ((string * int) list, string) result
+(** [(layer, samples)] for every [profile.cpu_samples] counter in a
+    [{"metrics": [...]}] document written by {!Export.metrics_to_json};
+    [Error] if the document is not a metrics snapshot. *)
+
+val render_cpu_samples : (string * int) list -> string
+(** Plain-text table of the layers with samples, most-sampled first:
+    sample count and share of the total, then a [total] line. *)

@@ -1,8 +1,6 @@
 module Time = Planck_util.Time
 module Ring = Planck_util.Ring
 
-let sp_io = Profile.register "journal.io"
-
 type body =
   | Packet_drop of { switch : string; port : int; mirror : bool }
   | Queue_high_water of {
@@ -369,10 +367,7 @@ let record t ~ts ?corr body =
     ignore (Ring.push t.ring ev);
     match t.writer with
     | None -> ()
-    | Some w ->
-        Profile.enter sp_io;
-        w (Json.to_string (event_to_json ev));
-        Profile.exit sp_io
+    | Some w -> w (Json.to_string (event_to_json ev))
   end
 
 (* Deterministic post-run merge: stable sort on (sim-time, shard id)

@@ -16,7 +16,6 @@
 
 module Json = Json
 module Metrics = Metrics
-module Profile = Profile
 module Bench_gate = Bench_gate
 module Journal = Journal
 module Timeseries = Timeseries

@@ -190,47 +190,6 @@ let test_hot_alloc_raise_exempt () =
     "raise-path sprintf exempt, live allocation fires"
     [ "lib/fix/fix.ml:6" ] hits
 
-(* ---- the profiler span probe ----
-
-   Profile.enter/exit bracket every hot span in the tree, so they are
-   themselves deep-tier hot roots: an allocation inside either taxes
-   every event even with profiling disabled. The probe plants an
-   allocating exit under the real root names and checks hot-alloc fires
-   through the profiler root; the repo self-check (test_lint's
-   repo-clean case and the @lint alias) is what proves the real
-   profiler's disabled path stays allocation-free. *)
-
-let span_probe_fixture =
-  {|
-let depth = ref 0
-let enter _t = incr depth
-let exit t = decr depth; print_string (string_of_int t)
-|}
-
-let test_profiler_span_probe () =
-  Alcotest.(check bool)
-    "profiler enter/exit are default hot roots" true
-    (List.mem "Planck_telemetry__Profile.enter" Deep.default_hot_roots
-    && List.mem "Planck_telemetry__Profile.exit" Deep.default_hot_roots);
-  let ix =
-    index_of
-      [
-        ( "Planck_telemetry__Profile",
-          "lib/telemetry/profile.ml",
-          span_probe_fixture );
-      ]
-  in
-  let t =
-    Deep.prepare
-      ~hot_roots:
-        [ "Planck_telemetry__Profile.enter"; "Planck_telemetry__Profile.exit" ]
-      ix
-  in
-  let hits = rules_at ~rule:"hot-alloc" (Deep.findings ~dead_export:false t) in
-  Alcotest.(check (list string))
-    "allocating exit fires hot-alloc"
-    [ "lib/telemetry/profile.ml:4" ] hits
-
 let schedule_fixture =
   {|
 module Engine = struct let schedule _e ~delay:_ _f = () end
@@ -393,8 +352,6 @@ let tests =
       test_hot_structural_equality;
     Alcotest.test_case "hot-alloc raise exemption" `Quick
       test_hot_alloc_raise_exempt;
-    Alcotest.test_case "profiler span probe fires hot-alloc" `Quick
-      test_profiler_span_probe;
     Alcotest.test_case "hot-schedule closure" `Quick test_hot_schedule;
     Alcotest.test_case "taint reaches sink" `Quick test_taint_reaches_sink;
     Alcotest.test_case "taint needs a sink" `Quick test_taint_needs_sink;

@@ -3,7 +3,6 @@ let () =
     [
       ("util", Test_util.tests);
       ("telemetry", Test_telemetry.tests);
-      ("profile", Test_profile.tests);
       ("bench-gate", Test_gate.tests);
       ("packet", Test_packet.tests);
       ("netsim", Test_netsim.tests);

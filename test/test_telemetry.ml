@@ -506,6 +506,61 @@ let inspect_estimate_errors () =
       Alcotest.failf "expected f1 and f2, got %d entries"
         (List.length errors)
 
+(* ---- inspect: CPU samples from a metrics snapshot ---- *)
+
+let cpu_samples_roundtrip () =
+  let reg = Metrics.create () in
+  List.iter
+    (fun (layer, n) ->
+      Metrics.Counter.add
+        (Metrics.counter ~registry:reg ~subsystem:"profile"
+           ~name:"cpu_samples" ~label:layer ())
+        n)
+    [ ("tcp", 5); ("netsim.engine", 12); ("other", 0) ];
+  Metrics.Counter.incr
+    (Metrics.counter ~registry:reg ~subsystem:"engine" ~name:"events" ());
+  match Json.of_string (Json.to_string (Export.metrics_to_json reg)) with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      Alcotest.(check (result (list (pair string int)) string))
+        "profile.cpu_samples counters, snapshot order"
+        (Ok [ ("netsim.engine", 12); ("other", 0); ("tcp", 5) ])
+        (Inspect.cpu_samples_of_metrics_json doc)
+
+let cpu_samples_reject_non_snapshot () =
+  List.iter
+    (fun doc ->
+      match Inspect.cpu_samples_of_metrics_json doc with
+      | Ok _ -> Alcotest.failf "accepted %s" (Json.to_string doc)
+      | Error _ -> ())
+    [ Json.String "nope"; Json.List []; Json.Obj [ ("metrics", Json.Int 1) ] ]
+
+let cpu_samples_render () =
+  let lines report =
+    String.split_on_char '\n' report
+    |> List.map String.trim
+    |> List.filter (( <> ) "")
+  in
+  let first_word line = List.hd (String.split_on_char ' ' line) in
+  let report =
+    lines
+      (Inspect.render_cpu_samples
+         [ ("tcp", 1); ("other", 0); ("netsim.engine", 3) ])
+  in
+  Alcotest.(check (list string))
+    "sampled layers by count, then the total"
+    [ "layer"; "netsim.engine"; "tcp"; "total" ]
+    (List.map first_word report);
+  Alcotest.(check bool)
+    "share of the total" true
+    (String.ends_with ~suffix:"75.0%" (List.nth report 1));
+  Alcotest.(check (list string))
+    "empty report says how to get one"
+    [ "layer"; "total"; "(no CPU samples recorded; run with --profile)" ]
+    (match lines (Inspect.render_cpu_samples []) with
+    | [ header; total; hint ] -> [ first_word header; first_word total; hint ]
+    | other -> other)
+
 (* ---- Chrome trace view of the journal ---- *)
 
 let chrome_records json =
@@ -924,5 +979,11 @@ let tests =
       inspect_rebuilds_loops;
     Alcotest.test_case "inspect pairs true/est columns" `Quick
       inspect_estimate_errors;
+    Alcotest.test_case "cpu samples round-trip via JSON" `Quick
+      cpu_samples_roundtrip;
+    Alcotest.test_case "cpu samples reject non-snapshot" `Quick
+      cpu_samples_reject_non_snapshot;
+    Alcotest.test_case "cpu samples render by share" `Quick
+      cpu_samples_render;
     QCheck_alcotest.to_alcotest json_print_parse_id;
   ]

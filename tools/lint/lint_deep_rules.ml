@@ -60,10 +60,6 @@ let default_hot_roots =
     "Planck_util__Timer_wheel.next_key";
     "Planck_util__Timer_wheel.take";
     "Planck_util__Timer_wheel.cancel";
-    (* self-profiling spans bracket every hot path above; the disabled
-       branch must stay allocation-free *)
-    "Planck_telemetry__Profile.enter";
-    "Planck_telemetry__Profile.exit";
   ]
 
 type t = {
