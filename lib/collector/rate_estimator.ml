@@ -86,7 +86,6 @@ let update t ~time ~seq32 =
   end
 
 let current t = t.estimate
-let last_estimate_at t = t.estimate_at
 let samples t = t.samples
 let out_of_order t = t.out_of_order
 
@@ -131,5 +130,4 @@ module Rolling = struct
       t.estimate
     end
 
-  let current t = t.estimate
 end

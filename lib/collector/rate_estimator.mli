@@ -42,7 +42,6 @@ val update :
 val current : t -> Planck_util.Rate.t option
 (** Latest estimate, if any. *)
 
-val last_estimate_at : t -> Planck_util.Time.t option
 val samples : t -> int
 val out_of_order : t -> int
 (** Samples ignored as reordered/retransmitted. *)
@@ -59,6 +58,4 @@ module Rolling : sig
 
   val update :
     t -> time:Planck_util.Time.t -> seq32:int -> Planck_util.Rate.t option
-
-  val current : t -> Planck_util.Rate.t option
 end

@@ -43,9 +43,6 @@ let create engine ~routing ~link_rate ?channel_config ?collector_config ~prng
   in
   { engine; routing; link_rate; channel; collectors }
 
-let engine t = t.engine
-let routing t = t.routing
-let channel t = t.channel
 let collectors t = List.map snd t.collectors
 let collector_for t ~switch = List.assoc_opt switch t.collectors
 

@@ -29,9 +29,6 @@ val create :
   t
 (** Attach a collector to every switch with a reserved monitor port. *)
 
-val engine : t -> Planck_netsim.Engine.t
-val routing : t -> Planck_topology.Routing.t
-val channel : t -> Planck_openflow.Control_channel.t
 val collectors : t -> Planck_collector.Collector.t list
 val collector_for : t -> switch:int -> Planck_collector.Collector.t option
 

@@ -62,12 +62,6 @@ let expire t ~now =
     t.flows;
   List.iter (Flow_key.Table.remove t.flows) !dead
 
-let find t key = Flow_key.Table.find_opt t.flows key
-
-(* Key-sorted so TE's stable sort by rate breaks ties deterministically
-   instead of by hash-bucket layout. *)
-let live_flows t =
-  Flow_key.Table.fold_sorted (fun _ flow acc -> flow :: acc) t.flows []
 let size t = Flow_key.Table.length t.flows
 
 let links_for t ~src ~dst_mac =

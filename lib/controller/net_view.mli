@@ -36,8 +36,6 @@ val expire : t -> now:Planck_util.Time.t -> unit
 (** Drop entries not heard within the flow timeout
     ([remove_old_flows]). *)
 
-val find : t -> Planck_packet.Flow_key.t -> flow option
-val live_flows : t -> flow list
 val size : t -> int
 
 val path_links : t -> flow -> (int * int) list

@@ -230,4 +230,3 @@ let create engine ~routing ~channel ~collectors ~link_rate
 let notifications t = t.notifications
 let reroutes t = t.reroutes
 let on_reroute t hook = t.reroute_hooks <- hook :: t.reroute_hooks
-let view t = t.view

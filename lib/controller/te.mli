@@ -52,5 +52,3 @@ val on_reroute :
   unit
 (** Observe reroute decisions (fired when the reroute message is
     sent). *)
-
-val view : t -> Net_view.t

@@ -17,9 +17,6 @@ type plan = {
   additional_machines_pct : float;  (** collectors / hosts *)
 }
 
-val collectors_per_server : int
-(** 14: the paper's port/core budget for one 2U collector server. *)
-
 val fat_tree_plan : k:int -> plan
 (** Three-level fat-tree of (k+2)-port switches, one port per switch
     reserved for monitoring (so the tree is built with arity [k]).

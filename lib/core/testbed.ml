@@ -158,4 +158,3 @@ let create spec =
 
 let host_count t = Fabric.host_count t.fabric
 let link_rate t = t.spec.link_rate
-let run_until t time = Engine.run ~until:time t.engine

@@ -59,6 +59,3 @@ val create : spec -> t
 
 val host_count : t -> int
 val link_rate : t -> Planck_util.Rate.t
-
-val run_until : t -> Planck_util.Time.t -> unit
-(** Advance simulated time (absolute). *)

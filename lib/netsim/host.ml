@@ -52,7 +52,6 @@ type t = {
 }
 
 let id t = t.host_id
-let name t = Printf.sprintf "h%d" t.host_id
 let mac t = t.mac
 let ip t = t.ip
 let engine t = t.engine

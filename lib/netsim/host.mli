@@ -32,7 +32,6 @@ val create :
     [Ipv4_addr.host id]. *)
 
 val id : t -> int
-val name : t -> string
 val mac : t -> Planck_packet.Mac.t
 val ip : t -> Planck_packet.Ipv4_addr.t
 val engine : t -> Engine.t

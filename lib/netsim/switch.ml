@@ -93,8 +93,6 @@ type t = {
   tel : telemetry;
 }
 
-let name t = t.name
-let ports t = t.nports
 let engine t = t.engine
 
 let check_port t port label =

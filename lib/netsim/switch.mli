@@ -72,8 +72,6 @@ val create :
   t
 (* [prng] drives the pipeline jitter; defaults to a generator seeded
    from [name] (still deterministic run-to-run). *)
-val name : t -> string
-val ports : t -> int
 val engine : t -> Engine.t
 
 val connect :

@@ -125,9 +125,5 @@ let enqueue t ~cls packet =
   t.queued_packets <- t.queued_packets + 1;
   if not t.busy then transmit_next t
 
-let queued_bytes t = t.queued_bytes
-let queued_packets t = t.queued_packets
-let busy t = t.busy
-let rate t = t.rate
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes

@@ -40,11 +40,5 @@ val enqueue : t -> cls:int -> Planck_packet.Packet.t -> unit
 (** Append to sub-queue [cls] and start the serializer if idle.
     Admission control is the caller's job — this never drops. *)
 
-val queued_bytes : t -> int
-(** Bytes waiting (not counting the frame currently on the wire). *)
-
-val queued_packets : t -> int
-val busy : t -> bool
-val rate : t -> Planck_util.Rate.t
 val tx_packets : t -> int
 val tx_bytes : t -> int

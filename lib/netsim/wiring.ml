@@ -24,8 +24,3 @@ let switch_to_switch_remote sw_a ~port_a sw_b ~port_b ~rate ~prop_delay
     ~deliver:ignore ();
   Switch.connect sw_b ~port:port_b ~rate ~prop_delay ~handoff:handoff_ba
     ~deliver:ignore ()
-
-let switch_to_sink switch ~port sink ~rate ~prop_delay =
-  Switch.connect switch ~port ~rate ~prop_delay
-    ~deliver:(fun packet -> Sink.ingress sink packet)
-    ()

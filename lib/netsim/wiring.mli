@@ -34,15 +34,5 @@ val switch_to_switch_remote :
     directly. [prop_delay] must be at least the owning group's
     lookahead bound — {!Shard.channel} enforces this. *)
 
-val switch_to_sink :
-  Switch.t ->
-  port:int ->
-  Sink.t ->
-  rate:Planck_util.Rate.t ->
-  prop_delay:Planck_util.Time.t ->
-  unit
-(** Monitor-port cable: the sink never transmits, so only the
-    switch-to-sink direction is wired. *)
-
 val default_prop_delay : Planck_util.Time.t
 (** 300 ns — a few tens of metres of fibre plus PHY latency. *)

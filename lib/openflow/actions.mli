@@ -1,18 +1,6 @@
 (** Controller-initiated switch and host actions, with control-channel
     latency applied. *)
 
-val packet_out :
-  ?on_injected:(unit -> unit) ->
-  Control_channel.t ->
-  Planck_netsim.Switch.t ->
-  port:int ->
-  Planck_packet.Packet.t ->
-  unit
-(** Inject a frame out of a switch port (OpenFlow packet-out): one
-    control-channel delay, then normal egress queueing. [on_injected]
-    runs when the frame enters the switch (after the channel delay) —
-    the journal's install stamp. *)
-
 val install_flow_rewrite :
   Control_channel.t ->
   Planck_netsim.Switch.t ->

@@ -21,9 +21,6 @@ type config = {
       (** switch CPU time to read all flow counters *)
 }
 
-val default_config : config
-(** one-way 100–250 µs; rule install 2.5–6 ms; stats read 25 ms. *)
-
 type t
 
 val create :

@@ -35,11 +35,6 @@ val to_string : t -> string
 module Table : sig
   include Hashtbl.S with type key = t
 
-  val sorted_bindings : 'a t -> (key * 'a) list
-  (** Bindings in ascending key order — hash-order iteration leaks
-      bucket layout into event ordering; this is the deterministic
-      alternative. *)
-
   val iter_sorted : (key -> 'a -> unit) -> 'a t -> unit
   val fold_sorted : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 end

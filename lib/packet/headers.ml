@@ -27,14 +27,6 @@ module Tcp_flags = struct
 
   let equal (a : t) (b : t) = Int.equal (to_byte a) (to_byte b)
 
-  let pp ppf t =
-    let letters =
-      List.filter_map
-        (fun (flag, c) -> if flag then Some c else None)
-        [ (t.syn, "S"); (t.ack, "A"); (t.fin, "F"); (t.rst, "R"); (t.psh, "P") ]
-    in
-    Format.pp_print_string ppf
-      (if letters = [] then "." else String.concat "" letters)
 end
 
 module Eth = struct
@@ -48,9 +40,6 @@ module Eth = struct
     Mac.equal a.src b.src && Mac.equal a.dst b.dst
     && Int.equal a.ethertype b.ethertype
 
-  let pp ppf t =
-    Format.fprintf ppf "%a -> %a (0x%04x)" Mac.pp t.src Mac.pp t.dst
-      t.ethertype
 end
 
 module Arp = struct
@@ -78,10 +67,6 @@ module Arp = struct
     && Mac.equal a.target_mac b.target_mac
     && Ipv4_addr.equal a.target_ip b.target_ip
 
-  let pp ppf t =
-    let op = match t.op with Request -> "who-has" | Reply -> "is-at" in
-    Format.fprintf ppf "arp %s %a tell %a (%a)" op Ipv4_addr.pp t.target_ip
-      Ipv4_addr.pp t.sender_ip Mac.pp t.sender_mac
 end
 
 module Ipv4 = struct
@@ -104,9 +89,6 @@ module Ipv4 = struct
     && Int.equal a.ttl b.ttl
     && Int.equal a.total_length b.total_length
 
-  let pp ppf t =
-    Format.fprintf ppf "%a -> %a proto=%d len=%d" Ipv4_addr.pp t.src
-      Ipv4_addr.pp t.dst t.protocol t.total_length
 end
 
 module Tcp = struct
@@ -143,9 +125,6 @@ module Tcp = struct
     && Int.equal a.window b.window
     && List.equal equal_sack_block a.sack b.sack
 
-  let pp ppf t =
-    Format.fprintf ppf "tcp %d -> %d seq=%d ack=%d [%a]" t.src_port t.dst_port
-      t.seq t.ack_seq Tcp_flags.pp t.flags
 end
 
 module Udp = struct
@@ -158,6 +137,4 @@ module Udp = struct
     && Int.equal a.dst_port b.dst_port
     && Int.equal a.length b.length
 
-  let pp ppf t =
-    Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port t.length
 end

@@ -14,8 +14,6 @@ module Tcp_flags : sig
   val fin_ack : t
   val to_byte : t -> int
   val of_byte : int -> t
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Eth : sig
@@ -27,7 +25,6 @@ module Eth : sig
   (** Header length on the wire: 14 bytes. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Arp : sig
@@ -45,7 +42,6 @@ module Arp : sig
   (** 28 bytes. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Ipv4 : sig
@@ -63,7 +59,6 @@ module Ipv4 : sig
   (** 20 bytes (no options). *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Tcp : sig
@@ -89,7 +84,6 @@ module Tcp : sig
   (** Base header plus the SACK option (padded to 4 bytes). *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Udp : sig
@@ -99,5 +93,4 @@ module Udp : sig
   (** 8 bytes. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end

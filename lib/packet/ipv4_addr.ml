@@ -25,8 +25,6 @@ let host i = of_int (0x0A00_0000 lor (i land 0xFFFF))
 let equal = Int.equal
 let compare = Int.compare
 
-(* Already a 32-bit int; identity beats a structural hash walk. *)
-let hash (t : t) = t land max_int
 (* planck-lint: allow hot-alloc -- journal-label formatting, guarded at every call site *)
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -20,7 +20,6 @@ val host : int -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val host_id : t -> int option

@@ -40,6 +40,4 @@ let base_of_shadow t =
 let equal = Int.equal
 let compare = Int.compare
 
-(* Already a 48-bit int; identity beats a structural hash walk. *)
-let hash (t : t) = t land max_int
 let pp ppf t = Format.pp_print_string ppf (to_string t)

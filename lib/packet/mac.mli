@@ -37,5 +37,4 @@ val base_of_shadow : t -> t * int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -327,13 +327,3 @@ let same_headers a b =
   | Ipv4 (ipa, Udp ua), Ipv4 (ipb, Udp ub) ->
       Headers.Ipv4.equal ipa ipb && Headers.Udp.equal ua ub
   | (Arp _ | Ipv4 _), _ -> false
-
-let pp ppf t =
-  match t.body with
-  | Arp a -> Headers.Arp.pp ppf a
-  | Ipv4 (ip, Tcp tcp) ->
-      Format.fprintf ppf "%a %a (%dB)" Headers.Ipv4.pp ip Headers.Tcp.pp tcp
-        t.wire_size
-  | Ipv4 (ip, Udp udp) ->
-      Format.fprintf ppf "%a %a (%dB)" Headers.Ipv4.pp ip Headers.Udp.pp udp
-        t.wire_size

@@ -75,9 +75,6 @@ val tcp_payload_len : t -> int
 val dst_mac : t -> Mac.t
 val src_mac : t -> Mac.t
 
-val header_bytes : t -> int
-(** Length of {!to_wire}'s output: everything except virtual payload. *)
-
 val to_wire : t -> bytes
 (** Serialize all headers to wire format (big-endian, real field
     layouts). Virtual payload is not materialized. *)
@@ -88,5 +85,3 @@ val parse : bytes -> wire_size:int -> t option
 
 val same_headers : t -> t -> bool
 (** Equality of everything {!to_wire} writes, plus [wire_size]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -36,9 +36,3 @@ let add t ~time packet =
 
 let packet_count t = t.count
 let contents t = Buffer.contents t.buf
-
-let to_file t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (contents t))

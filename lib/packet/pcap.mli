@@ -19,6 +19,3 @@ val packet_count : t -> int
 
 val contents : t -> string
 (** The complete pcap file image (header + records so far). *)
-
-val to_file : t -> string -> unit
-(** Write {!contents} to the given path. *)

@@ -134,7 +134,6 @@ let reserve_monitor t ~switch ~port =
   t.adjacency.(switch).(port) <- To_monitor;
   t.monitors.(switch) <- Some port
 
-let engine t = t.engine
 let switch_count t = Array.length t.switches
 let host_count t = Array.length t.hosts
 let switch t i = t.switches.(i)

@@ -65,7 +65,6 @@ val reserve_monitor : t -> switch:int -> port:int -> unit
 
 (** {2 Access} *)
 
-val engine : t -> Planck_netsim.Engine.t
 val switch_count : t -> int
 val host_count : t -> int
 val switch : t -> int -> Planck_netsim.Switch.t

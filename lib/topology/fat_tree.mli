@@ -29,8 +29,6 @@ val shape : k:int -> shape
     edges pod-major. *)
 
 val core_id : shape -> int -> int
-val agg_id : shape -> pod:int -> int -> int
-val edge_id : shape -> pod:int -> int -> int
 val host_of : shape -> pod:int -> edge:int -> slot:int -> int
 val pod_of_host : shape -> int -> int
 

@@ -53,11 +53,6 @@ let mac_for t ~dst ~alt =
 
 let tree t mac = Hashtbl.find_opt t.trees mac
 
-let trees_to t ~dst =
-  List.filter_map
-    (fun alt -> tree t (Mac.shadow (Mac.host dst) ~alt))
-    (List.init t.alts Fun.id)
-
 type hop = { switch : int; in_port : int; out_port : int }
 
 let path t ~src ~dst_mac =

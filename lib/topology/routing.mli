@@ -33,7 +33,6 @@ val install : t -> unit
 
 val mac_for : t -> dst:int -> alt:int -> Planck_packet.Mac.t
 val tree : t -> Planck_packet.Mac.t -> tree option
-val trees_to : t -> dst:int -> tree list
 
 type hop = { switch : int; in_port : int; out_port : int }
 

@@ -49,8 +49,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)
@@ -64,10 +62,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in

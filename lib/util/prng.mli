@@ -26,16 +26,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element. Raises [Invalid_argument] on empty array. *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
@@ -49,4 +44,3 @@ val seed_of_string : string -> int
 (** FNV-1a of the bytes: a deterministic seed for a named component
     (e.g. a switch), stable across runs and OCaml releases — unlike
     [Hashtbl.hash]. *)
-

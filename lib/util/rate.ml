@@ -1,7 +1,6 @@
 type t = float
 
 let bps x = x
-let kbps x = x *. 1e3
 let mbps x = x *. 1e6
 let gbps x = x *. 1e9
 let to_gbps x = x /. 1e9

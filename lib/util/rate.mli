@@ -8,7 +8,6 @@ type t = float
 (** Bits per second. *)
 
 val bps : float -> t
-val kbps : float -> t
 val mbps : float -> t
 val gbps : float -> t
 

@@ -11,7 +11,6 @@ let create ~capacity =
 
 let capacity r = Array.length r.data
 let length r = r.size
-let is_empty r = r.size = 0
 let is_full r = r.size = Array.length r.data
 
 let push r v =

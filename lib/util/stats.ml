@@ -77,7 +77,6 @@ module Online = struct
     t.mean <- t.mean +. (delta /. float_of_int t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let count t = t.n
   let mean t = if t.n = 0 then nan else t.mean
 
   let stddev t =

@@ -35,7 +35,6 @@ module Online : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
   val stddev : t -> float
 end

@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let nanosecond = 1
 let microsecond = 1_000
 let millisecond = 1_000_000
 let second = 1_000_000_000

@@ -9,9 +9,7 @@ type t = int
 
 val zero : t
 
-val nanosecond : t
 val microsecond : t
-val millisecond : t
 val second : t
 
 val ns : int -> t

@@ -1,8 +1,10 @@
-(* planck_lint: one positive and one negative fixture per rule, the
-   suppression syntax, both reporters, and a self-check that the repo's
-   own tree is lint-clean. Fixtures go through Lint_engine.lint_source,
-   which parses from a string — the paths never exist on disk; they only
-   drive rule scoping. *)
+(* planck_lint: one positive and one negative fixture per syntactic
+   rule, the suppression syntax, both reporters, and self-checks that
+   the repo's own tree is lint-clean and that a run without .cmt
+   artifacts fails. Fixtures go through Lint_engine.lint_source, which
+   parses from a string — the paths never exist on disk; they only
+   drive rule scoping. The typed rules have their fixtures in
+   test_lint_deep, test_lint_domain and test_lint_ownership. *)
 
 module Engine = Planck_lint_lib.Lint_engine
 module Rules = Planck_lint_lib.Lint_rules
@@ -23,46 +25,7 @@ let check_clean name ~path source =
   Alcotest.(check (list string)) (Printf.sprintf "%s is clean" name) []
     (rules_of ~path source)
 
-(* ---- determinism rules ---- *)
-
-let test_wall_clock () =
-  let src = "let now () = Unix.gettimeofday ()\n" in
-  check_fires "sim code" "wall-clock" ~path:"lib/netsim/clock.ml" src;
-  (* wall time is legal outside the simulator and in telemetry exports *)
-  check_clean "bin code" ~path:"bin/main.ml" src;
-  check_clean "telemetry export" ~path:"lib/telemetry/export.ml" src
-
-let test_ambient_random () =
-  check_fires "global state" "ambient-random" ~path:"lib/netsim/jitter.ml"
-    "let draw () = Random.int 10\n";
-  check_fires "self-init state" "ambient-random" ~path:"lib/netsim/jitter.ml"
-    "let st = Random.State.make_self_init ()\n";
-  check_clean "explicit state" ~path:"lib/netsim/jitter.ml"
-    "let draw st = Random.State.int st 10\n"
-
-let test_hashtbl_iteration () =
-  let src = "let visit f tbl = Hashtbl.iter f tbl\n" in
-  check_fires "Hashtbl.iter" "hashtbl-iteration" ~path:"lib/collector/t.ml" src;
-  check_fires "functor instance" "hashtbl-iteration" ~path:"lib/collector/t.ml"
-    "let visit f tbl = Flow_key.Table.fold f tbl []\n";
-  check_clean "telemetry exempt" ~path:"lib/telemetry/export.ml" src;
-  check_clean "sorted iteration" ~path:"lib/collector/t.ml"
-    "let visit tbl = List.of_seq (Hashtbl.to_seq tbl)\n"
-
-(* ---- hot-path rules ---- *)
-
-let test_poly_compare () =
-  check_fires "bare compare" "poly-compare" ~path:"lib/util/x.ml"
-    "let sort xs = List.sort compare xs\n";
-  check_fires "Stdlib.compare" "poly-compare" ~path:"lib/util/x.ml"
-    "let sort xs = List.sort Stdlib.compare xs\n";
-  check_fires "Hashtbl.hash" "poly-compare" ~path:"lib/util/x.ml"
-    "let h x = Hashtbl.hash x\n";
-  (* a module-local compare shadows the polymorphic one *)
-  check_clean "shadowed compare" ~path:"lib/util/x.ml"
-    "let compare a b = Int.compare a b\nlet sort xs = List.sort compare xs\n";
-  check_clean "outside lib" ~path:"bench/x.ml"
-    "let sort xs = List.sort compare xs\n"
+(* ---- syntactic rules ---- *)
 
 let test_keyed_poly_equal () =
   let keyed body =
@@ -77,46 +40,6 @@ let test_keyed_poly_equal () =
   (* a module with no key functions is not held to the rule *)
   check_clean "unkeyed module" ~path:"lib/packet/k.ml"
     "type t = { a : int }\nlet same x y = x = y\n"
-
-let test_float_equality () =
-  check_fires "float literal" "float-equality" ~path:"lib/util/x.ml"
-    "let zero x = x = 0.0\n";
-  check_fires "negated literal" "float-equality" ~path:"lib/util/x.ml"
-    "let neg x = x <> -1.5\n";
-  check_clean "Float.equal" ~path:"lib/util/x.ml"
-    "let zero x = Float.equal x 0.0\n";
-  check_clean "int literal" ~path:"lib/util/x.ml" "let zero x = x = 0\n"
-
-let test_hot_alloc () =
-  let fmt = "Printf.sprintf \"%d\" n" in
-  check_fires "hot function in hot file" "hot-alloc" ~path:"lib/netsim/sw.ml"
-    (Printf.sprintf "let forward n = %s\n" fmt);
-  check_fires "nested in hot function" "hot-alloc" ~path:"lib/tcp/f.ml"
-    (Printf.sprintf "let process_ack n =\n  let msg = %s in\n  msg\n" fmt);
-  (* cold function names and non-hot directories are exempt *)
-  check_clean "cold function" ~path:"lib/netsim/sw.ml"
-    (Printf.sprintf "let describe n = %s\n" fmt);
-  check_clean "cold directory" ~path:"lib/controller/te.ml"
-    (Printf.sprintf "let process n = %s\n" fmt)
-
-let test_hot_schedule () =
-  check_fires "closure to Engine.schedule in hot fn" "hot-schedule"
-    ~path:"lib/netsim/sw.ml"
-    "let forward t p = Engine.schedule t ~delay:5 (fun () -> drop t p)\n";
-  check_fires "closure to Engine.schedule_at" "hot-schedule"
-    ~path:"lib/tcp/f.ml"
-    "let process_ack t = Engine.schedule_at t ~at:9 (fun () -> retx t)\n";
-  check_fires "closure to Engine.every" "hot-schedule" ~path:"lib/sflow/a.ml"
-    "let sample t = Engine.every t ~period:7 (fun () -> export t)\n";
-  (* passing a preallocated callback is the blessed pattern *)
-  check_clean "identifier callback" ~path:"lib/netsim/sw.ml"
-    "let forward t k = Engine.schedule t ~delay:5 k\n";
-  check_clean "Timer.reschedule is fine" ~path:"lib/netsim/sw.ml"
-    "let forward t = Engine.Timer.reschedule t.timer ~delay:5\n";
-  check_clean "cold function" ~path:"lib/netsim/sw.ml"
-    "let setup t = Engine.schedule t ~delay:5 (fun () -> drop t)\n";
-  check_clean "cold directory" ~path:"lib/controller/te.ml"
-    "let forward t = Engine.schedule t ~delay:5 (fun () -> drop t)\n"
 
 (* ---- hygiene rules ---- *)
 
@@ -156,8 +79,8 @@ let test_parse_error () =
 
 let test_suppression () =
   let src_inline =
-    "(* planck-lint: allow wall-clock -- fixture *)\n\
-     let now () = Unix.gettimeofday ()\n"
+    "(* planck-lint: allow ignored-result -- fixture *)\n\
+     let f s = ignore (Json.parse s)\n"
   in
   let k, s = Engine.lint_source ~path:"lib/netsim/c.ml" ~source:src_inline () in
   Alcotest.(check int) "allow covers next line: kept" 0 (List.length k);
@@ -165,13 +88,14 @@ let test_suppression () =
   (* the directive names a specific rule; others still fire *)
   let src_wrong =
     "(* planck-lint: allow hot-alloc -- fixture *)\n\
-     let now () = Unix.gettimeofday ()\n"
+     let f s = ignore (Json.parse s)\n"
   in
-  check_fires "unrelated allow" "wall-clock" ~path:"lib/netsim/c.ml" src_wrong;
+  check_fires "unrelated allow" "ignored-result" ~path:"lib/netsim/c.ml"
+    src_wrong;
   let src_file =
-    "(* planck-lint: allow-file wall-clock ambient-random -- fixture *)\n\
-     let now () = Unix.gettimeofday ()\n\
-     let r () = Random.int 10\n"
+    "(* planck-lint: allow-file open-lib ignored-result -- fixture *)\n\
+     open Planck_util\n\
+     let f s = ignore (Json.parse s)\n"
   in
   let k, s = Engine.lint_source ~path:"lib/netsim/c.ml" ~source:src_file () in
   Alcotest.(check int) "allow-file: kept" 0 (List.length k);
@@ -181,7 +105,7 @@ let test_suppression () =
 
 let two_findings () =
   kept ~path:"lib/netsim/fixture.ml"
-    "let now () = Unix.gettimeofday ()\nlet r () = Random.int 10\n"
+    "open Planck_util\nlet f s = ignore (Json.parse s)\n"
 
 let test_text_report () =
   let findings = two_findings () in
@@ -192,8 +116,8 @@ let test_text_report () =
     go 0
   in
   Alcotest.(check bool) "file:line:col prefix" true
-    (contains "lib/netsim/fixture.ml:1:13:");
-  Alcotest.(check bool) "rule tag" true (contains "[wall-clock]");
+    (contains "lib/netsim/fixture.ml:1:5:");
+  Alcotest.(check bool) "rule tag" true (contains "[open-lib]");
   Alcotest.(check bool) "summary" true
     (contains "planck-lint: 1 file, 2 errors, 0 warnings, 1 suppressed")
 
@@ -220,7 +144,7 @@ let test_json_report () =
   let str_field k =
     Option.get (Json.to_string_opt (Option.get (Json.member first k)))
   in
-  Alcotest.(check string) "rule round-trips" "wall-clock" (str_field "rule");
+  Alcotest.(check string) "rule round-trips" "open-lib" (str_field "rule");
   Alcotest.(check string) "file round-trips" "lib/netsim/fixture.ml"
     (str_field "file");
   Alcotest.(check string) "severity round-trips" "error" (str_field "severity")
@@ -235,7 +159,7 @@ let test_json_report () =
 let message_of_report source =
   let findings =
     [
-      Finding.v ~rule:"wall-clock" ~severity:Finding.Error ~file:"lib/x.ml"
+      Finding.v ~rule:"open-lib" ~severity:Finding.Error ~file:"lib/x.ml"
         ~line:1 ~col:0 source;
     ]
   in
@@ -294,38 +218,37 @@ let test_json_escape_fixed () =
      parseable JSON (the byte is sanitised, not round-tripped). *)
   ignore (message_of_report "bad \x80 byte" : string)
 
-(* ---- --only-rule filtering ---- *)
+(* ---- no .cmt artifacts: build first ---- *)
 
-let test_only_rules_filter () =
-  let cwd = Sys.getcwd () in
-  (* a throwaway tree whose relative layout matches the repo's, so the
-     lib/-scoped rules apply *)
-  let dir = Filename.temp_file "planck_only_rule" ".d" in
+(* The typed tiers are the only implementation of most rules, so a run
+   that indexes no unit must fail instead of passing vacuously. *)
+let test_no_cmt_fails () =
+  let dir = Filename.temp_file "planck_no_cmt" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  Sys.mkdir (Filename.concat dir "lib/netsim") 0o755;
-  let file = Filename.concat dir "lib/netsim/clock.ml" in
-  let oc = open_out file in
-  output_string oc "let now () = Unix.gettimeofday ()\n";
-  close_out oc;
   Fun.protect
-    ~finally:(fun () ->
-      Sys.chdir cwd;
-      Sys.remove file;
-      Sys.rmdir (Filename.concat dir "lib/netsim");
-      Sys.rmdir (Filename.concat dir "lib");
-      Sys.rmdir dir)
+    ~finally:(fun () -> Sys.rmdir dir)
     (fun () ->
-      Sys.chdir dir;
-      let rules r = List.map (fun f -> f.Finding.rule) r.Engine.kept in
-      let all = rules (Engine.lint_paths [ "lib" ]) in
-      Alcotest.(check bool)
-        "both rules fire unfiltered" true
-        (List.mem "wall-clock" all && List.mem "missing-mli" all);
-      Alcotest.(check (list string))
-        "--only-rule keeps just the requested rule" [ "wall-clock" ]
-        (rules (Engine.lint_paths ~only_rules:[ "wall-clock" ] [ "lib" ])))
+      let opts =
+        {
+          Engine.cmt_dirs = [ dir ];
+          baseline_file = None;
+          dead_export = true;
+          shared_state_out = None;
+          ownership_out = None;
+        }
+      in
+      match Engine.lint_paths opts [ dir ] with
+      | _ -> Alcotest.fail "a run over an empty .cmt directory must fail"
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            "the message says to build first" true
+            (let needle = "build first" in
+             let n = String.length needle and h = String.length msg in
+             let rec go i =
+               i + n <= h && (String.sub msg i n = needle || go (i + 1))
+             in
+             go 0))
 
 (* ---- the repo is lint-clean ---- *)
 
@@ -339,14 +262,15 @@ let test_repo_clean () =
       ~finally:(fun () -> Sys.chdir cwd)
       (fun () ->
         Sys.chdir root;
-        (* Deep tier with the build tree's own .cmt files: the typed
-           rules replace their syntactic cousins on covered files, so
-           this checks the same configuration CI enforces. Dead-export
-           needs bin/bench cmts for references, which a bare runtest
-           need not have built, so it stays off here. The domain tier
-           always runs, so the committed baseline (which absorbs the
-           justified shared-mutable singletons) applies. *)
-        let deep =
+        (* The build tree's own .cmt files, the same configuration CI
+           enforces. Dead-export needs bin/bench cmts for references,
+           which a bare runtest need not have built, so it stays off
+           here (and its baseline entries are not judged stale). The
+           domain and ownership tiers always run, so the committed
+           baseline (which absorbs the justified singletons and
+           barrier design points) applies, and every entry must still
+           match a finding. *)
+        let opts =
           {
             Engine.cmt_dirs = [ "." ];
             baseline_file = Some "tools/lint/lint_baseline.txt";
@@ -355,28 +279,21 @@ let test_repo_clean () =
             ownership_out = None;
           }
         in
-        let r = Engine.lint_paths ~deep [ "lib" ] in
+        let r = Engine.lint_paths opts [ "lib" ] in
         Alcotest.(check (list string)) "no unsuppressed findings in lib/" []
           (List.map
              (fun f ->
                Printf.sprintf "%s:%d [%s]" f.Finding.file f.Finding.line
                  f.Finding.rule)
              r.Engine.kept);
-        Alcotest.(check bool) "deep tier indexed the build tree" true
-          (r.Engine.deep_units > 20);
+        Alcotest.(check bool) "indexed the build tree" true
+          (r.Engine.typed_units > 20);
         Alcotest.(check bool) "linted a non-trivial tree" true
           (r.Engine.files_linted > 20))
 
 let tests =
   [
-    Alcotest.test_case "wall-clock rule" `Quick test_wall_clock;
-    Alcotest.test_case "ambient-random rule" `Quick test_ambient_random;
-    Alcotest.test_case "hashtbl-iteration rule" `Quick test_hashtbl_iteration;
-    Alcotest.test_case "poly-compare rule" `Quick test_poly_compare;
     Alcotest.test_case "keyed-poly-equal rule" `Quick test_keyed_poly_equal;
-    Alcotest.test_case "float-equality rule" `Quick test_float_equality;
-    Alcotest.test_case "hot-alloc rule" `Quick test_hot_alloc;
-    Alcotest.test_case "hot-schedule rule" `Quick test_hot_schedule;
     Alcotest.test_case "missing-mli rule" `Quick test_missing_mli;
     Alcotest.test_case "open-lib rule" `Quick test_open_lib;
     Alcotest.test_case "ignored-result rule" `Quick test_ignored_result;
@@ -388,7 +305,7 @@ let tests =
       test_json_escape_fixed;
     QCheck_alcotest.to_alcotest json_escape_round_trip_qcheck;
     QCheck_alcotest.to_alcotest json_escape_any_bytes_qcheck;
-    Alcotest.test_case "--only-rule filters kept findings" `Quick
-      test_only_rules_filter;
+    Alcotest.test_case "run without .cmt artifacts fails" `Quick
+      test_no_cmt_fails;
     Alcotest.test_case "repo tree is lint-clean" `Quick test_repo_clean;
   ]

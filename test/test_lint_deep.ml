@@ -1,4 +1,4 @@
-(* The deep (typed) lint tier: call-graph hot reachability, type-aware
+(* The typed lint tier: call-graph hot reachability, type-aware
    poly-compare, determinism taint, dead exports, and the baseline.
 
    Fixtures are type-checked in-process against the stdlib environment
@@ -165,11 +165,10 @@ let test_hot_structural_equality () =
 
 (* ---- hot-alloc and the raise-path exemption ----
 
-   This is the old switch.ml check_port shape: an allocating format call
-   whose result feeds [invalid_arg] on a hot function's error path. The
-   syntactic tier needed an inline suppression for it; the typed tier
-   exempts raise arguments outright, which is why that directive could
-   be deleted. A bare allocation on the same hot path still fires. *)
+   This is switch.ml's check_port shape: an allocating format call
+   whose result feeds [invalid_arg] on a hot function's error path.
+   Raise arguments are exempt, so it needs no suppression. A bare
+   allocation on the same hot path still fires. *)
 
 let raise_fixture =
   {|
@@ -222,6 +221,33 @@ let unused_clock () = Sys.time ()
 let taint_config =
   { Taint.sink_patterns = [ "Journal.record" ]; exempt_source = (fun _ -> false) }
 
+(* The other determinism sources the taint tier recognises, each behind its
+   own journal write; the explicitly seeded and the order-free calls
+   stay quiet. *)
+let taint_sources_fixture =
+  {|
+module Journal = struct let record (_ : int) = () end
+module Flow_key = struct
+  module Table = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash x = x
+  end)
+end
+let global_draw () = Random.int 10
+let self_seeded () = Random.State.make_self_init ()
+let bucket_order (tbl : (int, int) Hashtbl.t) = Hashtbl.iter (fun _ _ -> ()) tbl; 0
+let table_order tbl = Flow_key.Table.fold (fun k _ acc -> k + acc) tbl 0
+let seeded_draw st = Random.State.int st 10
+let seq_order (tbl : (int, int) Hashtbl.t) = Seq.length (Hashtbl.to_seq tbl)
+let log_global () = Journal.record (global_draw ())
+let log_self_seeded () = Journal.record (Random.State.int (self_seeded ()) 10)
+let log_bucket tbl = Journal.record (bucket_order tbl)
+let log_table tbl = Journal.record (table_order tbl)
+let log_seeded st = Journal.record (seeded_draw st)
+let log_seq tbl = Journal.record (seq_order tbl)
+|}
+
 let test_taint_reaches_sink () =
   let ix = index_of [ ("Fix", "lib/fix/fix.ml", taint_fixture) ] in
   let findings = Taint.report ~config:taint_config ix in
@@ -229,11 +255,20 @@ let test_taint_reaches_sink () =
     "clock behind a journal write fires, at the source line"
     [ "lib/fix/fix.ml:3" ]
     (rules_at ~rule:"determinism-taint" findings);
-  match findings with
+  (match findings with
   | [ f ] ->
       Alcotest.(check string)
         "symbol is the sink-adjacent def" "Fix.log_time" f.Finding.symbol
-  | _ -> Alcotest.fail "expected exactly one taint finding"
+  | _ -> Alcotest.fail "expected exactly one taint finding");
+  let ix = index_of [ ("Fix", "lib/fix/fix.ml", taint_sources_fixture) ] in
+  Alcotest.(check (list string))
+    "Random.int, make_self_init, Hashtbl.iter and Table.fold fire; \
+     Random.State.int and Hashtbl.to_seq do not"
+    [ "Fix.log_bucket"; "Fix.log_global"; "Fix.log_self_seeded"; "Fix.log_table" ]
+    (List.sort String.compare
+       (List.map
+          (fun f -> f.Finding.symbol)
+          (Taint.report ~config:taint_config ix)))
 
 let test_taint_needs_sink () =
   let no_sink =
@@ -261,11 +296,13 @@ let test_taint_exempt_source () =
 let dead_impl = {|
 let used x = x + 1
 let unused x = x - 1
+let reexported x = x * 2
 |}
 
 let dead_intf = {|
 val used : int -> int
 val unused : int -> int
+val reexported : int -> int
 |}
 
 let dead_index () =
@@ -275,13 +312,20 @@ let dead_index () =
   Index.add_typed_interface ix ~unit_name:"Fix_dead"
     ~file:"lib/fix/fix_dead.mli" ~source:dead_intf;
   Index.note_unit_ref ix ~from_unit:"Fix_user" ~target:"Fix_dead.used";
+  (* the bench shape: a common unit re-exports Fix_dead under an
+     alias, and another unit opens it and calls through the alias *)
+  Index.add_typed_source ix ~unit_name:"Fix_common"
+    ~file:"bench/fix_common.ml" ~source:"module D = Fix_dead\n";
+  Index.add_typed_source ix ~unit_name:"Fix_exp" ~file:"bench/fix_exp.ml"
+    ~source:"open Fix_common\nlet run x = D.reexported x\n";
   ix
 
 let test_dead_export () =
   let t = Deep.prepare ~hot_roots:[] (dead_index ()) in
   let dead = rules_at ~rule:"dead-export" (Deep.findings t) in
   Alcotest.(check (list string))
-    "only the unreferenced export fires, on the mli"
+    "only the unreferenced export fires, on the mli; a reference through \
+     another unit's module alias counts"
     [ "lib/fix/fix_dead.mli:3" ] dead
 
 let test_baseline_round_trip () =
@@ -305,6 +349,30 @@ let test_baseline_round_trip () =
         "baselined entry is absorbed" []
         (rules_at ~rule:"dead-export" kept);
       Alcotest.(check int) "one finding baselined" 1 (List.length baselined))
+
+let test_baseline_stale () =
+  let findings = Deep.findings (Deep.prepare ~hot_roots:[] (dead_index ())) in
+  let entry rule symbol line = { Deep.rule; symbol; line } in
+  let entries =
+    [
+      entry "dead-export" "Fix_dead.unused" 1;
+      entry "dead-export" "Fix_dead.gone" 2;
+      entry "poly-compare" "Fix_dead.gone" 3;
+    ]
+  in
+  let stale ~ran =
+    List.map
+      (fun f -> (f.Finding.rule, f.Finding.line))
+      (Deep.stale_baseline ~file:"baseline.txt" ~ran entries findings)
+  in
+  Alcotest.(check (list (pair string int)))
+    "entries matching no finding are errors at their line"
+    [ ("stale-baseline", 2); ("stale-baseline", 3) ]
+    (stale ~ran:(fun _ -> true));
+  Alcotest.(check (list (pair string int)))
+    "entries of a rule that did not run are not judged"
+    [ ("stale-baseline", 3) ]
+    (stale ~ran:(fun rule -> rule <> "dead-export"))
 
 let test_baseline_malformed () =
   let path = Filename.temp_file "planck_lint_baseline" ".txt" in
@@ -359,6 +427,8 @@ let tests =
       test_taint_exempt_source;
     Alcotest.test_case "dead export" `Quick test_dead_export;
     Alcotest.test_case "baseline round trip" `Quick test_baseline_round_trip;
+    Alcotest.test_case "stale baseline entries are errors" `Quick
+      test_baseline_stale;
     Alcotest.test_case "baseline rejects malformed" `Quick
       test_baseline_malformed;
     Alcotest.test_case "suppressions cover deep findings" `Quick

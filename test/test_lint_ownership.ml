@@ -221,11 +221,10 @@ let test_inventory_round_trip () =
       in
       Alcotest.(check (list (pair string string)))
         "text format round-trips to (kind, symbol)" kinds loaded);
-  let doc = Own.inventory_json entries in
+  let doc = Own.inventory_text entries in
   Alcotest.(check bool)
-    "JSON artifact names the facts and the attributed roots" true
-    (contains ~needle:{|"symbol":"Fix.chan:Fix.shard_loop"|} doc
-    && contains ~needle:{|"kind":"spsc-producer"|} doc
+    "text inventory names the facts and the attributed roots" true
+    (contains ~needle:"\nspsc-producer Fix.chan:Fix.shard_loop -- " doc
     && contains ~needle:"(main)" doc)
 
 (* ---- repo self-check ----
@@ -252,7 +251,7 @@ let test_committed_inventory_current () =
       in
       Alcotest.(check (list (pair string string)))
         "tools/lint/ownership.txt is current (regenerate with planck_lint \
-         --deep --ownership-out)"
+         --ownership-out)"
         computed loaded
     end
   end

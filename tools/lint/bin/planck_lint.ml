@@ -1,21 +1,23 @@
 (* planck-lint: static analysis for the Planck reproduction.
 
    Usage: planck_lint [--json] [--out FILE] [--list-rules]
-                      [--disable RULE] [--warn-only RULE] [--only-rule RULE]
-                      [--deep] [--cmt-dir DIR] [--baseline FILE]
-                      [--no-dead-export] PATH...
+                      [--cmt-dir DIR] [--baseline FILE]
+                      [--shared-state-out FILE] [--ownership-out FILE]
+                      PATH...
 
-   Two tiers: the syntactic AST pass always runs; --deep additionally
-   loads the repo's .cmt typedtree artifacts and replaces the
-   heuristic hot-path / poly-compare / determinism rules with
-   call-graph reachability, instantiated-type checks, interprocedural
-   taint, and the dead-export analysis on every covered file.
+   Loads the repo's .cmt typedtree artifacts (build first) and runs the
+   typed rules — call-graph reachability for the hot-path rules,
+   instantiated-type checks, interprocedural determinism taint, the
+   dead-export analysis, the domain and ownership tiers — plus the
+   syntactic AST pass for the rules that need no types. Inline
+   [planck-lint: allow] directives and the justified baseline are the
+   only ways to accept a finding.
 
    Exits 1 when any error-severity finding survives suppressions and
-   the baseline. *)
+   the baseline, 2 on a usage error, a malformed baseline, or a run
+   that finds no .cmt artifacts. *)
 
 module F = Planck_lint_lib.Lint_finding
-module Rules = Planck_lint_lib.Lint_rules
 module Engine = Planck_lint_lib.Lint_engine
 module Report = Planck_lint_lib.Lint_report
 
@@ -23,60 +25,30 @@ let () =
   let json = ref false in
   let out = ref "" in
   let list_rules = ref false in
-  let disabled = ref [] in
-  let warn_only = ref [] in
-  let deep = ref false in
   let cmt_dirs = ref [] in
   let baseline = ref "" in
-  let dead_export = ref true in
   let shared_state_out = ref "" in
   let ownership_out = ref "" in
-  let only_rules = ref [] in
   let paths = ref [] in
-  let check_rule flag r =
-    if not (Rules.is_known r) then begin
-      prerr_endline
-        (Printf.sprintf "planck_lint: unknown rule %S for %s (try --list-rules)"
-           r flag);
-      exit 2
-    end;
-    r
-  in
   let spec =
     [
       ("--json", Arg.Set json, " emit the machine-readable JSON report");
       ("--out", Arg.Set_string out, "FILE write the report to FILE instead of stdout");
       ("--list-rules", Arg.Set list_rules, " print the rule catalog and exit");
-      ( "--disable",
-        Arg.String (fun r -> disabled := check_rule "--disable" r :: !disabled),
-        "RULE drop findings of RULE entirely (repeatable)" );
-      ( "--warn-only",
-        Arg.String (fun r -> warn_only := check_rule "--warn-only" r :: !warn_only),
-        "RULE downgrade RULE to a non-fatal warning (repeatable)" );
-      ( "--only-rule",
-        Arg.String
-          (fun r -> only_rules := check_rule "--only-rule" r :: !only_rules),
-        "RULE keep only findings of RULE (repeatable)" );
-      ("--deep", Arg.Set deep, " run the typed .cmt tier as well");
       ( "--cmt-dir",
         Arg.String (fun d -> cmt_dirs := d :: !cmt_dirs),
         "DIR scan DIR recursively for .cmt/.cmti artifacts (repeatable; \
          default _build/default, or . when absent)" );
       ( "--baseline",
         Arg.Set_string baseline,
-        "FILE deep-finding baseline file (default \
-         tools/lint/lint_baseline.txt when present)" );
-      ( "--no-dead-export",
-        Arg.Clear dead_export,
-        " skip the dead-export analysis (for partial cmt sets)" );
+        "FILE finding baseline file (default tools/lint/lint_baseline.txt \
+         when present)" );
       ( "--shared-state-out",
         Arg.Set_string shared_state_out,
-        "FILE write the shard-confinement inventory to FILE (.json for \
-         the machine-readable artifact, else the committed text format)" );
+        "FILE write the shard-confinement inventory to FILE" );
       ( "--ownership-out",
         Arg.Set_string ownership_out,
-        "FILE write the ownership-tier inventory to FILE (.json for the \
-         machine-readable artifact, else the committed text format)" );
+        "FILE write the ownership-tier inventory to FILE" );
     ]
   in
   let usage = "planck_lint [options] PATH..." in
@@ -89,48 +61,35 @@ let () =
     prerr_endline usage;
     exit 2
   end;
-  let deep_opts =
-    if not !deep then None
-    else
-      let dirs =
-        match List.rev !cmt_dirs with
-        | [] ->
-            if Sys.file_exists "_build/default" then [ "_build/default" ]
-            else [ "." ]
-        | dirs -> dirs
-      in
-      let default_baseline = "tools/lint/lint_baseline.txt" in
-      let baseline_file =
-        if !baseline <> "" then Some !baseline
-        else if Sys.file_exists default_baseline then Some default_baseline
-        else None
-      in
-      Some
-        {
-          Engine.cmt_dirs = dirs;
-          baseline_file;
-          dead_export = !dead_export;
-          shared_state_out =
-            (if !shared_state_out = "" then None else Some !shared_state_out);
-          ownership_out =
-            (if !ownership_out = "" then None else Some !ownership_out);
-        }
+  let cmt_dirs =
+    match List.rev !cmt_dirs with
+    | [] ->
+        if Sys.file_exists "_build/default" then [ "_build/default" ] else [ "." ]
+    | dirs -> dirs
+  in
+  let default_baseline = "tools/lint/lint_baseline.txt" in
+  let baseline_file =
+    if !baseline <> "" then Some !baseline
+    else if Sys.file_exists default_baseline then Some default_baseline
+    else None
+  in
+  let some_path s = if s = "" then None else Some s in
+  let opts =
+    {
+      Engine.cmt_dirs;
+      baseline_file;
+      dead_export = true;
+      shared_state_out = some_path !shared_state_out;
+      ownership_out = some_path !ownership_out;
+    }
   in
   let result =
-    try
-      Engine.lint_paths ?deep:deep_opts ~only_rules:(List.rev !only_rules)
-        (List.rev !paths)
+    try Engine.lint_paths opts (List.rev !paths)
     with Failure msg ->
       prerr_endline ("planck_lint: " ^ msg);
       exit 2
   in
-  let findings =
-    result.Engine.kept
-    |> List.filter (fun f -> not (List.mem f.F.rule !disabled))
-    |> List.map (fun f ->
-           if List.mem f.F.rule !warn_only then { f with F.severity = F.Warning }
-           else f)
-  in
+  let findings = result.Engine.kept in
   let suppressed =
     result.Engine.suppressed_count + result.Engine.baselined_count
   in

@@ -83,7 +83,6 @@ let backward ix ~roots =
   { reached = !reached; parent = !parent; roots }
 
 let mem c id = SS.mem id c.reached
-let elements c = SS.elements c.reached
 
 let chain c id =
   if not (SS.mem id c.reached) then []

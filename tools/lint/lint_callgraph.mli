@@ -13,7 +13,6 @@ val backward : Lint_cmt_index.t -> roots:string list -> closure
     seeded with defs containing determinism sources. Roots included. *)
 
 val mem : closure -> string -> bool
-val elements : closure -> string list
 
 val chain : closure -> string -> string list
 (** Shortest witness chain from a root to the given node (for [forward];

@@ -165,8 +165,10 @@ type t = {
          (same-unit local references); impl entries replace intf ones *)
   mod_aliases : (string, Path.t) Hashtbl.t;
       (* structure-level [module P = Planck_x.P] aliases, keyed
-         "Unit.P" — the lazy classifier resolves type paths through
-         them after the per-unit walking context is gone *)
+         "Unit.P", recorded before any unit is walked: other units'
+         references resolve through them, and the lazy classifier
+         resolves type paths through them after the per-unit walking
+         context is gone *)
   mutable raw_bindings : raw_binding list;
   functor_used : (string, unit) Hashtbl.t;
       (* units passed to functors / included / packed: every export of
@@ -175,6 +177,8 @@ type t = {
   mutable spsc_sites_ : spsc_site list;
   mutable raw_transfer_uses : raw_transfer_use list;
   mutable release_leaks_ : release_leak list;
+  mutable fixture_sigs : (string * Types.signature) list;
+      (* in-process typed fixture units, newest first *)
 }
 
 let create () =
@@ -195,17 +199,13 @@ let create () =
     spsc_sites_ = [];
     raw_transfer_uses = [];
     release_leaks_ = [];
+    fixture_sigs = [];
   }
 
-let units t = Hashtbl.fold (fun u _ acc -> u :: acc) t.unit_files []
 let unit_count t = Hashtbl.length t.unit_files
-let def_count t = Hashtbl.length t.defs
-let file_of_unit t u = Hashtbl.find_opt t.unit_files u
-let has_file t f = Hashtbl.fold (fun _ v acc -> acc || v = f) t.unit_files false
 let events t = t.events
 let exports t = t.exports
 let find_def t id = Hashtbl.find_opt t.defs id
-let iter_defs t f = Hashtbl.iter (fun _ d -> f d) t.defs
 
 let edges_of t id =
   match Hashtbl.find_opt t.edges id with Some s -> !s | None -> SS.empty
@@ -327,7 +327,16 @@ let spsc_ops =
 let hashtbl_iter_patterns =
   [ "Hashtbl.iter"; "Hashtbl.fold"; "Table.iter"; "Table.fold" ]
 
+(* [target] is a resolved name, so the stdlib module arrives as
+   "Stdlib.Random.int" *)
 let ambient_random target =
+  let target =
+    let p = "Stdlib." in
+    let n = String.length p in
+    if String.length target > n && String.sub target 0 n = p then
+      String.sub target n (String.length target - n)
+    else target
+  in
   match String.index_opt target '.' with
   | Some i when String.sub target 0 i = "Random" -> (
       let rest = String.sub target (i + 1) (String.length target - i - 1) in
@@ -350,11 +359,25 @@ type target =
   | TExtern of string  (** outside the repo: "Stdlib.Printf.sprintf" *)
   | TNone  (** a local (function parameter, let-bound) value *)
 
-let normalize_unit t head comps =
+(* A path into another unit may go through a structure-level
+   [module X = Path] alias that unit declares (bench's [open Exp_common]
+   then [Collector.on_estimate]): follow it to the defining unit so the
+   reference lands on the real def. [fuel] bounds alias chains. *)
+let rec normalize_unit ?(fuel = 8) t head comps =
   let mk u rest =
+    let def () = TDef (u ^ "." ^ String.concat "." rest) in
     match rest with
     | [] -> TExtern u (* bare module reference *)
-    | _ -> TDef (u ^ "." ^ String.concat "." rest)
+    | m :: (_ :: _ as tail) when fuel > 0 -> (
+        match Hashtbl.find_opt t.mod_aliases (u ^ "." ^ m) with
+        | Some p ->
+            let head', comps' = flatten_path p [] in
+            if Ident.persistent head' || Ident.global head' then
+              normalize_unit ~fuel:(fuel - 1) t (Ident.name head')
+                (comps' @ tail)
+            else def ()
+        | None -> def ())
+    | _ -> def ()
   in
   match comps with
   | m1 :: rest ->
@@ -362,9 +385,7 @@ let normalize_unit t head comps =
       if Hashtbl.mem t.known_units cand then mk cand rest
       else if Hashtbl.mem t.known_units head then mk head comps
       else TExtern (String.concat "." (head :: comps))
-  | [] ->
-      if Hashtbl.mem t.known_units head then TExtern head
-      else TExtern head
+  | [] -> TExtern head
 
 (* ---- Per-unit walking context ---- *)
 
@@ -1097,10 +1118,6 @@ and walk_module_expr ctx prefix ~binder ~name (me : Typedtree.module_expr) it =
   | Typedtree.Tmod_ident (p, _) ->
       (match binder with
       | Some id -> ITbl.replace ctx.mods id (MAlias p)
-      | None -> ());
-      (match name with
-      | Some n ->
-          Hashtbl.replace ctx.ix.mod_aliases (ctx.unit_name ^ "." ^ n) p
       | None -> ())
   | Typedtree.Tmod_constraint (me', _, _, _) ->
       walk_module_expr ctx prefix ~binder ~name me' it
@@ -1112,6 +1129,23 @@ and walk_module_expr ctx prefix ~binder ~name (me : Typedtree.module_expr) it =
         ^ (match name with Some n -> n | None -> "")
         ^ "(module)")
         (fun () -> it.Tast_iterator.module_expr it me)
+
+let record_aliases t ~unit_name (str : Typedtree.structure) =
+  let rec alias_path (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some p
+    | Typedtree.Tmod_constraint (me', _, _, _) -> alias_path me'
+    | _ -> None
+  in
+  List.iter
+    (fun (item : Typedtree.structure_item) ->
+      match item.Typedtree.str_desc with
+      | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } ->
+          Option.iter
+            (Hashtbl.replace t.mod_aliases (unit_name ^ "." ^ Ident.name id))
+            (alias_path mb_expr)
+      | _ -> ())
+    str.Typedtree.str_items
 
 let index_implementation t ~unit_name ~file (str : Typedtree.structure) =
   let ctx =
@@ -1241,13 +1275,15 @@ let load ~dirs =
                 end))
       files
   in
-  (* phase 1: all unit names must be known before any path normalises *)
+  (* phase 1: all unit names and module aliases must be known before
+     any path normalises *)
   List.iter
     (fun l ->
       Hashtbl.replace t.known_units l.l_unit ();
       match l.l_annots with
-      | Cmt_format.Implementation _ ->
-          Hashtbl.replace t.unit_files l.l_unit l.l_file
+      | Cmt_format.Implementation str ->
+          Hashtbl.replace t.unit_files l.l_unit l.l_file;
+          record_aliases t ~unit_name:l.l_unit str
       | _ -> ())
     loaded;
   (* phase 2: interfaces first, so type manifests from .mli files are
@@ -1395,25 +1431,38 @@ let ensure_typing () =
     typing_ready := true
   end
 
+(* The stdlib environment plus every fixture unit typed so far, so a
+   later fixture can name an earlier one ([module D = Fix_dead]). *)
+let fixture_env t =
+  List.fold_left
+    (fun env (name, sg) ->
+      Env.add_module (Ident.create_persistent name) Types.Mp_present
+        (Types.Mty_signature sg) env)
+    (Compmisc.initial_env ())
+    (List.rev t.fixture_sigs)
+
+let fixture_lexbuf ~file ~source =
+  let lexbuf = Lexing.from_string source in
+  Lexing.set_filename lexbuf file;
+  Location.init lexbuf file;
+  lexbuf
+
 let add_typed_source t ~unit_name ~file ~source =
   ensure_typing ();
   Hashtbl.replace t.known_units unit_name ();
   Hashtbl.replace t.unit_files unit_name file;
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  Location.init lexbuf file;
-  let parsed = Parse.implementation lexbuf in
+  let env = fixture_env t in
+  let parsed = Parse.implementation (fixture_lexbuf ~file ~source) in
   let str, _, _, _, _ = Typemod.type_structure env parsed in
+  t.fixture_sigs <- (unit_name, str.Typedtree.str_type) :: t.fixture_sigs;
+  record_aliases t ~unit_name str;
   index_implementation t ~unit_name ~file str
 
 let add_typed_interface t ~unit_name ~file ~source =
   ensure_typing ();
   Hashtbl.replace t.known_units unit_name ();
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  Location.init lexbuf file;
-  let parsed = Parse.interface lexbuf in
+  let env = fixture_env t in
+  let parsed = Parse.interface (fixture_lexbuf ~file ~source) in
   let sg = Typemod.type_interface env parsed in
+  t.fixture_sigs <- (unit_name, sg.Typedtree.sig_type) :: t.fixture_sigs;
   index_interface t ~unit_name ~file sg

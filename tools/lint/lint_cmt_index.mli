@@ -138,18 +138,7 @@ val load : dirs:string list -> t
     unit whose source file is repo-relative (lib/ bin/ bench/ examples/
     tools/ test/). Unreadable or version-mismatched files are skipped. *)
 
-val units : t -> string list
-(** Implementation units indexed (wrapped names, e.g.
-    ["Planck_netsim__Switch"]). *)
-
 val unit_count : t -> int
-val def_count : t -> int
-
-val file_of_unit : t -> string -> string option
-val has_file : t -> string -> bool
-(** [has_file t f] is true when some indexed implementation unit's
-    source is the repo-relative path [f] — i.e. the deep tier covers
-    that file and the replaced syntactic rules may be switched off. *)
 
 val events : t -> event list
 val exports : t -> export list
@@ -170,7 +159,6 @@ val transfer_sites : t -> transfer_site list
 val spsc_sites : t -> spsc_site list
 
 val find_def : t -> string -> def option
-val iter_defs : t -> (def -> unit) -> unit
 
 val edges_of : t -> string -> Set.Make(String).t
 val iter_edges : t -> (string -> Set.Make(String).t -> unit) -> unit
@@ -193,8 +181,10 @@ val suffix_matches : pattern:string -> string -> bool
 val any_suffix_matches : string list -> string -> bool
 
 val add_typed_source : t -> unit_name:string -> file:string -> source:string -> unit
-(** Type-check [source] in-process (stdlib environment only) and index
-    it as implementation unit [unit_name]. For test fixtures. *)
+(** Type-check [source] in-process and index it as implementation unit
+    [unit_name]. The environment is the stdlib plus every unit added
+    to [t] this way before, so fixtures can reference each other. For
+    test fixtures. *)
 
 val add_typed_interface :
   t -> unit_name:string -> file:string -> source:string -> unit

@@ -1,10 +1,9 @@
 (* The deep (typed, whole-repo) rule tier.
 
-   Where the syntactic tier scopes "hot" by hot-dir × hot-stem filename
-   heuristics, this tier computes the hot set as a forward reachability
-   closure over the real call graph, seeded from the per-packet /
-   per-event roots (switch ingress, collector sample path, engine and
-   timer-wheel dispatch, tcp segment handling). A cold-named helper the
+   "Hot" is a forward reachability closure over the real call graph,
+   seeded from the per-packet / per-event roots (switch ingress,
+   collector sample path, engine and timer-wheel dispatch, tcp segment
+   handling) rather than a naming convention. A cold-named helper the
    timer wheel actually calls per event is hot here; a hot-named
    function nothing per-packet reaches is not.
 
@@ -13,10 +12,8 @@
    any shadow table, and [=] on a structured type only fires where it
    can actually run per packet.
 
-   Findings reuse the syntactic rule ids (hot-alloc, hot-schedule,
-   poly-compare, float-equality) so existing inline suppressions carry
-   over, plus the new dead-export rule. Determinism taint lives in
-   [Lint_taint]. *)
+   Rules here: hot-alloc, hot-schedule, poly-compare, float-equality
+   and dead-export. Determinism taint lives in [Lint_taint]. *)
 
 module SS = Set.Make (String)
 module F = Lint_finding
@@ -74,7 +71,6 @@ let prepare ?(hot_roots = default_hot_roots) ix =
 let index t = t.ix
 let roots t = t.roots
 let is_hot t id = Lint_callgraph.mem t.hot id
-let hot_set t = Lint_callgraph.elements t.hot
 let hot_chain t id = Lint_callgraph.chain_string t.hot id
 
 let starts_with ~prefix s =
@@ -82,6 +78,9 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let in_lib file = starts_with ~prefix:"lib/" file
+
+(* dead-export scope: the simulator libraries and the linter itself *)
+let export_scope file = in_lib file || starts_with ~prefix:"tools/" file
 
 let mk ~rule ~symbol (e : Ix.event) message =
   F.v ~symbol ~rule ~severity:F.Error ~file:e.Ix.e_file ~line:e.Ix.e_line
@@ -160,7 +159,7 @@ let event_findings t =
 let dead_export_findings t =
   List.filter_map
     (fun (x : Ix.export) ->
-      if not (in_lib x.Ix.x_file) then None
+      if not (export_scope x.Ix.x_file) then None
       else if Ix.functor_used_unit t.ix x.Ix.x_unit then None
       else
         let refs = Ix.referencing_units t.ix x.Ix.x_id in
@@ -197,6 +196,8 @@ let find_sub haystack needle =
   in
   if nn = 0 then None else go 0
 
+type baseline_entry = { rule : string; symbol : string; line : int }
+
 let parse_baseline_line ln line =
   let line =
     match String.index_opt (String.trim line) '#' with
@@ -228,7 +229,7 @@ let parse_baseline_line ln line =
                   (String.sub body (j + 1) (String.length body - j - 1))
               in
               if rule = "" || symbol = "" then malformed ()
-              else Ok (Some (rule, symbol))
+              else Ok (Some { rule; symbol; line = ln })
           | None -> malformed ())
 
 let load_baseline path =
@@ -251,8 +252,25 @@ let load_baseline path =
 
 let apply_baseline entries findings =
   let tbl = Hashtbl.create 64 in
-  List.iter (fun (r, s) -> Hashtbl.replace tbl (r, s) ()) entries;
+  List.iter (fun e -> Hashtbl.replace tbl (e.rule, e.symbol) ()) entries;
   List.partition
     (fun (f : F.t) ->
       f.F.symbol = "" || not (Hashtbl.mem tbl (f.F.rule, f.F.symbol)))
     findings
+
+let stale_baseline ~file ~ran entries findings =
+  let live = Hashtbl.create 64 in
+  List.iter
+    (fun (f : F.t) -> Hashtbl.replace live (f.F.rule, f.F.symbol) ())
+    findings;
+  List.filter_map
+    (fun e ->
+      if ran e.rule && not (Hashtbl.mem live (e.rule, e.symbol)) then
+        Some
+          (F.v ~symbol:e.symbol ~rule:"stale-baseline" ~severity:F.Error ~file
+             ~line:e.line ~col:0
+             (Printf.sprintf
+                "baseline entry '%s %s' matches no finding; delete it"
+                e.rule e.symbol))
+      else None)
+    entries

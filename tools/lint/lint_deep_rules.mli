@@ -1,11 +1,10 @@
-(** The deep (typed, whole-repo) rule tier: hot-path reachability,
-    type-aware poly-compare / float-equality, deep hot-alloc /
-    hot-schedule, dead-export, plus [Lint_taint]'s determinism rule.
+(** The typed (whole-repo) rule tier: hot-path reachability,
+    type-aware poly-compare / float-equality, hot-alloc /
+    hot-schedule, dead-export, plus [Lint_taint]'s determinism rule,
+    and the [(rule, symbol)] baseline shared by every typed tier.
 
-    Deep findings reuse the syntactic rule ids where they replace a
-    syntactic rule, so inline suppression directives carry over
-    unchanged; each carries a stable [symbol] (the qualified def or
-    export id) so baseline entries survive line churn. *)
+    Each finding carries a stable [symbol] (the qualified def or export
+    id) so baseline entries survive line churn. *)
 
 type t
 
@@ -24,7 +23,6 @@ val roots : t -> string list
     tier extend them with its own shard roots. *)
 
 val is_hot : t -> string -> bool
-val hot_set : t -> string list
 val hot_chain : t -> string -> string
 (** Witness chain from a root to the given hot def. *)
 
@@ -34,13 +32,22 @@ val findings : ?dead_export:bool -> t -> Lint_finding.t list
     only part of the repo's cmt artifacts are guaranteed to exist, where
     missing referencing units would fabricate dead exports. *)
 
-val load_baseline : string -> ((string * string) list, string) result
+type baseline_entry = { rule : string; symbol : string; line : int }
+(** One [<rule> <symbol> -- justification] line; [line] is 1-based. *)
+
+val load_baseline : string -> (baseline_entry list, string) result
 (** Parse a baseline file: one [<rule> <symbol> -- justification] per
     line, [#] comments and blanks ignored. *)
 
 val apply_baseline :
-  (string * string) list -> Lint_finding.t list ->
+  baseline_entry list -> Lint_finding.t list ->
   Lint_finding.t list * Lint_finding.t list
 (** [apply_baseline entries findings] is [(kept, baselined)]; a finding
     is baselined when some entry matches its [(rule, symbol)]. Findings
     with an empty symbol are never baselined. *)
+
+val stale_baseline :
+  file:string -> ran:(string -> bool) -> baseline_entry list ->
+  Lint_finding.t list -> Lint_finding.t list
+(** One [stale-baseline] error, located at its line of [file], for
+    every entry whose rule [ran] and that matches none of [findings]. *)

@@ -212,39 +212,6 @@ let inventory_text entries =
     entries;
   Buffer.contents buf
 
-(* minimal JSON string escaping; symbols and rendered OCaml types are
-   ASCII in practice, this keeps the output valid if one is not *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let inventory_json entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"version\":1,\"shared_state\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"symbol\":\"%s\",\"class\":\"%s\",\"file\":\"%s\",\"line\":%d,\"type\":\"%s\",\"hot\":%b}"
-           (json_escape e.e_id)
-           (class_label e.e_class)
-           (json_escape e.e_file) e.e_line (json_escape e.e_type) e.e_hot))
-    entries;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
-
 (* Parse a committed inventory back to (class, symbol) pairs — the
    line-number- and type-free projection the self-check compares. *)
 let load_inventory path =

@@ -14,10 +14,6 @@ type cls = Immutable | Atomic | Engine_scoped | Shared_mutable
 val class_label : cls -> string
 (** ["immutable"] / ["atomic"] / ["engine-scoped"] / ["shared-mutable"]. *)
 
-val classify : Lint_cmt_index.binding -> cls option
-(** [None] for a plain function (arrow type, immutable result, no
-    module-init allocation) — not state, not inventoried. *)
-
 type entry = {
   e_id : string;  (** qualified binding id *)
   e_file : string;
@@ -48,10 +44,6 @@ val findings : ?entries:entry list -> Lint_deep_rules.t -> Lint_finding.t list
 val inventory_text : entry list -> string
 (** The committed-file format: [<class> <symbol> -- <type> [hot]] with
     a comment header. Line-number-free, so the file survives churn. *)
-
-val inventory_json : entry list -> string
-(** The CI-artifact format:
-    [{"version":1,"shared_state":[{symbol,class,file,line,type,hot}]}]. *)
 
 val load_inventory : string -> ((string * string) list, string) result
 (** Parse a committed inventory back to [(class, symbol)] pairs — the

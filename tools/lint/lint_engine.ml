@@ -81,18 +81,9 @@ let parse_error_finding ~path exn =
           Format.asprintf "%t" err.Location.main.Location.txt )
     | _ -> (1, 0, Printexc.to_string exn)
   in
-  {
-    F.rule = "parse-error";
-    severity = F.Error;
-    file = path;
-    line;
-    col;
-    message;
-    symbol = "";
-    classification = "";
-  }
+  F.v ~rule:"parse-error" ~severity:F.Error ~file:path ~line ~col message
 
-let lint_source ?(disable = []) ?(extra = []) ~path ~source () =
+let lint_source ?(extra = []) ~path ~source () =
   let directives = parse_directives source in
   let ast_findings =
     let lexbuf = Lexing.from_string source in
@@ -102,20 +93,9 @@ let lint_source ?(disable = []) ?(extra = []) ~path ~source () =
     | str -> Lint_rules.check_structure ~path str
     | exception exn -> [ parse_error_finding ~path exn ]
   in
-  let ast_findings =
-    if disable = [] then ast_findings
-    else List.filter (fun f -> not (List.mem f.F.rule disable)) ast_findings
-  in
   List.partition
     (fun f -> not (suppressed directives f))
     (ast_findings @ extra)
-
-(* Findings the deep tier attaches to an interface file (dead-export):
-   there is no AST pass for .mli sources, but the suppression directives
-   still apply. *)
-let partition_mli_findings ~source findings =
-  let directives = parse_directives source in
-  List.partition (fun f -> not (suppressed directives f)) findings
 
 (* ---- Tree walking ---- *)
 
@@ -143,20 +123,15 @@ type result = {
   suppressed_count : int;
   baselined_count : int;
   files_linted : int;
-  deep_units : int;  (** cmt units indexed; 0 on a syntactic-only run *)
+  typed_units : int;
 }
 
-type deep_options = {
+type options = {
   cmt_dirs : string list;
   baseline_file : string option;
   dead_export : bool;
   shared_state_out : string option;
-      (* write the shard-confinement inventory here; .json suffix
-         selects the JSON artifact format, anything else the committed
-         text format *)
   ownership_out : string option;
-      (* same for the ownership-tier inventory (transfer sites, SPSC
-         roles, blocking reaches) *)
 }
 
 let write_inventory path text =
@@ -165,67 +140,58 @@ let write_inventory path text =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc text)
 
-(* Build the per-file map of deep findings for the walked file set.
-   Deep findings on files outside the walk (e.g. test/ when linting
-   lib bin) are dropped: the walk defines the lint scope. *)
-let deep_findings_by_file ~deep ~walked =
-  match deep with
-  | None -> (Hashtbl.create 1, 0, 0, fun _ -> false)
-  | Some d ->
-      let ix = Lint_cmt_index.load ~dirs:d.cmt_dirs in
-      if Lint_cmt_index.unit_count ix = 0 then begin
-        prerr_endline
-          "planck-lint: warning: --deep found no .cmt artifacts (build \
-           first, or pass --cmt-dir); falling back to the syntactic tier";
-        (Hashtbl.create 1, 0, 0, fun _ -> false)
-      end
-      else begin
-        let dr = Lint_deep_rules.prepare ix in
-        let domain_entries = Lint_domain_rules.inventory dr in
-        (match d.shared_state_out with
-        | None -> ()
-        | Some path ->
-            write_inventory path
-              (if Filename.check_suffix path ".json" then
-                 Lint_domain_rules.inventory_json domain_entries
-               else Lint_domain_rules.inventory_text domain_entries));
-        (match d.ownership_out with
-        | None -> ()
-        | Some path ->
-            let entries = Lint_ownership_rules.inventory dr in
-            write_inventory path
-              (if Filename.check_suffix path ".json" then
-                 Lint_ownership_rules.inventory_json entries
-               else Lint_ownership_rules.inventory_text entries));
-        let findings =
-          Lint_deep_rules.findings ~dead_export:d.dead_export dr
-          @ Lint_domain_rules.findings ~entries:domain_entries dr
-          @ Lint_ownership_rules.findings dr
-        in
-        let entries =
-          match d.baseline_file with
-          | None -> []
-          | Some p when not (Sys.file_exists p) -> []
-          | Some p -> (
-              match Lint_deep_rules.load_baseline p with
-              | Ok e -> e
-              | Error e -> failwith ("baseline: " ^ e))
-        in
-        let kept, baselined = Lint_deep_rules.apply_baseline entries findings in
-        let by_file = Hashtbl.create 64 in
-        List.iter
-          (fun (f : F.t) ->
-            if Hashtbl.mem walked f.F.file then
-              Hashtbl.replace by_file f.F.file
-                (f :: Option.value (Hashtbl.find_opt by_file f.F.file) ~default:[]))
-          kept;
-        ( by_file,
-          List.length baselined,
-          Lint_cmt_index.unit_count ix,
-          Lint_cmt_index.has_file ix )
-      end
+(* Run the typed tiers over the cmt index. Returns the per-file map of
+   their findings for the walked file set (findings on files outside
+   the walk, e.g. test/ when linting lib bin, are dropped: the walk
+   defines the lint scope), the stale-baseline findings, the number of
+   baselined findings and the number of indexed units. *)
+let typed_findings opts ~walked =
+  let ix = Lint_cmt_index.load ~dirs:opts.cmt_dirs in
+  if Lint_cmt_index.unit_count ix = 0 then
+    failwith
+      (Printf.sprintf
+         "no .cmt artifacts under %s; build first (dune build) or pass \
+          --cmt-dir"
+         (String.concat ", " opts.cmt_dirs));
+  let dr = Lint_deep_rules.prepare ix in
+  let domain_entries = Lint_domain_rules.inventory dr in
+  Option.iter
+    (fun path ->
+      write_inventory path (Lint_domain_rules.inventory_text domain_entries))
+    opts.shared_state_out;
+  Option.iter
+    (fun path ->
+      write_inventory path
+        (Lint_ownership_rules.inventory_text (Lint_ownership_rules.inventory dr)))
+    opts.ownership_out;
+  let findings =
+    Lint_deep_rules.findings ~dead_export:opts.dead_export dr
+    @ Lint_domain_rules.findings ~entries:domain_entries dr
+    @ Lint_ownership_rules.findings dr
+  in
+  let entries, stale =
+    match opts.baseline_file with
+    | None -> ([], [])
+    | Some p when not (Sys.file_exists p) -> ([], [])
+    | Some p -> (
+        match Lint_deep_rules.load_baseline p with
+        | Error e -> failwith ("baseline: " ^ e)
+        | Ok entries ->
+            (* every rule but dead-export always runs *)
+            let ran rule = opts.dead_export || rule <> "dead-export" in
+            (entries, Lint_deep_rules.stale_baseline ~file:p ~ran entries findings))
+  in
+  let kept, baselined = Lint_deep_rules.apply_baseline entries findings in
+  let by_file = Hashtbl.create 64 in
+  List.iter
+    (fun (f : F.t) ->
+      if Hashtbl.mem walked f.F.file then
+        Hashtbl.replace by_file f.F.file
+          (f :: Option.value (Hashtbl.find_opt by_file f.F.file) ~default:[]))
+    kept;
+  (by_file, stale, List.length baselined, Lint_cmt_index.unit_count ix)
 
-let lint_paths ?deep ?(only_rules = []) paths =
+let lint_paths opts paths =
   let files =
     List.fold_left collect_files [] paths |> List.sort_uniq String.compare
   in
@@ -235,44 +201,41 @@ let lint_paths ?deep ?(only_rules = []) paths =
     files;
   let walked = Hashtbl.create 256 in
   List.iter (fun f -> Hashtbl.replace walked f ()) files;
-  let deep_by_file, baselined_count, deep_units, covered =
-    deep_findings_by_file ~deep ~walked
+  let typed_by_file, stale, baselined_count, typed_units =
+    typed_findings opts ~walked
   in
-  let kept = ref [] and suppressed_count = ref 0 and files_linted = ref 0 in
+  let kept = ref stale and suppressed_count = ref 0 and files_linted = ref 0 in
   List.iter
     (fun path ->
-      let deep_extra =
-        Option.value (Hashtbl.find_opt deep_by_file path) ~default:[]
+      let typed =
+        Option.value (Hashtbl.find_opt typed_by_file path) ~default:[]
       in
       if Filename.check_suffix path ".ml" then begin
         incr files_linted;
         let source = read_file path in
         let extra =
           Lint_rules.missing_mli ~path ~has_mli:(Hashtbl.mem mli_set (path ^ "i"))
-          @ deep_extra
+          @ typed
         in
-        let disable = if covered path then Lint_rules.deep_replaced else [] in
-        let keep, drop = lint_source ~disable ~extra ~path ~source () in
+        let keep, drop = lint_source ~extra ~path ~source () in
         kept := keep @ !kept;
         suppressed_count := !suppressed_count + List.length drop
       end
-      else if deep_extra <> [] then begin
-        (* .mli file carrying deep findings (dead-export): apply its
+      else if typed <> [] then begin
+        (* .mli file carrying typed findings (dead-export): apply its
            suppression directives, no AST pass *)
-        let source = read_file path in
-        let keep, drop = partition_mli_findings ~source deep_extra in
+        let directives = parse_directives (read_file path) in
+        let keep, drop =
+          List.partition (fun f -> not (suppressed directives f)) typed
+        in
         kept := keep @ !kept;
         suppressed_count := !suppressed_count + List.length drop
       end)
     files;
-  let kept =
-    if only_rules = [] then !kept
-    else List.filter (fun (f : F.t) -> List.mem f.F.rule only_rules) !kept
-  in
   {
-    kept = List.sort F.compare_by_location kept;
+    kept = List.sort F.compare_by_location !kept;
     suppressed_count = !suppressed_count;
     baselined_count;
     files_linted = !files_linted;
-    deep_units;
+    typed_units;
   }

@@ -1,39 +1,29 @@
 (** Parsing, suppression handling, and the file-tree driver. *)
 
 val lint_source :
-  ?disable:string list ->
   ?extra:Lint_finding.t list ->
   path:string ->
   source:string ->
   unit ->
   Lint_finding.t list * Lint_finding.t list
-(** [lint_source ~path ~source ()] parses [source] as an implementation
-    and returns [(kept, suppressed)]: findings that survive the file's
-    [(* planck-lint: allow ... *)] directives, and those the directives
-    removed. An [allow] directive covers its own line and the line
-    below; [allow-file] covers the whole file. [extra] merges file-level
-    findings (e.g. missing-mli, deep-tier findings) into the same
-    suppression pass; [disable] drops AST findings by rule id before
-    partitioning (used to switch off [Lint_rules.deep_replaced] on
-    deep-covered files). [path] is repo-relative and drives rule
-    scoping; the file need not exist on disk. *)
-
-val partition_mli_findings :
-  source:string ->
-  Lint_finding.t list ->
-  Lint_finding.t list * Lint_finding.t list
-(** Apply an [.mli] file's suppression directives to deep findings
-    attached to it (dead-export); no AST pass is run. *)
+(** [lint_source ~path ~source ()] parses [source] as an implementation,
+    runs the syntactic rules, and returns [(kept, suppressed)]: findings
+    that survive the file's [(* planck-lint: allow ... *)] directives,
+    and those the directives removed. An [allow] directive covers its
+    own line and the line below; [allow-file] covers the whole file.
+    [extra] merges file-level findings (missing-mli, typed findings)
+    into the same suppression pass. [path] is repo-relative and drives
+    rule scoping; the file need not exist on disk. *)
 
 type result = {
   kept : Lint_finding.t list;  (** unsuppressed, sorted by location *)
   suppressed_count : int;
-  baselined_count : int;  (** deep findings absorbed by the baseline *)
+  baselined_count : int;  (** typed findings absorbed by the baseline *)
   files_linted : int;
-  deep_units : int;  (** cmt units indexed; 0 on a syntactic-only run *)
+  typed_units : int;  (** cmt units indexed; always > 0 *)
 }
 
-type deep_options = {
+type options = {
   cmt_dirs : string list;  (** roots scanned recursively for .cmt/.cmti *)
   baseline_file : string option;
       (** optional [<rule> <symbol> -- justification] baseline; a
@@ -42,26 +32,23 @@ type deep_options = {
       (** run the dead-export analysis — requires the cmt set to cover
           every referencing unit, or absences fabricate dead exports *)
   shared_state_out : string option;
-      (** write the shard-confinement inventory to this path; a [.json]
-          suffix selects the machine-readable artifact format, anything
-          else the committed text format of
-          [tools/lint/shared_state.txt] *)
+      (** write the shard-confinement inventory, in the committed text
+          format of [tools/lint/shared_state.txt], to this path *)
   ownership_out : string option;
       (** same for the ownership-tier inventory (transfer sites, SPSC
           roles, blocking reaches) of [tools/lint/ownership.txt] *)
 }
 
-val lint_paths :
-  ?deep:deep_options -> ?only_rules:string list -> string list -> result
-(** Walk files and directories (recursively; [_build] and dotfiles are
-    skipped), lint every [.ml], and apply the missing-mli rule using the
-    sibling [.mli] set. Paths are reported as given, so run from the
-    repo root with [lib bin bench examples]. With [deep], the cmt index
-    is loaded first: files it covers lose the [Lint_rules.deep_replaced]
-    syntactic rules and gain the deep findings instead (inline
-    suppressions apply to both tiers); files without a cmt keep the
-    full syntactic tier. Deep findings on files outside the walked set
-    are dropped. If no cmt artifacts are found the run degrades to
-    syntactic with a warning on stderr. A non-empty [only_rules]
-    restricts [kept] to those rule ids after suppression and baseline
-    handling — counters still reflect the full run. *)
+val lint_paths : options -> string list -> result
+(** Load the cmt index, run the typed tiers, then walk files and
+    directories (recursively; [_build] and dotfiles are skipped), lint
+    every [.ml] with the syntactic rules, and apply the missing-mli
+    rule using the sibling [.mli] set. Paths are reported as given, so
+    run from the repo root with [lib bin bench examples tools]. Inline
+    suppressions apply to typed and syntactic findings alike; typed
+    findings on files outside the walked set are dropped. Every
+    baseline entry of a rule that ran (all of them, or all but
+    [dead-export] when it is off) that matches no finding is reported
+    as a [stale-baseline] error on the baseline file.
+    @raise Failure when no cmt unit is found (build first) or the
+    baseline is malformed. *)

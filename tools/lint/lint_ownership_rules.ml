@@ -121,7 +121,7 @@ let release_leak_findings dr =
 
 (* ---- spsc-role-confinement ---- *)
 
-let spsc_findings ?at dr =
+let spsc_findings dr =
   let ix = Deep.index dr in
   let sites =
     List.filter (fun (s : Ix.spsc_site) -> in_lib s.Ix.sp_file)
@@ -129,7 +129,7 @@ let spsc_findings ?at dr =
   in
   if sites = [] then []
   else
-    let at = match at with Some a -> a | None -> attribution dr in
+    let at = attribution dr in
     let by_chan : (string, Ix.spsc_site list ref) Hashtbl.t =
       Hashtbl.create 8
     in
@@ -182,10 +182,8 @@ let spsc_findings ?at dr =
 
 (* ---- blocking-in-shard-body ---- *)
 
-let blocking_findings ?closure dr =
-  let closure =
-    match closure with Some c -> c | None -> Dom.shard_closure dr
-  in
+let blocking_findings dr =
+  let closure = Dom.shard_closure dr in
   List.filter_map
     (fun (e : Ix.event) ->
       match e.Ix.e_kind with
@@ -295,35 +293,6 @@ let inventory_text entries =
       Buffer.add_string buf
         (Printf.sprintf "%s %s -- %s\n" e.o_kind e.o_symbol e.o_detail))
     entries;
-  Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let inventory_json entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"version\":1,\"ownership\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":\"%s\",\"symbol\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape e.o_kind) (json_escape e.o_symbol)
-           (json_escape e.o_detail)))
-    entries;
-  Buffer.add_string buf "]}\n";
   Buffer.contents buf
 
 (* same `<head> <symbol> -- ...` line shape as shared_state.txt *)

@@ -14,26 +14,6 @@
     inventory with a drift self-check, mirroring the domain tier's
     [shared_state.txt]. *)
 
-type attribution
-(** Per-shard-root forward closures; defs no spawned body reaches are
-    attributed to the ["(main)"] pseudo-root. *)
-
-val attribution : Lint_deep_rules.t -> attribution
-val roots_of : attribution -> string -> string list
-(** The shard roots whose closure contains the def; [["(main)"]] when
-    none does. Never empty. *)
-
-val use_after_transfer_findings : Lint_deep_rules.t -> Lint_finding.t list
-val release_leak_findings : Lint_deep_rules.t -> Lint_finding.t list
-
-val spsc_findings : ?at:attribution -> Lint_deep_rules.t -> Lint_finding.t list
-(** Fires per (channel, role) when the role's call sites span ≥ 2
-    distinct roots. A single root driving both roles is statically
-    clean — the multi-instance case is the [Spsc] debug check's job. *)
-
-val blocking_findings :
-  ?closure:Lint_callgraph.closure -> Lint_deep_rules.t -> Lint_finding.t list
-
 val findings : Lint_deep_rules.t -> Lint_finding.t list
 (** All four rules, sorted by location. [lib/] scope only. *)
 
@@ -48,10 +28,6 @@ val inventory : Lint_deep_rules.t -> entry list
 val inventory_text : entry list -> string
 (** The committed-file format: [<kind> <symbol> -- <detail>] with a
     comment header. Line-number-free, so the file survives churn. *)
-
-val inventory_json : entry list -> string
-(** The CI-artifact format:
-    [{"version":1,"ownership":[{kind,symbol,detail}]}]. *)
 
 val load_inventory : string -> ((string * string) list, string) result
 (** Parse a committed inventory back to [(kind, symbol)] pairs — the

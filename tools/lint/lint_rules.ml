@@ -1,10 +1,11 @@
-(* The rule catalog and the single-pass AST checker.
+(* The rule catalog and the syntactic checker.
 
-   Rules are syntactic: the linter sees the Parsetree, not types, so
-   each rule is scoped (by path, by enclosing-function name, by what the
-   module defines) to keep the signal high. Imprecision is resolved
-   toward fewer false positives; the suppression syntax exists for the
-   rest. *)
+   Most rules are typed: Lint_deep_rules, Lint_taint, Lint_domain_rules
+   and Lint_ownership_rules implement them over the .cmt index. The
+   AST pass here covers only what needs no types: keyed-poly-equal,
+   open-lib and ignored-result, plus the file-level missing-mli and
+   the parse-error report. Imprecision is resolved toward fewer false
+   positives; the suppression syntax exists for the rest. *)
 
 open Parsetree
 module F = Lint_finding
@@ -19,43 +20,16 @@ type rule = {
 let catalog =
   [
     {
-      id = "wall-clock";
-      group = "determinism";
-      default_severity = F.Error;
-      doc =
-        "No wall-clock reads (Unix.gettimeofday/Unix.time/Sys.time) in lib/ \
-         sim code: same seed must give identical journals. Sim time comes \
-         from Engine.now; wall time is legal in bin/, bench/ and the \
-         lib/telemetry export paths.";
-    };
-    {
-      id = "ambient-random";
-      group = "determinism";
-      default_severity = F.Error;
-      doc =
-        "No global Random state (Random.self_init, Random.int, ...) in lib/ \
-         code. Draw from an explicitly seeded Planck_util.Prng stream so \
-         runs are reproducible; Random.State with an explicit seed is \
-         allowed.";
-    };
-    {
-      id = "hashtbl-iteration";
-      group = "determinism";
-      default_severity = F.Error;
-      doc =
-        "Hashtbl.iter/fold order depends on hash-bucket layout and can leak \
-         into event ordering. Iterate sorted bindings instead \
-         (Hashtbl.to_seq + List.sort, or Flow_key.Table.iter_sorted / \
-         fold_sorted). lib/telemetry export paths are exempt.";
-    };
-    {
       id = "poly-compare";
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "Bare polymorphic compare / Hashtbl.hash walk structure at runtime \
-         and order floats by bit pattern. Use Int.compare, Float.compare, \
-         String.compare or the key module's explicit comparator/hash.";
+        "Polymorphic compare / Hashtbl.hash instantiated at a non-immediate \
+         type in lib/ walks structure at runtime and orders floats by bit \
+         pattern; so does structural =/<> on a structured or polymorphic \
+         type in a def reachable from the per-packet/per-event hot roots. \
+         Use Int.compare, Float.compare, String.compare or the key \
+         module's explicit comparator/hash.";
     };
     {
       id = "keyed-poly-equal";
@@ -71,27 +45,29 @@ let catalog =
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "=/<> against a float literal is a polymorphic structural compare \
-         and is usually a logic smell. Use Float.equal, an epsilon, or an \
-         ordering test.";
+        "=/<> instantiated at float in lib/ is a structural compare on bit \
+         patterns and is usually a logic smell. Use Float.equal, an \
+         epsilon, or an ordering test.";
     };
     {
       id = "hot-alloc";
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "Printf/Format/string concatenation inside a per-packet/per-event \
-         function (forward, enqueue, process, ...). Format off the hot path, \
-         or guard behind an enabled-flag branch and suppress with a \
-         justification.";
+        "Printf/Format/string concatenation in a lib/ def reachable from \
+         the per-packet/per-event hot roots (switch ingress, collector \
+         sample path, engine and timer-wheel dispatch, tcp segment \
+         handling); arguments of raise-family calls are exempt. Format off \
+         the hot path, or guard behind an enabled-flag branch and suppress \
+         with a justification.";
     };
     {
       id = "hot-schedule";
       group = "hotpath";
       default_severity = F.Error;
       doc =
-        "A closure literal passed to Engine.schedule/schedule_at/every \
-         inside a per-packet/per-event function allocates a fresh closure \
+        "A closure literal passed to Engine.schedule/schedule_at/every in \
+         a lib/ def reachable from the hot roots allocates a fresh closure \
          per event and cannot be cancelled; preallocate an Engine.Timer.t \
          handle and reschedule it.";
     };
@@ -131,42 +107,41 @@ let catalog =
       group = "determinism";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a wall-clock / ambient-random / \
-         hashtbl-iteration-order value flows (interprocedurally, along \
-         the call graph) into sim-visible state — journal or time-series \
-         payloads, engine scheduling, or a routing/TE decision. The \
-         finding cites the witness chain; derive the value from \
-         Engine.now or a seeded Planck_util.Prng instead.";
+        "A wall-clock / ambient-random / hashtbl-iteration-order value \
+         flows (interprocedurally, along the call graph) into sim-visible \
+         state — journal or time-series payloads, engine scheduling, or a \
+         routing/TE decision. The finding cites the witness chain; derive \
+         the value from Engine.now or a seeded Planck_util.Prng instead.";
     };
     {
       id = "shared-mutable-global";
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a toplevel lib/ binding holds mutable state that \
-         is neither engine-scoped (reachable only through a handle) nor \
-         wrapped in Stdlib.Atomic — it will race the moment two shards run \
-         on separate domains. Confine it, convert it, or baseline it with \
-         a justification.";
+        "A toplevel lib/ binding holds mutable state that is neither \
+         engine-scoped (reachable only through a handle) nor wrapped in \
+         Stdlib.Atomic — it will race the moment two shards run on \
+         separate domains. Confine it, convert it, or baseline it with a \
+         justification.";
     };
     {
       id = "shard-unsafe-reach";
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: shared-mutable state transitively reachable from \
-         the per-packet/per-event hot roots — exactly the code that will \
-         run concurrently on every shard. The finding cites the witness \
-         chain from the hot root to the state.";
+        "Shared-mutable state transitively reachable from the \
+         per-packet/per-event hot roots — exactly the code that will run \
+         concurrently on every shard. The finding cites the witness chain \
+         from the hot root to the state.";
     };
     {
       id = "nonatomic-counter";
       group = "domain";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a read-modify-write (incr/decr, or := fed by ! / \
-         a mutable-field update) on shared-mutable state; a concurrent \
-         shard can interleave between the read and the write. Use \
+        "A read-modify-write (incr/decr, or := fed by ! / a mutable-field \
+         update) on shared-mutable state; a concurrent shard can \
+         interleave between the read and the write. Use \
          Atomic.fetch_and_add or a compare_and_set loop.";
     };
     {
@@ -174,157 +149,86 @@ let catalog =
       group = "hygiene";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a value exported by a lib/ .mli is never \
-         referenced outside its own module. Delete the export (and the \
-         binding, if nothing else uses it) or baseline it with a \
-         one-line justification.";
+        "A value exported by a lib/ or tools/ .mli is never referenced \
+         outside its own module. Delete the export (and the binding, if \
+         nothing else uses it) or baseline it with a one-line \
+         justification.";
+    };
+    {
+      id = "stale-baseline";
+      group = "hygiene";
+      default_severity = F.Error;
+      doc =
+        "A baseline entry matches no finding of a rule that ran: the code \
+         stopped needing it. Delete the entry.";
     };
     {
       id = "use-after-transfer";
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a mutable local is read, written or RMW'd after \
-         it flowed into a transfer point (Spsc.push hands the frame to \
-         the consumer shard, Engine.Timer.cancel kills the handle) on \
-         some path through the same binding. The new owner may be \
-         mutating it concurrently; copy what you need before the \
-         hand-off. Immutable payloads are exempt.";
+        "A mutable local is read, written or RMW'd after it flowed into a \
+         transfer point (Spsc.push hands the frame to the consumer shard, \
+         Engine.Timer.cancel kills the handle) on some path through the \
+         same binding. The new owner may be mutating it concurrently; copy \
+         what you need before the hand-off. Immutable payloads are exempt.";
     };
     {
       id = "spsc-role-confinement";
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: one SPSC channel's push call sites (or its \
-         pop/peek/drain sites) are reachable from more than one \
-         Domain.spawn shard root. The queue is single-producer/ \
-         single-consumer by construction; a second domain on either \
-         role loses frames. The complementary dynamic check is \
-         Planck_util.Spsc.set_debug.";
+        "One SPSC channel's push call sites (or its pop/peek/drain sites) \
+         are reachable from more than one Domain.spawn shard root. The \
+         queue is single-producer/single-consumer by construction; a \
+         second domain on either role loses frames. The complementary \
+         dynamic check is Planck_util.Spsc.set_debug.";
     };
     {
       id = "blocking-in-shard-body";
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: a call that can park the running domain \
-         (Mutex.lock, Condition.wait, Domain.join, Unix I/O, console \
-         formatters) is transitively reachable from a shard closure or \
-         hot root. A parked shard stalls the sense-reversing barrier \
-         for every shard; move it off the shard path or baseline the \
-         documented design points.";
+        "A call that can park the running domain (Mutex.lock, \
+         Condition.wait, Domain.join, Unix I/O, console formatters) is \
+         transitively reachable from a shard closure or hot root. A parked \
+         shard stalls the sense-reversing barrier for every shard; move it \
+         off the shard path or baseline the documented design points.";
     };
     {
       id = "release-leak";
       group = "ownership";
       default_severity = F.Error;
       doc =
-        "Deep tier only: Buffer_pool.try_alloc succeeded but a direct \
-         raise-family call escapes the success branch before any \
-         Buffer_pool.release. The admitted bytes leak from the pool \
-         accounting; release on the exception edge and re-raise.";
+        "Buffer_pool.try_alloc succeeded but a direct raise-family call \
+         escapes the success branch before any Buffer_pool.release. The \
+         admitted bytes leak from the pool accounting; release on the \
+         exception edge and re-raise.";
     };
-  ]
-
-(* Syntactic rules the deep tier replaces: when a file is covered by
-   the cmt index, these are switched off for that file (reachability
-   and instantiated types subsume the filename/shadow heuristics); any
-   file without a cmt keeps the full syntactic tier as the fallback. *)
-let deep_replaced =
-  [
-    "poly-compare"; "float-equality"; "hot-alloc"; "hot-schedule";
-    "wall-clock"; "ambient-random"; "hashtbl-iteration";
   ]
 
 let find id = List.find_opt (fun r -> r.id = id) catalog
 let is_known id = Option.is_some (find id) || id = "all"
 
-(* ---- Path scoping ---- *)
-
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 let in_lib path = has_prefix "lib/" path
-let in_telemetry path = has_prefix "lib/telemetry/" path
-
-(* Files whose functions run per packet / per sample / per event. *)
-let hot_dirs = [ "lib/netsim/"; "lib/collector/"; "lib/tcp/"; "lib/sflow/"; "lib/packet/" ]
-let hot_file path = List.exists (fun d -> has_prefix d path) hot_dirs
-
-(* Per-packet/per-event naming conventions of switch.ml, engine.ml,
-   flow.ml, collector.ml and friends. A function is hot when any
-   enclosing binding matches one of these stems. *)
-let hot_stems =
-  [
-    "forward"; "enqueue"; "dequeue"; "ingress"; "inject"; "deliver";
-    "transmit"; "process"; "parse"; "push"; "pop"; "step"; "tick";
-    "observe"; "sample"; "record"; "touch"; "note"; "update"; "drop";
-    "handle"; "check"; "infer"; "on";
-  ]
-
-let is_hot_name name =
-  List.exists
-    (fun stem ->
-      name = stem
-      || has_prefix (stem ^ "_") name)
-    hot_stems
-
-(* ---- Longident helpers ---- *)
 
 let rec flatten_lid = function
   | Longident.Lident s -> [ s ]
   | Longident.Ldot (p, s) -> flatten_lid p @ [ s ]
   | Longident.Lapply (a, b) -> flatten_lid a @ flatten_lid b
 
-let lid_to_string lid = String.concat "." (flatten_lid lid)
-
 (* ---- Checker context ---- *)
 
-type ctx = {
-  path : string;
-  c_in_lib : bool;
-  c_in_telemetry : bool;
-  c_hot_file : bool;
-  c_keyed : bool;
-  mutable fn_stack : string list;
-  (* structure/let-bound value names seen so far, with nesting counts,
-     so a module-local [compare] is not mistaken for Stdlib.compare *)
-  bound : (string, int) Hashtbl.t;
-  mutable findings : F.t list;
-}
-
-let bind ctx name =
-  Hashtbl.replace ctx.bound name
-    (1 + Option.value (Hashtbl.find_opt ctx.bound name) ~default:0)
-
-let unbind ctx name =
-  match Hashtbl.find_opt ctx.bound name with
-  | Some n when n > 1 -> Hashtbl.replace ctx.bound name (n - 1)
-  | Some _ -> Hashtbl.remove ctx.bound name
-  | None -> ()
-
-let is_bound ctx name = Hashtbl.mem ctx.bound name
+type ctx = { path : string; c_keyed : bool; mutable findings : F.t list }
 
 let report ctx ~loc ~rule message =
-  let severity =
-    match find rule with Some r -> r.default_severity | None -> F.Error
-  in
   let pos = loc.Location.loc_start in
   ctx.findings <-
-    {
-      F.rule;
-      severity;
-      file = ctx.path;
-      line = pos.Lexing.pos_lnum;
-      col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
-      message;
-      symbol = "";
-      classification = "";
-    }
+    F.v ~rule ~severity:F.Error ~file:ctx.path ~line:pos.Lexing.pos_lnum
+      ~col:(pos.Lexing.pos_cnum - pos.Lexing.pos_bol)
+      message
     :: ctx.findings
-
-let in_hot_fn ctx = List.exists is_hot_name ctx.fn_stack
-
-(* ---- Pattern helpers ---- *)
 
 let rec pat_name pat =
   match pat.ppat_desc with
@@ -359,104 +263,6 @@ let defines_keyed_type str =
   List.iter item str;
   !structured && !keyfun
 
-(* ---- Per-expression checks ---- *)
-
-let wall_clock_idents =
-  [
-    [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ]; [ "Unix"; "gmtime" ];
-    [ "Unix"; "localtime" ]; [ "Unix"; "mktime" ]; [ "Sys"; "time" ];
-  ]
-
-let check_ident ctx loc lid =
-  let path = flatten_lid lid in
-  let sim_code = ctx.c_in_lib && not ctx.c_in_telemetry in
-  (* determinism: wall clock *)
-  if sim_code && List.mem path wall_clock_idents then
-    report ctx ~loc ~rule:"wall-clock"
-      (Printf.sprintf
-         "%s reads the wall clock; sim code must use Engine.now (wall time \
-          is only legal in bin/, bench/ and lib/telemetry exports)"
-         (lid_to_string lid));
-  (* determinism: ambient randomness *)
-  (match path with
-  | "Random" :: rest when sim_code -> (
-      match rest with
-      | [ "State"; "make_self_init" ] | [ "self_init" ] ->
-          report ctx ~loc ~rule:"ambient-random"
-            (Printf.sprintf
-               "%s seeds from the environment; use Planck_util.Prng.create \
-                ~seed so runs are reproducible"
-               (lid_to_string lid))
-      | "State" :: _ -> () (* explicit, seedable state *)
-      | _ ->
-          report ctx ~loc ~rule:"ambient-random"
-            (Printf.sprintf
-               "%s draws from the global Random state; use an explicitly \
-                seeded Planck_util.Prng stream"
-               (lid_to_string lid)))
-  | _ -> ());
-  (* determinism: unordered hashtable iteration *)
-  (let is_tbl_iteration =
-     match List.rev path with
-     | ("iter" | "fold") :: rest -> (
-         match rest with
-         | [ "Hashtbl" ] | [ "Hashtbl"; "Stdlib" ] -> true
-         | "Table" :: _ -> true (* Hashtbl.Make instances, e.g. Flow_key.Table *)
-         | _ -> false)
-     | _ -> false
-   in
-   if sim_code && is_tbl_iteration then
-     report ctx ~loc ~rule:"hashtbl-iteration"
-       (Printf.sprintf
-          "%s visits bindings in hash order, which can leak into event \
-           ordering; iterate sorted bindings (to_seq + List.sort, or \
-           Flow_key.Table.iter_sorted/fold_sorted)"
-          (lid_to_string lid)));
-  (* hotpath: polymorphic compare / hash *)
-  (match path with
-  | [ "compare" ] when ctx.c_in_lib && not (is_bound ctx "compare") ->
-      report ctx ~loc ~rule:"poly-compare"
-        "bare polymorphic compare; use Int.compare / Float.compare / \
-         String.compare or the key module's comparator"
-  | [ "Stdlib"; "compare" ] when ctx.c_in_lib ->
-      report ctx ~loc ~rule:"poly-compare"
-        "Stdlib.compare is polymorphic; use a monomorphic comparator"
-  | [ "Hashtbl"; "hash" ] | [ "Stdlib"; "Hashtbl"; "hash" ] when ctx.c_in_lib ->
-      report ctx ~loc ~rule:"poly-compare"
-        "Hashtbl.hash walks the value structurally; define an explicit hash \
-         for the key type"
-  | _ -> ());
-  (* hotpath: allocation-heavy formatting in per-packet functions *)
-  if ctx.c_hot_file && in_hot_fn ctx then
-    let alloc_smell =
-      match path with
-      | [ "^" ] | [ "String"; "concat" ] -> true
-      | [ ("string_of_int" | "string_of_float" | "string_of_bool") ] -> true
-      | ("Printf" | "Format") :: _ -> true
-      | _ -> false
-    in
-    if alloc_smell then
-      report ctx ~loc ~rule:"hot-alloc"
-        (Printf.sprintf
-           "%s allocates/formats inside a per-packet/per-event function \
-            (enclosing: %s); move it off the hot path or guard it and \
-            suppress with a justification"
-           (lid_to_string lid)
-           (String.concat " > " (List.rev ctx.fn_stack)))
-
-let rec strip_unary_minus e =
-  match e.pexp_desc with
-  | Pexp_apply
-      ( { pexp_desc = Pexp_ident { txt = Longident.Lident ("~-." | "~-" | "-." | "-"); _ }; _ },
-        [ (Asttypes.Nolabel, arg) ] ) ->
-      strip_unary_minus arg
-  | _ -> e
-
-let is_float_literal e =
-  match (strip_unary_minus e).pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | _ -> false
-
 (* Operands that make structural =/<> acceptable in a keyed module:
    literals, constructors (None, [], flags) and qualified constants. *)
 let is_constantish e =
@@ -480,52 +286,19 @@ let result_returning_call e =
           | [] -> false))
   | _ -> false
 
-(* hotpath: fresh closures handed to the engine in per-packet code *)
-let check_hot_schedule ctx whole fn args =
-  if ctx.c_hot_file && in_hot_fn ctx then
-    match fn.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
-        match List.rev (flatten_lid txt) with
-        | ("schedule" | "schedule_at" | "every") :: "Engine" :: _ ->
-            let closure_literal ((_ : Asttypes.arg_label), a) =
-              match a.pexp_desc with
-              | Pexp_fun _ | Pexp_function _ -> true
-              | _ -> false
-            in
-            if List.exists closure_literal args then
-              report ctx ~loc:whole.pexp_loc ~rule:"hot-schedule"
-                (Printf.sprintf
-                   "fresh closure scheduled on the engine inside a \
-                    per-packet/per-event function (enclosing: %s); \
-                    preallocate an Engine.Timer.t and reschedule it"
-                   (String.concat " > " (List.rev ctx.fn_stack)))
-        | _ -> ())
-    | _ -> ()
-
 let check_apply ctx whole fn args =
-  check_hot_schedule ctx whole fn args;
   match (fn.pexp_desc, args) with
-  | ( Pexp_ident { txt = Longident.Lident (("=" | "<>" | "==" | "!=") as op); _ },
-      [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ->
-      if is_float_literal a || is_float_literal b then
-        report ctx ~loc:whole.pexp_loc ~rule:"float-equality"
-          (Printf.sprintf
-             "(%s) against a float literal; use Float.equal, an epsilon, or \
-              an ordering test"
-             op)
-      else if
-        ctx.c_keyed && ctx.c_in_lib && (op = "=" || op = "<>")
-        && (not (is_constantish a))
-        && not (is_constantish b)
-      then
-        report ctx ~loc:whole.pexp_loc ~rule:"keyed-poly-equal"
-          (Printf.sprintf
-             "structural (%s) in a module defining a custom key type; write \
-              the field-wise comparison"
-             op)
+  | ( Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); _ },
+      [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] )
+    when ctx.c_keyed && (not (is_constantish a)) && not (is_constantish b) ->
+      report ctx ~loc:whole.pexp_loc ~rule:"keyed-poly-equal"
+        (Printf.sprintf
+           "structural (%s) in a module defining a custom key type; write \
+            the field-wise comparison"
+           op)
   | ( Pexp_ident { txt = Longident.Lident "ignore"; _ },
       [ (Asttypes.Nolabel, arg) ] )
-    when ctx.c_in_lib && result_returning_call arg ->
+    when in_lib ctx.path && result_returning_call arg ->
       report ctx ~loc:whole.pexp_loc ~rule:"ignored-result"
         "ignore of a result-returning call drops the Error case; match on it"
   | _ -> ()
@@ -534,68 +307,34 @@ let check_apply ctx whole fn args =
 
 let check_structure ~path str =
   let ctx =
-    {
-      path;
-      c_in_lib = in_lib path;
-      c_in_telemetry = in_telemetry path;
-      c_hot_file = hot_file path;
-      c_keyed = in_lib path && defines_keyed_type str;
-      fn_stack = [];
-      bound = Hashtbl.create 16;
-      findings = [];
-    }
+    { path; c_keyed = in_lib path && defines_keyed_type str; findings = [] }
   in
   let default = Ast_iterator.default_iterator in
-  let vb_names vbs = List.filter_map (fun vb -> pat_name vb.pvb_pat) vbs in
   let iter =
     {
       default with
       expr =
         (fun it e ->
           (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> check_ident ctx loc txt
           | Pexp_apply (fn, args) -> check_apply ctx e fn args
           | _ -> ());
-          match e.pexp_desc with
-          | Pexp_let (rf, vbs, body) ->
-              (* thread bindings so local [let compare = ...] shadows *)
-              let names = vb_names vbs in
-              if rf = Asttypes.Recursive then List.iter (bind ctx) names;
-              List.iter (it.value_binding it) vbs;
-              if rf = Asttypes.Nonrecursive then List.iter (bind ctx) names;
-              it.expr it body;
-              List.iter (unbind ctx) names
-          | _ -> default.expr it e);
-      value_binding =
-        (fun it vb ->
-          match pat_name vb.pvb_pat with
-          | Some name ->
-              ctx.fn_stack <- name :: ctx.fn_stack;
-              default.value_binding it vb;
-              ctx.fn_stack <- List.tl ctx.fn_stack
-          | None -> default.value_binding it vb);
+          default.expr it e);
       structure_item =
         (fun it si ->
-          match si.pstr_desc with
-          | Pstr_value (rf, vbs) ->
-              (* structure-level names stay bound for the rest of the file *)
-              let names = vb_names vbs in
-              if rf = Asttypes.Recursive then List.iter (bind ctx) names;
-              List.iter (it.value_binding it) vbs;
-              if rf = Asttypes.Nonrecursive then List.iter (bind ctx) names
+          (match si.pstr_desc with
           | Pstr_open
               { popen_expr = { pmod_desc = Pmod_ident { txt; loc }; _ }; _ }
-            when ctx.c_in_lib -> (
-              (match flatten_lid txt with
+            when in_lib path -> (
+              match flatten_lid txt with
               | [ m ] when has_prefix "Planck" m ->
                   report ctx ~loc ~rule:"open-lib"
                     (Printf.sprintf
                        "structure-level open of the whole %s library; alias \
                         the submodules you need or qualify"
                        m)
-              | _ -> ());
-              default.structure_item it si)
-          | _ -> default.structure_item it si);
+              | _ -> ())
+          | _ -> ());
+          default.structure_item it si);
     }
   in
   iter.structure iter str;
@@ -606,18 +345,9 @@ let check_structure ~path str =
 let missing_mli ~path ~has_mli =
   if in_lib path && Filename.check_suffix path ".ml" && not has_mli then
     [
-      {
-        F.rule = "missing-mli";
-        severity = F.Error;
-        file = path;
-        line = 1;
-        col = 0;
-        message =
-          Printf.sprintf "%s has no interface; add %si so the public \
-                          surface is explicit"
-            (Filename.basename path) (Filename.basename path);
-        symbol = "";
-        classification = "";
-      };
+      F.v ~rule:"missing-mli" ~severity:F.Error ~file:path ~line:1 ~col:0
+        (Printf.sprintf
+           "%s has no interface; add %si so the public surface is explicit"
+           (Filename.basename path) (Filename.basename path));
     ]
   else []

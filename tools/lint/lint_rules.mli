@@ -1,14 +1,17 @@
-(** The rule catalog and the single-pass AST checker.
+(** The rule catalog and the syntactic checker.
 
-    Rules are purely syntactic (the linter sees the Parsetree, not
-    types), so each is scoped — by path, by enclosing-function name, by
-    what the module defines — to keep false positives rare. The
-    remaining judgement calls go through the suppression syntax
+    Most rules are typed and live in the [.cmt] tiers
+    ([Lint_deep_rules], [Lint_taint], [Lint_domain_rules],
+    [Lint_ownership_rules]). The AST pass here implements only the
+    rules that need no types — [keyed-poly-equal], [open-lib],
+    [ignored-result] — plus the file-level [missing-mli] rule; each is
+    scoped by path and by what the module defines. The remaining
+    judgement calls go through the suppression syntax
     ([(* planck-lint: allow <rule> -- reason *)]). *)
 
 type rule = {
   id : string;
-  group : string;  (** "determinism" | "hotpath" | "hygiene" *)
+  group : string;  (** "determinism" | "hotpath" | "hygiene" | "domain" | "ownership" *)
   default_severity : Lint_finding.severity;
   doc : string;
 }
@@ -16,21 +19,12 @@ type rule = {
 val catalog : rule list
 (** Every rule the linter knows, in display order. *)
 
-val find : string -> rule option
-
 val is_known : string -> bool
 (** True for catalog ids and the ["all"] wildcard used in suppressions. *)
 
-val deep_replaced : string list
-(** Syntactic rule ids the deep tier subsumes: for files covered by the
-    cmt index these are disabled in the AST pass (reachability and
-    instantiated types replace the filename/shadow heuristics); files
-    without a cmt keep the full syntactic tier as the fallback path. *)
-
 val check_structure : path:string -> Parsetree.structure -> Lint_finding.t list
-(** Run every AST rule over one parsed implementation. [path] is the
-    repo-relative path and drives rule scoping ([lib/] vs [bin/],
-    telemetry exemptions, hot-path files). *)
+(** Run the AST rules over one parsed implementation. [path] is the
+    repo-relative path and drives rule scoping ([lib/] only). *)
 
 val missing_mli : path:string -> has_mli:bool -> Lint_finding.t list
 (** The one file-level rule: a [lib/] .ml without a sibling .mli. *)

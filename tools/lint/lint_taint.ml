@@ -1,5 +1,6 @@
-(* Determinism taint: interprocedural version of the wall-clock /
-   ambient-random / hashtbl-iteration call-site rules.
+(* Determinism taint: the one determinism rule. Wall-clock reads,
+   ambient randomness and hash-order iteration are judged by where
+   their values flow, not by where they are called.
 
    A def is a taint SOURCE if its body reads the wall clock
    (Unix.gettimeofday, Sys.time, the Mtime module), ambient randomness (the
@@ -13,9 +14,8 @@
    line is noise; one feeding Journal.record breaks bit-reproducibility
    of the fig12/fig15 timelines, which is the invariant Planck's
    evaluation rests on. Sources in lib/telemetry's wall-clock-facing
-   modules (metrics/trace export real time by design) are exempt, same
-   as the syntactic tier; the journal and timeseries modules themselves
-   are not. *)
+   modules (metrics/trace export real time by design) are exempt; the
+   journal and timeseries modules themselves are not. *)
 
 module SS = Set.Make (String)
 module F = Lint_finding
@@ -42,9 +42,9 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-(* Same exemption surface as the syntactic tier: real-time telemetry
-   (metrics, trace, reporter, flusher, export) may read the clock; the
-   sim-visible stores (journal, timeseries, inspect, json) may not. *)
+(* Real-time telemetry (metrics, trace, reporter, flusher, export) may
+   read the clock; the sim-visible stores (journal, timeseries,
+   inspect, json) may not. *)
 let default_exempt_source file =
   starts_with ~prefix:"lib/telemetry/" file
   && not

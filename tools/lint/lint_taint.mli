@@ -15,6 +15,5 @@ type config = {
 }
 
 val default_config : config
-val default_sinks : string list
 
 val report : ?config:config -> Lint_cmt_index.t -> Lint_finding.t list

@@ -38,10 +38,6 @@ type leak = {
   k_col : int;
 }
 
-val transfer_points : (string * int) list
-(** Transfer patterns with the positional index of the operand whose
-    ownership moves; exposed for the inventory. *)
-
 val scan :
   resolve:(Path.t -> string option) ->
   Typedtree.expression ->
