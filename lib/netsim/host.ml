@@ -33,6 +33,11 @@ type t = {
   ip : Ipv4_addr.t;
   stack : stack;
   prng : Prng.t;
+  (* Hosts [0, neighbours) other than this one resolve to their base
+     MAC by address arithmetic; [arp_cache] holds only the entries ARP
+     traffic or [arp_set] touched, and shadows the arithmetic. *)
+  mutable neighbours : int;
+  mutable neighbours_at : Time.t;
   arp_cache : (Ipv4_addr.t, arp_entry) Hashtbl.t;
   mutable nic : Txport.t option;
   mutable receive : Packet.t -> unit;
@@ -51,7 +56,6 @@ type t = {
   mutable last_recv_ready : Time.t;
 }
 
-let id t = t.host_id
 let mac t = t.mac
 let ip t = t.ip
 let engine t = t.engine
@@ -112,13 +116,38 @@ let set_receive t f = t.receive <- f
 let add_send_trace t f = t.send_traces <- t.send_traces @ [ f ]
 let add_recv_trace t f = t.recv_traces <- t.recv_traces @ [ f ]
 
-let arp_lookup t ip =
+let set_neighbours t ~hosts =
+  t.neighbours <- hosts;
+  t.neighbours_at <- Engine.now t.engine
+
+let neighbour_mac t ip =
+  match Ipv4_addr.host_id ip with
+  | Some j when j < t.neighbours && j <> t.host_id -> Some (Mac.host j)
+  | Some _ | None -> None
+
+(* The cache entry for [ip]. A neighbour's implicit entry materialises
+   on first touch, stamped when the neighbours were set — so updates see
+   the same entry, and the same locktime, as a pre-filled table. *)
+let cache_entry t ip =
   match Hashtbl.find_opt t.arp_cache ip with
-  | None -> None
-  | Some entry -> Some entry.entry_mac
+  | Some _ as found -> found
+  | None -> (
+      match neighbour_mac t ip with
+      | None -> None
+      | Some mac ->
+          let entry = { entry_mac = mac; updated_at = t.neighbours_at } in
+          Hashtbl.replace t.arp_cache ip entry;
+          Some entry)
+
+let arp_lookup t ip =
+  if Hashtbl.length t.arp_cache = 0 then neighbour_mac t ip
+  else
+    match Hashtbl.find_opt t.arp_cache ip with
+    | Some entry -> Some entry.entry_mac
+    | None -> neighbour_mac t ip
 
 let arp_set t ip mac =
-  match Hashtbl.find_opt t.arp_cache ip with
+  match cache_entry t ip with
   | Some entry ->
       entry.entry_mac <- mac;
       entry.updated_at <- Engine.now t.engine
@@ -129,7 +158,7 @@ let arp_set t ip mac =
 (* Linux-like cache update on traffic: respect the locktime — an entry
    changed less than [arp_locktime] ago refuses further updates. *)
 let arp_learn t ip mac =
-  match Hashtbl.find_opt t.arp_cache ip with
+  match cache_entry t ip with
   | Some entry ->
       let now = Engine.now t.engine in
       if Mac.equal entry.entry_mac mac then entry.updated_at <- now
@@ -210,6 +239,8 @@ let create engine ~id ?(stack = default_stack) ~prng () =
       ip = Ipv4_addr.host id;
       stack;
       prng;
+      neighbours = 0;
+      neighbours_at = Time.zero;
       arp_cache = Hashtbl.create 16;
       nic = None;
       receive = (fun _ -> ());

@@ -31,7 +31,6 @@ val create :
 (** Host number [id]; its base MAC is [Mac.host id] and its address
     [Ipv4_addr.host id]. *)
 
-val id : t -> int
 val mac : t -> Planck_packet.Mac.t
 val ip : t -> Planck_packet.Ipv4_addr.t
 val engine : t -> Engine.t
@@ -64,12 +63,29 @@ val add_recv_trace :
   t -> (Planck_util.Time.t -> Planck_packet.Packet.t -> unit) -> unit
 (** Tap on accepted frames, fired together with the receive handler. *)
 
-(** {2 ARP} *)
+(** {2 ARP}
+
+    A host's ARP state has two parts. {!set_neighbours} makes every
+    other fabric host resolve to its base MAC by address arithmetic,
+    storing nothing — the converged caches the experiments start from.
+    The cache holds only the entries that {!arp_set} or ARP traffic (a
+    controller's spoofed unicast request) touched, and a cached entry
+    takes precedence. On first touch a neighbour's entry starts as the
+    implicit one, last updated when {!set_neighbours} ran, so the
+    locktime applies to it exactly as to a pre-filled static table. *)
+
+val set_neighbours : t -> hosts:int -> unit
+(** Resolve [Ipv4_addr.host j] to [Mac.host j] for every [j < hosts]
+    other than this host's own id. Stores nothing and leaves the cache
+    as it is. *)
 
 val arp_lookup : t -> Planck_packet.Ipv4_addr.t -> Planck_packet.Mac.t option
+(** The cached entry for the address if there is one, else its
+    neighbour resolution, else [None]. *)
+
 val arp_set : t -> Planck_packet.Ipv4_addr.t -> Planck_packet.Mac.t -> unit
-(** Administratively install a cache entry (used to pre-populate the
-    testbed, like static ARP). *)
+(** Administratively install or overwrite a cache entry (like static
+    ARP), stamped now. *)
 
 val filtered_frames : t -> int
 (** Frames dropped because their destination MAC was neither this

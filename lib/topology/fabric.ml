@@ -173,11 +173,5 @@ let attach_sink t ~switch ~deliver =
         ~mirrored:(data_ports t ~switch)
 
 let populate_arp t =
-  Array.iter
-    (fun h ->
-      Array.iter
-        (fun other ->
-          if Host.id other <> Host.id h then
-            Host.arp_set h (Host.ip other) (Host.mac other))
-        t.hosts)
-    t.hosts
+  let hosts = Array.length t.hosts in
+  Array.iter (fun h -> Host.set_neighbours h ~hosts) t.hosts

@@ -94,8 +94,10 @@ val attach_sink :
     [Invalid_argument] if no monitor port was reserved. *)
 
 val populate_arp : t -> unit
-(** Give every host a static ARP entry for every other host's base
-    MAC — the experiments start from converged caches. *)
+(** Make every host resolve every other host's base MAC — the
+    experiments start from converged caches. O(n): one
+    {!Planck_netsim.Host.set_neighbours} per host, no per-pair entry
+    (host [i] is [Ipv4_addr.host i] / [Mac.host i]). *)
 
 val data_ports : t -> switch:int -> int list
 (** Wired, non-monitor ports of a switch. *)

@@ -543,7 +543,24 @@ let host_arp_locktime () =
   Host.ingress a (request (Mac.shadow (Mac.host 9) ~alt:1));
   Engine.run e;
   Alcotest.(check bool) "locktime blocks update" true
-    (Host.arp_lookup a (Ip.host 9) = Some (Mac.host 9))
+    (Host.arp_lookup a (Ip.host 9) = Some (Mac.host 9));
+  (* An implicit neighbour entry counts as updated when the neighbours
+     were set (t = 0), like a pre-filled static table. *)
+  let e = Engine.create () in
+  let b = Host.create e ~id:0 ~stack ~prng:(Prng.create ~seed:1) () in
+  Host.set_neighbours b ~hosts:16;
+  let shadow = Mac.shadow (Mac.host 9) ~alt:1 in
+  let spoof = request shadow in
+  Engine.schedule e ~delay:(Time.ms 500) (fun () -> Host.ingress b spoof);
+  Engine.run e;
+  Alcotest.(check bool) "implicit entry locked before 1 s" true
+    (Engine.now e < Time.s 1
+    && Host.arp_lookup b (Ip.host 9) = Some (Mac.host 9));
+  Engine.schedule e ~delay:(Time.s 1 - Engine.now e) (fun () ->
+      Host.ingress b spoof);
+  Engine.run e;
+  Alcotest.(check bool) "implicit entry updatable from 1 s" true
+    (Host.arp_lookup b (Ip.host 9) = Some shadow)
 
 (* ---- Sink ---- *)
 

@@ -12,6 +12,10 @@ module Single_switch = Planck_topology.Single_switch
 module Jellyfish = Planck_topology.Jellyfish
 module Routing = Planck_topology.Routing
 module Mac = Planck_packet.Mac
+module Ip = Planck_packet.Ipv4_addr
+module Host = Planck_netsim.Host
+module P = Planck_packet.Packet
+module H = Planck_packet.Headers
 
 let build_ft k =
   let engine = Engine.create () in
@@ -218,6 +222,74 @@ let fabric_rejects_double_wiring () =
       try Fabric.wire_switches fabric ~a:0 ~port_a:0 ~b:1 ~port_b:0
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
+(* What the old per-pair static table held: every other fabric host's
+   base MAC, and nothing for the host itself, for addresses past the
+   fabric or outside 10.0/16. *)
+let check_converged_arp name fabric =
+  let n = Fabric.host_count fabric in
+  for i = 0 to n - 1 do
+    let h = Fabric.host fabric i in
+    for j = 0 to n - 1 do
+      let expected = if j = i then None else Some (Mac.host j) in
+      if Host.arp_lookup h (Ip.host j) <> expected then
+        Alcotest.failf "%s: host %d resolves host %d wrongly" name i j
+    done;
+    Alcotest.(check bool) (name ^ ": past the fabric") true
+      (Host.arp_lookup h (Ip.host n) = None);
+    Alcotest.(check bool) (name ^ ": outside 10.0/16") true
+      (Host.arp_lookup h (Ip.of_string "10.1.0.1") = None)
+  done
+
+let populate_arp_resolves_every_pair () =
+  let ft, _ = build_ft 4 in
+  Fabric.populate_arp ft;
+  check_converged_arp "fat tree" ft;
+  let single =
+    Single_switch.build (Engine.create ()) ~hosts:8
+      ~switch_config:Switch.default_config ~link_rate:(Rate.gbps 10.0)
+      ~prng:(Prng.create ~seed:1) ()
+  in
+  Fabric.populate_arp single;
+  check_converged_arp "single switch" single;
+  let jelly =
+    Jellyfish.build (Engine.create ())
+      ~spec:
+        { Jellyfish.num_switches = 10; switch_degree = 4; hosts_per_switch = 2 }
+      ~switch_config:Switch.default_config ~link_rate:(Rate.gbps 10.0)
+      ~prng:(Prng.create ~seed:7) ()
+  in
+  Fabric.populate_arp jelly;
+  check_converged_arp "jellyfish" jelly;
+  (* A spoofed unicast request moves only its receiver to the shadow. *)
+  let h0 = Fabric.host ft 0 in
+  let shadow = Mac.shadow (Mac.host 9) ~alt:2 in
+  Host.ingress h0
+    (P.arp ~src_mac:shadow ~dst_mac:(Host.mac h0)
+       {
+         H.Arp.op = H.Arp.Request;
+         sender_mac = shadow;
+         sender_ip = Ip.host 9;
+         target_mac = Host.mac h0;
+         target_ip = Host.ip h0;
+       });
+  Engine.run (Host.engine h0);
+  Alcotest.(check bool) "receiver resolves the shadow" true
+    (Host.arp_lookup h0 (Ip.host 9) = Some shadow);
+  for i = 1 to Fabric.host_count ft - 1 do
+    if i <> 9 then
+      Alcotest.(check bool) "others keep the base MAC" true
+        (Host.arp_lookup (Fabric.host ft i) (Ip.host 9) = Some (Mac.host 9))
+  done
+
+let populate_arp_allocates_nothing_per_pair () =
+  let ft, _ = build_ft 8 in
+  let before = Gc.allocated_bytes () in
+  Fabric.populate_arp ft;
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= 4096. then
+    Alcotest.failf "populate_arp allocated %.0f bytes for %d hosts" allocated
+      (Fabric.host_count ft)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -243,4 +315,8 @@ let tests =
       jellyfish_builds_and_routes;
     Alcotest.test_case "fabric rejects double wiring" `Quick
       fabric_rejects_double_wiring;
+    Alcotest.test_case "populate_arp resolves every pair" `Quick
+      populate_arp_resolves_every_pair;
+    Alcotest.test_case "populate_arp allocates O(1)" `Quick
+      populate_arp_allocates_nothing_per_pair;
   ]

@@ -199,7 +199,7 @@ let inventory_text entries =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "# planck-lint shard-confinement inventory (generated: planck_lint \
-     --deep --shared-state-out)\n\
+     --shared-state-out)\n\
      # One line per toplevel lib/ binding: <class> <symbol> -- <type> \
      [hot]\n\
      # Classes: immutable < atomic < engine-scoped < shared-mutable.\n";

@@ -282,7 +282,7 @@ let inventory dr =
 let inventory_text entries =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    "# planck-lint ownership inventory (generated: planck_lint --deep \
+    "# planck-lint ownership inventory (generated: planck_lint \
      --ownership-out)\n\
      # One line per ownership fact in lib/: <kind> <symbol> -- <detail>\n\
      # Kinds: transfer-site (def:point), spsc-producer/spsc-consumer \
