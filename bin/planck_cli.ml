@@ -301,6 +301,7 @@ let capture output duration_ms seed metrics_out profile =
       ~link_rate:(Testbed.link_rate tb) ()
   in
   Collector.attach collector;
+  Collector.capture collector ~capacity:8192;
   (* Keep the snapshot files fresh while the capture runs: flush every
      simulated millisecond on the engine's own clock. *)
   (match metrics_out with

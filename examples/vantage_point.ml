@@ -1,6 +1,7 @@
-(* Vantage-point monitoring (paper §6.1): the collector retains a ring
-   of recent samples and dumps them as a tcpdump-compatible pcap —
-   a switch-level packet capture that costs one port.
+(* Vantage-point monitoring (paper §6.1): asked to capture, the
+   collector retains a ring of the newest samples and dumps them as a
+   tcpdump-compatible pcap — a switch-level packet capture that costs
+   one port. Collectors that were never asked keep no frames.
 
      dune exec examples/vantage_point.exe
      tcpdump -nr /tmp/planck-vantage.pcap | head     # if available
@@ -19,6 +20,7 @@ let () =
       ~link_rate:(Testbed.link_rate tb) ()
   in
   Collector.attach collector;
+  Collector.capture collector ~capacity:8192;
 
   (* Mixed traffic: two bulk flows and a small one. *)
   ignore

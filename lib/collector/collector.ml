@@ -74,7 +74,6 @@ type config = {
   max_burst : Time.t;
   flow_timeout : Time.t;
   event_cooldown : Time.t;
-  vantage_capacity : int;
   ring_capacity : int;
   poll_interval : Time.t;
   table : table_kind;
@@ -86,7 +85,6 @@ let default_config =
     max_burst = Time.us 700;
     flow_timeout = Time.ms 10;
     event_cooldown = Time.ms 1;
-    vantage_capacity = 8192;
     ring_capacity = 2048;
     poll_interval = Time.us 25;
     table = Exact;
@@ -117,6 +115,7 @@ type t = {
      trees are static so entries never go stale. *)
   port_cache : (int, (int, int * int) Hashtbl.t) Hashtbl.t;
   vantage : Packet.t Fifo.t;  (* keyed by rx time *)
+  mutable vantage_capacity : int;  (* 0 until [capture] *)
   mutable subscriptions : subscription list;
   mutable taps : (sample -> unit) list;
   mutable flow_event_subs : (flow_event -> unit) list;
@@ -137,8 +136,6 @@ type t = {
 }
 
 let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
-  if config.vantage_capacity <= 0 then
-    invalid_arg "Collector.create: vantage_capacity <= 0";
   let tel_label = Printf.sprintf "s%d" switch in
   let tel name = Metrics.counter ~subsystem:"collector" ~name ~label:tel_label () in
   let backend =
@@ -160,6 +157,7 @@ let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
     sink = None;
     port_cache = Hashtbl.create 64;
     vantage = Fifo.create ~dummy:Packet.placeholder ();
+    vantage_capacity = 0;
     subscriptions = [];
     taps = [];
     flow_event_subs = [];
@@ -285,9 +283,11 @@ let process t ~arrival ~rx (packet : Packet.t) =
   t.samples_seen <- t.samples_seen + 1;
   Metrics.Counter.incr t.tel_samples;
   Metrics.Histogram.observe t.tel_poll_latency (rx - arrival);
-  if Fifo.length t.vantage >= t.config.vantage_capacity then
-    ignore (Fifo.pop t.vantage : Packet.t);
-  Fifo.push t.vantage ~key:rx packet;
+  if t.vantage_capacity > 0 then begin
+    if Fifo.length t.vantage >= t.vantage_capacity then
+      ignore (Fifo.pop t.vantage : Packet.t);
+    Fifo.push t.vantage ~key:rx packet
+  end;
   (match packet.Packet.body with
   | Packet.Ipv4 (ip, Packet.Tcp tcp) ->
       let payload = Packet.tcp_payload_len packet in
@@ -433,6 +433,13 @@ let flow_retransmission_fraction t key =
 
 let set_tap t tap = t.taps <- tap :: t.taps
 let on_estimate t hook = t.estimate_hooks <- hook :: t.estimate_hooks
+
+let capture t ~capacity =
+  if capacity <= 0 then invalid_arg "Collector.capture: capacity <= 0";
+  t.vantage_capacity <- capacity;
+  while Fifo.length t.vantage > capacity do
+    ignore (Fifo.pop t.vantage : Packet.t)
+  done
 
 let vantage_pcap t =
   let pcap = Pcap.create () in

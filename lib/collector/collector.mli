@@ -16,7 +16,9 @@
       link);
     - threshold-crossing congestion events annotated with the flows on
       the congested link (§3.3);
-    - a vantage-point ring of recent samples, dumpable as pcap (§6.1).
+    - on request ({!capture}), a vantage-point ring of recent samples,
+      dumpable as pcap (§6.1); a collector nobody asked to capture
+      keeps no frames.
 
     Queries ([link_utilization], [flows_on_port], [flow_rate]) answer
     from current state in microseconds of simulated time — this is the
@@ -93,8 +95,6 @@ type config = {
   flow_timeout : Planck_util.Time.t;
   event_cooldown : Planck_util.Time.t;
       (** minimum spacing of events per link *)
-  vantage_capacity : int;
-      (** samples retained for pcap dumps; must be positive *)
   ring_capacity : int;  (** sink ring slots; must be positive *)
   poll_interval : Planck_util.Time.t;  (** netmap batch timer *)
   table : table_kind;  (** flow-state backend; default [Exact] *)
@@ -112,7 +112,6 @@ val create :
   ?config:config ->
   unit ->
   t
-(** Raises [Invalid_argument] if [config.vantage_capacity <= 0]. *)
 
 val attach : t -> unit
 (** Cable this collector to its switch's reserved monitor port and turn
@@ -178,9 +177,22 @@ val on_estimate :
   unit
 (** Called on every new per-flow rate estimate. *)
 
-(** {2 Vantage point (§6.1)} *)
+(** {2 Vantage point (§6.1)}
+
+    Capture is opt-in: an operator asks one switch's collector to
+    record what its monitor port saw. Until {!capture} is called the
+    collector retains no frames, {!vantage_count} is 0 and
+    {!vantage_pcap} is the bare 24-byte pcap header. *)
+
+val capture : t -> capacity:int -> unit
+(** Start (or resize) the vantage ring: from now on every delivered
+    sample is kept, oldest dropped first, so the ring holds the newest
+    [capacity] frames keyed by their rx time. Calling it again sets the
+    new capacity and drops the oldest retained frames to fit. Raises
+    [Invalid_argument] if [capacity <= 0]. *)
 
 val vantage_pcap : t -> string
 (** The retained sample ring as a pcap file image. *)
 
 val vantage_count : t -> int
+(** Frames the ring holds now; 0 before {!capture}. *)

@@ -291,6 +291,7 @@ let collector_congestion_event () =
 
 let collector_vantage_pcap () =
   let tb, collector = with_collector () in
+  Collector.capture collector ~capacity:8192;
   ignore (start_flow tb ~src:0 ~dst:1 ~size:(1024 * 1024) ());
   Engine.run ~until:(Time.ms 10) tb.engine;
   let pcap = Collector.vantage_pcap collector in
@@ -306,15 +307,90 @@ let collector_vantage_pcap () =
     (Digest.to_hex (Digest.string pcap))
 
 let collector_rejects_empty_vantage () =
-  let tb = single_switch () in
-  let config =
-    { Collector.default_config with Collector.vantage_capacity = 0 }
+  let _tb, collector = with_collector () in
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Collector.capture: capacity <= 0") (fun () ->
+      Collector.capture collector ~capacity:0)
+
+(* The records of a pcap image (after its 24-byte header), oldest
+   first, as (timestamp in µs, record bytes). *)
+let pcap_records pcap =
+  let u32 off = Int32.to_int (String.get_int32_le pcap off) land 0xFFFF_FFFF in
+  let rec go off acc =
+    if off >= String.length pcap then List.rev acc
+    else
+      let len = 16 + u32 (off + 8) in
+      let us = (u32 off * 1_000_000) + u32 (off + 4) in
+      go (off + len) ((us, String.sub pcap off len) :: acc)
   in
-  Alcotest.check_raises "vantage_capacity 0"
-    (Invalid_argument "Collector.create: vantage_capacity <= 0") (fun () ->
-      ignore
-        (Collector.create tb.engine ~switch:0 ~routing:tb.routing
-           ~link_rate:rate_10g ~config ()))
+  go 24 []
+
+let vantage_off_until_capture () =
+  (* A deployed PlanckTE keeps no frames: nobody asked for a capture. *)
+  let tb = Planck.Testbed.create (Planck.Testbed.paper_fat_tree ()) in
+  let deployed = Planck.Scheme.deploy tb Planck.Scheme.planck_te_default in
+  let collectors =
+    match deployed.Planck.Scheme.controller with
+    | Some c -> Planck_controller.Controller.collectors c
+    | None -> Alcotest.fail "PlanckTE deployed no controller"
+  in
+  let ep = tb.Planck.Testbed.endpoints in
+  ignore
+    (Flow.start ~src:ep.(0) ~dst:ep.(12) ~src_port:40_000 ~dst_port:5_012
+       ~size:(1 lsl 30) ());
+  Engine.run ~until:(Time.ms 2) tb.Planck.Testbed.engine;
+  Alcotest.(check int) "one collector per switch" 20 (List.length collectors);
+  Alcotest.(check bool) "collectors saw samples" true
+    (List.exists (fun c -> Collector.samples_seen c > 0) collectors);
+  List.iter
+    (fun c ->
+      let name = Printf.sprintf "s%d" (Collector.switch_id c) in
+      Alcotest.(check int) (name ^ " retains nothing") 0
+        (Collector.vantage_count c);
+      Alcotest.(check int) (name ^ " pcap is the bare header") 24
+        (String.length (Collector.vantage_pcap c)))
+    collectors
+
+let capture_starts_mid_run () =
+  let tb, collector = with_collector () in
+  ignore (start_flow tb ~src:0 ~dst:1 ~size:(1024 * 1024) ());
+  Engine.run ~until:(Time.ms 1) tb.engine;
+  let start = Engine.now tb.engine in
+  let seen_before = Collector.samples_seen collector in
+  Alcotest.(check bool) "samples before the capture" true (seen_before > 0);
+  Alcotest.(check int) "nothing retained yet" 0
+    (Collector.vantage_count collector);
+  Collector.capture collector ~capacity:8192;
+  Engine.run ~until:(Time.ms 10) tb.engine;
+  let captured = Collector.samples_seen collector - seen_before in
+  Alcotest.(check bool) "samples after the capture" true (captured > 0);
+  Alcotest.(check int) "exactly the samples since the capture" captured
+    (Collector.vantage_count collector);
+  let records = pcap_records (Collector.vantage_pcap collector) in
+  Alcotest.(check int) "one record per retained frame" captured
+    (List.length records);
+  List.iter
+    (fun (us, _) ->
+      if us < start / Time.microsecond then
+        Alcotest.failf "record at %d us predates the capture (%d us)" us
+          (start / Time.microsecond))
+    records
+
+let capture_shrink_keeps_newest () =
+  let tb, collector = with_collector () in
+  Collector.capture collector ~capacity:64;
+  ignore (start_flow tb ~src:0 ~dst:1 ~size:(1024 * 1024) ());
+  Engine.run ~until:(Time.ms 10) tb.engine;
+  let before = Collector.vantage_pcap collector in
+  let records = pcap_records before in
+  Alcotest.(check int) "full ring" 64 (List.length records);
+  Collector.capture collector ~capacity:16;
+  Alcotest.(check int) "shrunk to the new capacity" 16
+    (Collector.vantage_count collector);
+  let newest = List.filteri (fun i _ -> i >= 64 - 16) records in
+  Alcotest.(check string) "the newest 16 frames, in order"
+    (String.sub before 0 24 ^ String.concat "" (List.map snd newest))
+    (Collector.vantage_pcap collector)
 
 let collector_oversubscription_samples () =
   (* Saturate 3 flows to distinct ports: 30G of mirror traffic into a
@@ -374,6 +450,11 @@ let tests =
     Alcotest.test_case "vantage pcap dump" `Quick collector_vantage_pcap;
     Alcotest.test_case "vantage capacity must be positive" `Quick
       collector_rejects_empty_vantage;
+    Alcotest.test_case "no vantage ring until capture" `Quick
+      vantage_off_until_capture;
+    Alcotest.test_case "capture starts mid-run" `Quick capture_starts_mid_run;
+    Alcotest.test_case "capture shrink keeps newest" `Quick
+      capture_shrink_keeps_newest;
     Alcotest.test_case "oversubscribed sampling" `Quick
       collector_oversubscription_samples;
   ]

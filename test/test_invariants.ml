@@ -43,20 +43,61 @@ let pipeline_jitter_preserves_order () =
 
 let vantage_ring_bounded () =
   let tb = single_switch ~hosts:4 () in
-  let config =
-    { Collector.default_config with Collector.vantage_capacity = 64 }
-  in
   let collector =
     Collector.create tb.engine ~switch:0 ~routing:tb.routing
-      ~link_rate:rate_10g ~config ()
+      ~link_rate:rate_10g ()
   in
   Collector.attach collector;
+  Collector.capture collector ~capacity:64;
   ignore (start_flow tb ~src:0 ~dst:1 ~size:(4 * 1024 * 1024) ());
   Engine.run ~until:(Time.ms 10) tb.engine;
   Alcotest.(check int) "ring holds exactly its capacity" 64
     (Collector.vantage_count collector);
   Alcotest.(check bool) "saw far more samples than retained" true
     (Collector.samples_seen collector > 1000)
+
+(* How many of the frames a collector sampled are still reachable once
+   the run is over: a tap holds each one weakly, and a full major
+   collection clears every frame nothing else keeps alive. *)
+let sampled_frames_retained ?capacity () =
+  let tb = single_switch ~hosts:4 () in
+  let collector =
+    Collector.create tb.engine ~switch:0 ~routing:tb.routing
+      ~link_rate:rate_10g ()
+  in
+  Collector.attach collector;
+  Option.iter (fun capacity -> Collector.capture collector ~capacity) capacity;
+  let chunk = 1024 in
+  let frames = ref [] and n = ref 0 in
+  Collector.set_tap collector (fun s ->
+      if !n mod chunk = 0 then frames := Weak.create chunk :: !frames;
+      Weak.set (List.hd !frames) (!n mod chunk) (Some s.Collector.packet);
+      incr n);
+  ignore (start_flow tb ~src:0 ~dst:1 ~size:(4 * 1024 * 1024) ());
+  Engine.run ~until:(Time.ms 50) tb.engine;
+  Gc.full_major ();
+  let alive = ref 0 in
+  List.iter
+    (fun w ->
+      for i = 0 to Weak.length w - 1 do
+        if Weak.check w i then incr alive
+      done)
+    !frames;
+  Alcotest.(check int) "tap saw every sample" (Collector.samples_seen collector)
+    !n;
+  Alcotest.(check bool) "saw far more samples than any ring keeps" true
+    (!n > 1000);
+  (* Reading the ring after the collection keeps the collector alive
+     through it, so the frames its ring holds count as reachable. *)
+  (!alive, Collector.vantage_count collector)
+
+let sampled_frames_not_retained () =
+  let alive, kept = sampled_frames_retained () in
+  Alcotest.(check int) "ring empty without capture" 0 kept;
+  Alcotest.(check int) "no sampled frame reachable" 0 alive;
+  let alive, kept = sampled_frames_retained ~capacity:64 () in
+  Alcotest.(check int) "ring holds its capacity" 64 kept;
+  Alcotest.(check int) "exactly the captured frames reachable" 64 alive
 
 let event_cooldown_respected () =
   let tb = single_switch ~hosts:4 () in
@@ -139,6 +180,8 @@ let tests =
     Alcotest.test_case "buffer pool balances after drain" `Quick
       buffer_pool_balances_after_drain;
     Alcotest.test_case "vantage ring bounded" `Quick vantage_ring_bounded;
+    Alcotest.test_case "sampled frames not retained" `Quick
+      sampled_frames_not_retained;
     Alcotest.test_case "event cooldown respected" `Quick
       event_cooldown_respected;
     Alcotest.test_case "utilization decays after flows end" `Quick
