@@ -18,7 +18,8 @@ let sample_latency_under_load ~config ~seed =
   let m = micro_testbed ~hosts:8 ~config ~seed () in
   let trace = trace_senders m.tb [ 0; 1; 2 ] in
   let latencies = ref [] in
-  Collector.set_tap m.collector (fun s ->
+  Collector.set_tap m.collector (fun ~rx ~arrival packet ->
+      let s = Collector.sample m.collector ~rx ~arrival packet in
       match (s.Collector.key, s.Collector.seq32) with
       | Some key, Some seq when s.Collector.payload > 0 -> (
           match Hashtbl.find_opt trace.first_tx (key, seq) with

@@ -13,7 +13,8 @@ let run_fig10 opts =
   let rolling_series = ref [] in
   let planck_series = ref [] in
   let t0 = ref None in
-  Collector.set_tap m.collector (fun s ->
+  Collector.set_tap m.collector (fun ~rx ~arrival packet ->
+      let s = Collector.sample m.collector ~rx ~arrival packet in
       match s.Collector.seq32 with
       | Some seq32 when s.Collector.payload > 0 ->
           if !t0 = None then t0 := Some s.Collector.rx;

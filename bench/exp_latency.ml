@@ -8,7 +8,8 @@ open Exp_common
    that (flow, seq): the send->collector latency of §5.2. *)
 let sample_latencies m trace =
   let latencies = ref [] in
-  Collector.set_tap m.collector (fun s ->
+  Collector.set_tap m.collector (fun ~rx ~arrival packet ->
+      let s = Collector.sample m.collector ~rx ~arrival packet in
       match (s.Collector.key, s.Collector.seq32) with
       | Some key, Some seq when s.Collector.payload > 0 -> (
           match Hashtbl.find_opt trace.first_tx (key, seq) with

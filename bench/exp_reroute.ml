@@ -127,7 +127,8 @@ let response_latency ~mechanism ~seed =
   let observe_collector switch =
     match Controller.collector_for controller ~switch with
     | Some c ->
-        Planck_collector.Collector.set_tap c (fun s ->
+        Collector.set_tap c (fun ~rx ~arrival packet ->
+            let s = Collector.sample c ~rx ~arrival packet in
             match (!new_mac, s.Collector.key) with
             | Some (key, mac), Some k
               when !seen = None && FK.equal k key

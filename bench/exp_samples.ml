@@ -60,7 +60,8 @@ let sampled_run ~flows ~seed ~duration =
   let m = micro_testbed ~hosts ~seed () in
   let trace = trace_senders m.tb (List.init flows (fun i -> i)) in
   let stream = ref [] in
-  Collector.set_tap m.collector (fun s ->
+  Collector.set_tap m.collector (fun ~rx ~arrival packet ->
+      let s = Collector.sample m.collector ~rx ~arrival packet in
       match s.Collector.key with
       | Some key when s.Collector.payload > 0 ->
           stream := (key, s.Collector.packet.P.wire_size) :: !stream

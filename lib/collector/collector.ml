@@ -117,7 +117,7 @@ type t = {
   vantage : Packet.t Fifo.t;  (* keyed by rx time *)
   mutable vantage_capacity : int;  (* 0 until [capture] *)
   mutable subscriptions : subscription list;
-  mutable taps : (sample -> unit) list;
+  mutable taps : (rx:Time.t -> arrival:Time.t -> Packet.t -> unit) list;
   mutable flow_event_subs : (flow_event -> unit) list;
   mutable estimate_hooks : (Flow_key.t -> Rate.t -> Time.t -> unit) list;
   last_event : (int, Time.t) Hashtbl.t; (* port -> last event time *)
@@ -276,6 +276,32 @@ let check_congestion t ~port =
 
 (* ---- Sample processing ---- *)
 
+let sample t ~rx ~arrival packet =
+  let key = Flow_key.of_packet packet in
+  let in_port, out_port =
+    match key with
+    | Some k ->
+        infer_ports t ~src_ip:k.Flow_key.src_ip
+          ~dst_mac:(Packet.dst_mac packet)
+    | None -> (-1, -1)
+  in
+  let payload = Packet.tcp_payload_len packet in
+  let seq32 =
+    Option.map
+      (fun (_, tcp) -> tcp.Headers.Tcp.seq)
+      (Packet.tcp_headers packet)
+  in
+  { rx; arrival; packet; key; payload; seq32; in_port; out_port }
+
+(* Taps get the raw frame: a tap that wants the decoded record builds
+   it with [sample], so a frame no tap looks at costs nothing. *)
+let rec run_taps taps ~rx ~arrival packet =
+  match taps with
+  | [] -> ()
+  | tap :: rest ->
+      tap ~rx ~arrival packet;
+      run_taps rest ~rx ~arrival packet
+
 (* Flow events and the data-sample path read the headers of the frame
    the sink delivered in place; only a TCP frame that carries payload
    or a lifecycle flag someone listens for builds its flow key. *)
@@ -359,26 +385,7 @@ let process t ~arrival ~rx (packet : Packet.t) =
         end
       end
   | Packet.Ipv4 (_, Packet.Udp _) | Packet.Arp _ -> ());
-  if t.taps <> [] then begin
-    let key = Flow_key.of_packet packet in
-    let in_port, out_port =
-      match key with
-      | Some k ->
-          infer_ports t ~src_ip:k.Flow_key.src_ip
-            ~dst_mac:(Packet.dst_mac packet)
-      | None -> (-1, -1)
-    in
-    let payload = Packet.tcp_payload_len packet in
-    let seq32 =
-      Option.map
-        (fun (_, tcp) -> tcp.Headers.Tcp.seq)
-        (Packet.tcp_headers packet)
-    in
-    let sample =
-      { rx; arrival; packet; key; payload; seq32; in_port; out_port }
-    in
-    List.iter (fun tap -> tap sample) t.taps
-  end
+  run_taps t.taps ~rx ~arrival packet
 
 let attach t =
   match t.sink with

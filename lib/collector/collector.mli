@@ -168,8 +168,27 @@ val flow_retransmission_fraction :
     backwards — duplicate sequence numbers indicate retransmissions
     (the inference the paper sketches in §3.2.2). *)
 
-val set_tap : t -> (sample -> unit) -> unit
-(** Raw sample stream (for experiments and extensions). *)
+val set_tap :
+  t ->
+  (rx:Planck_util.Time.t ->
+  arrival:Planck_util.Time.t ->
+  Planck_packet.Packet.t ->
+  unit) ->
+  unit
+(** Raw sample stream (for experiments and extensions): every delivered
+    frame with its processing ([rx]) and NIC [arrival] times, after the
+    collector has accounted it. The frame is passed as is; a tap that
+    wants its decoded headers calls {!sample}. *)
+
+val sample :
+  t ->
+  rx:Planck_util.Time.t ->
+  arrival:Planck_util.Time.t ->
+  Planck_packet.Packet.t ->
+  sample
+(** Decode one tapped frame: flow key, payload, sequence number and the
+    ports this collector infers for it. Allocates; call it only for the
+    frames a tap actually inspects. *)
 
 val on_estimate :
   t ->

@@ -197,26 +197,23 @@ let create engine ~routing ~channel ~collectors ~link_rate
     collectors;
   (* Effective-watch: close each control loop when any collector first
      samples a rerouted flow carrying its new MAC — the Fig 16 vantage
-     point (so the stamp includes monitor-port buffering). Taps force
-     per-sample record allocation in the collector, so they are only
-     installed when the journal is already enabled at deploy time. *)
+     point (so the stamp includes monitor-port buffering). The watch
+     only feeds the journal, so it is installed only when the journal is
+     already enabled at deploy time, and it decodes a frame only while
+     some reroute awaits its stamp. *)
   if Journal.enabled Journal.default then
     List.iter
       (fun collector ->
-        Collector.set_tap collector (fun sample ->
+        Collector.set_tap collector (fun ~rx ~arrival:_ packet ->
             if Flow_key.Table.length t.pending_effective > 0 then
-              match sample.Collector.key with
+              match Flow_key.of_packet packet with
               | None -> ()
               | Some key -> (
                   match Flow_key.Table.find_opt t.pending_effective key with
                   | Some (corr, mac, armed)
-                    when !armed
-                         && Mac.equal
-                              (Packet.dst_mac sample.Collector.packet)
-                              mac ->
+                    when !armed && Mac.equal (Packet.dst_mac packet) mac ->
                       Flow_key.Table.remove t.pending_effective key;
-                      Journal.record Journal.default ~ts:sample.Collector.rx
-                        ~corr
+                      Journal.record Journal.default ~ts:rx ~corr
                         (Journal.Reroute_effective
                            {
                              flow = Format.asprintf "%a" Flow_key.pp key;

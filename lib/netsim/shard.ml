@@ -47,6 +47,7 @@ type barrier = {
 type group = {
   n : int;
   engines : Engine.t array;
+  (* whole-run, unbounded; empty until the journal is enabled *)
   journals : Journal.t array;
   mutable look : Time.t option;
   (* per-destination channels, registration order *)

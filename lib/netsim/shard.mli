@@ -2,9 +2,10 @@
     synchronized with conservative lookahead.
 
     A {!group} owns [n] engines (labelled ["shard0"].. so each shard's
-    instance metrics are distinguishable), one per-shard journal, and
-    the SPSC channels carrying cross-shard frames. Simulated time
-    advances in lockstep windows of
+    instance metrics are distinguishable), one journal per shard that
+    holds the shard's whole run until {!merge_journals} and grows with
+    what it records, and the SPSC channels carrying cross-shard frames.
+    Simulated time advances in lockstep windows of
     [W = min (lookahead, 10ms)], where the lookahead bound is the
     smallest propagation delay of any cross-shard link: a frame
     transmitted in window [\[T, T+W)] arrives no earlier than [T+W], so
@@ -33,7 +34,8 @@ val engine : group -> int -> Engine.t
 
 val journal : group -> int -> Planck_telemetry.Journal.t
 (** The shard's private journal; {!run} redirects
-    [Journal.default] into it on that shard's domain. *)
+    [Journal.default] into it on that shard's domain. It never evicts:
+    see {!Planck_telemetry.Journal.shard_journal}. *)
 
 val lookahead : group -> Planck_util.Time.t option
 (** Smallest cross-link propagation delay registered so far; [None]

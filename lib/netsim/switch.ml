@@ -209,8 +209,11 @@ let enqueue t ~port ~cls ~mirror packet =
         Buffer_pool.try_alloc t.buffer ~port ~bytes_:packet.Packet.wire_size
       then begin
         Metrics.Counter.incr t.tel.tel_enqueued.(port);
-        Metrics.Gauge.set_int t.tel.tel_buffer_hw
-          (Buffer_pool.shared_high_water t.buffer);
+        (* Re-setting an unchanged gauge would box a float per frame;
+           the high-water mark changes only when it rises. *)
+        let hw = Buffer_pool.shared_high_water t.buffer in
+        if hw <> int_of_float (Metrics.Gauge.value t.tel.tel_buffer_hw) then
+          Metrics.Gauge.set_int t.tel.tel_buffer_hw hw;
         if Journal.enabled Journal.default then note_high_water t;
         match Txport.enqueue txport ~cls packet with
         | () -> ()

@@ -42,17 +42,28 @@ type body =
 
 type event = { ts : Time.t; corr : int option; body : body }
 
+(* [Ring] bounds a journal from {!create}, evicting its oldest event;
+   [Log] holds a shard journal's whole run, newest first. *)
+type store =
+  | Ring of event Ring.t
+  | Log of { mutable rev : event list; mutable len : int }
+
 type t = {
   mutable on : bool;
-  ring : event Ring.t;
+  store : store;
   mutable evicted : int;
   mutable corr : int;
   mutable writer : (string -> unit) option;
 }
 
 let create ?(capacity = 65536) ?(enabled = true) () =
-  { on = enabled; ring = Ring.create ~capacity; evicted = 0; corr = 0;
-    writer = None }
+  {
+    on = enabled;
+    store = Ring (Ring.create ~capacity);
+    evicted = 0;
+    corr = 0;
+    writer = None;
+  }
 
 (* The process-wide journal every built-in instrumentation point records
    into. Disabled by default, like Metrics.default. *)
@@ -74,14 +85,15 @@ let redirect : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Shard journals buffer the whole run (the merge happens after the
    domains join), unlike the default journal whose writer streams as it
-   records — so they get a much deeper ring. The slot array is pointers
-   only (8 MiB per shard); events are allocated on demand. *)
-let shard_ring_capacity = 1 lsl 20
-
+   records, so they grow with what they record and never evict. *)
 let shard_journal ~shard =
-  let j = create ~capacity:shard_ring_capacity () in
-  if shard > 0 then j.corr <- shard lsl 40;
-  j
+  {
+    on = true;
+    store = Log { rev = []; len = 0 };
+    evicted = 0;
+    corr = (if shard > 0 then shard lsl 40 else 0);
+    writer = None;
+  }
 
 let set_shard_redirect j = Domain.DLS.set redirect j
 
@@ -95,13 +107,22 @@ let next_corr t =
   t.corr <- t.corr + 1;
   t.corr
 
-let events t = Ring.to_list t.ring
-let length t = Ring.length t.ring
-let capacity t = Ring.capacity t.ring
+let events t =
+  match t.store with Ring r -> Ring.to_list r | Log l -> List.rev l.rev
+
+let length t = match t.store with Ring r -> Ring.length r | Log l -> l.len
+
+let capacity t =
+  match t.store with Ring r -> Ring.capacity r | Log _ -> max_int
+
 let evicted t = t.evicted
 
 let clear t =
-  Ring.clear t.ring;
+  (match t.store with
+  | Ring r -> Ring.clear r
+  | Log l ->
+      l.rev <- [];
+      l.len <- 0);
   t.evicted <- 0;
   t.corr <- 0
 
@@ -360,11 +381,16 @@ let record t ~ts ?corr body =
   if t.on then begin
     let t = target t in
     let ev = { ts; corr; body } in
-    if Ring.is_full t.ring then begin
-      ignore (Ring.pop t.ring);
-      t.evicted <- t.evicted + 1
-    end;
-    ignore (Ring.push t.ring ev);
+    (match t.store with
+    | Ring r ->
+        if Ring.is_full r then begin
+          ignore (Ring.pop r);
+          t.evicted <- t.evicted + 1
+        end;
+        ignore (Ring.push r ev)
+    | Log l ->
+        l.rev <- ev :: l.rev;
+        l.len <- l.len + 1);
     match t.writer with
     | None -> ()
     | Some w -> w (Json.to_string (event_to_json ev))

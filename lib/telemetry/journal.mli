@@ -109,18 +109,21 @@ val record : t -> ts:Time.t -> ?corr:int -> body -> unit
     one NDJSON line. *)
 
 val events : t -> event list
-(** Current ring contents, oldest first. *)
+(** Current contents, oldest first. *)
 
 val length : t -> int
+
 val capacity : t -> int
+(** The ring bound given to {!create}; [max_int] for a
+    {!shard_journal}, which never evicts. *)
 
 val evicted : t -> int
 (** Events discarded to make room since creation (the streamed NDJSON
-    still has them). *)
+    still has them); always 0 for a {!shard_journal}. *)
 
 val clear : t -> unit
-(** Empty the ring and reset the eviction and correlation counters, so
-    consecutive runs against the same journal mint comparable ids. *)
+(** Empty the journal and reset the eviction and correlation counters,
+    so consecutive runs against the same journal mint comparable ids. *)
 
 val set_writer : t -> (string -> unit) option -> unit
 
@@ -136,9 +139,10 @@ val shard_journal : shard:int -> t
 (** An enabled journal for shard [shard]. Correlation ids for shard
     [s > 0] are based at [s lsl 40] so ids stay globally unique;
     shard 0 keeps base 0, preserving the single-domain id sequence.
-    Deeper ring than {!create}'s default (2{^20} events) because the
-    whole run buffers here until the post-join merge; a run that
-    overflows it evicts its oldest events ({!evicted}). *)
+    The whole run buffers here until the post-join merge, so a shard
+    journal has no ring: it holds every event it records, never evicts
+    ({!evicted} stays 0), and its storage grows with what it records —
+    an empty one costs a few words. *)
 
 val set_shard_redirect : t option -> unit
 (** Install ([Some j]) or remove ([None]) the calling domain's redirect:

@@ -250,7 +250,8 @@ let collector_port_inference () =
   let tb, collector = with_collector () in
   let flow = start_flow tb ~src:2 ~dst:3 ~size:(4 * 1024 * 1024) () in
   let inferred = ref [] in
-  Collector.set_tap collector (fun s ->
+  Collector.set_tap collector (fun ~rx ~arrival packet ->
+      let s = Collector.sample collector ~rx ~arrival packet in
       if s.Collector.payload > 0 then
         inferred := (s.Collector.in_port, s.Collector.out_port) :: !inferred);
   Engine.run ~until:(Time.ms 10) tb.engine;
@@ -422,6 +423,59 @@ let collector_oversubscription_samples () =
     (Switch.port_stats sw ~port:monitor).Switch.tx_packets
     (Sink.frames_seen sink + Sink.ring_drops sink)
 
+(* TE's effective-watch taps every collector while the journal is on,
+   but a frame costs it nothing until a reroute awaits its stamp: with
+   no reroute armed (a threshold no link can cross), turning the
+   journal on adds under one minor word per sample to a k=4 PlanckTE
+   run. The journal's own records (rate estimates, drops) are in that
+   budget too. *)
+let journal_tap_allocates_nothing () =
+  let module Journal = Planck_telemetry.Journal in
+  let module Experiment = Planck.Experiment in
+  let module Scheme = Planck.Scheme in
+  let module Te = Planck_controller.Te in
+  let run ~journal =
+    let collectors = ref [] in
+    Experiment.set_observer
+      (Some
+         (fun _ (deployed : Scheme.deployed) ->
+           Option.iter
+             (fun c -> collectors := Planck_controller.Controller.collectors c)
+             deployed.Scheme.controller;
+           None));
+    Journal.clear Journal.default;
+    Journal.set_enabled Journal.default journal;
+    Fun.protect
+      ~finally:(fun () ->
+        Experiment.set_observer None;
+        Journal.set_enabled Journal.default false;
+        Journal.clear Journal.default)
+      (fun () ->
+        let before = Gc.minor_words () in
+        let summary =
+          Experiment.run ~spec:(Planck.Testbed.paper_fat_tree ())
+            ~scheme:
+              (Scheme.Planck_te
+                 { Te.default_config with Te.congestion_threshold = 2.0 })
+            ~workload:(Experiment.Stride 8) ~size:(1024 * 1024) ()
+        in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "no reroute armed" 0 summary.Experiment.reroutes;
+        let samples =
+          List.fold_left (fun n c -> n + Collector.samples_seen c) 0 !collectors
+        in
+        (words, samples, Journal.length Journal.default))
+  in
+  let off, samples, _ = run ~journal:false in
+  let on, samples', recorded = run ~journal:true in
+  Alcotest.(check int) "same samples either way" samples samples';
+  Alcotest.(check bool) "the run samples" true (samples > 10_000);
+  Alcotest.(check bool) "the journal records" true (recorded > 0);
+  let per_sample = (on -. off) /. float_of_int samples in
+  Alcotest.(check bool)
+    (Printf.sprintf "journal on adds %.2f words/sample (<= 1)" per_sample)
+    true (per_sample <= 1.0)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -455,6 +509,8 @@ let tests =
     Alcotest.test_case "capture starts mid-run" `Quick capture_starts_mid_run;
     Alcotest.test_case "capture shrink keeps newest" `Quick
       capture_shrink_keeps_newest;
+    Alcotest.test_case "journal-on TE tap allocates nothing per sample"
+      `Quick journal_tap_allocates_nothing;
     Alcotest.test_case "oversubscribed sampling" `Quick
       collector_oversubscription_samples;
   ]

@@ -69,9 +69,9 @@ let sampled_frames_retained ?capacity () =
   Option.iter (fun capacity -> Collector.capture collector ~capacity) capacity;
   let chunk = 1024 in
   let frames = ref [] and n = ref 0 in
-  Collector.set_tap collector (fun s ->
+  Collector.set_tap collector (fun ~rx:_ ~arrival:_ packet ->
       if !n mod chunk = 0 then frames := Weak.create chunk :: !frames;
-      Weak.set (List.hd !frames) (!n mod chunk) (Some s.Collector.packet);
+      Weak.set (List.hd !frames) (!n mod chunk) (Some packet);
       incr n);
   ignore (start_flow tb ~src:0 ~dst:1 ~size:(4 * 1024 * 1024) ());
   Engine.run ~until:(Time.ms 50) tb.engine;

@@ -164,6 +164,19 @@ let test_pkt () =
     ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0
     ~flags:H.Tcp_flags.ack ~payload_len:64 ()
 
+(* A group costs its engines and wiring, not journal storage it may
+   never use: shard journals grow with what they record. *)
+let group_allocates_no_journal_ring () =
+  let before = Gc.allocated_bytes () in
+  let g = Shard.create ~shards:4 in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "four shards" 4 (Shard.shards g);
+  Alcotest.(check bool)
+    (Printf.sprintf "Shard.create ~shards:4 allocates %.0f KiB (< 1 MiB)"
+       (allocated /. 1024.))
+    true
+    (allocated < 1024. *. 1024.)
+
 let group_validation () =
   Alcotest.check_raises "zero shards rejected"
     (Invalid_argument "Shard.create: shards must be >= 1") (fun () ->
@@ -525,6 +538,8 @@ let tests =
     Alcotest.test_case "shard_plan splits a jellyfish plan" `Quick
       shard_plan_jellyfish;
     Alcotest.test_case "group construction validates" `Quick group_validation;
+    Alcotest.test_case "group allocates no journal ring" `Quick
+      group_allocates_no_journal_ring;
     Alcotest.test_case "empty shard advances by pure lookahead" `Quick
       empty_shard_pure_advance;
     Alcotest.test_case "channel delivers in handoff order" `Quick

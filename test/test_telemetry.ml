@@ -318,6 +318,39 @@ let journal_writer_streams_past_eviction () =
       | Error e -> Alcotest.failf "bad streamed line %S: %s" line e)
     !lines
 
+(* A shard journal buffers the whole run until the post-join merge, so
+   it must never evict: one event past 2^20 (the depth of the ring it
+   once had) is kept, in record order, and the merge streams every one
+   of them through the destination's writer, oldest first. *)
+let shard_journal_keeps_whole_run () =
+  let n = (1 lsl 20) + 10 in
+  let j = Journal.shard_journal ~shard:0 in
+  let body = Journal.Phase_marker { name = "x"; detail = "" } in
+  for i = 1 to n do
+    Journal.record j ~ts:(Time.ns i) body
+  done;
+  Alcotest.(check int) "keeps every event" n (Journal.length j);
+  Alcotest.(check int) "evicts nothing" 0 (Journal.evicted j);
+  let next = ref 1 in
+  List.iter
+    (fun (ev : Journal.event) ->
+      if ev.Journal.ts <> Time.ns !next then
+        Alcotest.failf "event %d has ts %d" !next ev.Journal.ts;
+      incr next)
+    (Journal.events j);
+  Alcotest.(check int) "events oldest first" (n + 1) !next;
+  let dst = Journal.create ~capacity:4 () in
+  let streamed = ref 0 in
+  Journal.set_writer dst
+    (Some
+       (fun line ->
+         incr streamed;
+         let prefix = Printf.sprintf "{\"ts\":%d," (Time.ns !streamed) in
+         if not (String.starts_with ~prefix line) then
+           Alcotest.failf "streamed line %d is %S" !streamed line));
+  Journal.merge_into dst [ (0, j) ];
+  Alcotest.(check int) "merge streams every event" n !streamed
+
 let journal_ndjson_tolerates_unknown_and_blank () =
   let input =
     String.concat "\n"
@@ -969,6 +1002,8 @@ let tests =
       journal_ndjson_roundtrip;
     Alcotest.test_case "journal writer streams past eviction" `Quick
       journal_writer_streams_past_eviction;
+    Alcotest.test_case "shard journal keeps the whole run" `Quick
+      shard_journal_keeps_whole_run;
     Alcotest.test_case "journal NDJSON tolerates unknown/blank lines" `Quick
       journal_ndjson_tolerates_unknown_and_blank;
     Alcotest.test_case "timeseries sampling and CSV round-trip" `Quick
