@@ -114,14 +114,13 @@ let trace_senders tb hosts =
       Host.add_send_trace
         (Fabric.host tb.Testbed.fabric h)
         (fun time packet ->
-          match (FK.of_packet packet, P.tcp_headers packet) with
-          | Some key, Some (_, tcp) when P.tcp_payload_len packet > 0 ->
-              let id = (key, tcp.H.Tcp.seq) in
+          match (FK.of_packet packet, packet) with
+          | Some key, P.Tcp { seq; _ } when P.tcp_payload_len packet > 0 ->
+              let id = (key, seq) in
               if not (Hashtbl.mem trace.first_tx id) then begin
                 Hashtbl.replace trace.first_tx id time;
                 trace.sends <-
-                  (time, key, tcp.H.Tcp.seq, P.tcp_payload_len packet)
-                  :: trace.sends
+                  (time, key, seq, P.tcp_payload_len packet) :: trace.sends
               end
           | _ -> ()))
     hosts;

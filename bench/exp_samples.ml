@@ -64,7 +64,7 @@ let sampled_run ~flows ~seed ~duration =
       let s = Collector.sample m.collector ~rx ~arrival packet in
       match s.Collector.key with
       | Some key when s.Collector.payload > 0 ->
-          stream := (key, s.Collector.packet.P.wire_size) :: !stream
+          stream := (key, P.wire_size s.Collector.packet) :: !stream
       | _ -> ());
   let flow_handles =
     List.init flows (fun i -> saturating_flow m.tb ~src:i ~dst:(14 + i))

@@ -40,7 +40,7 @@ let test_serialize =
 let test_parse =
   Test.make ~name:"packet parse (from wire bytes)"
     (Staged.stage (fun () ->
-         ignore (P.parse sample_wire ~wire_size:sample_packet.P.wire_size)))
+         ignore (P.parse sample_wire ~wire_size:(P.wire_size sample_packet))))
 
 let test_estimator =
   let estimator = Rate_estimator.create () in

@@ -287,9 +287,9 @@ let sample t ~rx ~arrival packet =
   in
   let payload = Packet.tcp_payload_len packet in
   let seq32 =
-    Option.map
-      (fun (_, tcp) -> tcp.Headers.Tcp.seq)
-      (Packet.tcp_headers packet)
+    match packet with
+    | Packet.Tcp { seq; _ } -> Some seq
+    | Packet.Udp _ | Packet.Arp _ -> None
   in
   { rx; arrival; packet; key; payload; seq32; in_port; out_port }
 
@@ -314,23 +314,24 @@ let process t ~arrival ~rx (packet : Packet.t) =
       ignore (Fifo.pop t.vantage : Packet.t);
     Fifo.push t.vantage ~key:rx packet
   end;
-  (match packet.Packet.body with
-  | Packet.Ipv4 (ip, Packet.Tcp tcp) ->
+  (match packet with
+  | Packet.Tcp
+      { src_ip; dst_ip; src_port; dst_port; seq = seq32; flags; dst_mac; _ } ->
       let payload = Packet.tcp_payload_len packet in
-      let f = tcp.Headers.Tcp.flags in
-      let starts = f.Headers.Tcp_flags.syn in
+      let starts = Headers.Tcp_flags.has_syn flags in
       let notify =
         t.flow_event_subs <> []
-        && (starts || f.Headers.Tcp_flags.fin || f.Headers.Tcp_flags.rst)
+        && (starts || Headers.Tcp_flags.has_fin flags
+           || Headers.Tcp_flags.has_rst flags)
       in
       if payload > 0 || notify then begin
         let key =
           {
-            Flow_key.src_ip = ip.Headers.Ipv4.src;
-            dst_ip = ip.Headers.Ipv4.dst;
-            src_port = tcp.Headers.Tcp.src_port;
-            dst_port = tcp.Headers.Tcp.dst_port;
-            protocol = ip.Headers.Ipv4.protocol;
+            Flow_key.src_ip;
+            dst_ip;
+            src_port;
+            dst_port;
+            protocol = Headers.Ipv4.protocol_tcp;
           }
         in
         if notify then begin
@@ -339,8 +340,6 @@ let process t ~arrival ~rx (packet : Packet.t) =
           List.iter (fun sub -> sub event) t.flow_event_subs
         end;
         if payload > 0 then begin
-          let seq32 = tcp.Headers.Tcp.seq in
-          let dst_mac = Packet.dst_mac packet in
           t.data_samples <- t.data_samples + 1;
           Metrics.Counter.incr t.tel_data_samples;
           t.backend.b_tick ~now:rx;
@@ -356,7 +355,7 @@ let process t ~arrival ~rx (packet : Packet.t) =
           | None -> () (* sketch tier only: no exact entry (yet) *)
           | Some entry -> (
               let in_port, out_port =
-                infer_ports t ~src_ip:ip.Headers.Ipv4.src ~dst_mac
+                infer_ports t ~src_ip ~dst_mac
               in
               entry.Flow_table.in_port <- in_port;
               entry.Flow_table.out_port <- out_port;
@@ -384,7 +383,7 @@ let process t ~arrival ~rx (packet : Packet.t) =
               | None -> ())
         end
       end
-  | Packet.Ipv4 (_, Packet.Udp _) | Packet.Arp _ -> ());
+  | Packet.Udp _ | Packet.Arp _ -> ());
   run_taps t.taps ~rx ~arrival packet
 
 let attach t =

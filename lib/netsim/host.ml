@@ -183,17 +183,17 @@ let send_arp_reply t ~to_mac ~to_ip =
   in
   send t reply
 
-let arp_input t (a : Headers.Arp.t) =
-  match a.op with
-  | Headers.Arp.Request ->
+let arp_input t ~(op : Headers.Arp.op) ~sender_mac ~sender_ip ~target_ip =
+  match op with
+  | Request ->
       (* MAC learning happens for requests that reach us (including the
          controller's unicast spoofed requests); we answer requests for
          our own address. *)
-      if Ipv4_addr.equal a.target_ip t.ip then begin
-        arp_learn t a.sender_ip a.sender_mac;
-        send_arp_reply t ~to_mac:a.sender_mac ~to_ip:a.sender_ip
+      if Ipv4_addr.equal target_ip t.ip then begin
+        arp_learn t sender_ip sender_mac;
+        send_arp_reply t ~to_mac:sender_mac ~to_ip:sender_ip
       end
-  | Headers.Arp.Reply ->
+  | Reply ->
       (* Unsolicited replies are ignored (Linux default); the hosts in
          this testbed never issue requests themselves, so every reply is
          unsolicited. *)
@@ -206,9 +206,10 @@ let accepts t packet =
 let on_recv_ready t =
   if not (Fifo.is_empty t.pending_recvs) then begin
     let packet = Fifo.pop t.pending_recvs in
-    match packet.Packet.body with
-    | Packet.Arp a -> arp_input t a
-    | Packet.Ipv4 _ ->
+    match packet with
+    | Packet.Arp { op; sender_mac; sender_ip; target_ip; _ } ->
+        arp_input t ~op ~sender_mac ~sender_ip ~target_ip
+    | Packet.Tcp _ | Packet.Udp _ ->
         run_traces t.recv_traces (Engine.now t.engine) packet;
         t.receive packet
   end;

@@ -121,7 +121,7 @@ let connect t ~port ~rate ~prop_delay ?handoff ~deliver () =
     else (normal_classes, None)
   in
   let on_depart packet =
-    Buffer_pool.release t.buffer ~port ~bytes_:packet.Packet.wire_size
+    Buffer_pool.release t.buffer ~port ~bytes_:(Packet.wire_size packet)
   in
   t.tx.(port) <-
     Some
@@ -206,7 +206,7 @@ let enqueue t ~port ~cls ~mirror packet =
       drop t ~port ~mirror
   | Some txport ->
       if
-        Buffer_pool.try_alloc t.buffer ~port ~bytes_:packet.Packet.wire_size
+        Buffer_pool.try_alloc t.buffer ~port ~bytes_:(Packet.wire_size packet)
       then begin
         Metrics.Counter.incr t.tel.tel_enqueued.(port);
         (* Re-setting an unchanged gauge would box a float per frame;
@@ -223,7 +223,7 @@ let enqueue t ~port ~cls ~mirror packet =
                pool or the accounting leaks them forever. *)
             let bt = Printexc.get_raw_backtrace () in
             Buffer_pool.release t.buffer ~port
-              ~bytes_:packet.Packet.wire_size;
+              ~bytes_:(Packet.wire_size packet);
             Printexc.raise_with_backtrace e bt
       end
       else drop t ~port ~mirror
@@ -251,15 +251,19 @@ let forward t ~in_port packet =
   in
   (* The FDB lookup hits on every routable frame, so it uses [find]
      with a [Not_found] handler rather than [find_opt]: no [Some] per
-     frame. The rewrite lookup usually misses, where [find_opt]
-     allocates nothing and raises nothing. *)
+     frame. Only destination edge switches hold shadow->base rewrite
+     rules; elsewhere the lookup is skipped, and where it runs it
+     usually misses, where [find_opt] allocates nothing and raises
+     nothing. *)
   match Hashtbl.find t.fdb (Packet.dst_mac packet) with
   | exception Not_found -> t.unroutable <- t.unroutable + 1
   | out_port ->
       let outgoing =
-        match Hashtbl.find_opt t.rewrites (Packet.dst_mac packet) with
-        | None -> packet
-        | Some to_mac -> Packet.with_dst_mac packet to_mac
+        if Hashtbl.length t.rewrites = 0 then packet
+        else
+          match Hashtbl.find_opt t.rewrites (Packet.dst_mac packet) with
+          | None -> packet
+          | Some to_mac -> Packet.with_dst_mac packet to_mac
       in
       run_taps t.forward_taps ~in_port ~out_port packet;
       enqueue t ~port:out_port ~cls:0 ~mirror:false outgoing;
@@ -278,13 +282,11 @@ let forward t ~in_port packet =
           let special =
             t.config.mirror_priority_special
             &&
-            match packet.Packet.body with
-            | Packet.Ipv4 (_, Packet.Tcp tcp) ->
-                let f = tcp.Planck_packet.Headers.Tcp.flags in
-                f.Planck_packet.Headers.Tcp_flags.syn
-                || f.Planck_packet.Headers.Tcp_flags.fin
-                || f.Planck_packet.Headers.Tcp_flags.rst
-            | Packet.Ipv4 (_, Packet.Udp _) | Packet.Arp _ -> false
+            match packet with
+            | Packet.Tcp { flags; _ } ->
+                Planck_packet.Headers.Tcp_flags.(
+                  has_syn flags || has_fin flags || has_rst flags)
+            | Packet.Udp _ | Packet.Arp _ -> false
           in
           let within_budget =
             float_of_int (t.mirror_special + 1)
@@ -423,7 +425,7 @@ let ingress t ~port packet =
   check_port t port "ingress";
   let c = t.counters.(port) in
   c.rx_packets <- c.rx_packets + 1;
-  c.rx_bytes <- c.rx_bytes + packet.Packet.wire_size;
+  c.rx_bytes <- c.rx_bytes + Packet.wire_size packet;
   let jitter =
     if t.config.pipeline_jitter <= 0 then 0
     else Prng.int t.prng (t.config.pipeline_jitter + 1)

@@ -56,9 +56,9 @@ let rec transmit_next t =
     let packet = pop_next t in
     t.busy <- true;
     t.in_flight <- packet;
-    t.queued_bytes <- t.queued_bytes - packet.Packet.wire_size;
+    t.queued_bytes <- t.queued_bytes - Packet.wire_size packet;
     t.queued_packets <- t.queued_packets - 1;
-    let tx = Rate.tx_time t.rate ~bytes_:packet.Packet.wire_size in
+    let tx = Rate.tx_time t.rate ~bytes_:(Packet.wire_size packet) in
     Engine.Timer.reschedule t.tx_timer ~delay:tx
   end
 
@@ -67,7 +67,7 @@ and on_tx_done t =
     let packet = t.in_flight in
     t.in_flight <- Packet.placeholder;
     t.tx_packets <- t.tx_packets + 1;
-    t.tx_bytes <- t.tx_bytes + packet.Packet.wire_size;
+    t.tx_bytes <- t.tx_bytes + Packet.wire_size packet;
     t.on_depart packet;
     let ready = Engine.now t.engine + t.prop_delay in
     (match t.handoff with
@@ -121,7 +121,7 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
 
 let enqueue t ~cls packet =
   Fifo.push t.queues.(cls) ~key:0 packet;
-  t.queued_bytes <- t.queued_bytes + packet.Packet.wire_size;
+  t.queued_bytes <- t.queued_bytes + Packet.wire_size packet;
   t.queued_packets <- t.queued_packets + 1;
   if not t.busy then transmit_next t
 

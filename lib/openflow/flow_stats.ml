@@ -38,7 +38,7 @@ let attach switch =
                 Flow_key.Table.replace t.cells key cell;
                 cell
           in
-          cell.cell_bytes <- cell.cell_bytes + packet.Packet.wire_size;
+          cell.cell_bytes <- cell.cell_bytes + Packet.wire_size packet;
           cell.cell_packets <- cell.cell_packets + 1;
           cell.cell_mac <- Packet.dst_mac packet);
   t

@@ -6,23 +6,26 @@ type t = {
   protocol : int;
 }
 
-let of_packet (p : Packet.t) =
-  match p.body with
-  | Packet.Arp _ -> None
-  | Packet.Ipv4 (ip, l4) ->
-      let src_port, dst_port =
-        match l4 with
-        | Packet.Tcp tcp -> (tcp.Headers.Tcp.src_port, tcp.Headers.Tcp.dst_port)
-        | Packet.Udp udp -> (udp.Headers.Udp.src_port, udp.Headers.Udp.dst_port)
-      in
+let of_packet : Packet.t -> t option = function
+  | Tcp { src_ip; dst_ip; src_port; dst_port; _ } ->
       Some
         {
-          src_ip = ip.Headers.Ipv4.src;
-          dst_ip = ip.Headers.Ipv4.dst;
+          src_ip;
+          dst_ip;
           src_port;
           dst_port;
-          protocol = ip.Headers.Ipv4.protocol;
+          protocol = Headers.Ipv4.protocol_tcp;
         }
+  | Udp { src_ip; dst_ip; src_port; dst_port; _ } ->
+      Some
+        {
+          src_ip;
+          dst_ip;
+          src_port;
+          dst_port;
+          protocol = Headers.Ipv4.protocol_udp;
+        }
+  | Arp _ -> None
 
 let reverse t =
   {
@@ -70,18 +73,15 @@ let hash (t : t) =
   hash5 ~src_ip:t.src_ip ~dst_ip:t.dst_ip ~src_port:t.src_port
     ~dst_port:t.dst_port ~protocol:t.protocol
 
-(* [hash] of [of_packet p], read straight off the headers. *)
-let hash_packet (p : Packet.t) =
-  match p.body with
-  | Packet.Arp _ -> 0
-  | Packet.Ipv4 (ip, Packet.Tcp tcp) ->
-      hash5 ~src_ip:ip.Headers.Ipv4.src ~dst_ip:ip.Headers.Ipv4.dst
-        ~src_port:tcp.Headers.Tcp.src_port ~dst_port:tcp.Headers.Tcp.dst_port
-        ~protocol:ip.Headers.Ipv4.protocol
-  | Packet.Ipv4 (ip, Packet.Udp udp) ->
-      hash5 ~src_ip:ip.Headers.Ipv4.src ~dst_ip:ip.Headers.Ipv4.dst
-        ~src_port:udp.Headers.Udp.src_port ~dst_port:udp.Headers.Udp.dst_port
-        ~protocol:ip.Headers.Ipv4.protocol
+(* [hash] of [of_packet p], read straight off the frame. *)
+let hash_packet : Packet.t -> int = function
+  | Tcp { src_ip; dst_ip; src_port; dst_port; _ } ->
+      hash5 ~src_ip ~dst_ip ~src_port ~dst_port
+        ~protocol:Headers.Ipv4.protocol_tcp
+  | Udp { src_ip; dst_ip; src_port; dst_port; _ } ->
+      hash5 ~src_ip ~dst_ip ~src_port ~dst_port
+        ~protocol:Headers.Ipv4.protocol_udp
+  | Arp _ -> 0
 
 let pp ppf t =
   (* planck-lint: allow hot-alloc -- journal labels only; call sites guard with Journal.enabled *)

@@ -30,7 +30,7 @@ let add t ~time packet =
   add_u32 t.buf (us / 1_000_000) (* ts_sec *);
   add_u32 t.buf (us mod 1_000_000) (* ts_usec *);
   add_u32 t.buf captured;
-  add_u32 t.buf packet.Packet.wire_size;
+  add_u32 t.buf (Packet.wire_size packet);
   Buffer.add_subbytes t.buf wire 0 captured;
   t.count <- t.count + 1
 

@@ -112,7 +112,7 @@ let export t ~in_port ~out_port packet =
       {
         time = at;
         key = Flow_key.of_packet packet;
-        wire_size = packet.Packet.wire_size;
+        wire_size = Packet.wire_size packet;
         in_port;
         out_port;
         dst_mac = Packet.dst_mac packet;

@@ -466,13 +466,12 @@ let on_dup_ack t =
     then enter_recovery t
   end
 
-let sender_receive t packet =
-  match Packet.tcp_headers packet with
-  | None -> ()
-  | Some (_, tcp) ->
-      let flags = tcp.Headers.Tcp.flags in
-      if t.phase = Syn_sent && flags.Headers.Tcp_flags.syn
-         && flags.Headers.Tcp_flags.ack
+let sender_receive t (packet : Packet.t) =
+  match packet with
+  | Udp _ | Arp _ -> ()
+  | Tcp { flags; ack_seq; sack; _ } ->
+      if t.phase = Syn_sent && Headers.Tcp_flags.has_syn flags
+         && Headers.Tcp_flags.has_ack flags
       then begin
         t.phase <- Established;
         disarm_timer t;
@@ -483,15 +482,15 @@ let sender_receive t packet =
         | None -> ());
         try_send t
       end
-      else if t.phase = Established && flags.Headers.Tcp_flags.ack then begin
-        let ack = Seq32.unwrap ~base:t.snd_una tcp.Headers.Tcp.ack_seq in
+      else if t.phase = Established && Headers.Tcp_flags.has_ack flags then begin
+        let ack = Seq32.unwrap ~base:t.snd_una ack_seq in
         List.iter
           (fun (a32, b32) ->
             let a = Seq32.unwrap ~base:t.snd_una a32 in
             let b = a + (Seq32.delta ~prev:a32 ~cur:b32) in
             if b > a && a >= t.snd_una && b <= t.snd_max then
               t.sacked <- insert_sorted t.sacked (a, b))
-          tcp.Headers.Tcp.sack;
+          sack;
         if ack > t.snd_una && ack <= t.snd_max then on_new_ack t ack
         else if ack = t.snd_una && flight t > 0 then on_dup_ack t
       end
@@ -527,17 +526,16 @@ let rec drain_contiguous t =
       drain_contiguous t
   | _ -> ()
 
-let receiver_receive t packet =
-  match Packet.tcp_headers packet with
-  | None -> ()
-  | Some (_, tcp) ->
-      let flags = tcp.Headers.Tcp.flags in
-      if flags.Headers.Tcp_flags.syn then
+let receiver_receive t (packet : Packet.t) =
+  match packet with
+  | Udp _ | Arp _ -> ()
+  | Tcp { flags; seq; _ } ->
+      if Headers.Tcp_flags.has_syn flags then
         send_ack t ~flags:Headers.Tcp_flags.syn_ack ()
       else begin
         let len = Packet.tcp_payload_len packet in
         if len > 0 then begin
-          let seq = Seq32.unwrap ~base:t.rcv_nxt tcp.Headers.Tcp.seq in
+          let seq = Seq32.unwrap ~base:t.rcv_nxt seq in
           let stop = seq + len in
           if seq <= t.rcv_nxt && stop > t.rcv_nxt then begin
             t.rcv_nxt <- stop;

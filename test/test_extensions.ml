@@ -18,7 +18,7 @@ let mk ?(seq = 0) ?(payload = 1460) () =
 
 (* Test frames are told apart by their TCP sequence number. *)
 let seq_of p =
-  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+  match p with P.Tcp { seq; _ } -> seq | P.Udp _ | P.Arp _ -> -1
 
 (* ---- Txport strict priority ---- *)
 

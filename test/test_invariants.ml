@@ -18,9 +18,9 @@ let pipeline_jitter_preserves_order () =
   let seen = ref [] in
   Switch.connect sw ~port:1 ~rate:rate_10g ~prop_delay:0
     ~deliver:(fun p ->
-      match P.tcp_headers p with
-      | Some (_, tcp) -> seen := tcp.H.Tcp.seq :: !seen
-      | None -> ())
+      match p with
+      | P.Tcp { seq; _ } -> seen := seq :: !seen
+      | P.Udp _ | P.Arp _ -> ())
     ();
   Switch.connect sw ~port:0 ~rate:rate_10g ~prop_delay:0
     ~deliver:(fun _ -> ())

@@ -24,7 +24,7 @@ let mk_tcp ?(src = 0) ?(dst = 1) ?(seq = 0) ?(payload = 1460) () =
 
 (* Test frames are told apart by their TCP sequence number. *)
 let seq_of p =
-  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+  match p with P.Tcp { seq; _ } -> seq | P.Udp _ | P.Arp _ -> -1
 
 (* ---- Engine ---- *)
 
@@ -475,9 +475,9 @@ let host_stack_is_fifo () =
   let e, a, b = host_pair () in
   let order = ref [] in
   Host.set_receive b (fun p ->
-      match P.tcp_headers p with
-      | Some (_, tcp) -> order := tcp.H.Tcp.seq :: !order
-      | None -> ());
+      match p with
+      | P.Tcp { seq; _ } -> order := seq :: !order
+      | P.Udp _ | P.Arp _ -> ());
   for i = 0 to 19 do
     Host.send a (mk_tcp ~seq:(i * 1460) ())
   done;

@@ -89,7 +89,7 @@ let tcp_packet_gen =
 let tcp_wire_roundtrip_qcheck =
   QCheck.Test.make ~name:"tcp wire serialize/parse roundtrip" ~count:500
     (QCheck.make tcp_packet_gen) (fun p ->
-      match P.parse (P.to_wire p) ~wire_size:p.P.wire_size with
+      match P.parse (P.to_wire p) ~wire_size:(P.wire_size p) with
       | None -> false
       | Some q -> P.same_headers p q && P.tcp_payload_len q = P.tcp_payload_len p)
 
@@ -127,12 +127,78 @@ let hash_packet_matches_key_qcheck =
       | Some k -> FK.hash_packet p = FK.hash k
       | None -> FK.hash_packet p = 0)
 
+(* [Host] picks a frame's NIC class from [hash_packet], so a changed
+   hash reorders transmissions and moves every simulation digest. *)
+let hash_packet_pinned () =
+  let frames =
+    [
+      ( "tcp syn",
+        P.tcp ~src_mac:(Mac.host 0) ~dst_mac:(Mac.host 1) ~src_ip:(Ip.host 0)
+          ~dst_ip:(Ip.host 1) ~src_port:40000 ~dst_port:5001 ~seq:0
+          ~ack_seq:0 ~flags:H.Tcp_flags.syn ~payload_len:0 (),
+        1542053727867772023 );
+      ( "tcp data",
+        P.tcp ~src_mac:(Mac.host 3) ~dst_mac:(Mac.host 12) ~src_ip:(Ip.host 3)
+          ~dst_ip:(Ip.host 12) ~src_port:1234 ~dst_port:80 ~seq:0xDEADBEEF
+          ~ack_seq:7 ~flags:H.Tcp_flags.ack ~payload_len:1460 (),
+        1405700793082933962 );
+      ( "tcp sack",
+        P.tcp ~src_mac:(Mac.host 12) ~dst_mac:(Mac.host 3)
+          ~src_ip:(Ip.host 12) ~dst_ip:(Ip.host 3) ~src_port:80
+          ~dst_port:1234 ~seq:0 ~ack_seq:1000 ~flags:H.Tcp_flags.ack
+          ~sack:[ (2000, 3460) ] ~payload_len:0 (),
+        4577468816402498316 );
+      ( "udp",
+        P.udp ~src_mac:(Mac.host 5) ~dst_mac:(Mac.host 9) ~src_ip:(Ip.host 5)
+          ~dst_ip:(Ip.host 9) ~src_port:53 ~dst_port:5353 ~payload_len:100 (),
+        1585544964565722780 );
+      ( "udp foreign",
+        P.udp ~src_mac:(Mac.host 1) ~dst_mac:(Mac.host 2)
+          ~src_ip:(Ip.of_string "192.168.1.1")
+          ~dst_ip:(Ip.of_string "10.0.0.7") ~src_port:0 ~dst_port:65535
+          ~payload_len:0 (),
+        3149883526958354423 );
+      ( "arp",
+        P.arp ~src_mac:(Mac.host 1) ~dst_mac:Mac.broadcast
+          {
+            H.Arp.op = H.Arp.Request;
+            sender_mac = Mac.host 1;
+            sender_ip = Ip.host 1;
+            target_mac = Mac.host 2;
+            target_ip = Ip.host 2;
+          },
+        0 );
+    ]
+  in
+  List.iter
+    (fun (name, p, expected) ->
+      Alcotest.(check int) name expected (FK.hash_packet p))
+    frames
+
+(* Switch buffers and mirror queues hold every frame in flight, so the
+   frame's size is what each buffered copy costs: one block of 14
+   words (13 immediate fields and a header) for a SACK-less segment. *)
+let tcp_frame_words () =
+  let n = 10_000 in
+  let last = ref P.placeholder in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    last :=
+      P.tcp ~src_mac:(Mac.host 3) ~dst_mac:(Mac.host 12) ~src_ip:(Ip.host 3)
+        ~dst_ip:(Ip.host 12) ~src_port:1234 ~dst_port:80 ~seq:(i * 1460)
+        ~ack_seq:7 ~flags:H.Tcp_flags.ack ~payload_len:1460 ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity !last);
+  if words > 16.0 then
+    Alcotest.failf "Packet.tcp allocates %.2f words per frame (bound 16)" words
+
 let udp_wire_roundtrip () =
   let p =
     P.udp ~src_mac:(Mac.host 1) ~dst_mac:(Mac.host 2) ~src_ip:(Ip.host 1)
       ~dst_ip:(Ip.host 2) ~src_port:53 ~dst_port:5353 ~payload_len:100 ()
   in
-  match P.parse (P.to_wire p) ~wire_size:p.P.wire_size with
+  match P.parse (P.to_wire p) ~wire_size:(P.wire_size p) with
   | None -> Alcotest.fail "parse failed"
   | Some q -> Alcotest.(check bool) "same" true (P.same_headers p q)
 
@@ -147,7 +213,7 @@ let arp_wire_roundtrip () =
         target_ip = Ip.host 2;
       }
   in
-  match P.parse (P.to_wire p) ~wire_size:p.P.wire_size with
+  match P.parse (P.to_wire p) ~wire_size:(P.wire_size p) with
   | None -> Alcotest.fail "parse failed"
   | Some q -> Alcotest.(check bool) "same" true (P.same_headers p q)
 
@@ -156,7 +222,15 @@ let parse_garbage () =
     (P.parse (Bytes.create 5) ~wire_size:64);
   let junk = Bytes.make 64 '\xFF' in
   Alcotest.(check bool) "junk ethertype rejected" true
-    (P.parse junk ~wire_size:64 = None)
+    (P.parse junk ~wire_size:64 = None);
+  (* The frame keeps one length; an IPv4 total length that disagrees
+     with the on-wire size has no frame to parse into. *)
+  let p =
+    P.udp ~src_mac:(Mac.host 1) ~dst_mac:(Mac.host 2) ~src_ip:(Ip.host 1)
+      ~dst_ip:(Ip.host 2) ~src_port:53 ~dst_port:5353 ~payload_len:100 ()
+  in
+  Alcotest.(check bool) "length mismatch rejected" true
+    (P.parse (P.to_wire p) ~wire_size:(P.wire_size p + 1) = None)
 
 let packet_sizes () =
   let data =
@@ -164,7 +238,7 @@ let packet_sizes () =
       ~dst_ip:(Ip.host 1) ~src_port:1 ~dst_port:2 ~seq:0 ~ack_seq:0
       ~flags:H.Tcp_flags.ack ~payload_len:1460 ()
   in
-  Alcotest.(check int) "full frame" 1514 data.P.wire_size;
+  Alcotest.(check int) "full frame" 1514 (P.wire_size data);
   Alcotest.(check int) "payload" 1460 (P.tcp_payload_len data);
   Alcotest.(check int) "headers on wire" 54 (Bytes.length (P.to_wire data));
   Alcotest.(check int) "mtu constant" 1500 P.mtu;
@@ -180,9 +254,9 @@ let with_dst_mac_preserves_headers () =
   Alcotest.(check bool) "dst changed" true
     (Mac.equal (P.dst_mac q) (Mac.host 9));
   Alcotest.(check bool) "src kept" true (Mac.equal (P.src_mac q) (P.src_mac p));
-  Alcotest.(check int) "ethertype kept" p.P.eth.H.Eth.ethertype
-    q.P.eth.H.Eth.ethertype;
-  Alcotest.(check int) "wire size kept" p.P.wire_size q.P.wire_size;
+  let ethertype p = Bytes.get_uint16_be (P.to_wire p) 12 in
+  Alcotest.(check int) "ethertype kept" (ethertype p) (ethertype q);
+  Alcotest.(check int) "wire size kept" (P.wire_size p) (P.wire_size q);
   (* Restoring the destination gives back a frame equal in every
      header, so nothing but the destination changed. *)
   Alcotest.(check bool) "other headers kept" true
@@ -314,6 +388,8 @@ let tests =
     Alcotest.test_case "flow key extraction" `Quick flow_key_of_packet;
     Alcotest.test_case "arp has no flow key" `Quick flow_key_arp_none;
     qtest hash_packet_matches_key_qcheck;
+    Alcotest.test_case "hash_packet pinned values" `Quick hash_packet_pinned;
+    Alcotest.test_case "tcp frame is one small block" `Quick tcp_frame_words;
     Alcotest.test_case "flow key to_string matches pp" `Quick
       flow_key_to_string_matches_pp;
     Alcotest.test_case "seq32 basics" `Quick seq32_basics;

@@ -266,7 +266,7 @@ let seq_pkt seq =
     ~flags:H.Tcp_flags.ack ~payload_len:64 ()
 
 let seq_of p =
-  match P.tcp_headers p with Some (_, tcp) -> tcp.H.Tcp.seq | None -> -1
+  match p with P.Tcp { seq; _ } -> seq | P.Udp _ | P.Arp _ -> -1
 
 let channel_arrivals_in_order () =
   let g = Shard.create ~shards:2 in

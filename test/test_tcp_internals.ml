@@ -89,9 +89,9 @@ let sack_blocks_on_wire_during_loss () =
   let saw_sack = ref false in
   let host0 = Fabric.host tb.fabric 0 in
   Planck_netsim.Host.add_recv_trace host0 (fun _ p ->
-      match P.tcp_headers p with
-      | Some (_, tcp) -> if tcp.H.Tcp.sack <> [] then saw_sack := true
-      | None -> ());
+      match p with
+      | P.Tcp { sack; _ } -> if sack <> [] then saw_sack := true
+      | P.Udp _ | P.Arp _ -> ());
   let flow = start_flow tb ~src:0 ~dst:1 ~size:(8 * 1024 * 1024) () in
   Engine.run ~until:(Time.ms 3) tb.engine;
   Switch.remove_route sw (Mac.host 1);
@@ -105,9 +105,9 @@ let fin_sent_on_completion () =
   let tb = single_switch () in
   let fins = ref 0 in
   Planck_netsim.Host.add_send_trace (Fabric.host tb.fabric 0) (fun _ p ->
-      match P.tcp_headers p with
-      | Some (_, tcp) -> if tcp.H.Tcp.flags.H.Tcp_flags.fin then incr fins
-      | None -> ());
+      match p with
+      | P.Tcp { flags; _ } -> if H.Tcp_flags.has_fin flags then incr fins
+      | P.Udp _ | P.Arp _ -> ());
   let flow = start_flow tb ~src:0 ~dst:1 ~size:4096 () in
   Engine.run ~until:(Time.ms 10) tb.engine;
   Alcotest.(check bool) "completed" true (Flow.completed flow);
