@@ -476,3 +476,20 @@ let queue_bytes t ~port =
   Buffer_pool.port_used t.buffer ~port
 
 let buffer_used t = Buffer_pool.total_used t.buffer
+
+let check_buffer t =
+  let rec go port =
+    if port = t.nports then Ok ()
+    else
+      let pooled = Buffer_pool.port_used t.buffer ~port in
+      let held =
+        match t.tx.(port) with None -> 0 | Some tx -> Txport.held_bytes tx
+      in
+      if pooled = held then go (port + 1)
+      else
+        Error
+          (Printf.sprintf
+             "switch %s port %d: buffer pool charges %d bytes, egress holds %d"
+             t.name port pooled held)
+  in
+  go 0

@@ -161,3 +161,10 @@ val queue_bytes : t -> port:int -> int
     buffer). *)
 
 val buffer_used : t -> int
+
+val check_buffer : t -> (unit, string) result
+(** The buffer-accounting invariant, checked on every port: the bytes
+    {!Buffer_pool} charges a port equal the bytes its transmit side
+    holds (queued frames plus the one on the serializer). Holds between
+    any two events; [Error] names the switch, the port and both byte
+    counts. *)

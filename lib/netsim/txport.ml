@@ -125,5 +125,9 @@ let enqueue t ~cls packet =
   t.queued_packets <- t.queued_packets + 1;
   if not t.busy then transmit_next t
 
+let held_bytes t =
+  if t.busy then t.queued_bytes + Packet.wire_size t.in_flight
+  else t.queued_bytes
+
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes

@@ -40,5 +40,10 @@ val enqueue : t -> cls:int -> Planck_packet.Packet.t -> unit
 (** Append to sub-queue [cls] and start the serializer if idle.
     Admission control is the caller's job — this never drops. *)
 
+val held_bytes : t -> int
+(** Bytes this port holds between arrival and departure: every queued
+    frame plus the frame on the serializer. A switch's buffer pool
+    charges a port for exactly these bytes ({!Switch.check_buffer}). *)
+
 val tx_packets : t -> int
 val tx_bytes : t -> int

@@ -5,13 +5,11 @@
    order — payload write, then Atomic [next] store — gives the consumer
    a happens-before edge on the payload without any lock.
 
-   The debug role check is the dynamic complement of the static
-   spsc-role-confinement lint rule: the rule proves per-channel role
-   confinement across *distinct* shard roots, but N shards running the
-   same shard-body def are one root to the callgraph. With [set_debug
-   true], the first pushing domain claims the producer slot and the
-   first popping/peeking domain the consumer slot (CAS, so a racing
-   second claimant is caught too), and any later access from a
+   The debug role check is the channel's role confinement check, exact
+   per domain, so N shards running the same shard body are told apart.
+   With [set_debug true], the first pushing domain claims the producer
+   slot and the first popping/peeking domain the consumer slot (CAS, so
+   a racing second claimant is caught too), and any later access from a
    different domain raises. *)
 
 type 'a node = { value : 'a option; next : 'a node option Atomic.t }

@@ -32,12 +32,11 @@ val drain : 'a t -> ('a -> unit) -> unit
 (** Consumer side only: pop until empty, applying [f] in FIFO order. *)
 
 val set_debug : bool -> unit
-(** Process-wide toggle for the dynamic role check — the runtime
-    complement of the static [spsc-role-confinement] lint rule (which
-    cannot distinguish N shard instances of one shard-body def). When
-    on, the first domain to push a given channel claims its producer
-    slot and the first to pop/peek claims its consumer slot; a later
-    push/pop/peek from a different domain raises [Failure]. Claims are
-    per-channel and permanent for the channel's lifetime; leave the
-    toggle off in production runs (the check costs two atomic reads
-    per operation). *)
+(** Process-wide toggle for the role check, which confines each role
+    of a channel to one domain (so N shard instances of one shard body
+    are told apart). When on, the first domain to push a given channel
+    claims its producer slot and the first to pop/peek claims its
+    consumer slot; a later push/pop/peek from a different domain raises
+    [Failure]. Claims are per-channel and permanent for the channel's
+    lifetime; leave the toggle off in production runs (the check costs
+    two atomic reads per operation). *)

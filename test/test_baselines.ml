@@ -106,13 +106,14 @@ let sflow_te_rounds () =
 
 let tests =
   [
-    Alcotest.test_case "poller polls on schedule" `Quick
+    Testbed.case "poller polls on schedule" `Quick
       poller_polls_on_schedule;
-    Alcotest.test_case "poller fixes a collision" `Slow poller_fixes_collision;
-    Alcotest.test_case "poller ignores mice" `Quick poller_ignores_mice;
-    Alcotest.test_case "latency model slowdowns" `Quick latency_model_slowdowns;
-    Alcotest.test_case "sflow-te functions as a (weak) baseline" `Slow
+    Testbed.case "poller fixes a collision" `Slow poller_fixes_collision;
+    Testbed.case "poller ignores mice" `Quick poller_ignores_mice;
+    Testbed.case "latency model slowdowns" `Quick latency_model_slowdowns;
+    Testbed.case "sflow-te functions as a (weak) baseline" `Slow
       sflow_te_is_worse_than_poll;
-    Alcotest.test_case "sflow-te control rounds" `Quick sflow_te_rounds;
+    Testbed.case "sflow-te control rounds" `Quick sflow_te_rounds;
   ]
 
+let () = Run_suites.run "planck-baselines" [ ("baselines", tests) ]

@@ -329,6 +329,7 @@ let pcap_records pcap =
 let vantage_off_until_capture () =
   (* A deployed PlanckTE keeps no frames: nobody asked for a capture. *)
   let tb = Planck.Testbed.create (Planck.Testbed.paper_fat_tree ()) in
+  Testbed.observe tb;
   let deployed = Planck.Scheme.deploy tb Planck.Scheme.planck_te_default in
   let collectors =
     match deployed.Planck.Scheme.controller with
@@ -438,7 +439,8 @@ let journal_tap_allocates_nothing () =
     let collectors = ref [] in
     Experiment.set_observer
       (Some
-         (fun _ (deployed : Scheme.deployed) ->
+         (fun tb (deployed : Scheme.deployed) ->
+           Testbed.observe tb;
            Option.iter
              (fun c -> collectors := Planck_controller.Controller.collectors c)
              deployed.Scheme.controller;
@@ -480,37 +482,37 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "estimator on steady stream" `Quick
+    Testbed.case "estimator on steady stream" `Quick
       estimator_steady_stream;
-    Alcotest.test_case "estimator immune to subsampling" `Quick
+    Testbed.case "estimator immune to subsampling" `Quick
       estimator_subsampled_stream;
-    Alcotest.test_case "estimator burst clustering" `Quick
+    Testbed.case "estimator burst clustering" `Quick
       estimator_burst_boundaries;
-    Alcotest.test_case "estimator ignores out-of-order" `Quick
+    Testbed.case "estimator ignores out-of-order" `Quick
       estimator_ignores_out_of_order;
-    Alcotest.test_case "estimator across seq wrap" `Quick estimator_wraps;
-    Alcotest.test_case "estimator clamps to link rate" `Quick estimator_clamps;
+    Testbed.case "estimator across seq wrap" `Quick estimator_wraps;
+    Testbed.case "estimator clamps to link rate" `Quick estimator_clamps;
     qtest estimator_monotone_qcheck;
-    Alcotest.test_case "rolling estimator jitters (fig 10a)" `Quick
+    Testbed.case "rolling estimator jitters (fig 10a)" `Quick
       rolling_estimator_jitters;
-    Alcotest.test_case "flow table lifecycle" `Quick flow_table_lifecycle;
-    Alcotest.test_case "flow table sweep + expiry hooks" `Quick
+    Testbed.case "flow table lifecycle" `Quick flow_table_lifecycle;
+    Testbed.case "flow table sweep + expiry hooks" `Quick
       flow_table_sweep_and_expiry_hooks;
-    Alcotest.test_case "occupancy telemetry registered" `Quick
+    Testbed.case "occupancy telemetry registered" `Quick
       collector_occupancy_telemetry_registered;
-    Alcotest.test_case "port inference" `Quick collector_port_inference;
-    Alcotest.test_case "link utilization" `Quick collector_link_utilization;
-    Alcotest.test_case "congestion events" `Quick collector_congestion_event;
-    Alcotest.test_case "vantage pcap dump" `Quick collector_vantage_pcap;
-    Alcotest.test_case "vantage capacity must be positive" `Quick
+    Testbed.case "port inference" `Quick collector_port_inference;
+    Testbed.case "link utilization" `Quick collector_link_utilization;
+    Testbed.case "congestion events" `Quick collector_congestion_event;
+    Testbed.case "vantage pcap dump" `Quick collector_vantage_pcap;
+    Testbed.case "vantage capacity must be positive" `Quick
       collector_rejects_empty_vantage;
-    Alcotest.test_case "no vantage ring until capture" `Quick
+    Testbed.case "no vantage ring until capture" `Quick
       vantage_off_until_capture;
-    Alcotest.test_case "capture starts mid-run" `Quick capture_starts_mid_run;
-    Alcotest.test_case "capture shrink keeps newest" `Quick
+    Testbed.case "capture starts mid-run" `Quick capture_starts_mid_run;
+    Testbed.case "capture shrink keeps newest" `Quick
       capture_shrink_keeps_newest;
-    Alcotest.test_case "journal-on TE tap allocates nothing per sample"
+    Testbed.case "journal-on TE tap allocates nothing per sample"
       `Quick journal_tap_allocates_nothing;
-    Alcotest.test_case "oversubscribed sampling" `Quick
+    Testbed.case "oversubscribed sampling" `Quick
       collector_oversubscription_samples;
   ]

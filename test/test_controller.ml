@@ -161,18 +161,18 @@ let controller_stats_queries () =
 
 let tests =
   [
-    Alcotest.test_case "view observe and expire" `Quick view_observe_expire;
-    Alcotest.test_case "view bottleneck computation" `Quick view_bottleneck;
-    Alcotest.test_case "commanded route is sticky" `Quick
+    Testbed.case "view observe and expire" `Quick view_observe_expire;
+    Testbed.case "view bottleneck computation" `Quick view_bottleneck;
+    Testbed.case "commanded route is sticky" `Quick
       view_commanded_mac_is_sticky;
-    Alcotest.test_case "ARP reroute updates host cache" `Quick
+    Testbed.case "ARP reroute updates host cache" `Quick
       arp_reroute_changes_host_cache;
-    Alcotest.test_case "OpenFlow reroute installs rule" `Quick
+    Testbed.case "OpenFlow reroute installs rule" `Quick
       openflow_reroute_installs_rule;
-    Alcotest.test_case "TE resolves a stride collision" `Quick
+    Testbed.case "TE resolves a stride collision" `Quick
       te_resolves_stride_collision;
-    Alcotest.test_case "TE leaves clean traffic alone" `Quick
+    Testbed.case "TE leaves clean traffic alone" `Quick
       te_leaves_uncongested_alone;
-    Alcotest.test_case "controller statistics queries" `Quick
+    Testbed.case "controller statistics queries" `Quick
       controller_stats_queries;
   ]

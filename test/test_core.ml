@@ -3,6 +3,10 @@
 
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
+
+(* the buffer-audited wrapper, before [open Planck] shadows [Testbed] *)
+let case = Testbed.case
+
 open Planck
 
 let testbed_variants () =
@@ -86,11 +90,11 @@ let scalability_guards () =
 
 let tests =
   [
-    Alcotest.test_case "testbed variants" `Quick testbed_variants;
-    Alcotest.test_case "scheme names" `Quick scheme_names;
-    Alcotest.test_case "scheme deployment shapes" `Quick
+    case "testbed variants" `Quick testbed_variants;
+    case "scheme names" `Quick scheme_names;
+    case "scheme deployment shapes" `Quick
       scheme_deployment_shapes;
-    Alcotest.test_case "workload names" `Quick workload_names;
-    Alcotest.test_case "experiment bookkeeping" `Quick experiment_bookkeeping;
-    Alcotest.test_case "scalability guards" `Quick scalability_guards;
+    case "workload names" `Quick workload_names;
+    case "experiment bookkeeping" `Quick experiment_bookkeeping;
+    case "scalability guards" `Quick scalability_guards;
   ]

@@ -244,16 +244,16 @@ let sampling_fraction_reporting () =
 
 let tests =
   [
-    Alcotest.test_case "txport strict priority" `Quick txport_priority_class;
-    Alcotest.test_case "preferential sampling beats backlog" `Quick
+    Testbed.case "txport strict priority" `Quick txport_priority_class;
+    Testbed.case "preferential sampling beats backlog" `Quick
       preferential_sampling_beats_backlog;
-    Alcotest.test_case "flow start/end events" `Quick flow_end_event;
-    Alcotest.test_case "SYN flood bounded" `Quick syn_flood_bounded;
-    Alcotest.test_case "retransmission inference" `Quick
+    Testbed.case "flow start/end events" `Quick flow_end_event;
+    Testbed.case "SYN flood bounded" `Quick syn_flood_bounded;
+    Testbed.case "retransmission inference" `Quick
       retransmission_fraction;
-    Alcotest.test_case "scalability arithmetic (sec 9.1)" `Quick
+    Testbed.case "scalability arithmetic (sec 9.1)" `Quick
       scalability_paper_numbers;
-    Alcotest.test_case "vantage sampling fraction (sec 6.1)" `Quick
+    Testbed.case "vantage sampling fraction (sec 6.1)" `Quick
       sampling_fraction_reporting;
   ]
 

@@ -4,6 +4,10 @@
 
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
+
+(* the buffer-audited fixtures, before [open Planck] shadows [Testbed] *)
+module Fixtures = Testbed
+
 open Planck
 
 let run ~scheme ~spec ?(size = 25 * 1024 * 1024) () =
@@ -55,6 +59,7 @@ let detection_latency_under_2ms () =
   (* Fig 15 companion: flow 2 starts into flow 1's link; measure the
      time from flow 2's first data packet to the congestion event. *)
   let testbed = Testbed.create (Testbed.paper_fat_tree ()) in
+  Fixtures.observe testbed;
   let controller =
     Planck_controller.Controller.create testbed.Testbed.engine
       ~routing:testbed.Testbed.routing ~link_rate:(Rate.gbps 10.0)
@@ -289,6 +294,7 @@ let optimal_beats_everything_qcheck =
   QCheck.Test.make ~name:"optimal >= static on random bijections" ~count:3
     QCheck.(int_range 1 1000)
     (fun seed ->
+      Fixtures.audit @@ fun () ->
       let size = 4 * 1024 * 1024 in
       let static =
         Experiment.run
@@ -309,19 +315,21 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "PlanckTE beats Static, bounded by Optimal" `Slow
+    Fixtures.case "PlanckTE beats Static, bounded by Optimal" `Slow
       planck_te_beats_static;
-    Alcotest.test_case "poller helps only long flows" `Slow
+    Fixtures.case "poller helps only long flows" `Slow
       poller_reroutes_long_flows;
-    Alcotest.test_case "congestion detected within ms" `Quick
+    Fixtures.case "congestion detected within ms" `Quick
       detection_latency_under_2ms;
-    Alcotest.test_case "journal records complete control loops" `Quick
+    Fixtures.case "journal records complete control loops" `Quick
       journal_records_complete_control_loops;
-    Alcotest.test_case "chrome view of a PlanckTE journal" `Quick
+    Fixtures.case "chrome view of a PlanckTE journal" `Quick
       chrome_view_of_te_journal;
-    Alcotest.test_case "reroute timeline invariant under scheduler swap"
+    Fixtures.case "reroute timeline invariant under scheduler swap"
       `Quick reroute_timeline_scheduler_invariant;
-    Alcotest.test_case "repeat varies seeds" `Quick
+    Fixtures.case "repeat varies seeds" `Quick
       experiment_repeat_varies_seeds;
     qtest optimal_beats_everything_qcheck;
   ]
+
+let () = Run_suites.run "planck-integration" [ ("integration", tests) ]

@@ -1,4 +1,5 @@
 (* Cross-cutting invariants: jitter cannot reorder a port's packets,
+   the buffer pool charges each port exactly what its egress holds,
    collector state stays bounded, event cooldown is respected. *)
 
 open Testbed
@@ -139,26 +140,33 @@ let utilization_decays_after_flows_end () =
   Alcotest.(check (float 0.01)) "idle after timeout" 0.0
     (Rate.to_gbps (Collector.link_utilization collector ~port:1))
 
-let buffer_pool_balances_after_drain () =
-  (* Ownership invariant behind the release-leak lint rule: every byte
-     try_alloc admits is owned by exactly one txport until departure
-     releases it, so a congested run that drops plenty must still
-     return the pool to zero once every queue drains. *)
+(* A congested single switch: a line-rate burst of [frames] full-size
+   frames enters port 0 and leaves through port 1 at [egress] into a
+   64 KiB shared buffer, so admission soon starts refusing. With
+   [mirror], port 1's traffic is also copied to monitor port 2, which
+   drains at the same rate. *)
+let congested_switch ~frames ~egress ~mirror =
   let e = Engine.create () in
   let config =
     { Switch.default_config with Switch.buffer_total = 64 * 1024 }
   in
-  let sw = Switch.create e ~name:"pool" ~ports:2 ~config () in
-  Switch.connect sw ~port:1 ~rate:(Rate.mbps 100.0) ~prop_delay:0
+  let sw =
+    Switch.create e ~name:"pool" ~ports:(if mirror then 3 else 2) ~config ()
+  in
+  Switch.connect sw ~port:1 ~rate:egress ~prop_delay:0
     ~deliver:(fun _ -> ())
     ();
   Switch.connect sw ~port:0 ~rate:rate_10g ~prop_delay:0
     ~deliver:(fun _ -> ())
     ();
+  if mirror then begin
+    Switch.connect sw ~port:2 ~rate:egress ~prop_delay:0
+      ~deliver:(fun _ -> ())
+      ();
+    Switch.set_mirror sw ~monitor:2 ~mirrored:[ 1 ]
+  end;
   Switch.add_route sw (Mac.host 1) 1;
-  (* A line-rate burst into a 100 Mb/s egress: the shared buffer fills
-     and admission starts refusing. *)
-  for i = 0 to 499 do
+  for i = 0 to frames - 1 do
     Engine.schedule e ~delay:(i * 1212) (fun () ->
         Switch.ingress sw ~port:0
           (P.tcp ~src_mac:(Mac.host 0) ~dst_mac:(Mac.host 1)
@@ -166,24 +174,66 @@ let buffer_pool_balances_after_drain () =
              ~seq:(i * 1460) ~ack_seq:0 ~flags:H.Tcp_flags.ack
              ~payload_len:1460 ()))
   done;
+  (e, sw)
+
+let buffer_pool_balances_after_drain () =
+  (* Every byte try_alloc admits is held by exactly one egress, queued
+     or on the serializer, until its departure releases it.
+     Switch.check_buffer compares the two on every port: once
+     mid-burst, with the queue standing, and once after the drain,
+     when the pool must be back at zero although admission refused
+     plenty. *)
+  let e, sw =
+    congested_switch ~frames:500 ~egress:(Rate.mbps 100.0) ~mirror:false
+  in
   Alcotest.(check int) "pool starts empty" 0 (Switch.buffer_used sw);
+  Engine.run ~until:(Time.us 300) e;
+  Alcotest.(check bool) "the queue stands mid-burst" true
+    (Switch.queue_bytes sw ~port:1 > 0);
+  check_buffers [ sw ];
   Engine.run e;
   Alcotest.(check bool) "the run was actually congested" true
     (Switch.total_data_drops sw > 0);
+  check_buffers [ sw ];
   Alcotest.(check int) "every admitted byte returned to the pool" 0
     (Switch.buffer_used sw)
 
+let buffer_balances_qcheck =
+  QCheck.Test.make ~name:"buffer pool matches the egress queues throughout"
+    ~count:40
+    QCheck.(triple (int_range 1 600) (int_range 10 10_000) bool)
+    (fun (frames, egress_mbps, mirror) ->
+      let e, sw =
+        congested_switch ~frames
+          ~egress:(Rate.mbps (float_of_int egress_mbps))
+          ~mirror
+      in
+      let balanced () =
+        match Switch.check_buffer sw with
+        | Ok () -> true
+        | Error msg -> QCheck.Test.fail_report msg
+      in
+      (* every 50 us across the 600-frame burst's 727 us, then drained *)
+      List.for_all
+        (fun i ->
+          Engine.run ~until:(Time.us (50 * i)) e;
+          balanced ())
+        (List.init 16 succ)
+      && (Engine.run e;
+          balanced () && Switch.buffer_used sw = 0))
+
 let tests =
   [
-    Alcotest.test_case "jitter preserves per-port order" `Quick
+    Testbed.case "jitter preserves per-port order" `Quick
       pipeline_jitter_preserves_order;
-    Alcotest.test_case "buffer pool balances after drain" `Quick
+    Testbed.case "buffer pool balances after drain" `Quick
       buffer_pool_balances_after_drain;
-    Alcotest.test_case "vantage ring bounded" `Quick vantage_ring_bounded;
-    Alcotest.test_case "sampled frames not retained" `Quick
+    Testbed.case "vantage ring bounded" `Quick vantage_ring_bounded;
+    Testbed.case "sampled frames not retained" `Quick
       sampled_frames_not_retained;
-    Alcotest.test_case "event cooldown respected" `Quick
+    Testbed.case "event cooldown respected" `Quick
       event_cooldown_respected;
-    Alcotest.test_case "utilization decays after flows end" `Quick
+    Testbed.case "utilization decays after flows end" `Quick
       utilization_decays_after_flows_end;
+    QCheck_alcotest.to_alcotest buffer_balances_qcheck;
   ]

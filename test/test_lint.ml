@@ -4,7 +4,7 @@
    artifacts fails. Fixtures go through Lint_engine.lint_source, which
    parses from a string — the paths never exist on disk; they only
    drive rule scoping. The typed rules have their fixtures in
-   test_lint_deep, test_lint_domain and test_lint_ownership. *)
+   test_lint_deep and test_lint_domain. *)
 
 module Engine = Planck_lint_lib.Lint_engine
 module Rules = Planck_lint_lib.Lint_rules
@@ -235,7 +235,6 @@ let test_no_cmt_fails () =
           baseline_file = None;
           dead_export = true;
           shared_state_out = None;
-          ownership_out = None;
         }
       in
       match Engine.lint_paths opts [ dir ] with
@@ -266,17 +265,15 @@ let test_repo_clean () =
            enforces. Dead-export needs bin/bench cmts for references,
            which a bare runtest need not have built, so it stays off
            here (and its baseline entries are not judged stale). The
-           domain and ownership tiers always run, so the committed
-           baseline (which absorbs the justified singletons and
-           barrier design points) applies, and every entry must still
-           match a finding. *)
+           domain tier always runs, so the committed baseline (which
+           absorbs the justified singletons) applies, and every entry
+           must still match a finding. *)
         let opts =
           {
             Engine.cmt_dirs = [ "." ];
             baseline_file = Some "tools/lint/lint_baseline.txt";
             dead_export = false;
             shared_state_out = None;
-            ownership_out = None;
           }
         in
         let r = Engine.lint_paths opts [ "lib" ] in
@@ -309,3 +306,11 @@ let tests =
       test_no_cmt_fails;
     Alcotest.test_case "repo tree is lint-clean" `Quick test_repo_clean;
   ]
+
+let () =
+  Run_suites.run "planck-lint"
+    [
+      ("lint", tests);
+      ("lint-deep", Test_lint_deep.tests);
+      ("lint-domain", Test_lint_domain.tests);
+    ]

@@ -1,5 +1,5 @@
 let () =
-  Alcotest.run "planck"
+  Run_suites.run "planck"
     [
       ("util", Test_util.tests);
       ("telemetry", Test_telemetry.tests);
@@ -15,16 +15,10 @@ let () =
       ("sflow", Test_sflow.tests);
       ("openflow", Test_openflow.tests);
       ("workloads", Test_workloads.tests);
-      ("integration", Test_integration.tests);
       ("extensions", Test_extensions.tests);
-      ("baselines", Test_baselines.tests);
       ("core", Test_core.tests);
       ("invariants", Test_invariants.tests);
       ("shard", Test_shard.tests);
       ("placement", Test_placement.tests);
       ("smoke", Test_smoke.tests);
-      ("lint", Test_lint.tests);
-      ("lint-deep", Test_lint_deep.tests);
-      ("lint-domain", Test_lint_domain.tests);
-      ("lint-ownership", Test_lint_ownership.tests);
     ]

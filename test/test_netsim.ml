@@ -640,55 +640,55 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "engine time ordering" `Quick engine_ordering;
-    Alcotest.test_case "engine FIFO at equal times" `Quick
+    Testbed.case "engine time ordering" `Quick engine_ordering;
+    Testbed.case "engine FIFO at equal times" `Quick
       engine_same_time_fifo;
-    Alcotest.test_case "engine run until horizon" `Quick engine_until;
-    Alcotest.test_case "engine nested scheduling" `Quick
+    Testbed.case "engine run until horizon" `Quick engine_until;
+    Testbed.case "engine nested scheduling" `Quick
       engine_nested_schedule;
-    Alcotest.test_case "engine rejects past events" `Quick engine_rejects_past;
-    Alcotest.test_case "engine periodic events" `Quick engine_every;
-    Alcotest.test_case "engine timer cancel and reuse" `Quick
+    Testbed.case "engine rejects past events" `Quick engine_rejects_past;
+    Testbed.case "engine periodic events" `Quick engine_every;
+    Testbed.case "engine timer cancel and reuse" `Quick
       engine_timer_cancel;
-    Alcotest.test_case "engine timer reschedule supersedes" `Quick
+    Testbed.case "engine timer reschedule supersedes" `Quick
       engine_timer_reschedule_supersedes;
-    Alcotest.test_case "engine timer re-arm allocates nothing" `Quick
+    Testbed.case "engine timer re-arm allocates nothing" `Quick
       engine_timer_rearm_alloc;
-    Alcotest.test_case "engine periodic handle pause/resume" `Quick
+    Testbed.case "engine periodic handle pause/resume" `Quick
       engine_timer_periodic;
-    Alcotest.test_case "engine instance metrics" `Quick
+    Testbed.case "engine instance metrics" `Quick
       engine_instance_metrics;
-    Alcotest.test_case "engine wheel vs heap-only equivalence" `Quick
+    Testbed.case "engine wheel vs heap-only equivalence" `Quick
       engine_heap_only_equivalence;
-    Alcotest.test_case "pool static reservation" `Quick pool_reservation;
-    Alcotest.test_case "pool DT caps one queue" `Quick
+    Testbed.case "pool static reservation" `Quick pool_reservation;
+    Testbed.case "pool DT caps one queue" `Quick
       pool_dt_limits_single_port;
-    Alcotest.test_case "pool release" `Quick pool_release;
-    Alcotest.test_case "pool per-port cap (minbuffer)" `Quick pool_port_cap;
+    Testbed.case "pool release" `Quick pool_release;
+    Testbed.case "pool per-port cap (minbuffer)" `Quick pool_port_cap;
     qtest pool_conservation_qcheck;
-    Alcotest.test_case "txport serialization timing" `Quick
+    Testbed.case "txport serialization timing" `Quick
       txport_serialization_timing;
-    Alcotest.test_case "txport round robin" `Quick txport_round_robin;
-    Alcotest.test_case "switch forwards on MAC" `Quick switch_forwards;
-    Alcotest.test_case "switch counts unroutable" `Quick switch_unroutable;
-    Alcotest.test_case "switch egress rewrite" `Quick switch_egress_rewrite;
-    Alcotest.test_case "switch per-flow rewrite" `Quick switch_flow_rewrite;
-    Alcotest.test_case "switch mirroring" `Quick switch_mirroring;
-    Alcotest.test_case "switch rejects self-mirror" `Quick
+    Testbed.case "txport round robin" `Quick txport_round_robin;
+    Testbed.case "switch forwards on MAC" `Quick switch_forwards;
+    Testbed.case "switch counts unroutable" `Quick switch_unroutable;
+    Testbed.case "switch egress rewrite" `Quick switch_egress_rewrite;
+    Testbed.case "switch per-flow rewrite" `Quick switch_flow_rewrite;
+    Testbed.case "switch mirroring" `Quick switch_mirroring;
+    Testbed.case "switch rejects self-mirror" `Quick
       switch_mirror_self_rejected;
-    Alcotest.test_case "switch drops when buffer full" `Quick
+    Testbed.case "switch drops when buffer full" `Quick
       switch_drops_when_buffer_full;
-    Alcotest.test_case "switch packet-out injection" `Quick switch_inject;
-    Alcotest.test_case "host MAC filtering" `Quick host_mac_filter;
-    Alcotest.test_case "host stack is FIFO" `Quick host_stack_is_fifo;
-    Alcotest.test_case "host learns from unicast ARP request" `Quick
+    Testbed.case "switch packet-out injection" `Quick switch_inject;
+    Testbed.case "host MAC filtering" `Quick host_mac_filter;
+    Testbed.case "host stack is FIFO" `Quick host_stack_is_fifo;
+    Testbed.case "host learns from unicast ARP request" `Quick
       host_arp_unicast_request_learns;
-    Alcotest.test_case "host ignores unsolicited ARP reply" `Quick
+    Testbed.case "host ignores unsolicited ARP reply" `Quick
       host_arp_ignores_unsolicited_reply;
-    Alcotest.test_case "host ARP locktime" `Quick host_arp_locktime;
-    Alcotest.test_case "sink poll batching" `Quick sink_batches;
-    Alcotest.test_case "sink ring overflow" `Quick sink_ring_overflow;
-    Alcotest.test_case "sink rejects an empty ring" `Quick
+    Testbed.case "host ARP locktime" `Quick host_arp_locktime;
+    Testbed.case "sink poll batching" `Quick sink_batches;
+    Testbed.case "sink ring overflow" `Quick sink_ring_overflow;
+    Testbed.case "sink rejects an empty ring" `Quick
       sink_rejects_empty_ring;
-    Alcotest.test_case "sink drain allocation-free" `Quick sink_drain_alloc;
+    Testbed.case "sink drain allocation-free" `Quick sink_drain_alloc;
   ]

@@ -98,12 +98,12 @@ let packet_out_delivers () =
 
 let tests =
   [
-    Alcotest.test_case "channel latency bounds" `Quick channel_latency_bounds;
-    Alcotest.test_case "channel preserves order" `Quick channel_preserves_order;
-    Alcotest.test_case "rule install slower than message" `Quick
+    Testbed.case "channel latency bounds" `Quick channel_latency_bounds;
+    Testbed.case "channel preserves order" `Quick channel_preserves_order;
+    Testbed.case "rule install slower than message" `Quick
       rule_install_slower_than_message;
-    Alcotest.test_case "flow counters count wire bytes" `Quick
+    Testbed.case "flow counters count wire bytes" `Quick
       flow_counters_count;
-    Alcotest.test_case "stats poll pays read latency" `Quick poll_pays_latency;
-    Alcotest.test_case "spoofed ARP packet-out" `Quick packet_out_delivers;
+    Testbed.case "stats poll pays read latency" `Quick poll_pays_latency;
+    Testbed.case "spoofed ARP packet-out" `Quick packet_out_delivers;
   ]

@@ -115,15 +115,15 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "demands: disjoint flows get full NIC" `Quick
+    Testbed.case "demands: disjoint flows get full NIC" `Quick
       demands_disjoint_flows;
-    Alcotest.test_case "demands: shared receiver halves" `Quick
+    Testbed.case "demands: shared receiver halves" `Quick
       demands_shared_receiver;
-    Alcotest.test_case "demands: shared sender halves" `Quick
+    Testbed.case "demands: shared sender halves" `Quick
       demands_shared_sender;
-    Alcotest.test_case "GFF separates a stride collision" `Quick
+    Testbed.case "GFF separates a stride collision" `Quick
       gff_separates_stride_collision;
-    Alcotest.test_case "GFF leaves disjoint flows alone" `Quick
+    Testbed.case "GFF leaves disjoint flows alone" `Quick
       gff_leaves_disjoint_flows_alone;
     qtest gff_moves_are_valid_qcheck;
   ]

@@ -77,10 +77,10 @@ let flow_rate_estimation () =
 
 let tests =
   [
-    Alcotest.test_case "control-plane rate cap" `Quick agent_rate_cap;
-    Alcotest.test_case "sparse samples over short windows" `Quick
+    Testbed.case "control-plane rate cap" `Quick agent_rate_cap;
+    Testbed.case "sparse samples over short windows" `Quick
       estimator_needs_long_windows;
-    Alcotest.test_case "expected error formula" `Quick expected_error_formula;
-    Alcotest.test_case "flow rate estimation (uncapped)" `Quick
+    Testbed.case "expected error formula" `Quick expected_error_formula;
+    Testbed.case "flow rate estimation (uncapped)" `Quick
       flow_rate_estimation;
   ]

@@ -42,9 +42,8 @@ let spsc_fifo () =
   Spsc.push q 7;
   Alcotest.(check (option int)) "reusable after drain" (Some 7) (Spsc.pop q)
 
-(* ---- dynamic role check (the spsc-role-confinement lint rule's
-   runtime complement: the static rule cannot tell N shard instances
-   of one shard-body def apart) ---- *)
+(* ---- role check: Spsc.set_debug confines each role of a channel to
+   one domain, and tells N shard instances of one shard body apart ---- *)
 
 let spsc_debug_clean_path () =
   Spsc.set_debug true;
@@ -528,36 +527,36 @@ let one_shard_byte_identity () =
 
 let tests =
   [
-    Alcotest.test_case "spsc fifo, peek, drain" `Quick spsc_fifo;
-    Alcotest.test_case "spsc debug: clean two-domain path" `Quick
+    Testbed.case "spsc fifo, peek, drain" `Quick spsc_fifo;
+    Testbed.case "spsc debug: clean two-domain path" `Quick
       spsc_debug_clean_path;
-    Alcotest.test_case "spsc debug: role violation raises" `Quick
+    Testbed.case "spsc debug: role violation raises" `Quick
       spsc_debug_role_violation;
-    Alcotest.test_case "shard_plan splits the k=16 plan" `Quick
+    Testbed.case "shard_plan splits the k=16 plan" `Quick
       shard_plan_fat_tree;
-    Alcotest.test_case "shard_plan splits a jellyfish plan" `Quick
+    Testbed.case "shard_plan splits a jellyfish plan" `Quick
       shard_plan_jellyfish;
-    Alcotest.test_case "group construction validates" `Quick group_validation;
-    Alcotest.test_case "group allocates no journal ring" `Quick
+    Testbed.case "group construction validates" `Quick group_validation;
+    Testbed.case "group allocates no journal ring" `Quick
       group_allocates_no_journal_ring;
-    Alcotest.test_case "empty shard advances by pure lookahead" `Quick
+    Testbed.case "empty shard advances by pure lookahead" `Quick
       empty_shard_pure_advance;
-    Alcotest.test_case "channel delivers in handoff order" `Quick
+    Testbed.case "channel delivers in handoff order" `Quick
       channel_arrivals_in_order;
-    Alcotest.test_case "aggregate event count exact" `Quick
+    Testbed.case "aggregate event count exact" `Quick
       aggregate_events_exact;
-    Alcotest.test_case "delivery exactly at the lookahead horizon" `Quick
+    Testbed.case "delivery exactly at the lookahead horizon" `Quick
       delivery_exactly_at_lookahead_horizon;
-    Alcotest.test_case "merge orders by (time, shard)" `Quick
+    Testbed.case "merge orders by (time, shard)" `Quick
       merge_orders_by_time_then_shard;
-    Alcotest.test_case "fabric shard assignment is pod-granular" `Quick
+    Testbed.case "fabric shard assignment is pod-granular" `Quick
       fabric_shard_assignment;
-    Alcotest.test_case "empty-shard topology completes" `Quick
+    Testbed.case "empty-shard topology completes" `Quick
       empty_shard_topology_completes;
-    Alcotest.test_case "multi-shard run is deterministic" `Quick
+    Testbed.case "multi-shard run is deterministic" `Quick
       multi_shard_run_deterministic;
-    Alcotest.test_case "multi-shard guards refuse unsafe configs" `Quick
+    Testbed.case "multi-shard guards refuse unsafe configs" `Quick
       multi_shard_guards;
-    Alcotest.test_case "one-shard journal is byte-identical" `Quick
+    Testbed.case "one-shard journal is byte-identical" `Quick
       one_shard_byte_identity;
   ]

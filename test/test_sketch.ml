@@ -12,6 +12,10 @@ module Metrics = Planck_telemetry.Metrics
 module Flow_table = Planck_collector.Flow_table
 module Count_min = Planck_sketch.Count_min
 module Tiered = Planck_sketch.Tiered_table
+
+(* the buffer-audited wrapper, before [Testbed] is rebound to Planck's *)
+let case = Testbed.case
+
 module Testbed = Planck.Testbed
 module Scheme = Planck.Scheme
 module Experiment = Planck.Experiment
@@ -296,18 +300,18 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "cms update returns estimate" `Quick
+    case "cms update returns estimate" `Quick
       cms_update_returns_estimate;
-    Alcotest.test_case "cms halve and clear" `Quick cms_halve_and_clear;
-    Alcotest.test_case "cms deterministic under seed" `Quick cms_deterministic;
-    Alcotest.test_case "cms fixed hash vectors" `Quick cms_fixed_vectors;
+    case "cms halve and clear" `Quick cms_halve_and_clear;
+    case "cms deterministic under seed" `Quick cms_deterministic;
+    case "cms fixed hash vectors" `Quick cms_fixed_vectors;
     qtest cms_never_underestimates_qcheck;
-    Alcotest.test_case "promotion/demotion lifecycle" `Quick
+    case "promotion/demotion lifecycle" `Quick
       promotion_demotion_lifecycle;
-    Alcotest.test_case "promotion suppressed at cap" `Quick
+    case "promotion suppressed at cap" `Quick
       promotion_suppressed_at_cap;
-    Alcotest.test_case "sketch telemetry registered" `Quick
+    case "sketch telemetry registered" `Quick
       sketch_telemetry_registered;
-    Alcotest.test_case "TE decisions: tiered = exact" `Quick
+    case "TE decisions: tiered = exact" `Quick
       tiered_te_equivalence;
   ]

@@ -62,7 +62,7 @@ let fat_tree_flow () =
 
 let tests =
   [
-    Alcotest.test_case "single-switch flow completes" `Quick flow_completes;
-    Alcotest.test_case "collector estimates rate" `Quick collector_estimates;
-    Alcotest.test_case "fat-tree cross-pod flow" `Quick fat_tree_flow;
+    Testbed.case "single-switch flow completes" `Quick flow_completes;
+    Testbed.case "collector estimates rate" `Quick collector_estimates;
+    Testbed.case "fat-tree cross-pod flow" `Quick fat_tree_flow;
   ]

@@ -171,17 +171,17 @@ let concurrent_flows_one_pair () =
 
 let tests =
   [
-    Alcotest.test_case "one-segment flow" `Quick small_flow_completes;
-    Alcotest.test_case "odd sizes complete" `Quick odd_sizes_complete;
-    Alcotest.test_case "handshake costs an RTT" `Quick handshake_adds_rtt;
-    Alcotest.test_case "goodput near line rate" `Quick goodput_near_line_rate;
-    Alcotest.test_case "two flows share a link fairly" `Quick
+    Testbed.case "one-segment flow" `Quick small_flow_completes;
+    Testbed.case "odd sizes complete" `Quick odd_sizes_complete;
+    Testbed.case "handshake costs an RTT" `Quick handshake_adds_rtt;
+    Testbed.case "goodput near line rate" `Quick goodput_near_line_rate;
+    Testbed.case "two flows share a link fairly" `Quick
       two_flows_share_fairly;
-    Alcotest.test_case "SACK recovery under loss" `Quick recovers_from_loss;
-    Alcotest.test_case "seq wraparound mid-flow" `Quick sequence_wraparound;
-    Alcotest.test_case "ARP reroute mid-flow" `Quick reroute_via_arp_mid_flow;
-    Alcotest.test_case "rejects bad sizes" `Quick flow_rejects_bad_args;
-    Alcotest.test_case "unclaimed segments counted" `Quick endpoint_unclaimed;
-    Alcotest.test_case "concurrent flows between one pair" `Quick
+    Testbed.case "SACK recovery under loss" `Quick recovers_from_loss;
+    Testbed.case "seq wraparound mid-flow" `Quick sequence_wraparound;
+    Testbed.case "ARP reroute mid-flow" `Quick reroute_via_arp_mid_flow;
+    Testbed.case "rejects bad sizes" `Quick flow_rejects_bad_args;
+    Testbed.case "unclaimed segments counted" `Quick endpoint_unclaimed;
+    Testbed.case "concurrent flows between one pair" `Quick
       concurrent_flows_one_pair;
   ]

@@ -139,16 +139,16 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "SYN retransmits with backoff" `Quick
+    Testbed.case "SYN retransmits with backoff" `Quick
       syn_retransmits_with_backoff;
-    Alcotest.test_case "RTO recovers from a black hole" `Quick
+    Testbed.case "RTO recovers from a black hole" `Quick
       rto_recovers_data_blackhole;
-    Alcotest.test_case "HyStart bounds slow-start cwnd" `Quick
+    Testbed.case "HyStart bounds slow-start cwnd" `Quick
       hystart_bounds_cwnd;
-    Alcotest.test_case "loss cuts window multiplicatively" `Quick
+    Testbed.case "loss cuts window multiplicatively" `Quick
       loss_halves_window_multiplicatively;
-    Alcotest.test_case "SACK blocks on the wire" `Quick
+    Testbed.case "SACK blocks on the wire" `Quick
       sack_blocks_on_wire_during_loss;
-    Alcotest.test_case "FIN sent on completion" `Quick fin_sent_on_completion;
+    Testbed.case "FIN sent on completion" `Quick fin_sent_on_completion;
     qtest random_sizes_complete_qcheck;
   ]

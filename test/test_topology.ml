@@ -294,29 +294,29 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "fat-tree shape counts" `Quick shape_counts;
-    Alcotest.test_case "fat-tree rejects odd k" `Quick shape_rejects_odd;
-    Alcotest.test_case "fat-tree wiring complete & symmetric" `Quick
+    Testbed.case "fat-tree shape counts" `Quick shape_counts;
+    Testbed.case "fat-tree rejects odd k" `Quick shape_rejects_odd;
+    Testbed.case "fat-tree wiring complete & symmetric" `Quick
       wiring_complete;
-    Alcotest.test_case "hosts contiguous within pods" `Quick
+    Testbed.case "hosts contiguous within pods" `Quick
       hosts_contiguous_in_pods;
-    Alcotest.test_case "all-pairs paths valid" `Quick paths_valid_all_pairs;
-    Alcotest.test_case "cross-pod path uses expected core" `Quick
+    Testbed.case "all-pairs paths valid" `Quick paths_valid_all_pairs;
+    Testbed.case "cross-pod path uses expected core" `Quick
       cross_pod_uses_expected_core;
-    Alcotest.test_case "same-edge path is one hop" `Quick
+    Testbed.case "same-edge path is one hop" `Quick
       same_edge_path_is_one_hop;
-    Alcotest.test_case "alternates traverse distinct cores" `Quick
+    Testbed.case "alternates traverse distinct cores" `Quick
       alternates_are_core_disjoint;
-    Alcotest.test_case "shadow routes installed at edge" `Quick
+    Testbed.case "shadow routes installed at edge" `Quick
       shadow_rewrites_installed;
     qtest tree_validity_qcheck;
-    Alcotest.test_case "single-switch routing" `Quick single_switch_routes;
-    Alcotest.test_case "jellyfish builds and routes" `Quick
+    Testbed.case "single-switch routing" `Quick single_switch_routes;
+    Testbed.case "jellyfish builds and routes" `Quick
       jellyfish_builds_and_routes;
-    Alcotest.test_case "fabric rejects double wiring" `Quick
+    Testbed.case "fabric rejects double wiring" `Quick
       fabric_rejects_double_wiring;
-    Alcotest.test_case "populate_arp resolves every pair" `Quick
+    Testbed.case "populate_arp resolves every pair" `Quick
       populate_arp_resolves_every_pair;
-    Alcotest.test_case "populate_arp allocates O(1)" `Quick
+    Testbed.case "populate_arp allocates O(1)" `Quick
       populate_arp_allocates_nothing_per_pair;
   ]

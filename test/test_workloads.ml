@@ -160,20 +160,20 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
   [
-    Alcotest.test_case "stride shape" `Quick stride_shape;
-    Alcotest.test_case "stride rejects identity mapping" `Quick
+    Testbed.case "stride shape" `Quick stride_shape;
+    Testbed.case "stride rejects identity mapping" `Quick
       stride_rejects_identity;
     qtest bijection_properties_qcheck;
     qtest random_no_self_qcheck;
-    Alcotest.test_case "staggered probabilities" `Quick staggered_probabilities;
-    Alcotest.test_case "shuffle orders cover everyone" `Quick
+    Testbed.case "staggered probabilities" `Quick staggered_probabilities;
+    Testbed.case "shuffle orders cover everyone" `Quick
       shuffle_orders_cover_everyone;
-    Alcotest.test_case "runner pair results" `Quick runner_pairs_results;
-    Alcotest.test_case "runner horizon truncation" `Quick
+    Testbed.case "runner pair results" `Quick runner_pairs_results;
+    Testbed.case "runner horizon truncation" `Quick
       runner_horizon_truncates;
-    Alcotest.test_case "runner shuffle bookkeeping" `Quick
+    Testbed.case "runner shuffle bookkeeping" `Quick
       runner_shuffle_completes;
-    Alcotest.test_case "churn trace shape + determinism" `Quick
+    Testbed.case "churn trace shape + determinism" `Quick
       churn_trace_shape;
-    Alcotest.test_case "runner churn completes" `Quick runner_churn_completes;
+    Testbed.case "runner churn completes" `Quick runner_churn_completes;
   ]

@@ -1,5 +1,7 @@
 (* Shared fixtures for integration-flavoured tests: small single-switch
-   and fat-tree networks with routing installed and ARP populated. *)
+   and fat-tree networks with routing installed and ARP populated, and
+   [case], the test-case wrapper that audits the buffer accounting of
+   every switch a case built once its body returns. *)
 
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
@@ -24,6 +26,18 @@ type t = {
   endpoints : Endpoint.t array;
 }
 
+(* The switches of every fabric the running case built: through the
+   helpers below, through [Planck.Experiment.run] (captured by the
+   observer [case] installs), or handed over with [observe]. *)
+let audited : Switch.t list ref = ref []
+
+let audit_fabric fabric =
+  for i = 0 to Fabric.switch_count fabric - 1 do
+    audited := Fabric.switch fabric i :: !audited
+  done
+
+let observe (tb : Planck.Testbed.t) = audit_fabric tb.Planck.Testbed.fabric
+
 let single_switch ?(hosts = 4) ?(rate = rate_10g) ?(seed = 42)
     ?(config = Switch.default_config) () =
   let engine = Engine.create () in
@@ -38,6 +52,7 @@ let single_switch ?(hosts = 4) ?(rate = rate_10g) ?(seed = 42)
   in
   Routing.install routing;
   Fabric.populate_arp fabric;
+  audit_fabric fabric;
   let endpoints =
     Array.init hosts (fun i -> Endpoint.create (Fabric.host fabric i))
   in
@@ -58,6 +73,7 @@ let fat_tree ?(k = 4) ?(rate = rate_10g) ?(seed = 42)
   in
   Routing.install routing;
   Fabric.populate_arp fabric;
+  audit_fabric fabric;
   let endpoints =
     Array.init (Fabric.host_count fabric) (fun i ->
         Endpoint.create (Fabric.host fabric i))
@@ -67,3 +83,30 @@ let fat_tree ?(k = 4) ?(rate = rate_10g) ?(seed = 42)
 let start_flow t ~src ~dst ~size ?params () =
   Flow.start ~src:t.endpoints.(src) ~dst:t.endpoints.(dst)
     ~src_port:(10_000 + src) ~dst_port:(20_000 + dst) ~size ?params ()
+
+let check_buffers switches =
+  List.iter
+    (fun sw ->
+      match Switch.check_buffer sw with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    switches
+
+(* Run [f], then check [Switch.check_buffer] on every switch it built.
+   A body that raises skips the audit. *)
+let audit f =
+  audited := [];
+  Planck.Experiment.set_observer
+    (Some
+       (fun tb _ ->
+         observe tb;
+         None));
+  let result =
+    Fun.protect ~finally:(fun () -> Planck.Experiment.set_observer None) f
+  in
+  let switches = !audited in
+  audited := [];
+  check_buffers switches;
+  result
+
+let case name speed f = Alcotest.test_case name speed (fun () -> audit f)

@@ -2,14 +2,13 @@
 
    Usage: planck_lint [--json] [--out FILE] [--list-rules]
                       [--cmt-dir DIR] [--baseline FILE]
-                      [--shared-state-out FILE] [--ownership-out FILE]
-                      PATH...
+                      [--shared-state-out FILE] PATH...
 
    Loads the repo's .cmt typedtree artifacts (build first) and runs the
    typed rules — call-graph reachability for the hot-path rules,
    instantiated-type checks, interprocedural determinism taint, the
-   dead-export analysis, the domain and ownership tiers — plus the
-   syntactic AST pass for the rules that need no types. Inline
+   dead-export analysis and the domain tier — plus the syntactic AST
+   pass for the rules that need no types. Inline
    [planck-lint: allow] directives and the justified baseline are the
    only ways to accept a finding.
 
@@ -28,7 +27,6 @@ let () =
   let cmt_dirs = ref [] in
   let baseline = ref "" in
   let shared_state_out = ref "" in
-  let ownership_out = ref "" in
   let paths = ref [] in
   let spec =
     [
@@ -46,9 +44,6 @@ let () =
       ( "--shared-state-out",
         Arg.Set_string shared_state_out,
         "FILE write the shard-confinement inventory to FILE" );
-      ( "--ownership-out",
-        Arg.Set_string ownership_out,
-        "FILE write the ownership-tier inventory to FILE" );
     ]
   in
   let usage = "planck_lint [options] PATH..." in
@@ -80,7 +75,6 @@ let () =
       baseline_file;
       dead_export = true;
       shared_state_out = some_path !shared_state_out;
-      ownership_out = some_path !ownership_out;
     }
   in
   let result =

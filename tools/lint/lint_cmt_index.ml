@@ -66,10 +66,6 @@ type event_kind =
   | Ref_op of { op : ref_op; target : string }
       (** read / write / read-modify-write of a module-level ref or
           mutable field, by qualified binding id *)
-  | Blocking of string
-      (** reference to a call that can block the running domain
-          (Mutex.lock, Condition.wait, Domain.join, Unix I/O, stdout
-          formatters) — the ownership tier's stall set *)
 
 type event = {
   e_def : string;  (** enclosing def id *)
@@ -108,49 +104,6 @@ type decl_shape = {
   ds_manifest : Types.type_expr option;
 }
 
-(* ---- Ownership-tier records ---- *)
-
-type spsc_role = Producer | Consumer
-
-(* every call site of a transfer point, violation or not — the
-   committed ownership inventory is built from these *)
-type transfer_site = {
-  s_def : string;
-  s_file : string;
-  s_line : int;
-  s_point : string;  (** the matched pattern, e.g. ["Spsc.push"] *)
-}
-
-type spsc_site = {
-  sp_def : string;
-  sp_file : string;
-  sp_line : int;
-  sp_role : spsc_role;
-  sp_op : string;  (** push / pop / peek / drain *)
-  sp_chan : string;
-      (** best-effort channel identity: the resolved def id when the
-          receiver is a structure-level binding, ["local:<def>"] for a
-          let-bound local, ["field:<type>.<label>"] for a record field *)
-}
-
-(* a use-after-transfer fact from [Lint_transfer.scan], with the raw
-   operand type kept for lazy mutability classification *)
-type raw_transfer_use = {
-  tu_def : string;
-  tu_unit : string;
-  tu_file : string;
-  tu_use : Lint_transfer.use;
-}
-
-type release_leak = {
-  k_def : string;
-  k_file : string;
-  k_line : int;
-  k_col : int;
-  k_alloc_line : int;
-  k_raise : string;
-}
-
 type t = {
   unit_files : (string, string) Hashtbl.t;  (* impl unit -> source file *)
   known_units : (string, unit) Hashtbl.t;  (* impl + intf unit names *)
@@ -173,10 +126,6 @@ type t = {
   functor_used : (string, unit) Hashtbl.t;
       (* units passed to functors / included / packed: every export of
          such a unit counts as referenced (the functor sees them all) *)
-  mutable transfer_sites_ : transfer_site list;
-  mutable spsc_sites_ : spsc_site list;
-  mutable raw_transfer_uses : raw_transfer_use list;
-  mutable release_leaks_ : release_leak list;
   mutable fixture_sigs : (string * Types.signature) list;
       (* in-process typed fixture units, newest first *)
 }
@@ -195,10 +144,6 @@ let create () =
     mod_aliases = Hashtbl.create 64;
     raw_bindings = [];
     functor_used = Hashtbl.create 16;
-    transfer_sites_ = [];
-    spsc_sites_ = [];
-    raw_transfer_uses = [];
-    release_leaks_ = [];
     fixture_sigs = [];
   }
 
@@ -281,48 +226,6 @@ let raise_like =
     "Stdlib.invalid_arg"; "Stdlib.exit" ]
 
 let schedule_ops = [ "Engine.schedule"; "Engine.schedule_at"; "Engine.every" ]
-
-(* ---- Blocking operations (the ownership tier's stall set) ----
-
-   A domain parked in any of these stalls the sense-reversing barrier
-   for every shard. Mutex.unlock and sprintf-family calls are absent on
-   purpose: they do not park the caller. *)
-
-let blocking_exact =
-  [ "Stdlib.Mutex.lock"; "Stdlib.Mutex.protect"; "Stdlib.Condition.wait";
-    "Stdlib.Domain.join"; "Stdlib.Thread.join"; "Stdlib.Thread.delay";
-    "Stdlib.print_string"; "Stdlib.print_endline"; "Stdlib.print_newline";
-    "Stdlib.print_char"; "Stdlib.print_int"; "Stdlib.print_float";
-    "Stdlib.print_bytes"; "Stdlib.prerr_string"; "Stdlib.prerr_endline";
-    "Stdlib.prerr_newline"; "Stdlib.read_line"; "Stdlib.read_int";
-    "Stdlib.input_line"; "Stdlib.input"; "Stdlib.really_input";
-    "Stdlib.output_string"; "Stdlib.output_bytes"; "Stdlib.output_char";
-    "Stdlib.output"; "Stdlib.flush"; "Stdlib.flush_all";
-    "Stdlib.Printf.printf"; "Stdlib.Printf.eprintf";
-    "Stdlib.Format.printf"; "Stdlib.Format.eprintf";
-    "Stdlib.Format.print_string"; "Stdlib.Format.print_newline";
-    "Stdlib.Format.print_flush"; "Stdlib.Format.std_formatter";
-    "Stdlib.Format.err_formatter" ]
-
-(* Unix.* is I/O except the wall-clock / environment readers — those
-   are the determinism tier's problem, not a stall *)
-let unix_nonblocking =
-  [ "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime"; "Unix.localtime";
-    "Unix.mktime"; "Unix.getenv"; "Unix.environment"; "Unix.getpid" ]
-
-let blocking_op name =
-  List.mem name blocking_exact
-  || String.length name > 5
-     && String.sub name 0 5 = "Unix."
-     && not (List.mem name unix_nonblocking)
-
-(* ---- Ownership transfer / SPSC role call sites ---- *)
-
-let ownership_site_points = [ "Spsc.push"; "Timer.cancel"; "Buffer_pool.release" ]
-
-let spsc_ops =
-  [ ("Spsc.push", (Producer, "push")); ("Spsc.pop", (Consumer, "pop"));
-    ("Spsc.peek", (Consumer, "peek")); ("Spsc.drain", (Consumer, "drain")) ]
 
 let hashtbl_iter_patterns =
   [ "Hashtbl.iter"; "Hashtbl.fold"; "Table.iter"; "Table.fold" ]
@@ -731,8 +634,7 @@ let note_ident ctx p loc ty =
       if ambient_random name then
         record_event ctx loc (Source (Ambient_random, name));
       if any_suffix_matches hashtbl_iter_patterns name then
-        record_event ctx loc (Source (Hashtbl_iter, name));
-      if blocking_op name then record_event ctx loc (Blocking name)
+        record_event ctx loc (Source (Hashtbl_iter, name))
 
 let ref_op_of = function
   | "Stdlib.!" -> Some Rread
@@ -750,67 +652,6 @@ let record_ref_op ctx loc op (operand : Typedtree.expression) =
       | TDef id -> record_event ctx loc (Ref_op { op; target = id })
       | TExtern _ | TNone -> ())
   | _ -> ()
-
-(* best-effort SPSC channel identity for a receiver expression *)
-let chan_of_expr ctx (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> (
-      match resolve ctx p with
-      | TDef id -> id
-      | TExtern s -> s
-      | TNone -> "local:" ^ ctx.cur_def)
-  | Typedtree.Texp_field (_, _, ld) ->
-      let tyname =
-        match Types.get_desc ld.Types.lbl_res with
-        | Types.Tconstr (p, _, _) ->
-            let head, comps = flatten_path p [] in
-            String.concat "." (Ident.name head :: comps)
-        | _ -> "?"
-      in
-      "field:" ^ tyname ^ "." ^ ld.Types.lbl_name
-  | _ -> "expr:" ^ ctx.cur_def
-
-(* record transfer-point and SPSC-role call sites (inventory facts, not
-   findings — every site is recorded, violation or not) *)
-let record_ownership_sites ctx name args loc =
-  let line = loc.Location.loc_start.Lexing.pos_lnum in
-  (match
-     List.find_opt
-       (fun p -> suffix_matches ~pattern:p name)
-       ownership_site_points
-   with
-  | Some point ->
-      ctx.ix.transfer_sites_ <-
-        { s_def = ctx.cur_def; s_file = ctx.file; s_line = line; s_point = point }
-        :: ctx.ix.transfer_sites_
-  | None -> ());
-  match
-    List.find_opt (fun (p, _) -> suffix_matches ~pattern:p name) spsc_ops
-  with
-  | Some (_, (role, op)) ->
-      let chan =
-        match
-          List.find_map
-            (fun (lbl, a) ->
-              match (lbl, a) with
-              | Asttypes.Nolabel, Some a -> Some a
-              | _ -> None)
-            args
-        with
-        | Some receiver -> chan_of_expr ctx receiver
-        | None -> "expr:" ^ ctx.cur_def
-      in
-      ctx.ix.spsc_sites_ <-
-        {
-          sp_def = ctx.cur_def;
-          sp_file = ctx.file;
-          sp_line = line;
-          sp_role = role;
-          sp_op = op;
-          sp_chan = chan;
-        }
-        :: ctx.ix.spsc_sites_
-  | None -> ()
 
 let constantish (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
@@ -906,10 +747,7 @@ let iterator ctx =
                 record_ref_op ctx e.Typedtree.exp_loc op operand
             | _ -> ());
             default.Tast_iterator.expr sub e
-        | Some name ->
-            record_ownership_sites ctx name args e.Typedtree.exp_loc;
-            default.Tast_iterator.expr sub e
-        | None -> default.Tast_iterator.expr sub e)
+        | Some _ | None -> default.Tast_iterator.expr sub e)
     | Typedtree.Texp_field (obj, _, _) ->
         record_ref_op ctx e.Typedtree.exp_loc Rread obj;
         default.Tast_iterator.expr sub e
@@ -1052,34 +890,7 @@ and walk_item ctx prefix (item : Typedtree.structure_item) it =
       List.iter
         (fun ((vb : Typedtree.value_binding), d_id) ->
           with_def ctx d_id (fun () ->
-              it.Tast_iterator.expr it vb.Typedtree.vb_expr);
-          (* the ownership tier's intraprocedural pass, one scan per
-             structure-level binding *)
-          let uses, leaks =
-            Lint_transfer.scan
-              ~resolve:(fun p -> target_name (resolve ctx p))
-              vb.Typedtree.vb_expr
-          in
-          List.iter
-            (fun (u : Lint_transfer.use) ->
-              ctx.ix.raw_transfer_uses <-
-                { tu_def = d_id; tu_unit = ctx.unit_name; tu_file = ctx.file;
-                  tu_use = u }
-                :: ctx.ix.raw_transfer_uses)
-            uses;
-          List.iter
-            (fun (k : Lint_transfer.leak) ->
-              ctx.ix.release_leaks_ <-
-                {
-                  k_def = d_id;
-                  k_file = ctx.file;
-                  k_line = k.Lint_transfer.k_line;
-                  k_col = k.Lint_transfer.k_col;
-                  k_alloc_line = k.Lint_transfer.k_alloc_line;
-                  k_raise = k.Lint_transfer.k_raise;
-                }
-                :: ctx.ix.release_leaks_)
-            leaks)
+              it.Tast_iterator.expr it vb.Typedtree.vb_expr))
         named
   | Typedtree.Tstr_eval (e, _) ->
       with_def ctx
@@ -1381,45 +1192,6 @@ let bindings t =
       t.raw_bindings
   in
   List.sort (fun a b -> String.compare a.b_id b.b_id) out
-
-(* ---- Ownership-tier accessors ----
-
-   Like [bindings], transfer-use classification runs lazily: the
-   transferred operand's [Types.type_expr] may reference declarations
-   of units loaded after the one that recorded it. *)
-
-type transfer_use = {
-  u_def : string;
-  u_file : string;
-  u_line : int;
-  u_col : int;
-  u_var : string;
-  u_point : string;
-  u_kind : Lint_transfer.use_kind;
-  u_transfer_line : int;
-  u_mut : mutability;  (** of the transferred value's type *)
-}
-
-let transfer_uses t =
-  List.rev_map
-    (fun r ->
-      let u = r.tu_use in
-      {
-        u_def = r.tu_def;
-        u_file = r.tu_file;
-        u_line = u.Lint_transfer.u_line;
-        u_col = u.Lint_transfer.u_col;
-        u_var = u.Lint_transfer.u_var;
-        u_point = u.Lint_transfer.u_point;
-        u_kind = u.Lint_transfer.u_kind;
-        u_transfer_line = u.Lint_transfer.u_transfer_line;
-        u_mut = type_mutability t ~unit_name:r.tu_unit u.Lint_transfer.u_ty;
-      })
-    t.raw_transfer_uses
-
-let release_leaks t = List.rev t.release_leaks_
-let transfer_sites t = List.rev t.transfer_sites_
-let spsc_sites t = List.rev t.spsc_sites_
 
 (* ---- In-process typing, for fixtures and tests ---- *)
 

@@ -46,11 +46,6 @@ type event_kind =
       (** [!x] / [x := e] / [incr x], or [x.f] / [x.f <- e], where [x]
           is a module-level binding of an indexed unit ([target] is its
           qualified id). Locals never produce these events. *)
-  | Blocking of string
-      (** reference to a call that can park the running domain
-          (Mutex.lock/protect, Condition.wait, Domain.join, Unix I/O,
-          stdout/stderr formatters) — consumed by the ownership tier's
-          blocking-in-shard-body rule *)
 
 type event = {
   e_def : string;
@@ -81,56 +76,6 @@ type binding = {
   b_rendered : string;  (** the rendered type, for reports *)
 }
 
-(* ---- Ownership-tier records ---- *)
-
-type spsc_role = Producer | Consumer
-
-type transfer_site = {
-  s_def : string;
-  s_file : string;
-  s_line : int;
-  s_point : string;  (** the matched pattern, e.g. ["Spsc.push"] *)
-}
-(** Every call site of a transfer point ([Spsc.push], [Timer.cancel],
-    [Buffer_pool.release]), violation or not — the committed ownership
-    inventory is built from these. *)
-
-type spsc_site = {
-  sp_def : string;
-  sp_file : string;
-  sp_line : int;
-  sp_role : spsc_role;
-  sp_op : string;  (** push / pop / peek / drain *)
-  sp_chan : string;
-      (** best-effort channel identity: the resolved def id when the
-          receiver is a structure-level binding, ["local:<def>"] for a
-          let-bound local, ["field:<type>.<label>"] for a record field *)
-}
-
-type transfer_use = {
-  u_def : string;
-  u_file : string;
-  u_line : int;
-  u_col : int;
-  u_var : string;  (** source name of the transferred binding *)
-  u_point : string;  (** the transfer pattern it flowed into *)
-  u_kind : Lint_transfer.use_kind;
-  u_transfer_line : int;
-  u_mut : mutability;
-      (** of the transferred value's type — [Mut_none] payloads are
-          exempt from use-after-transfer (reading an immutable value
-          the consumer also reads races nothing) *)
-}
-
-type release_leak = {
-  k_def : string;
-  k_file : string;
-  k_line : int;
-  k_col : int;
-  k_alloc_line : int;  (** the successful [try_alloc] condition *)
-  k_raise : string;  (** the raise-family callee on the leaking path *)
-}
-
 type t
 
 val load : dirs:string list -> t
@@ -148,15 +93,6 @@ val bindings : t -> binding list
     unit, classified for mutability, sorted by id. Classification is
     computed here (not during the load) so type declarations from every
     unit — including shapes an [.mli] exports abstract — are visible. *)
-
-val transfer_uses : t -> transfer_use list
-(** Use-after-transfer facts from the per-binding intraprocedural scan
-    ({!Lint_transfer}), with the operand's mutability classified
-    lazily — like {!bindings}, after every unit's decls are loaded. *)
-
-val release_leaks : t -> release_leak list
-val transfer_sites : t -> transfer_site list
-val spsc_sites : t -> spsc_site list
 
 val find_def : t -> string -> def option
 

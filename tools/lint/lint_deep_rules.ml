@@ -150,8 +150,7 @@ let event_findings t =
                     name (hot_chain t e.Ix.e_def)))
           else None
       | Ix.Source _ -> None
-      | Ix.Ref_op _ -> None (* consumed by Lint_domain_rules *)
-      | Ix.Blocking _ -> None (* consumed by Lint_ownership_rules *))
+      | Ix.Ref_op _ -> None (* consumed by Lint_domain_rules *))
     (Ix.events t.ix)
 
 (* ---- dead-export ---- *)

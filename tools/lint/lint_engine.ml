@@ -131,7 +131,6 @@ type options = {
   baseline_file : string option;
   dead_export : bool;
   shared_state_out : string option;
-  ownership_out : string option;
 }
 
 let write_inventory path text =
@@ -159,15 +158,9 @@ let typed_findings opts ~walked =
     (fun path ->
       write_inventory path (Lint_domain_rules.inventory_text domain_entries))
     opts.shared_state_out;
-  Option.iter
-    (fun path ->
-      write_inventory path
-        (Lint_ownership_rules.inventory_text (Lint_ownership_rules.inventory dr)))
-    opts.ownership_out;
   let findings =
     Lint_deep_rules.findings ~dead_export:opts.dead_export dr
     @ Lint_domain_rules.findings ~entries:domain_entries dr
-    @ Lint_ownership_rules.findings dr
   in
   let entries, stale =
     match opts.baseline_file with

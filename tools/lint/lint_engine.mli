@@ -34,9 +34,6 @@ type options = {
   shared_state_out : string option;
       (** write the shard-confinement inventory, in the committed text
           format of [tools/lint/shared_state.txt], to this path *)
-  ownership_out : string option;
-      (** same for the ownership-tier inventory (transfer sites, SPSC
-          roles, blocking reaches) of [tools/lint/ownership.txt] *)
 }
 
 val lint_paths : options -> string list -> result

@@ -1,10 +1,10 @@
 (* The rule catalog and the syntactic checker.
 
-   Most rules are typed: Lint_deep_rules, Lint_taint, Lint_domain_rules
-   and Lint_ownership_rules implement them over the .cmt index. The
-   AST pass here covers only what needs no types: keyed-poly-equal,
-   open-lib and ignored-result, plus the file-level missing-mli and
-   the parse-error report. Imprecision is resolved toward fewer false
+   Most rules are typed: Lint_deep_rules, Lint_taint and
+   Lint_domain_rules implement them over the .cmt index. The AST pass
+   here covers only what needs no types: keyed-poly-equal, open-lib
+   and ignored-result, plus the file-level missing-mli and the
+   parse-error report. Imprecision is resolved toward fewer false
    positives; the suppression syntax exists for the rest. *)
 
 open Parsetree
@@ -161,49 +161,6 @@ let catalog =
       doc =
         "A baseline entry matches no finding of a rule that ran: the code \
          stopped needing it. Delete the entry.";
-    };
-    {
-      id = "use-after-transfer";
-      group = "ownership";
-      default_severity = F.Error;
-      doc =
-        "A mutable local is read, written or RMW'd after it flowed into a \
-         transfer point (Spsc.push hands the frame to the consumer shard, \
-         Engine.Timer.cancel kills the handle) on some path through the \
-         same binding. The new owner may be mutating it concurrently; copy \
-         what you need before the hand-off. Immutable payloads are exempt.";
-    };
-    {
-      id = "spsc-role-confinement";
-      group = "ownership";
-      default_severity = F.Error;
-      doc =
-        "One SPSC channel's push call sites (or its pop/peek/drain sites) \
-         are reachable from more than one Domain.spawn shard root. The \
-         queue is single-producer/single-consumer by construction; a \
-         second domain on either role loses frames. The complementary \
-         dynamic check is Planck_util.Spsc.set_debug.";
-    };
-    {
-      id = "blocking-in-shard-body";
-      group = "ownership";
-      default_severity = F.Error;
-      doc =
-        "A call that can park the running domain (Mutex.lock, \
-         Condition.wait, Domain.join, Unix I/O, console formatters) is \
-         transitively reachable from a shard closure or hot root. A parked \
-         shard stalls the sense-reversing barrier for every shard; move it \
-         off the shard path or baseline the documented design points.";
-    };
-    {
-      id = "release-leak";
-      group = "ownership";
-      default_severity = F.Error;
-      doc =
-        "Buffer_pool.try_alloc succeeded but a direct raise-family call \
-         escapes the success branch before any Buffer_pool.release. The \
-         admitted bytes leak from the pool accounting; release on the \
-         exception edge and re-raise.";
     };
   ]
 

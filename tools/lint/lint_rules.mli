@@ -1,8 +1,7 @@
 (** The rule catalog and the syntactic checker.
 
     Most rules are typed and live in the [.cmt] tiers
-    ([Lint_deep_rules], [Lint_taint], [Lint_domain_rules],
-    [Lint_ownership_rules]). The AST pass here implements only the
+    ([Lint_deep_rules], [Lint_taint], [Lint_domain_rules]). The AST pass here implements only the
     rules that need no types — [keyed-poly-equal], [open-lib],
     [ignored-result] — plus the file-level [missing-mli] rule; each is
     scoped by path and by what the module defines. The remaining
@@ -11,7 +10,7 @@
 
 type rule = {
   id : string;
-  group : string;  (** "determinism" | "hotpath" | "hygiene" | "domain" | "ownership" *)
+  group : string;  (** "determinism" | "hotpath" | "hygiene" | "domain" *)
   default_severity : Lint_finding.severity;
   doc : string;
 }
