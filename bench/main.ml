@@ -12,11 +12,7 @@
 *)
 
 module Json = Planck_telemetry.Json
-module Metrics = Planck_telemetry.Metrics
-module Bench_gate = Planck_telemetry.Bench_gate
 module Export = Planck_telemetry.Export
-module Journal = Planck_telemetry.Journal
-module Timeseries = Planck_telemetry.Timeseries
 module Time = Planck.Util.Time
 
 let experiments : (string * string * (Exp_common.opts -> unit)) list =
@@ -50,8 +46,8 @@ let experiments : (string * string * (Exp_common.opts -> unit)) list =
       Exp_bounded_state.run );
   ]
 
-let run_selected ?(skip_experiments = false) ?(only = []) ?recheck names opts
-    with_micro =
+let run_selected ?(skip_experiments = false) ?(only = []) ?recheck ~outputs
+    names opts with_micro =
   let t0 = Unix.gettimeofday () in
   let selected =
     match names with
@@ -72,7 +68,11 @@ let run_selected ?(skip_experiments = false) ?(only = []) ?recheck names opts
     Printf.eprintf "no experiment matches %s\n" (String.concat ", " names);
     exit 1
   end;
+  (* The outputs record the experiments only: the micros time hot paths
+     with telemetry off and no observer (the sharded speedup row refuses
+     flow observers). *)
   let timed =
+    outputs @@ fun () ->
     List.map
       (fun (name, _, run) ->
         let t = Unix.gettimeofday () in
@@ -282,52 +282,17 @@ let main names runs full seed list_experiments with_micro json_path
     Printf.printf "%-10s %s\n" "(--micro)" "Bechamel hot-path microbenchmarks"
   end
   else begin
-    (* Probe each output path before spending minutes on experiments. *)
-    List.iter
-      (Option.iter (fun path ->
-           try Export.write_file ~path ""
-           with Sys_error msg ->
-             Printf.eprintf "planck-bench: cannot write %s\n" msg;
-             exit 1))
-      [ json_path; metrics_path; journal_path; timeseries_path ];
-    if metrics_path <> None then Metrics.set_enabled Metrics.default true;
-    if journal_path <> None then Journal.set_enabled Journal.default true;
-    (* Stream journal events as they record: experiments produce far more
-       than the in-memory ring holds, the NDJSON file is complete. *)
-    let journal_lines = ref 0 in
-    let journal_channel =
-      Option.map
-        (fun path ->
-          let oc = open_out path in
-          Journal.set_writer Journal.default
-            (Some
-               (fun line ->
-                 incr journal_lines;
-                 output_string oc line;
-                 output_char oc '\n'));
-          oc)
-        journal_path
+    (* Probe --json before spending minutes on experiments; the other
+       outputs are probed by [Experiment.with_outputs]. *)
+    let fail msg =
+      Printf.eprintf "planck-bench: %s\n" msg;
+      exit 1
     in
-    (* Ground truth hooks in through the experiment observer, since each
-       experiment run builds its testbed internally. Last run wins. *)
-    let last_recorder = ref None in
-    if timeseries_path <> None then
-      Planck.Experiment.set_observer
-        (Some
-           (fun testbed deployed ->
-             let estimate =
-               match deployed.Planck.Scheme.controller with
-               | Some controller ->
-                   Planck.Controller_lib.Controller.flow_rate controller
-               | None -> fun _ -> None
-             in
-             let recorder =
-               Planck.Recorder.create
-                 ~interval:(Time.us timeseries_interval_us)
-                 ~estimate testbed
-             in
-             last_recorder := Some recorder;
-             Some (fun flow -> Planck.Recorder.track_flow recorder flow)));
+    Option.iter
+      (fun path ->
+        try Export.write_file ~path ""
+        with Sys_error msg -> fail ("cannot write " ^ msg))
+      json_path;
     let opts =
       {
         Exp_common.runs;
@@ -386,40 +351,21 @@ let main names runs full seed list_experiments with_micro json_path
     in
     (* --check with no named experiments gates the micros alone. *)
     let skip_experiments = check && names = [] in
-    let timed, total, micro =
-      run_selected ~skip_experiments ~only ?recheck names opts with_micro
+    let outputs body =
+      match
+        Planck.Experiment.with_outputs ?metrics_out:metrics_path
+          ?journal_out:journal_path ?timeseries_out:timeseries_path
+          ~timeseries_interval:(Time.us timeseries_interval_us)
+          body
+      with
+      | Ok result -> result
+      | Error msg -> fail msg
     in
-    Planck.Experiment.set_observer None;
-    (match journal_channel with
-    | Some oc ->
-        Journal.set_writer Journal.default None;
-        close_out oc;
-        Printf.printf "wrote %d journal events to %s\n%!" !journal_lines
-          (Option.get journal_path)
-    | None -> ());
-    Option.iter
-      (fun path ->
-        match !last_recorder with
-        | Some recorder ->
-            let ts = Planck.Recorder.timeseries recorder in
-            Export.write_file ~path (Timeseries.to_csv ts);
-            Printf.printf "wrote %d time-series rows (%d series) to %s\n%!"
-              (List.length (Timeseries.rows ts))
-              (List.length (Timeseries.names ts))
-              path
-        | None ->
-            Printf.printf
-              "no time-series recorded (no selected experiment ran a \
-               workload through the experiment harness)\n%!")
-      timeseries_path;
+    let timed, total, micro =
+      run_selected ~skip_experiments ~only ?recheck ~outputs names opts
+        with_micro
+    in
     Option.iter (fun path -> emit_json path timed total micro) json_path;
-    Option.iter
-      (fun path ->
-        Export.write_file ~path (Export.metrics_json Metrics.default);
-        Printf.printf "wrote %d metrics to %s\n%!"
-          (Metrics.size Metrics.default)
-          path)
-      metrics_path;
     Option.iter
       (fun (path, baseline_rows) ->
         (* --only narrows the gate to the selected micros: a baseline row

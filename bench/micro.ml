@@ -18,7 +18,6 @@ module Engine = Planck_netsim.Engine
 module Switch = Planck_netsim.Switch
 module Metrics = Planck_telemetry.Metrics
 module Journal = Planck_telemetry.Journal
-module Bench_gate = Planck_telemetry.Bench_gate
 module FK = Planck_packet.Flow_key
 module Flow_table = Planck_collector.Flow_table
 module Count_min = Planck_sketch.Count_min

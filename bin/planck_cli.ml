@@ -7,7 +7,6 @@
 *)
 
 module Time = Planck_util.Time
-module Rate = Planck_util.Rate
 module Table = Planck_util.Table
 module Mac = Planck_packet.Mac
 module Engine = Planck_netsim.Engine
@@ -16,11 +15,8 @@ module Routing = Planck_topology.Routing
 module Collector = Planck_collector.Collector
 module Te = Planck_controller.Te
 module Reroute = Planck_controller.Reroute
-module Controller = Planck_controller.Controller
-module Poller = Planck_baselines.Poller
 module Metrics = Planck_telemetry.Metrics
 module Export = Planck_telemetry.Export
-module Flusher = Planck_telemetry.Flusher
 module Journal = Planck_telemetry.Journal
 module Timeseries = Planck_telemetry.Timeseries
 module Inspect = Planck_telemetry.Inspect
@@ -31,43 +27,12 @@ module Sampler = E2e_bench.Sampler
 module Layer = E2e_bench.Layer
 open Planck
 
-(* ---- telemetry plumbing (--metrics-out / --journal-out /
-   --timeseries-out) ---- *)
-
-(* Passing any of these flags flips the corresponding process-wide
-   registry/journal on for the whole run; at exit the snapshots
-   are written (the capture subcommand additionally flushes periodically
-   on the simulation clock; the journal streams NDJSON as it records).
-   Each output path is probed up front so a typo fails before the
-   simulation runs, not at the first flush. *)
-let telemetry_setup ?journal_out ?timeseries_out metrics_out =
-  let probe = function
-    | None -> true
-    | Some path -> (
-        try
-          Export.write_file ~path "";
-          true
-        with Sys_error msg ->
-          Printf.eprintf "planck-cli: cannot write %s\n" msg;
-          false)
-  in
-  if
-    probe metrics_out && probe journal_out && probe timeseries_out
-  then begin
-    if metrics_out <> None then Metrics.set_enabled Metrics.default true;
-    if journal_out <> None then Journal.set_enabled Journal.default true;
-    true
-  end
-  else false
-
-let telemetry_dump metrics_out =
-  Option.iter
-    (fun path ->
-      Export.write_file ~path (Export.metrics_json Metrics.default);
-      Printf.printf "wrote %d metrics to %s\n"
-        (Metrics.size Metrics.default)
-        path)
-    metrics_out
+(* The exit code of a body run under [Experiment.with_outputs]. *)
+let exit_code = function
+  | Ok code -> code
+  | Error msg ->
+      Printf.eprintf "planck-cli: %s\n" msg;
+      1
 
 (* ---- topology subcommand ---- *)
 
@@ -171,8 +136,11 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
   | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       1
-  | Ok workload, Ok scheme, Ok flow_table
-    when telemetry_setup ?journal_out ?timeseries_out metrics_out ->
+  | Ok workload, Ok scheme, Ok flow_table ->
+      exit_code
+      @@ Experiment.with_outputs ?metrics_out ?journal_out ?timeseries_out
+           ~timeseries_interval:(Time.us timeseries_interval_us)
+      @@ fun () ->
       if profile then Sampler.start ();
       let spec, sch =
         match scheme with
@@ -198,67 +166,10 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
                 | Testbed.Single_switch _ | Testbed.Jellyfish _ -> None);
             }
       in
-      (* Stream journal events to disk as they happen: the in-memory
-         ring is only a bounded tail, the NDJSON file is complete. *)
-      let journal_lines = ref 0 in
-      let journal_channel =
-        Option.map
-          (fun path ->
-            let oc = open_out path in
-            Journal.set_writer Journal.default
-              (Some
-                 (fun line ->
-                   incr journal_lines;
-                   output_string oc line;
-                   output_char oc '\n'));
-            oc)
-          journal_out
-      in
-      (* Ground-truth recording needs the testbed each run builds
-         internally, so it hooks in through the experiment observer. *)
-      let last_recorder = ref None in
-      if timeseries_out <> None then
-        Experiment.set_observer
-          (Some
-             (fun testbed deployed ->
-               let estimate =
-                 match deployed.Scheme.controller with
-                 | Some controller -> Controller.flow_rate controller
-                 | None -> fun _ -> None
-               in
-               let recorder =
-                 Recorder.create
-                   ~interval:(Time.us timeseries_interval_us)
-                   ~estimate testbed
-               in
-               last_recorder := Some recorder;
-               Some (fun flow -> Recorder.track_flow recorder flow)));
       let summaries =
         Experiment.repeat ~runs ~spec ~scheme:sch ~workload
           ~size:(size_mib * 1024 * 1024) ~flow_table ~horizon:(Time.s 600) ()
       in
-      Experiment.set_observer None;
-      (match journal_channel with
-      | Some oc ->
-          Journal.set_writer Journal.default None;
-          close_out oc;
-          Printf.printf "wrote %d journal events to %s\n" !journal_lines
-            (Option.get journal_out)
-      | None -> ());
-      Option.iter
-        (fun path ->
-          match !last_recorder with
-          | Some recorder ->
-              let ts = Recorder.timeseries recorder in
-              Export.write_file ~path (Timeseries.to_csv ts);
-              Printf.printf
-                "wrote %d time-series rows (%d series%s) to %s\n"
-                (List.length (Timeseries.rows ts))
-                (List.length (Timeseries.names ts))
-                (if runs > 1 then ", last run" else "")
-                path
-          | None -> ())
-        timeseries_out;
       let header =
         [ "run"; "avg_gbps"; "reroutes"; "all_completed"; "flows" ]
       in
@@ -285,34 +196,29 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
           (Experiment.mean_avg_goodput summaries)
       end;
       profile_report profile;
-      telemetry_dump metrics_out;
       0
-  | _ -> 1
 
 (* ---- capture subcommand ---- *)
 
 let capture output duration_ms seed metrics_out profile =
-  if not (telemetry_setup metrics_out) then 1
-  else begin
-    if profile then Sampler.start ();
-    let tb = Testbed.create (Testbed.paper_fat_tree ~seed ()) in
+  exit_code
+  @@ Experiment.with_outputs ?metrics_out
+  @@ fun () ->
+  if profile then Sampler.start ();
+  let tb = Testbed.create (Testbed.paper_fat_tree ~seed ()) in
   let collector =
     Collector.create tb.Testbed.engine ~switch:0 ~routing:tb.Testbed.routing
       ~link_rate:(Testbed.link_rate tb) ()
   in
   Collector.attach collector;
   Collector.capture collector ~capacity:8192;
-  (* Keep the snapshot files fresh while the capture runs: flush every
-     simulated millisecond on the engine's own clock. *)
-  (match metrics_out with
-  | Some path ->
-      let fl = Flusher.create ~outputs:[ Flusher.Metrics_json path ] () in
-      let (_ : Engine.Timer.t) =
-        Flusher.schedule fl ~period:(Time.ms 1)
-          ~every:(fun ~period f -> Engine.periodic tb.Testbed.engine ~period f)
-      in
-      ()
-  | None -> ());
+  (* Keep the snapshot file fresh while the capture runs: rewrite it
+     every simulated millisecond on the engine's own clock. *)
+  Option.iter
+    (fun path ->
+      Engine.every tb.Testbed.engine ~period:(Time.ms 1) (fun () ->
+          Export.write_file ~path (Export.metrics_json Metrics.default)))
+    metrics_out;
   (* Some background traffic through switch 0 (an edge switch). *)
   ignore
     (Planck_tcp.Flow.start ~src:tb.Testbed.endpoints.(0)
@@ -331,9 +237,7 @@ let capture output duration_ms seed metrics_out profile =
     (Collector.vantage_count collector)
     (String.length pcap) output;
   profile_report profile;
-  telemetry_dump metrics_out;
   0
-  end
 
 (* ---- inspect subcommand ---- *)
 

@@ -8,6 +8,10 @@ module Generate = Planck_workloads.Generate
 module Runner = Planck_workloads.Runner
 module Engine = Planck_netsim.Engine
 module Journal = Planck_telemetry.Journal
+module Metrics = Planck_telemetry.Metrics
+module Export = Planck_telemetry.Export
+module Timeseries = Planck_telemetry.Timeseries
+module Controller = Planck_controller.Controller
 
 type workload =
   | Stride of int
@@ -53,17 +57,19 @@ let pairs_for (testbed : Testbed.t) workload prng =
   | Shuffle _ -> invalid_arg "Experiment.pairs_for: shuffle is not pair-based"
   | Churn _ -> invalid_arg "Experiment.pairs_for: churn is not pair-based"
 
-(* Observability hook: the CLI and bench install an observer (e.g. one
-   that builds a Recorder on the fresh testbed) because every run
-   creates its testbed internally; the observer may return a per-flow
-   callback, threaded to the Runner. *)
-let observer :
+(* The observers [run] calls on each testbed it builds, outermost
+   first, since every run creates its testbed internally; each may
+   return a per-flow callback, threaded to the Runner. *)
+let observers :
     (Testbed.t -> Scheme.deployed -> (Planck_tcp.Flow.t -> unit) option)
-    option
+    list
     Atomic.t =
-  Atomic.make None
+  Atomic.make []
 
-let set_observer f = Atomic.set observer f
+let with_observer f body =
+  let outer = Atomic.get observers in
+  Atomic.set observers (outer @ [ f ]);
+  Fun.protect ~finally:(fun () -> Atomic.set observers outer) body
 
 let phase_marker testbed name detail =
   if Journal.enabled Journal.default then
@@ -84,9 +90,13 @@ let run ~spec ~scheme ~workload ~size ?(flow_table = Scheme.Exact) ?horizon
     (Printf.sprintf "%s / %s, %d B flows, seed %d" (workload_name workload)
        (Scheme.name scheme) size spec.Testbed.seed);
   let on_flow =
-    match Atomic.get observer with
-    | None -> None
-    | Some observe -> observe testbed deployed
+    match
+      List.filter_map
+        (fun observe -> observe testbed deployed)
+        (Atomic.get observers)
+    with
+    | [] -> None
+    | callbacks -> Some (fun flow -> List.iter (fun f -> f flow) callbacks)
   in
   let wl_prng = Prng.split testbed.Testbed.prng in
   let flows, host_done =
@@ -170,3 +180,88 @@ let repeat ~runs ~spec ~scheme ~workload ~size ?flow_table ?horizon () =
 
 let mean_avg_goodput summaries =
   Stats.mean (List.map (fun s -> s.avg_goodput_gbps) summaries)
+
+let with_outputs ?metrics_out ?journal_out ?timeseries_out
+    ?timeseries_interval body =
+  match
+    List.iter
+      (Option.iter (fun path -> Export.write_file ~path ""))
+      [ metrics_out; journal_out; timeseries_out ]
+  with
+  | exception Sys_error msg -> Error ("cannot write " ^ msg)
+  | () ->
+      let metrics_on = Metrics.enabled Metrics.default
+      and journal_on = Journal.enabled Journal.default in
+      if metrics_out <> None then Metrics.set_enabled Metrics.default true;
+      if journal_out <> None then Journal.set_enabled Journal.default true;
+      (* Stream journal events as they record: the in-memory ring is only
+         a bounded tail, the NDJSON file is complete. *)
+      let lines = ref 0 in
+      let channel =
+        Option.map
+          (fun path ->
+            let oc = open_out path in
+            Journal.set_writer Journal.default
+              (Some
+                 (fun line ->
+                   incr lines;
+                   output_string oc line;
+                   output_char oc '\n'));
+            oc)
+          journal_out
+      in
+      let recorders = ref 0 and last = ref None in
+      let record testbed (deployed : Scheme.deployed) =
+        let estimate =
+          Option.fold ~none:(fun _ -> None) ~some:Controller.flow_rate
+            deployed.Scheme.controller
+        in
+        let recorder =
+          Recorder.create ?interval:timeseries_interval ~estimate testbed
+        in
+        incr recorders;
+        last := Some recorder;
+        Some (Recorder.track_flow recorder)
+      in
+      let result =
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.set_enabled Metrics.default metrics_on;
+            Journal.set_enabled Journal.default journal_on;
+            Option.iter
+              (fun oc ->
+                Journal.set_writer Journal.default None;
+                close_out oc)
+              channel)
+          (fun () ->
+            if timeseries_out = None then body ()
+            else with_observer record body)
+      in
+      Option.iter
+        (fun path ->
+          Printf.printf "wrote %d journal events to %s\n%!" !lines path)
+        journal_out;
+      Option.iter
+        (fun path ->
+          match !last with
+          | None ->
+              Printf.printf
+                "no time-series recorded (nothing ran through \
+                 Experiment.run)\n%!"
+          | Some recorder ->
+              let ts = Recorder.timeseries recorder in
+              Export.write_file ~path (Timeseries.to_csv ts);
+              Printf.printf "wrote %d time-series rows (%d series%s) to %s\n%!"
+                (List.length (Timeseries.rows ts))
+                (List.length (Timeseries.names ts))
+                (if !recorders > 1 then ", last run" else "")
+                path)
+        timeseries_out;
+      Option.iter
+        (fun path ->
+          Export.write_file ~path (Export.metrics_json Metrics.default);
+          Printf.printf "wrote %d metrics to %s\n%!"
+            (Metrics.size Metrics.default)
+            path)
+        metrics_out;
+      Ok result

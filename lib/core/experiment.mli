@@ -27,14 +27,18 @@ type summary = {
   all_completed : bool;
 }
 
-val set_observer :
-  (Testbed.t -> Scheme.deployed -> (Planck_tcp.Flow.t -> unit) option) option ->
-  unit
-(** Install a process-wide observability hook. Because {!run} builds
-    its testbed internally, callers that want to record ground truth
-    (e.g. {!Recorder}) register an observer; it runs after the scheme
-    is deployed and may return a callback that sees every flow the
-    workload starts. [None] clears it. *)
+val with_observer :
+  (Testbed.t -> Scheme.deployed -> (Planck_tcp.Flow.t -> unit) option) ->
+  (unit -> 'a) ->
+  'a
+(** [with_observer f body] runs [body] with [f] watching every {!run}
+    it makes. Because {!run} builds its testbed internally, callers
+    that record ground truth (e.g. {!Recorder}) hook in here: [f] runs
+    after the scheme is deployed and may return a callback that sees
+    every flow the workload starts. An observer installed by an
+    enclosing [with_observer] keeps running beside [f] (it is called
+    first, and every returned callback runs); once [body] returns or
+    raises, it alone is installed again. *)
 
 val run :
   spec:Testbed.spec ->
@@ -64,3 +68,23 @@ val repeat :
 (** [runs] independent repetitions with seeds [spec.seed + i]. *)
 
 val mean_avg_goodput : summary list -> float
+
+val with_outputs :
+  ?metrics_out:string ->
+  ?journal_out:string ->
+  ?timeseries_out:string ->
+  ?timeseries_interval:Planck_util.Time.t ->
+  (unit -> 'a) ->
+  ('a, string) result
+(** The outputs behind the CLI's and the bench's [--metrics-out],
+    [--journal-out] and [--timeseries-out]. Each given path is
+    truncated first; one that cannot be written returns
+    [Error "cannot write <reason>"] before [body] runs. [body] then
+    runs with {!Planck_telemetry.Metrics.default} and
+    {!Planck_telemetry.Journal.default} enabled as asked (their flags
+    are restored afterwards), the journal streamed to [journal_out] as
+    NDJSON, and, for [timeseries_out], a {!Recorder} sampling every
+    [timeseries_interval] (default 500 us, estimates from the
+    controller's [flow_rate]) on every {!run}'s testbed. Then the
+    journal, the last run's time-series CSV and the metric snapshot
+    are written and each reported once on stdout, in that order. *)

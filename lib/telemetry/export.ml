@@ -1,5 +1,5 @@
-(* Snapshot writers: metric registries as JSON documents, and a tiny
-   file sink shared by the CLI/bench flags and the flusher. *)
+(* Snapshot writers: metric registries as JSON documents, and the tiny
+   file sink behind the CLI/bench output flags. *)
 
 let json_of_snapshot (s : Metrics.snapshot) =
   let base =

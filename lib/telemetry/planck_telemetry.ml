@@ -2,9 +2,9 @@
     registry ({!Metrics}), a correlated cross-layer event journal
     ({!Journal}) with its loop analyzer and Chrome [trace_event] view
     ({!Inspect}), a ground-truth time-series recorder ({!Timeseries}),
-    snapshot writers ({!Export}), periodic flushing ({!Flusher}), a
-    sim-time [Logs] reporter ({!Reporter}), and the self-contained JSON
-    codec they share ({!Json}).
+    snapshot writers ({!Export}), a sim-time [Logs] reporter
+    ({!Reporter}), and the self-contained JSON codec they share
+    ({!Json}).
 
     Instrumentation is compiled into the simulator's hot paths but
     guarded by per-registry enabled flags that default to off, so an
@@ -16,10 +16,8 @@
 
 module Json = Json
 module Metrics = Metrics
-module Bench_gate = Bench_gate
 module Journal = Journal
 module Timeseries = Timeseries
 module Inspect = Inspect
 module Export = Export
-module Flusher = Flusher
 module Reporter = Reporter

@@ -38,8 +38,7 @@ val start :
 (** [start t ~every ~clock] samples on the simulation clock:
     [every ~period:(interval t) (fun () -> sample t ~now:(clock ()))].
     The scheduler is passed as a capability because telemetry sits below
-    netsim in the dependency graph (same pattern as
-    {!Flusher.schedule}). *)
+    netsim in the dependency graph. *)
 
 val rows : t -> (Time.t * float array) list
 (** Sampled rows, oldest first. Arrays are as wide as the series list

@@ -437,22 +437,20 @@ let journal_tap_allocates_nothing () =
   let module Te = Planck_controller.Te in
   let run ~journal =
     let collectors = ref [] in
-    Experiment.set_observer
-      (Some
-         (fun tb (deployed : Scheme.deployed) ->
-           Testbed.observe tb;
-           Option.iter
-             (fun c -> collectors := Planck_controller.Controller.collectors c)
-             deployed.Scheme.controller;
-           None));
     Journal.clear Journal.default;
     Journal.set_enabled Journal.default journal;
     Fun.protect
       ~finally:(fun () ->
-        Experiment.set_observer None;
         Journal.set_enabled Journal.default false;
         Journal.clear Journal.default)
       (fun () ->
+        Experiment.with_observer
+          (fun _ (deployed : Scheme.deployed) ->
+            Option.iter
+              (fun c -> collectors := Planck_controller.Controller.collectors c)
+              deployed.Scheme.controller;
+            None)
+        @@ fun () ->
         let before = Gc.minor_words () in
         let summary =
           Experiment.run ~spec:(Planck.Testbed.paper_fat_tree ())

@@ -77,6 +77,130 @@ let experiment_bookkeeping () =
     (summary.Experiment.avg_goodput_gbps > 1.0
     && summary.Experiment.avg_goodput_gbps <= 10.0)
 
+(* Observers nest: the inner one runs beside the outer (outer first,
+   both per-flow callbacks fire) and leaving each body reinstalls what
+   was there before. *)
+let observers_nest () =
+  let seen = ref [] and flows = ref [] in
+  let observer name tb _ =
+    seen := (name, tb) :: !seen;
+    Some (fun _ -> flows := name :: !flows)
+  in
+  let run () =
+    seen := [];
+    flows := [];
+    ignore
+      (Experiment.run
+         ~spec:(Testbed.optimal ~hosts:2 ())
+         ~scheme:Scheme.Static ~workload:(Experiment.Stride 1)
+         ~size:(64 * 1024) ~horizon:(Time.s 1) ());
+    List.rev_map fst !seen
+  in
+  let names = Alcotest.(list string) in
+  Experiment.with_observer (observer "outer") (fun () ->
+      Experiment.with_observer (observer "inner") (fun () ->
+          Alcotest.check names "both observe, outer first" [ "outer"; "inner" ]
+            (run ());
+          (match !seen with
+          | [ (_, a); (_, b) ] ->
+              Alcotest.(check bool) "one testbed" true (a == b)
+          | _ -> Alcotest.fail "expected two observations");
+          Alcotest.check names "every flow callback runs"
+            [ "outer"; "inner"; "outer"; "inner" ]
+            (List.rev !flows));
+      Alcotest.check names "outer reinstalled" [ "outer" ] (run ()));
+  Alcotest.check names "none left" [] (run ())
+
+(* Run [f] with stdout sent to a file; return its result and what it
+   printed. *)
+let with_stdout f =
+  let path = Filename.temp_file "planck_stdout" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let printed = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (result, printed)
+
+let outputs_written () =
+  let module Journal = Planck_telemetry.Journal in
+  let module Metrics = Planck_telemetry.Metrics in
+  let module Json = Planck_telemetry.Json in
+  let tmp ext = Filename.temp_file "planck_outputs" ext in
+  let journal = tmp ".ndjson" and series = tmp ".csv" and metrics = tmp ".json" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let result, printed =
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.reset Metrics.default;
+        Journal.clear Journal.default)
+      (fun () ->
+        with_stdout (fun () ->
+            Experiment.with_outputs ~metrics_out:metrics ~journal_out:journal
+              ~timeseries_out:series (fun () ->
+                Experiment.run ~spec:(Testbed.paper_fat_tree ())
+                  ~scheme:Scheme.planck_te_default
+                  ~workload:(Experiment.Stride 8) ~size:(1024 * 1024) ())))
+  in
+  Alcotest.(check bool) "ran" true (Result.is_ok result);
+  Alcotest.(check bool) "flags restored" false
+    (Journal.enabled Journal.default || Metrics.enabled Metrics.default);
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (read journal))
+  in
+  let printed_count =
+    List.find_map
+      (fun line ->
+        Scanf.sscanf_opt line "wrote %d journal events to %s" (fun n p ->
+            if p = journal then Some n else None)
+        |> Option.join)
+      (String.split_on_char '\n' printed)
+  in
+  Alcotest.(check (option int)) "printed journal count"
+    (Some (List.length lines)) printed_count;
+  List.iter
+    (fun line ->
+      match Result.bind (Json.of_string line) Journal.event_of_json with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "journal line %S: %s" line e)
+    lines;
+  (match Planck_telemetry.Timeseries.of_csv (read series) with
+  | Ok (names, rows) ->
+      Alcotest.(check bool) "time-series has rows and est: columns" true
+        (rows <> []
+        && List.exists (fun n -> String.starts_with ~prefix:"est:" n) names)
+  | Error e -> Alcotest.failf "time-series CSV: %s" e);
+  (match Json.of_string (read metrics) with
+  | Ok doc ->
+      Alcotest.(check bool) "metrics snapshot" true
+        (match Option.bind (Json.member doc "metrics") Json.to_list_opt with
+        | Some (_ :: _) -> true
+        | _ -> false)
+  | Error e -> Alcotest.failf "metrics JSON: %s" e);
+  List.iter Sys.remove [ journal; series; metrics ];
+  let ran = ref false in
+  let not_a_dir = tmp ".d" in
+  let bad = Filename.concat not_a_dir "journal.ndjson" in
+  (match
+     Experiment.with_outputs ~journal_out:bad (fun () -> ran := true)
+   with
+  | Ok () -> Alcotest.fail "unwritable journal path accepted"
+  | Error msg ->
+      Alcotest.(check bool) "names the path" true
+        (String.starts_with ~prefix:("cannot write " ^ bad) msg));
+  Sys.remove not_a_dir;
+  Alcotest.(check bool) "body not run" false !ran
+
 let scalability_guards () =
   Alcotest.check_raises "odd k" (Invalid_argument "x") (fun () ->
       try ignore (Scalability.fat_tree_plan ~k:7)
@@ -96,5 +220,7 @@ let tests =
       scheme_deployment_shapes;
     case "workload names" `Quick workload_names;
     case "experiment bookkeeping" `Quick experiment_bookkeeping;
+    case "observers nest" `Quick observers_nest;
+    case "outputs written and counted" `Quick outputs_written;
     case "scalability guards" `Quick scalability_guards;
   ]

@@ -5,7 +5,7 @@
    acceptance witness), and PLANCK_BENCH_NO_GATE must report without
    enforcing. *)
 
-module Gate = Planck_telemetry.Bench_gate
+module Gate = Bench_gate
 module Json = Planck_telemetry.Json
 
 let r ?ns id = { Gate.id; name = id; ns_per_op = ns }

@@ -252,41 +252,39 @@ let test_no_cmt_fails () =
 (* ---- the repo is lint-clean ---- *)
 
 let test_repo_clean () =
-  (* Tests run from _build/default/test; walk up to the repo root, which
-     is where dune places the source copies of lib/. *)
+  (* The build root, where dune places the source copies of lib/. *)
   let cwd = Sys.getcwd () in
-  let root = Filename.dirname cwd in
-  if Sys.file_exists (Filename.concat root "lib") then
-    Fun.protect
-      ~finally:(fun () -> Sys.chdir cwd)
-      (fun () ->
-        Sys.chdir root;
-        (* The build tree's own .cmt files, the same configuration CI
-           enforces. Dead-export needs bin/bench cmts for references,
-           which a bare runtest need not have built, so it stays off
-           here (and its baseline entries are not judged stale). The
-           domain tier always runs, so the committed baseline (which
-           absorbs the justified singletons) applies, and every entry
-           must still match a finding. *)
-        let opts =
-          {
-            Engine.cmt_dirs = [ "." ];
-            baseline_file = Some "tools/lint/lint_baseline.txt";
-            dead_export = false;
-            shared_state_out = None;
-          }
-        in
-        let r = Engine.lint_paths opts [ "lib" ] in
-        Alcotest.(check (list string)) "no unsuppressed findings in lib/" []
-          (List.map
-             (fun f ->
-               Printf.sprintf "%s:%d [%s]" f.Finding.file f.Finding.line
-                 f.Finding.rule)
-             r.Engine.kept);
-        Alcotest.(check bool) "indexed the build tree" true
-          (r.Engine.typed_units > 20);
-        Alcotest.(check bool) "linted a non-trivial tree" true
-          (r.Engine.files_linted > 20))
+  let root = Test_lint_deep.build_root () in
+  Fun.protect
+    ~finally:(fun () -> Sys.chdir cwd)
+    (fun () ->
+      Sys.chdir root;
+      (* The build tree's own .cmt files, the same configuration CI
+         enforces. Dead-export needs bin/bench cmts for references,
+         which a bare runtest need not have built, so it stays off
+         here (and its baseline entries are not judged stale). The
+         domain tier always runs, so the committed baseline (which
+         absorbs the justified singletons) applies, and every entry
+         must still match a finding. *)
+      let opts =
+        {
+          Engine.cmt_dirs = [ "." ];
+          baseline_file = Some "tools/lint/lint_baseline.txt";
+          dead_export = false;
+          shared_state_out = None;
+        }
+      in
+      let r = Engine.lint_paths opts [ "lib" ] in
+      Alcotest.(check (list string)) "no unsuppressed findings in lib/" []
+        (List.map
+           (fun f ->
+             Printf.sprintf "%s:%d [%s]" f.Finding.file f.Finding.line
+               f.Finding.rule)
+           r.Engine.kept);
+      Alcotest.(check bool) "indexed the build tree" true
+        (r.Engine.typed_units > 20);
+      Alcotest.(check bool) "linted a non-trivial tree" true
+        (r.Engine.files_linted > 20))
 
 let tests =
   [

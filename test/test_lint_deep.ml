@@ -57,52 +57,61 @@ let test_hot_reachability () =
     (String.length chain >= String.length "Fix.ingress"
     && String.sub chain 0 (String.length "Fix.ingress") = "Fix.ingress")
 
+(* The repo self-checks read the build tree: dune runs them from
+   _build/default/test, whose parent holds the copies of lib/ and the
+   .cmt files. Run from anywhere else they fail and name the directory
+   they expected, rather than pass without checking anything. *)
+let build_root () =
+  let root = Filename.dirname (Sys.getcwd ()) in
+  if not (Sys.file_exists (Filename.concat root "lib")) then
+    Alcotest.failf
+      "expected the build tree at %s (run from _build/default/test, as \
+       dune runtest does)"
+      root;
+  root
+
+(* The build tree's .cmt index; an empty one fails the same way. *)
+let build_index () =
+  let root = build_root () in
+  let ix = Index.load ~dirs:[ root ] in
+  if Index.unit_count ix = 0 then
+    Alcotest.failf "no .cmt files under %s (build first)" root;
+  ix
+
 (* The acceptance witness: with the repo's real cmt artifacts, the hot
    closure reaches [Planck_util__Heap.add] through the engine/timer
    wheel — a function the old hot-dir x hot-stem heuristic could never
-   flag (lib/util/ was not a hot dir). Runs only when the build tree is
-   around (same convention as test_lint's repo-clean check). *)
+   flag (lib/util/ was not a hot dir). *)
 let test_hot_includes_heap_add () =
-  let cwd = Sys.getcwd () in
-  let root = Filename.dirname cwd in
-  if Sys.file_exists (Filename.concat root "lib") then begin
-    let ix = Index.load ~dirs:[ root ] in
-    if Index.unit_count ix > 0 then begin
-      let t = Deep.prepare ix in
-      Alcotest.(check bool)
-        "Heap.add is hot via the timer wheel" true
-        (Deep.is_hot t "Planck_util__Heap.add");
-      (* Heap.add is not itself a root, so the witness chain must show a
-         genuine transitive step from one. *)
-      let chain = Deep.hot_chain t "Planck_util__Heap.add" in
-      Alcotest.(check bool)
-        "witness chain is transitive" true
-        (let sub = " -> " in
-         let n = String.length chain and m = String.length sub in
-         let rec scan i =
-           i + m <= n && (String.sub chain i m = sub || scan (i + 1))
-         in
-         scan 0);
-      Alcotest.(check bool)
-        "old heuristic scope did not cover lib/util" false
-        (List.mem "Planck_util__Heap.add" Deep.default_hot_roots)
-    end
-  end
+  let t = Deep.prepare (build_index ()) in
+  Alcotest.(check bool)
+    "Heap.add is hot via the timer wheel" true
+    (Deep.is_hot t "Planck_util__Heap.add");
+  (* Heap.add is not itself a root, so the witness chain must show a
+     genuine transitive step from one. *)
+  let chain = Deep.hot_chain t "Planck_util__Heap.add" in
+  Alcotest.(check bool)
+    "witness chain is transitive" true
+    (let sub = " -> " in
+     let n = String.length chain and m = String.length sub in
+     let rec scan i =
+       i + m <= n && (String.sub chain i m = sub || scan (i + 1))
+     in
+     scan 0);
+  Alcotest.(check bool)
+    "old heuristic scope did not cover lib/util" false
+    (List.mem "Planck_util__Heap.add" Deep.default_hot_roots)
 
 (* A root missing from the index contributes nothing, so a renamed or
    deleted entry point would silently drop its whole path out of the
    hot set. Every default root must name a real definition. *)
 let test_hot_roots_resolve () =
-  let root = Filename.dirname (Sys.getcwd ()) in
-  if Sys.file_exists (Filename.concat root "lib") then begin
-    let ix = Index.load ~dirs:[ root ] in
-    if Index.unit_count ix > 0 then
-      Alcotest.(check (list string))
-        "hot roots missing from the index" []
-        (List.filter
-           (fun r -> Option.is_none (Index.find_def ix r))
-           Deep.default_hot_roots)
-  end
+  let ix = build_index () in
+  Alcotest.(check (list string))
+    "hot roots missing from the index" []
+    (List.filter
+       (fun r -> Option.is_none (Index.find_def ix r))
+       Deep.default_hot_roots)
 
 (* ---- type-aware poly-compare ---- *)
 

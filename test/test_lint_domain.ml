@@ -259,35 +259,30 @@ let test_inventory_round_trip () =
 
 (* ---- repo self-check ----
 
-   With the real build tree around, the committed inventory must match
-   what the tier computes from the current cmts — converting a ref to
-   Atomic (or adding shared state) without regenerating
-   tools/lint/shared_state.txt fails here. Same build-tree convention
-   as test_lint's repo-clean check. *)
+   The committed inventory must match what the tier computes from the
+   build tree's cmts — converting a ref to Atomic (or adding shared
+   state) without regenerating tools/lint/shared_state.txt fails
+   here. *)
 let test_committed_inventory_current () =
-  let root = Filename.dirname (Sys.getcwd ()) in
-  let committed = Filename.concat root "tools/lint/shared_state.txt" in
-  if Sys.file_exists (Filename.concat root "lib") && Sys.file_exists committed
-  then begin
-    let ix = Index.load ~dirs:[ root ] in
-    if Index.unit_count ix > 0 then begin
-      let t = Deep.prepare ix in
-      let computed =
-        List.map
-          (fun e -> (Dom.class_label e.Dom.e_class, e.Dom.e_id))
-          (Dom.inventory t)
-      in
-      let loaded =
-        match Dom.load_inventory committed with
-        | Ok pairs -> pairs
-        | Error e -> Alcotest.failf "committed inventory unreadable: %s" e
-      in
-      Alcotest.(check (list (pair string string)))
-        "tools/lint/shared_state.txt is current (regenerate with \
-         planck_lint --shared-state-out)"
-        computed loaded
-    end
-  end
+  let ix = Test_lint_deep.build_index () in
+  let committed =
+    Filename.concat (Test_lint_deep.build_root ()) "tools/lint/shared_state.txt"
+  in
+  let t = Deep.prepare ix in
+  let computed =
+    List.map
+      (fun e -> (Dom.class_label e.Dom.e_class, e.Dom.e_id))
+      (Dom.inventory t)
+  in
+  let loaded =
+    match Dom.load_inventory committed with
+    | Ok pairs -> pairs
+    | Error e -> Alcotest.failf "committed inventory unreadable: %s" e
+  in
+  Alcotest.(check (list (pair string string)))
+    "tools/lint/shared_state.txt is current (regenerate with \
+     planck_lint --shared-state-out)"
+    computed loaded
 
 let tests =
   [

@@ -1,7 +1,7 @@
 (* Tests for Planck_telemetry: the metric registry, JSON codec, the
-   journal and its loop analyzer and Chrome view, time-series,
-   exporters, and the flusher, plus the engine wiring into the
-   process-wide default registry. *)
+   journal and its loop analyzer and Chrome view, time-series and
+   exporters, plus the engine wiring into the process-wide default
+   registry. *)
 
 module Time = Planck_util.Time
 module Json = Planck_telemetry.Json
@@ -10,7 +10,6 @@ module Journal = Planck_telemetry.Journal
 module Timeseries = Planck_telemetry.Timeseries
 module Inspect = Planck_telemetry.Inspect
 module Export = Planck_telemetry.Export
-module Flusher = Planck_telemetry.Flusher
 module Engine = Planck_netsim.Engine
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -863,72 +862,6 @@ let export_shapes () =
             [ "counter"; "gauge"; "histogram" ]
             kinds)
 
-let flusher_writes_and_schedules () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter ~registry:reg ~subsystem:"f" ~name:"c" () in
-  Metrics.Counter.add c 7;
-  let path = Filename.temp_file "planck_metrics" ".json" in
-  let fl = Flusher.create ~registry:reg ~outputs:[ Flusher.Metrics_json path ] () in
-  (* Drive it from a real engine through the scheduler capability. *)
-  let engine = Engine.create () in
-  Flusher.schedule fl ~period:(Time.ms 1)
-    ~every:(fun ~period f -> Engine.every engine ~period f);
-  Engine.run ~until:(Time.ms 5) engine;
-  Alcotest.(check int) "flushed once per period" 5 (Flusher.flushes fl);
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  Sys.remove path;
-  (match Json.of_string contents with
-  | Error e -> Alcotest.failf "flushed file invalid: %s" e
-  | Ok _ -> ());
-  Alcotest.check_raises "non-positive period rejected"
-    (Invalid_argument "Flusher.schedule: period must be positive") (fun () ->
-      Flusher.schedule fl ~period:0 ~every:(fun ~period:_ _ -> ()))
-
-let flusher_final_flush_captures_end_state () =
-  (* Metrics bumped after the last scheduled flush would be lost if the
-     run did not end with an explicit flush: the snapshot file must
-     reflect the final value after it. *)
-  let reg = Metrics.create () in
-  let c = Metrics.counter ~registry:reg ~subsystem:"f" ~name:"c" () in
-  let path = Filename.temp_file "planck_final" ".json" in
-  let fl =
-    Flusher.create ~registry:reg ~outputs:[ Flusher.Metrics_json path ] ()
-  in
-  let engine = Engine.create () in
-  Flusher.schedule fl ~period:(Time.ms 1)
-    ~every:(fun ~period f -> Engine.every engine ~period f);
-  Engine.schedule engine ~delay:(Time.us 2500) (fun () ->
-      Metrics.Counter.add c 5);
-  Engine.run ~until:(Time.us 2600) engine;
-  let value_on_disk () =
-    let ic = open_in path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Json.of_string contents with
-    | Error e -> Alcotest.failf "snapshot invalid: %s" e
-    | Ok doc ->
-        let rows =
-          Option.value ~default:[]
-            (Option.bind (Json.member doc "metrics") Json.to_list_opt)
-        in
-        List.find_map
-          (fun r ->
-            match Option.bind (Json.member r "name") Json.to_string_opt with
-            | Some "c" -> Option.bind (Json.member r "value") Json.to_int_opt
-            | _ -> None)
-          rows
-  in
-  Alcotest.(check int) "two periodic flushes" 2 (Flusher.flushes fl);
-  Alcotest.(check (option int))
-    "last periodic snapshot predates the bump" (Some 0) (value_on_disk ());
-  Flusher.flush fl;
-  Alcotest.(check (option int))
-    "final flush captures end-of-run state" (Some 5) (value_on_disk ());
-  Sys.remove path
-
 (* ---- engine wiring into the default registry ---- *)
 
 let engine_default_registry () =
@@ -988,10 +921,6 @@ let tests =
     Alcotest.test_case "chrome ts round-trips exactly" `Quick
       chrome_ts_roundtrip_exact;
     Alcotest.test_case "export metrics JSON shape" `Quick export_shapes;
-    Alcotest.test_case "flusher writes and schedules" `Quick
-      flusher_writes_and_schedules;
-    Alcotest.test_case "flusher final flush captures end state" `Quick
-      flusher_final_flush_captures_end_state;
     Alcotest.test_case "engine feeds the default registry" `Quick
       engine_default_registry;
     Alcotest.test_case "journal disabled flag and corr minting" `Quick

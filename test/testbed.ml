@@ -96,13 +96,12 @@ let check_buffers switches =
    A body that raises skips the audit. *)
 let audit f =
   audited := [];
-  Planck.Experiment.set_observer
-    (Some
-       (fun tb _ ->
-         observe tb;
-         None));
   let result =
-    Fun.protect ~finally:(fun () -> Planck.Experiment.set_observer None) f
+    Planck.Experiment.with_observer
+      (fun tb _ ->
+        observe tb;
+        None)
+      f
   in
   let switches = !audited in
   audited := [];
