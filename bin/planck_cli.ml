@@ -136,6 +136,15 @@ let run_experiment () workload_name scheme_name flow_table_name size_mib runs
   | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       1
+  | Ok _, Ok _, Ok _
+    when Option.is_some timeseries_out
+         && Option.fold ~none:false ~some:(fun n -> n > 1) shards ->
+      (* Refused before [with_outputs] opens (and truncates) any path:
+         the recorder samples every flow, and a flow on another shard's
+         domain cannot be read while that domain runs. *)
+      prerr_endline
+        "planck-cli: --timeseries-out needs --shards 1 or no --shards";
+      1
   | Ok workload, Ok scheme, Ok flow_table ->
       exit_code
       @@ Experiment.with_outputs ?metrics_out ?journal_out ?timeseries_out

@@ -35,7 +35,9 @@ let emit t ~seq ~time =
   if time > t.anchor_time && seq > t.anchor_seq then begin
     let raw = Rate.of_bytes_per (seq - t.anchor_seq) (time - t.anchor_time) in
     let rate =
-      match t.max_rate with None -> raw | Some cap -> min raw cap
+      match t.max_rate with
+      | None -> raw
+      | Some cap -> if raw <= cap then raw else cap
     in
     t.estimate <- Some rate;
     t.estimate_at <- Some time;

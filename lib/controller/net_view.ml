@@ -18,6 +18,9 @@ type t = {
   routing : Routing.t;
   flow_timeout : Time.t;
   flows : flow Flow_key.Table.t;
+  (* [flows] in ascending key order, or [None] once [observe] or
+     [expire] has changed which flows there are. *)
+  mutable sorted : flow list option;
   (* Paths are static per (src, mac); memoize the link lists. *)
   path_cache : (int * Mac.t, (int * int) list) Hashtbl.t;
 }
@@ -27,6 +30,7 @@ let create routing ~flow_timeout =
     routing;
     flow_timeout;
     flows = Flow_key.Table.create 64;
+    sorted = None;
     path_cache = Hashtbl.create 256;
   }
 
@@ -52,15 +56,34 @@ let observe t ~now ~key ~rate ~dst_mac =
         }
       in
       Flow_key.Table.replace t.flows key flow;
+      t.sorted <- None;
       flow
 
+(* The flows in key order, sorted once per change of membership. Float
+   addition is order-sensitive, so link loads sum over the flows in this
+   order: in hash order the load (and reroute choices near the
+   threshold) would be nondeterministic. *)
+let sorted_flows t =
+  match t.sorted with
+  | Some flows -> flows
+  | None ->
+      let flows =
+        Flow_key.Table.fold_sorted (fun _ flow acc -> flow :: acc) t.flows []
+        |> List.rev
+      in
+      t.sorted <- Some flows;
+      flows
+
 let expire t ~now =
-  let dead = ref [] in
-  Flow_key.Table.iter_sorted
-    (fun key flow ->
-      if now - flow.last_heard > t.flow_timeout then dead := key :: !dead)
-    t.flows;
-  List.iter (Flow_key.Table.remove t.flows) !dead
+  match
+    List.filter
+      (fun flow -> now - flow.last_heard > t.flow_timeout)
+      (sorted_flows t)
+  with
+  | [] -> ()
+  | dead ->
+      List.iter (fun flow -> Flow_key.Table.remove t.flows flow.key) dead;
+      t.sorted <- None
 
 let size t = Flow_key.Table.length t.flows
 
@@ -82,20 +105,22 @@ let path_links t flow =
   | None -> []
   | Some src -> links_for t ~src ~dst_mac:flow.dst_mac
 
+let rec crosses sw port = function
+  | [] -> false
+  | (s, p) :: rest -> (s = sw && p = port) || crosses sw port rest
+
 let bottleneck t ~capacity ~exclude ~links =
   match links with
   | [] -> 0.0
   | links ->
-      (* Sorted fold: float addition is order-sensitive, so summing in
-         hash order would make the load (and reroute choices near the
-         threshold) nondeterministic. *)
-      let load link =
-        Flow_key.Table.fold_sorted
-          (fun _ flow acc ->
+      let flows = sorted_flows t in
+      let load (sw, port) =
+        List.fold_left
+          (fun acc flow ->
             if flow == exclude then acc
-            else if List.mem link (path_links t flow) then acc +. flow.rate
+            else if crosses sw port (path_links t flow) then acc +. flow.rate
             else acc)
-          t.flows 0.0
+          0.0 flows
       in
       List.fold_left
         (fun acc link -> min acc (capacity -. load link))

@@ -39,8 +39,8 @@ let try_alloc t ~port ~bytes_ =
   let cap_ok =
     match t.caps.(port) with None -> true | Some c -> new_used <= c
   in
-  let shared_before = max 0 (used - t.reservation) in
-  let shared_after = max 0 (new_used - t.reservation) in
+  let shared_before = Int.max 0 (used - t.reservation) in
+  let shared_after = Int.max 0 (new_used - t.reservation) in
   let demand = shared_after - shared_before in
   let remaining = shared_capacity t - t.shared in
   let dt_ok =
@@ -60,8 +60,8 @@ let release t ~port ~bytes_ =
   if bytes_ < 0 then invalid_arg "Buffer_pool.release: negative size";
   let used = t.per_port.(port) in
   if bytes_ > used then invalid_arg "Buffer_pool.release: over-release";
-  let shared_before = max 0 (used - t.reservation) in
-  let shared_after = max 0 (used - bytes_ - t.reservation) in
+  let shared_before = Int.max 0 (used - t.reservation) in
+  let shared_after = Int.max 0 (used - bytes_ - t.reservation) in
   t.shared <- t.shared - (shared_before - shared_after);
   t.per_port.(port) <- used - bytes_
 

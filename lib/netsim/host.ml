@@ -90,7 +90,7 @@ let send t packet =
   let now = Engine.now t.engine in
   run_traces t.send_traces now packet;
   let delay = uniform_delay t t.stack.send_delay_min t.stack.send_delay_max in
-  let ready = max (now + delay) (t.last_send_ready + 1) in
+  let ready = Int.max (now + delay) (t.last_send_ready + 1) in
   t.last_send_ready <- ready;
   Fifo.push t.pending_sends ~key:ready packet;
   if not (Engine.Timer.pending t.send_timer) then
@@ -224,7 +224,7 @@ let ingress t packet =
     let delay =
       uniform_delay t t.stack.recv_delay_min t.stack.recv_delay_max
     in
-    let ready = max (now + delay) (t.last_recv_ready + 1) in
+    let ready = Int.max (now + delay) (t.last_recv_ready + 1) in
     t.last_recv_ready <- ready;
     Fifo.push t.pending_recvs ~key:ready packet;
     if not (Engine.Timer.pending t.recv_timer) then

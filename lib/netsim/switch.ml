@@ -2,6 +2,7 @@ module Time = Planck_util.Time
 module Rate = Planck_util.Rate
 module Heap = Planck_util.Heap
 module Prng = Planck_util.Prng
+module Int_table = Planck_util.Int_table
 module Packet = Planck_packet.Packet
 module Mac = Planck_packet.Mac
 module Metrics = Planck_telemetry.Metrics
@@ -60,8 +61,10 @@ type t = {
   buffer : Buffer_pool.t;
   tx : Txport.t option array;
   counters : counters array;
-  fdb : (Mac.t, int) Hashtbl.t;
-  rewrites : (Mac.t, Mac.t) Hashtbl.t;
+  (* MAC -> egress port and shadow MAC -> base MAC, keyed by the MAC's
+     int: every frame-hop looks its destination up in both. *)
+  fdb : Int_table.t;
+  rewrites : Int_table.t;
   flow_rewrites : Mac.t Planck_packet.Flow_key.Table.t;
   mutable forward_taps :
     (in_port:int -> out_port:int -> Packet.t -> unit) list;
@@ -130,12 +133,19 @@ let connect t ~port ~rate ~prop_delay ?handoff ~deliver () =
 
 let add_route t mac port =
   check_port t port "add_route";
-  Hashtbl.replace t.fdb mac port
+  Int_table.replace t.fdb (Mac.to_int mac) port
 
-let remove_route t mac = Hashtbl.remove t.fdb mac
-let route t mac = Hashtbl.find_opt t.fdb mac
-let route_count t = Hashtbl.length t.fdb
-let add_rewrite t ~from_mac ~to_mac = Hashtbl.replace t.rewrites from_mac to_mac
+let reserve_routes t n = Int_table.reserve t.fdb n
+let remove_route t mac = Int_table.remove t.fdb (Mac.to_int mac)
+
+let route t mac =
+  let port = Int_table.find t.fdb (Mac.to_int mac) in
+  if port < 0 then None else Some port
+
+let route_count t = Int_table.length t.fdb
+
+let add_rewrite t ~from_mac ~to_mac =
+  Int_table.replace t.rewrites (Mac.to_int from_mac) (Mac.to_int to_mac)
 
 let add_flow_rewrite t ~key ~to_mac =
   Planck_packet.Flow_key.Table.replace t.flow_rewrites key to_mac
@@ -249,21 +259,19 @@ let forward t ~in_port packet =
           | None -> packet
           | Some to_mac -> Packet.with_dst_mac packet to_mac)
   in
-  (* The FDB lookup hits on every routable frame, so it uses [find]
-     with a [Not_found] handler rather than [find_opt]: no [Some] per
+  (* Both lookups return -1 on a miss: no option and no exception per
      frame. Only destination edge switches hold shadow->base rewrite
-     rules; elsewhere the lookup is skipped, and where it runs it
-     usually misses, where [find_opt] allocates nothing and raises
-     nothing. *)
-  match Hashtbl.find t.fdb (Packet.dst_mac packet) with
-  | exception Not_found -> t.unroutable <- t.unroutable + 1
+     rules; elsewhere the rewrite lookup is skipped. *)
+  let dst = Mac.to_int (Packet.dst_mac packet) in
+  match Int_table.find t.fdb dst with
+  | -1 -> t.unroutable <- t.unroutable + 1
   | out_port ->
       let outgoing =
-        if Hashtbl.length t.rewrites = 0 then packet
+        if Int_table.length t.rewrites = 0 then packet
         else
-          match Hashtbl.find_opt t.rewrites (Packet.dst_mac packet) with
-          | None -> packet
-          | Some to_mac -> Packet.with_dst_mac packet to_mac
+          match Int_table.find t.rewrites dst with
+          | -1 -> packet
+          | to_mac -> Packet.with_dst_mac packet (Mac.of_int to_mac)
       in
       run_taps t.forward_taps ~in_port ~out_port packet;
       enqueue t ~port:out_port ~cls:0 ~mirror:false outgoing;
@@ -379,8 +387,8 @@ let create engine ~name ~ports ~config ?prng () =
       counters =
         Array.init ports (fun _ ->
             { rx_packets = 0; rx_bytes = 0; data_drops = 0; mirror_drops = 0 });
-      fdb = Hashtbl.create 64;
-      rewrites = Hashtbl.create 16;
+      fdb = Int_table.create ();
+      rewrites = Int_table.create ();
       flow_rewrites = Planck_packet.Flow_key.Table.create 16;
       forward_taps = [];
       monitor = None;

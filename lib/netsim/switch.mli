@@ -99,6 +99,10 @@ val add_route : t -> Planck_packet.Mac.t -> int -> unit
 (** [add_route t mac port]: frames destined to [mac] leave via [port].
     Replaces any existing entry. *)
 
+val reserve_routes : t -> int -> unit
+(** [reserve_routes t n] sizes the forwarding table for [n] routes in
+    all, so installing them does not regrow it route by route. *)
+
 val remove_route : t -> Planck_packet.Mac.t -> unit
 val route : t -> Planck_packet.Mac.t -> int option
 val route_count : t -> int

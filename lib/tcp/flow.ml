@@ -81,6 +81,11 @@ type t = {
 let clock_granularity = 0.001 (* seconds *)
 let max_rto = Time.s 60
 
+(* Stdlib's [max] and [min] on floats, NaN cases included, with the
+   comparison typed: a float compare, not the polymorphic runtime one. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 (* CUBIC constants (Ha, Rhee, Xu): scaling factor and multiplicative
    decrease, as in Linux. *)
 let cubic_c = 0.4
@@ -156,14 +161,14 @@ let flight t = t.snd_nxt - t.snd_una
 let sacked_bytes_in t a b =
   List.fold_left
     (fun acc (x, y) ->
-      let x = max x a and y = min y b in
+      let x = Int.max x a and y = Int.min y b in
       if y > x then acc + (y - x) else acc)
     0 t.sacked
 
 let sacked_bytes t = sacked_bytes_in t t.snd_una t.snd_max
 
 let highest_sacked t =
-  List.fold_left (fun acc (_, b) -> max acc b) t.snd_una t.sacked
+  List.fold_left (fun acc (_, b) -> Int.max acc b) t.snd_una t.sacked
 
 let lost_cutoff t = highest_sacked t - (3 * t.params.mss)
 
@@ -174,7 +179,7 @@ let unsacked_bytes_in t a b =
    SACKed bytes minus estimated-lost bytes not yet retransmitted. *)
 let pipe t =
   let lost_unretx =
-    unsacked_bytes_in t (max t.snd_una t.retx_next) (lost_cutoff t)
+    unsacked_bytes_in t (Int.max t.snd_una t.retx_next) (lost_cutoff t)
   in
   flight t - sacked_bytes t - lost_unretx
 
@@ -182,18 +187,18 @@ let prune_sacked t =
   t.sacked <-
     List.filter_map
       (fun (a, b) ->
-        if b <= t.snd_una then None else Some (max a t.snd_una, b))
+        if b <= t.snd_una then None else Some (Int.max a t.snd_una, b))
       t.sacked
 
 (* Lowest estimated-lost, not-yet-retransmitted hole. *)
 let next_hole t =
-  let start = max t.snd_una t.retx_next in
-  let cutoff = min (lost_cutoff t) t.recover in
+  let start = Int.max t.snd_una t.retx_next in
+  let cutoff = Int.min (lost_cutoff t) t.recover in
   let rec scan p = function
     | [] -> if p < cutoff then Some p else None
     | (a, b) :: rest ->
         if p < a then if p < cutoff then Some p else None
-        else scan (max p b) rest
+        else scan (Int.max p b) rest
   in
   scan start t.sacked
 
@@ -205,7 +210,7 @@ let cubic_on_loss t =
   t.cubic_w_max <-
     (if w < t.cubic_w_max then w *. (1.0 +. cubic_beta) /. 2.0 else w);
   t.cubic_epoch <- -1;
-  max (t.cwnd *. cubic_beta) (2.0 *. mss)
+  fmax (t.cwnd *. cubic_beta) (2.0 *. mss)
 
 let rec arm_timer t = Engine.Timer.reschedule t.rto_timer ~delay:t.rto
 and disarm_timer t = Engine.Timer.cancel t.rto_timer
@@ -221,17 +226,17 @@ and update_rtt t sample_s =
     t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. abs_float (t.srtt -. sample_s));
     t.srtt <- (0.875 *. t.srtt) +. (0.125 *. sample_s)
   end;
-  t.min_rtt <- min t.min_rtt sample_s;
+  t.min_rtt <- fmin t.min_rtt sample_s;
   (* HyStart (delay-based): leave slow start as soon as the RTT shows
      queue build-up, instead of overshooting until mass loss. The
      300 us threshold sits well above the host-stack jitter floor
      (~60 us) and well below the delay of a harmful standing queue. *)
   if
     t.cwnd < t.ssthresh
-    && sample_s >= t.min_rtt +. max 0.0003 (t.min_rtt /. 8.0)
+    && sample_s >= t.min_rtt +. fmax 0.0003 (t.min_rtt /. 8.0)
   then t.ssthresh <- t.cwnd;
-  let rto_s = t.srtt +. max clock_granularity (4.0 *. t.rttvar) in
-  t.rto <- max t.params.min_rto (min max_rto (Time.of_float_s rto_s))
+  let rto_s = t.srtt +. fmax clock_granularity (4.0 *. t.rttvar) in
+  t.rto <- Int.max t.params.min_rto (Int.min max_rto (Time.of_float_s rto_s))
 
 (* ---- Sending ---- *)
 
@@ -241,7 +246,7 @@ and insert_sorted intervals (start, stop) =
   in
   let rec coalesce = function
     | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 ->
-        coalesce ((a1, max b1 b2) :: rest)
+        coalesce ((a1, Int.max b1 b2) :: rest)
     | interval :: rest -> interval :: coalesce rest
     | [] -> []
   in
@@ -268,13 +273,13 @@ and transmit_segment t ~seq ~len ~retransmission =
       Host.send (src_host t) packet
 
 and send_new_data t ~window =
-  let len = min t.params.mss (t.fin - t.snd_nxt) in
+  let len = Int.min t.params.mss (t.fin - t.snd_nxt) in
   if len > 0 && pipe t + len <= window then begin
     (* Below snd_max this is a post-rewind resend, not new data. *)
     transmit_segment t ~seq:t.snd_nxt ~len
       ~retransmission:(t.snd_nxt < t.snd_max);
     t.snd_nxt <- t.snd_nxt + len;
-    t.snd_max <- max t.snd_max t.snd_nxt;
+    t.snd_max <- Int.max t.snd_max t.snd_nxt;
     true
   end
   else false
@@ -288,7 +293,7 @@ and send_in_recovery t ~window =
     if pipe t + t.params.mss <= window then begin
       match next_hole t with
       | Some hole ->
-          let len = min t.params.mss (t.fin - hole) in
+          let len = Int.min t.params.mss (t.fin - hole) in
           if len > 0 then begin
             transmit_segment t ~seq:hole ~len ~retransmission:true;
             (* Advancing retx_next moves the hole back into the pipe. *)
@@ -301,7 +306,7 @@ and send_in_recovery t ~window =
 
 and try_send t =
   if t.phase = Established then begin
-    let window = min (int_of_float t.cwnd) t.params.max_flight in
+    let window = Int.min (int_of_float t.cwnd) t.params.max_flight in
     if t.in_recovery then send_in_recovery t ~window
     else begin
       let continue = ref true in
@@ -319,7 +324,7 @@ and on_timeout t =
   if t.phase = Syn_sent then begin
     (* Lost SYN (or SYN-ACK): retry the handshake. *)
     t.timeouts <- t.timeouts + 1;
-    t.rto <- min max_rto (2 * t.rto);
+    t.rto <- Int.min max_rto (2 * t.rto);
     send_syn t
   end
   else if t.phase = Established && flight t > 0 then begin
@@ -334,9 +339,9 @@ and on_timeout t =
     t.dupacks <- 0;
     t.sacked <- [];
     t.retx_next <- 0;
-    t.rto <- min max_rto (2 * t.rto);
+    t.rto <- Int.min max_rto (2 * t.rto);
     (* Go-back-N: rewind and resend from the last cumulative ack. *)
-    let len = min t.params.mss (t.fin - t.snd_una) in
+    let len = Int.min t.params.mss (t.fin - t.snd_una) in
     t.snd_nxt <- t.snd_una + len;
     transmit_segment t ~seq:t.snd_una ~len ~retransmission:true;
     arm_timer t
@@ -405,7 +410,7 @@ let on_new_ack t ack =
       (* Partial ack: holes are retransmitted once per recovery
          (monotone retx_next); a re-lost retransmission waits for the
          RTO, as in RFC 6675. *)
-      t.retx_next <- max t.retx_next t.snd_una
+      t.retx_next <- Int.max t.retx_next t.snd_una
   end
   else if t.cwnd < t.ssthresh then
     (* Slow start: one MSS per ACK (the receiver acks every segment). *)
@@ -442,11 +447,11 @@ let on_new_ack t ack =
       +. (3.0 *. (1.0 -. cubic_beta) /. (1.0 +. cubic_beta)
           *. (elapsed /. rtt))
     in
-    let target = max cubic_target w_est in
+    let target = fmax cubic_target w_est in
     if target > w then t.cwnd <- t.cwnd +. (mss *. (target -. w) /. w)
     else t.cwnd <- t.cwnd +. (mss *. 0.01 /. w)
   end;
-  t.cwnd <- min t.cwnd (float_of_int t.params.max_flight);
+  t.cwnd <- fmin t.cwnd (float_of_int t.params.max_flight);
   ignore newly;
   if t.snd_una >= t.fin then complete t
   else begin
@@ -506,7 +511,7 @@ let insert_interval intervals (start, stop) =
   in
   let rec coalesce = function
     | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 ->
-        coalesce ((a1, max b1 b2) :: rest)
+        coalesce ((a1, Int.max b1 b2) :: rest)
     | interval :: rest -> interval :: coalesce rest
     | [] -> []
   in
@@ -594,7 +599,7 @@ let start ~src ~dst ~src_port ~dst_port ~size ?(params = default_params)
       cubic_k = 0.0;
       cubic_origin = 0.0;
       cubic_epoch_w = 0.0;
-      rto = max params.min_rto (Time.ms 1000);
+      rto = Int.max params.min_rto (Time.ms 1000);
       rtt_probe = None;
       rto_timer = Engine.Timer.create engine ignore;
       rcv_nxt = params.isn;
@@ -625,7 +630,7 @@ let size t = t.flow_size
 let completed t = t.completed_at <> None
 let started_at t = t.started_at
 let completed_at t = t.completed_at
-let bytes_acked t = min (t.snd_una - t.isn) t.flow_size
+let bytes_acked t = Int.min (t.snd_una - t.isn) t.flow_size
 
 let goodput t =
   match t.completed_at with

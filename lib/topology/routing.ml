@@ -28,6 +28,22 @@ let install t =
       (fun (a, _) (b, _) -> Mac.compare a b)
       (List.of_seq (Hashtbl.to_seq t.trees))
   in
+  (* Size each forwarding table once for the routes it is about to get
+     (a tree leaves out the switches it does not cross), rather than
+     regrowing it as they arrive. *)
+  let routes = Array.make (Fabric.switch_count t.fabric) 0 in
+  List.iter
+    (fun (_, tree) ->
+      Array.iteri
+        (fun sw out_port ->
+          if out_port >= 0 then routes.(sw) <- routes.(sw) + 1)
+        tree.out_ports)
+    trees;
+  Array.iteri
+    (fun sw n ->
+      let switch = Fabric.switch t.fabric sw in
+      Switch.reserve_routes switch (Switch.route_count switch + n))
+    routes;
   List.iter
     (fun (mac, tree) ->
       Array.iteri

@@ -4,8 +4,10 @@
 module Time = Planck_util.Time
 module Rate = Planck_util.Rate
 
-(* the buffer-audited wrapper, before [open Planck] shadows [Testbed] *)
+(* the buffer-audited wrapper and the executable finder, before
+   [open Planck] shadows [Testbed] *)
 let case = Testbed.case
+let built_exe = Testbed.built_exe
 
 open Planck
 
@@ -201,6 +203,33 @@ let outputs_written () =
   Sys.remove not_a_dir;
   Alcotest.(check bool) "body not run" false !ran
 
+(* A flag combination the run cannot honour is refused before any
+   output is opened: the time-series file keeps its old contents, and
+   stderr gets one line. *)
+let cli_refuses_sharded_timeseries () =
+  let exe = built_exe "bin/planck_cli.exe" in
+  let series = Filename.temp_file "planck_cli" ".csv"
+  and err = Filename.temp_file "planck_cli" ".err" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ series; err ])
+    (fun () ->
+      Out_channel.with_open_bin series (fun oc ->
+          output_string oc "earlier,contents\n");
+      let code =
+        Sys.command
+          (Printf.sprintf
+             "%s run --scheme static --shards 2 --size-mib 1 \
+              --timeseries-out %s >/dev/null 2>%s"
+             (Filename.quote exe) (Filename.quote series) (Filename.quote err))
+      in
+      Alcotest.(check int) "exit code" 1 code;
+      Alcotest.(check string) "time-series file untouched"
+        "earlier,contents\n" (read series);
+      Alcotest.(check int) "one line on stderr" 1
+        (List.length
+           (List.filter (( <> ) "") (String.split_on_char '\n' (read err)))))
+
 let scalability_guards () =
   Alcotest.check_raises "odd k" (Invalid_argument "x") (fun () ->
       try ignore (Scalability.fat_tree_plan ~k:7)
@@ -222,5 +251,7 @@ let tests =
     case "experiment bookkeeping" `Quick experiment_bookkeeping;
     case "observers nest" `Quick observers_nest;
     case "outputs written and counted" `Quick outputs_written;
+    case "cli refuses sharded time-series" `Quick
+      cli_refuses_sharded_timeseries;
     case "scalability guards" `Quick scalability_guards;
   ]

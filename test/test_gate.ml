@@ -270,17 +270,6 @@ let test_trend_folds_id_change () =
 
 (* ---- the bench binary's exit codes (test-enforced acceptance) ---- *)
 
-let bench_exe () =
-  (* cwd is _build/default/test under dune runtest, the workspace root
-     under dune exec — accept either. *)
-  let candidates =
-    [
-      Filename.concat (Filename.dirname (Sys.getcwd ())) "bench/main.exe";
-      Filename.concat (Sys.getcwd ()) "_build/default/bench/main.exe";
-    ]
-  in
-  List.find_opt Sys.file_exists candidates
-
 let write_baseline path ns =
   let oc = open_out path in
   output_string oc
@@ -300,27 +289,25 @@ let write_baseline path ns =
   close_out oc
 
 let test_check_exit_codes () =
-  match bench_exe () with
-  | None -> () (* bench binary not in this build invocation *)
-  | Some exe ->
-      let base = Filename.temp_file "planck_gate" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove base)
-        (fun () ->
-          let run env =
-            Sys.command
-              (Printf.sprintf
-                 "%s%s --check --only packet-serialize --against %s \
-                  >/dev/null 2>&1"
-                 env (Filename.quote exe) (Filename.quote base))
-          in
-          write_baseline base 1e9;
-          Alcotest.(check int) "generous baseline passes" 0 (run "");
-          write_baseline base 1e-3;
-          Alcotest.(check int) "synthetic slowdown fails the gate" 1 (run "");
-          Alcotest.(check int)
-            "PLANCK_BENCH_NO_GATE reports without enforcing" 0
-            (run "PLANCK_BENCH_NO_GATE=1 "))
+  let exe = Testbed.built_exe "bench/main.exe" in
+  let base = Filename.temp_file "planck_gate" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove base)
+    (fun () ->
+      let run env =
+        Sys.command
+          (Printf.sprintf
+             "%s%s --check --only packet-serialize --against %s \
+              >/dev/null 2>&1"
+             env (Filename.quote exe) (Filename.quote base))
+      in
+      write_baseline base 1e9;
+      Alcotest.(check int) "generous baseline passes" 0 (run "");
+      write_baseline base 1e-3;
+      Alcotest.(check int) "synthetic slowdown fails the gate" 1 (run "");
+      Alcotest.(check int)
+        "PLANCK_BENCH_NO_GATE reports without enforcing" 0
+        (run "PLANCK_BENCH_NO_GATE=1 "))
 
 let tests =
   [

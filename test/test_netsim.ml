@@ -369,6 +369,53 @@ let switch_egress_rewrite () =
         (Mac.equal (P.dst_mac p) (Mac.host 1))
   | _ -> Alcotest.fail "expected exactly one delivery"
 
+(* The forwarding and rewrite tables as the API sees them: replace,
+   remove, count, miss, including routes for a host's shadow MACs
+   (which differ from the base MAC only in the third octet) and a
+   removed route's frames counted as unroutable. *)
+let switch_route_table () =
+  let e = Engine.create () in
+  let sw, received = switch_pair e in
+  let shadow alt = Mac.shadow (Mac.host 1) ~alt in
+  Alcotest.(check (option int)) "empty table misses" None
+    (Switch.route sw (Mac.host 1));
+  for alt = 0 to 3 do
+    Switch.add_route sw (shadow alt) (alt mod 3)
+  done;
+  Switch.add_route sw (Mac.host 2) 2;
+  Alcotest.(check int) "count" 5 (Switch.route_count sw);
+  Switch.add_route sw (shadow 3) 1;
+  Alcotest.(check int) "replace keeps the count" 5 (Switch.route_count sw);
+  Alcotest.(check (list (option int)))
+    "lookups" [ Some 0; Some 1; Some 2; Some 1; Some 2; None ]
+    (List.map (Switch.route sw)
+       [ shadow 0; shadow 1; shadow 2; shadow 3; Mac.host 2; Mac.host 3 ]);
+  Switch.remove_route sw (shadow 1);
+  Switch.remove_route sw (Mac.host 3);
+  Alcotest.(check int) "remove, and remove of a miss" 4
+    (Switch.route_count sw);
+  Alcotest.(check (option int)) "removed" None (Switch.route sw (shadow 1));
+  Alcotest.(check (option int)) "chain neighbour kept" (Some 2)
+    (Switch.route sw (shadow 2));
+  Alcotest.check_raises "port out of range"
+    (Invalid_argument "Switch.add_route: port 4 out of range") (fun () ->
+      Switch.add_route sw (Mac.host 5) 4);
+  Switch.add_rewrite sw ~from_mac:(shadow 3) ~to_mac:(Mac.host 1);
+  Switch.add_rewrite sw ~from_mac:(shadow 3) ~to_mac:(Mac.host 7);
+  let frame dst seq = P.with_dst_mac (mk_tcp ~dst:1 ~seq ()) dst in
+  Switch.ingress sw ~port:0 (frame (shadow 3) 1);
+  Switch.ingress sw ~port:0 (frame (shadow 2) 2);
+  Switch.ingress sw ~port:0 (frame (shadow 1) 3);
+  Engine.run e;
+  let delivered port =
+    List.map (fun p -> (seq_of p, Mac.to_string (P.dst_mac p))) received.(port)
+  in
+  Alcotest.(check (list (pair int string)))
+    "latest rewrite applies" [ (1, Mac.to_string (Mac.host 7)) ] (delivered 1);
+  Alcotest.(check (list (pair int string)))
+    "no rule, no rewrite" [ (2, Mac.to_string (shadow 2)) ] (delivered 2);
+  Alcotest.(check int) "removed route drops" 1 (Switch.unroutable_drops sw)
+
 let switch_flow_rewrite () =
   let e = Engine.create () in
   let sw, received = switch_pair e in
@@ -672,6 +719,7 @@ let tests =
     Testbed.case "switch forwards on MAC" `Quick switch_forwards;
     Testbed.case "switch counts unroutable" `Quick switch_unroutable;
     Testbed.case "switch egress rewrite" `Quick switch_egress_rewrite;
+    Testbed.case "switch route and rewrite tables" `Quick switch_route_table;
     Testbed.case "switch per-flow rewrite" `Quick switch_flow_rewrite;
     Testbed.case "switch mirroring" `Quick switch_mirroring;
     Testbed.case "switch rejects self-mirror" `Quick

@@ -3,6 +3,7 @@
 module Time = Planck_util.Time
 module Heap = Planck_util.Heap
 module Fifo = Planck_util.Fifo
+module Int_table = Planck_util.Int_table
 module Wheel = Planck_util.Timer_wheel
 module Ring = Planck_util.Ring
 module Prng = Planck_util.Prng
@@ -129,6 +130,106 @@ let heap_mixed_ops_qcheck =
       List.for_all
         (fun _ -> heap_pop h = take_min ())
         (List.init (Heap.length h) (fun i -> i)))
+
+(* ---- Int_table ---- *)
+
+type int_table_op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Reserve of int
+
+(* 24 small keys and 24 keys shaped like host and shadow MACs (which
+   differ only in the low and the third octet). The table starts at 8
+   slots, so a sequence piles keys onto shared home slots, wraps probe
+   chains past the end of the array, doubles it more than once (or
+   rehashes it at once on [reserve]), and deletes from the middle of
+   chains. Every step is checked against Hashtbl, and at the end every
+   key of the universe is. *)
+let int_table_universe =
+  List.init 24 Fun.id
+  @ List.init 24 (fun i ->
+        0x0200_0000_0000 lor ((i mod 4) lsl 16) lor (i / 4))
+
+let int_table_matches_hashtbl_qcheck =
+  let gen =
+    QCheck.Gen.(
+      let key = oneofl int_table_universe in
+      list_size (int_bound 300)
+        (frequency
+           [
+             (3, map2 (fun k v -> Replace (k, v)) key (int_bound 1_000));
+             (2, map (fun k -> Remove k) key);
+             (2, map (fun k -> Find k) key);
+             (1, map (fun n -> Reserve n) (int_bound 64));
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Replace (k, v) -> Printf.sprintf "replace %#x %d" k v
+      | Remove k -> Printf.sprintf "remove %#x" k
+      | Find k -> Printf.sprintf "find %#x" k
+      | Reserve n -> Printf.sprintf "reserve %d" n)
+  in
+  QCheck.Test.make ~name:"int_table matches Hashtbl" ~count:500
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let t = Int_table.create () and model = Hashtbl.create 16 in
+      let agrees k =
+        Int_table.find t k
+        = Option.value (Hashtbl.find_opt model k) ~default:(-1)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace model k v
+          | Remove k ->
+              Int_table.remove t k;
+              Hashtbl.remove model k
+          | Find _ -> ()
+          | Reserve n -> Int_table.reserve t n);
+          (match op with
+          | Replace (k, _) | Remove k | Find k -> agrees k
+          | Reserve _ -> true)
+          && Int_table.length t = Hashtbl.length model)
+        ops
+      && List.for_all agrees int_table_universe)
+
+(* A k=16 fat-tree switch's worth of routes: 1,024 host MACs, then half
+   of them removed again. *)
+let int_table_fdb_scale () =
+  let t = Int_table.create () in
+  let mac i = 0x0200_0000_0000 lor i in
+  for i = 0 to 1023 do
+    Int_table.replace t (mac i) (i mod 17)
+  done;
+  for i = 0 to 511 do
+    Int_table.remove t (mac (2 * i))
+  done;
+  Alcotest.(check int) "length" 512 (Int_table.length t);
+  for i = 0 to 1023 do
+    Alcotest.(check int)
+      (Printf.sprintf "host %d" i)
+      (if i mod 2 = 0 then -1 else i mod 17)
+      (Int_table.find t (mac i))
+  done
+
+let int_table_rejects_negative () =
+  let t = Int_table.create () in
+  Alcotest.check_raises "find" (Invalid_argument "Int_table.find: negative key")
+    (fun () -> ignore (Int_table.find t (-1)));
+  Alcotest.check_raises "replace"
+    (Invalid_argument "Int_table.replace: negative key") (fun () ->
+      Int_table.replace t (-2) 0);
+  Alcotest.check_raises "remove"
+    (Invalid_argument "Int_table.remove: negative key") (fun () ->
+      Int_table.remove t min_int);
+  Alcotest.check_raises "negative value"
+    (Invalid_argument "Int_table.replace: negative value") (fun () ->
+      Int_table.replace t 3 (-1));
+  Alcotest.(check int) "nothing was bound" 0 (Int_table.length t)
 
 (* ---- Fifo ---- *)
 
@@ -880,6 +981,11 @@ let tests =
     Alcotest.test_case "heap basic ordering" `Quick heap_basic;
     Alcotest.test_case "heap FIFO tie-break" `Quick heap_fifo_ties;
     qtest heap_stable_sort_qcheck;
+    qtest int_table_matches_hashtbl_qcheck;
+    Alcotest.test_case "int_table at fat-tree FDB scale" `Quick
+      int_table_fdb_scale;
+    Alcotest.test_case "int_table rejects negative keys" `Quick
+      int_table_rejects_negative;
     qtest fifo_matches_queue_qcheck;
     Alcotest.test_case "fifo wraps, then grows in order" `Quick
       fifo_wrap_then_grow;

@@ -109,3 +109,21 @@ let audit f =
   result
 
 let case name speed f = Alcotest.test_case name speed (fun () -> audit f)
+
+(* A built executable of this tree, by its path from the build root
+   ("bench/main.exe"). The test rules depend on every executable a case
+   runs; cwd is _build/default/test under dune runtest and the
+   workspace root under dune exec. A missing executable fails the case:
+   a check that finds nothing to run has checked nothing. *)
+let built_exe path =
+  let candidates =
+    [
+      Filename.concat (Filename.dirname (Sys.getcwd ())) path;
+      Filename.concat (Sys.getcwd ()) (Filename.concat "_build/default" path);
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some exe -> exe
+  | None ->
+      Alcotest.failf "%s is not built (looked for %s)" path
+        (String.concat " and " candidates)
