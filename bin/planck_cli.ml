@@ -128,24 +128,38 @@ let profile_report profile =
 let run_experiment () workload_name scheme_name flow_table_name size_mib runs
     seed shards csv metrics_out journal_out timeseries_out
     timeseries_interval_us profile =
+  (* Runs that cannot go on [shards] domains are refused here, before
+     [with_outputs] opens (and truncates) any path. The time-series
+     recorder samples every flow, and a flow on another shard's domain
+     cannot be read while that domain runs. *)
+  let refusal workload scheme =
+    let scheme =
+      match scheme with `Fabric s -> s | `Optimal -> Scheme.Static
+    in
+    match Experiment.shard_refusal ~shards ~scheme ~workload with
+    | Some msg -> Some ("planck-cli: " ^ msg)
+    | None
+      when Option.is_some timeseries_out
+           && Option.fold ~none:false ~some:(fun n -> n > 1) shards ->
+        Some "planck-cli: --timeseries-out needs --shards 1 or no --shards"
+    | None -> None
+  in
   match
-    ( parse_workload workload_name,
-      parse_scheme scheme_name,
-      parse_flow_table flow_table_name )
+    match
+      ( parse_workload workload_name,
+        parse_scheme scheme_name,
+        parse_flow_table flow_table_name )
+    with
+    | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+    | Ok workload, Ok scheme, Ok flow_table -> (
+        match refusal workload scheme with
+        | Some e -> Error e
+        | None -> Ok (workload, scheme, flow_table))
   with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
+  | Error e ->
       prerr_endline e;
       1
-  | Ok _, Ok _, Ok _
-    when Option.is_some timeseries_out
-         && Option.fold ~none:false ~some:(fun n -> n > 1) shards ->
-      (* Refused before [with_outputs] opens (and truncates) any path:
-         the recorder samples every flow, and a flow on another shard's
-         domain cannot be read while that domain runs. *)
-      prerr_endline
-        "planck-cli: --timeseries-out needs --shards 1 or no --shards";
-      1
-  | Ok workload, Ok scheme, Ok flow_table ->
+  | Ok (workload, scheme, flow_table) ->
       exit_code
       @@ Experiment.with_outputs ?metrics_out ?journal_out ?timeseries_out
            ~timeseries_interval:(Time.us timeseries_interval_us)

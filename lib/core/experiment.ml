@@ -77,8 +77,24 @@ let phase_marker testbed name detail =
       ~ts:(Engine.now testbed.Testbed.engine)
       (Journal.Phase_marker { name; detail })
 
+(* Shuffle starts flows mid-run from completion callbacks, and churn
+   schedules its launches on the reference engine only: neither is
+   shard-aware, even on one shard. *)
+let shard_refusal ~shards ~scheme ~workload =
+  match shards with
+  | None -> None
+  | Some n -> (
+      match (Scheme.shard_refusal ~shards:n scheme, workload) with
+      | (Some _ as refusal), _ -> refusal
+      | None, Shuffle _ -> Some "the shuffle workload is not shard-aware"
+      | None, Churn _ -> Some "the churn workload is not shard-aware"
+      | None, (Stride _ | Random_bijection | Random | Staggered_prob _) -> None)
+
 let run ~spec ~scheme ~workload ~size ?(flow_table = Scheme.Exact) ?horizon
     ?seed () =
+  Option.iter
+    (fun msg -> invalid_arg ("Experiment.run: " ^ msg))
+    (shard_refusal ~shards:spec.Testbed.shards ~scheme ~workload);
   let spec =
     match seed with
     | None -> spec
@@ -102,10 +118,6 @@ let run ~spec ~scheme ~workload ~size ?(flow_table = Scheme.Exact) ?horizon
   let flows, host_done =
     match workload with
     | Shuffle { concurrency } ->
-        if Option.is_some testbed.Testbed.shard then
-          invalid_arg
-            "Experiment.run: shuffle starts flows mid-run from completion \
-             callbacks; it is not shard-aware";
         let result =
           Runner.run_shuffle testbed.Testbed.engine
             ~endpoints:testbed.Testbed.endpoints
@@ -116,10 +128,6 @@ let run ~spec ~scheme ~workload ~size ?(flow_table = Scheme.Exact) ?horizon
         in
         (result.Runner.flows, Some result.Runner.host_done)
     | Churn churn_spec ->
-        if Option.is_some testbed.Testbed.shard then
-          invalid_arg
-            "Experiment.run: churn schedules launches on the reference \
-             engine only; it is not shard-aware";
         (* flow sizes come from the churn spec; [size] is unused *)
         let arrivals =
           Generate.churn wl_prng

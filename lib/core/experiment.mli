@@ -40,6 +40,12 @@ val with_observer :
     first, and every returned callback runs); once [body] returns or
     raises, it alone is installed again. *)
 
+val shard_refusal :
+  shards:int option -> scheme:Scheme.t -> workload:workload -> string option
+(** Why {!run} refuses [scheme] and [workload] on [shards] domains, or
+    [None] if it runs them: {!Scheme.shard_refusal} on more than one
+    shard, and the shuffle and churn workloads on any shard group. *)
+
 val run :
   spec:Testbed.spec ->
   scheme:Scheme.t ->
@@ -53,7 +59,8 @@ val run :
 (** One run: a fresh testbed per call, so runs are independent.
     [seed] overrides the spec's seed (vary it across repetitions).
     [flow_table] (default [Exact]) selects the collector's flow-state
-    backend; see {!Scheme.deploy}. *)
+    backend; see {!Scheme.deploy}. Raises [Invalid_argument] when
+    {!shard_refusal} refuses the run. *)
 
 val repeat :
   runs:int ->

@@ -52,18 +52,24 @@ type deployed = {
   sflow_te : Sflow_te_impl.t option;
 }
 
+(* The control planes (controller, pollers, control channel) are built
+   on the reference engine and read collector state across the whole
+   fabric, so they only compose with sharding when everything lives on
+   shard 0. *)
+let shard_refusal ~shards = function
+  | (Planck_te _ | Poll _ | Sflow_te _) when shards > 1 ->
+      Some
+        "control-plane schemes are single-shard; run them with --shards 1 \
+         (or use the static scheme)"
+  | Static | Planck_te _ | Poll _ | Sflow_te _ -> None
+
 let deploy ?(flow_table = Exact) (testbed : Testbed.t) scheme =
-  (* The control planes (controller, pollers, control channel) are
-     built on the reference engine and read collector state across the
-     whole fabric, so they only compose with sharding when everything
-     lives on shard 0. *)
-  (match (testbed.Testbed.shard, scheme) with
-  | Some g, (Planck_te _ | Poll _ | Sflow_te _)
-    when Planck_netsim.Shard.shards g > 1 ->
-      invalid_arg
-        "Scheme.deploy: control-plane schemes are single-shard; run them \
-         with --shards 1 (or use the static scheme)"
-  | _ -> ());
+  Option.iter
+    (fun g ->
+      Option.iter
+        (fun msg -> invalid_arg ("Scheme.deploy: " ^ msg))
+        (shard_refusal ~shards:(Planck_netsim.Shard.shards g) scheme))
+    testbed.Testbed.shard;
   match scheme with
   | Static ->
       { scheme; controller = None; te = None; poller = None; sflow_te = None }

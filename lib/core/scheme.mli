@@ -44,10 +44,16 @@ type deployed = {
   sflow_te : Planck_baselines.Sflow_te.t option;
 }
 
+val shard_refusal : shards:int -> t -> string option
+(** Why the scheme cannot run on a group of [shards] domains, or [None]
+    if it can: the control-plane schemes need every engine on one
+    domain. *)
+
 val deploy : ?flow_table:flow_table -> Testbed.t -> t -> deployed
 (** Set the scheme up on a built testbed (creates collectors, enables
     mirroring, starts pollers — whatever the scheme needs).
     [flow_table] defaults to [Exact], so existing experiments are
-    byte-for-byte unchanged. *)
+    byte-for-byte unchanged. Raises [Invalid_argument] when
+    {!shard_refusal} refuses the testbed's shard group. *)
 
 val reroutes : deployed -> int

@@ -14,13 +14,6 @@ let m_pending_hw =
 let aggregate_hw = Atomic.make 0
 let next_engine_id = Atomic.make 0
 
-(* The default queue geometry for new engines. Mutable so tests and
-   benches can A/B a whole experiment against the heap-only baseline
-   without threading a config through every constructor. *)
-let default_queue_config = Atomic.make Wheel.default_config
-let set_default_queue c = Atomic.set default_queue_config c
-let default_queue () = Atomic.get default_queue_config
-
 (* The queue hands out int ids; [callbacks] maps each id to what runs
    when it fires. A one-shot id is released as it fires, so the table
    stays as large as the most ids ever held at once. *)
@@ -36,11 +29,11 @@ type t = {
   tel_cancelled : Metrics.counter;
 }
 
-(* Sized like the wheel's id arrays: a small testbed's set-up fills the
+(* Sized like the queue's id arrays: a small testbed's set-up fills the
    table without growing it in the major heap. *)
 let initial_ids = 512
 
-let create ?label ?queue () =
+let create ?label () =
   let label =
     match label with
     | Some l -> l
@@ -48,11 +41,8 @@ let create ?label ?queue () =
         let id = Atomic.fetch_and_add next_engine_id 1 in
         Printf.sprintf "engine%d" id
   in
-  let config =
-    match queue with Some c -> c | None -> Atomic.get default_queue_config
-  in
   {
-    queue = Wheel.create ~config ();
+    queue = Wheel.create ();
     callbacks = Array.make initial_ids ignore;
     one_shot = Array.make initial_ids false;
     label;
@@ -127,7 +117,7 @@ module Timer = struct
     if Wheel.cancel tm.engine.queue tm.id then
       Metrics.Counter.incr tm.engine.tel_cancelled
 
-  (* Scheduling a pending id supersedes it, which the wheel counts as
+  (* Scheduling a pending id supersedes it, which the queue counts as
      a cancellation. *)
   let reschedule_at tm ~time =
     let e = tm.engine in
@@ -157,24 +147,22 @@ let periodic t ~period ?until f =
 
 let every t ~period ?until f = ignore (periodic t ~period ?until f : Timer.t)
 
-(* Fire the next event if it is due by [horizon]. [max_int] is both
-   [next_key]'s empty sentinel and a legal time, so only [is_empty]
-   tells them apart. *)
+(* Fire the next event if it is due by [horizon]: one slot search per
+   event, and the taken key is the new clock. *)
 let step_until t horizon =
-  let time = Wheel.next_key t.queue in
-  if time > horizon || (time = max_int && Wheel.is_empty t.queue) then false
-  else begin
-    t.clock <- time;
-    let id = Wheel.take t.queue in
-    let f = t.callbacks.(id) in
-    if t.one_shot.(id) then begin
-      t.callbacks.(id) <- ignore;
-      Wheel.release t.queue id
-    end;
-    t.processed <- t.processed + 1;
-    f ();
-    true
-  end
+  let id = Wheel.take_until t.queue horizon in
+  id >= 0
+  && begin
+       t.clock <- Wheel.last_key t.queue;
+       let f = t.callbacks.(id) in
+       if t.one_shot.(id) then begin
+         t.callbacks.(id) <- ignore;
+         Wheel.release t.queue id
+       end;
+       t.processed <- t.processed + 1;
+       f ();
+       true
+     end
 
 (* The process-wide count is fed once per [step]/[run] rather than per
    event: shard domains run their engines concurrently, and a per-event

@@ -1,29 +1,18 @@
 (** The discrete-event simulation engine.
 
-    A single-threaded event loop over a hierarchical timer wheel
-    ({!Planck_util.Timer_wheel}: O(1) insert/cancel short horizon,
-    min-heap overflow). Every scheduled thing is an int id of the
-    wheel, and the engine keeps a callback table indexed by id. Events
-    at equal times fire in scheduling order, so the simulation is fully
-    deterministic — the wheel preserves the heap's exact (time, seq)
-    pop order. *)
+    A single-threaded event loop over an exact-time event queue
+    ({!Planck_util.Timer_wheel}: a ring of one-nanosecond FIFO slots
+    for the next 4096 ns, a min-heap beyond). Every scheduled thing is
+    an int id of the queue, and the engine keeps a callback table
+    indexed by id. Events at equal times fire in scheduling order, so
+    the simulation is fully deterministic — the queue pops in exactly a
+    binary heap's (time, seq) order. *)
 
 type t
 
-val create : ?label:string -> ?queue:Planck_util.Timer_wheel.config -> unit -> t
+val create : ?label:string -> unit -> t
 (** [label] names this engine's instance metrics (default: a fresh
-    ["engine<N>"]). [queue] selects the event-queue geometry (default:
-    {!default_queue}, normally the wheel;
-    {!Planck_util.Timer_wheel.heap_only} recovers the pre-wheel
-    scheduler for equivalence tests and baselines). *)
-
-val default_queue : unit -> Planck_util.Timer_wheel.config
-(** The geometry used by {!create} when [?queue] is omitted. *)
-
-val set_default_queue : Planck_util.Timer_wheel.config -> unit
-(** Override {!default_queue} process-wide. For A/B runs (wheel vs
-    heap-only) of whole experiments whose constructors don't expose the
-    engine; set it back around the run. *)
+    ["engine<N>"]). *)
 
 val now : t -> Planck_util.Time.t
 (** Current simulated time. *)
@@ -38,16 +27,16 @@ val schedule : t -> delay:Planck_util.Time.t -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:Planck_util.Time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute time [time], which must
-    not be in the past. The event takes a wheel id that is released
+    not be in the past. The event takes a queue id that is released
     when it fires, so queue memory stays bounded by the most events
     pending at once. *)
 
-(** Cancellable, reusable timers. A [Timer.t] owns one wheel id and
+(** Cancellable, reusable timers. A [Timer.t] owns one queue id and
     its cell of the callback table for the engine's lifetime;
     {!Timer.reschedule} re-queues that id, so a steady
     fire-and-reschedule rhythm allocates nothing, and {!Timer.cancel}
-    removes it from the queue at once (O(1) from a wheel slot, O(log n)
-    from a heap tier). This replaces the generation-counter idiom: a
+    removes it from the queue at once (O(1) from a ring slot, O(log n)
+    from the far tier). This replaces the generation-counter idiom: a
     cancelled timer leaves no zombie event to fire later. *)
 module Timer : sig
   type engine = t

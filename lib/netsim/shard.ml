@@ -151,7 +151,7 @@ let barrier_abort b =
   Mutex.unlock b.m
 
 (* Pop every entry transmitted before round [r] and schedule its
-   arrival in this shard's wheel, one event per frame. Entries are
+   arrival in this shard's event queue, one event per frame. Entries are
    popped in channel registration order, then FIFO per channel — both
    deterministic — and their timestamps are >= the shard's clock by the
    lookahead bound. A channel's arrival events fire in (time, seq)

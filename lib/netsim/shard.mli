@@ -15,7 +15,7 @@
     Determinism: channel entries are stamped with the transmit window,
     and a shard entering window [r] consumes exactly the entries
     stamped [< r] — which the barrier guarantees are all present — in
-    channel registration order. The set and order of events each wheel
+    channel registration order. The set and order of events each engine
     processes is therefore a pure function of the simulation, and with
     one shard the whole protocol degenerates to the single-domain
     [Engine.run] chunk loop, event for event. *)

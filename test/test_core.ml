@@ -204,31 +204,44 @@ let outputs_written () =
   Alcotest.(check bool) "body not run" false !ran
 
 (* A flag combination the run cannot honour is refused before any
-   output is opened: the time-series file keeps its old contents, and
-   stderr gets one line. *)
-let cli_refuses_sharded_timeseries () =
+   output is opened: the output file keeps its old contents, the exit
+   code is 1, and stderr gets one line. *)
+let cli_refuses ~args ~out_flag () =
   let exe = built_exe "bin/planck_cli.exe" in
-  let series = Filename.temp_file "planck_cli" ".csv"
+  let out = Filename.temp_file "planck_cli" ".out"
   and err = Filename.temp_file "planck_cli" ".err" in
   let read path = In_channel.with_open_bin path In_channel.input_all in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ series; err ])
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
     (fun () ->
-      Out_channel.with_open_bin series (fun oc ->
+      Out_channel.with_open_bin out (fun oc ->
           output_string oc "earlier,contents\n");
       let code =
         Sys.command
-          (Printf.sprintf
-             "%s run --scheme static --shards 2 --size-mib 1 \
-              --timeseries-out %s >/dev/null 2>%s"
-             (Filename.quote exe) (Filename.quote series) (Filename.quote err))
+          (Printf.sprintf "%s run %s --size-mib 1 %s %s >/dev/null 2>%s"
+             (Filename.quote exe) args out_flag (Filename.quote out)
+             (Filename.quote err))
       in
       Alcotest.(check int) "exit code" 1 code;
-      Alcotest.(check string) "time-series file untouched"
-        "earlier,contents\n" (read series);
+      Alcotest.(check string) "output file untouched" "earlier,contents\n"
+        (read out);
       Alcotest.(check int) "one line on stderr" 1
         (List.length
            (List.filter (( <> ) "") (String.split_on_char '\n' (read err)))))
+
+let cli_refuses_sharded_timeseries =
+  cli_refuses ~args:"--scheme static --shards 2" ~out_flag:"--timeseries-out"
+
+(* Schemes and workloads that cannot run sharded: a control-plane
+   scheme on two shards, and the shuffle and churn workloads. *)
+let cli_refuses_sharded_runs () =
+  List.iter
+    (fun args -> cli_refuses ~args ~out_flag:"--journal-out" ())
+    [
+      "--scheme planck --shards 2";
+      "--scheme static --workload shuffle --shards 2";
+      "--scheme static --workload churn --shards 2";
+    ]
 
 let scalability_guards () =
   Alcotest.check_raises "odd k" (Invalid_argument "x") (fun () ->
@@ -253,5 +266,6 @@ let tests =
     case "outputs written and counted" `Quick outputs_written;
     case "cli refuses sharded time-series" `Quick
       cli_refuses_sharded_timeseries;
+    case "cli refuses unshardable runs" `Quick cli_refuses_sharded_runs;
     case "scalability guards" `Quick scalability_guards;
   ]

@@ -184,28 +184,47 @@ let engine_instance_metrics () =
   Alcotest.(check int) "per-engine high water" 5 (Engine.max_pending e);
   Alcotest.(check int) "processed" 5 (Engine.events_processed e)
 
-(* The same program through the wheel and the pre-wheel heap-only
-   scheduler: identical fire order and identical clock. *)
-let engine_heap_only_equivalence () =
-  let run config =
-    let e = Engine.create ~queue:config () in
-    let log = ref [] in
-    let prng = Prng.create ~seed:42 in
-    for i = 1 to 50 do
-      Engine.schedule e ~delay:(Prng.int prng (Time.ms 2)) (fun () ->
-          log := (i, Engine.now e) :: !log)
-    done;
-    let rto = Engine.Timer.create e (fun () -> log := (99, Engine.now e) :: !log) in
-    Engine.Timer.reschedule rto ~delay:(Time.us 1700);
-    Engine.Timer.reschedule rto ~delay:(Time.us 900);
-    Engine.every e ~period:(Time.us 100) ~until:(Time.ms 1) (fun () ->
-        log := (0, Engine.now e) :: !log);
-    Engine.run e;
-    (List.rev !log, Engine.now e, Engine.events_processed e)
+(* A program of one-shots, a twice-rescheduled timer and a periodic
+   clock against the order a model gives it: every fire sorted by
+   (time, scheduling order). One-shots land both inside the queue's
+   4096 ns ring (a few ns apart, with ties) and far past it (on a 10 us
+   grid, tied with each other and with the periodic ticks). *)
+let engine_fires_in_model_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let prng = Prng.create ~seed:42 in
+  let delays =
+    List.init 50 (fun i ->
+        if i mod 3 = 0 then Prng.int prng 8 else Time.us (10 * Prng.int prng 200))
   in
-  let wheel = run (Engine.default_queue ()) in
-  let heap = run Planck_util.Timer_wheel.heap_only in
-  Alcotest.(check bool) "wheel and heap-only runs identical" true (wheel = heap)
+  List.iteri
+    (fun i delay ->
+      Engine.schedule e ~delay (fun () -> log := (i + 1, Engine.now e) :: !log))
+    delays;
+  let rto = Engine.Timer.create e (fun () -> log := (99, Engine.now e) :: !log) in
+  Engine.Timer.reschedule rto ~delay:(Time.us 1700);
+  Engine.Timer.reschedule rto ~delay:(Time.us 900);
+  Engine.every e ~period:(Time.us 100) ~until:(Time.ms 1) (fun () ->
+      log := (0, Engine.now e) :: !log);
+  Engine.run e;
+  (* (time, seq, label): the one-shots take seqs 0-49, the timer's
+     final arming 51, and each periodic tick re-arms from the tick
+     before, after all of those. *)
+  let model =
+    List.mapi (fun i delay -> (delay, i, i + 1)) delays
+    @ [ (Time.us 900, 51, 99) ]
+    @ List.init 10 (fun k -> (Time.us (100 * (k + 1)), 52 + k, 0))
+  in
+  let expected =
+    List.map (fun (time, _, label) -> (label, time)) (List.sort compare model)
+  in
+  Alcotest.(check (list (pair int int)))
+    "fire order" expected (List.rev !log);
+  Alcotest.(check int) "clock at the last fire"
+    (List.fold_left (fun acc (_, time) -> max acc time) 0 expected)
+    (Engine.now e);
+  Alcotest.(check int) "events" (List.length expected)
+    (Engine.events_processed e)
 
 (* ---- Buffer pool ---- *)
 
@@ -705,8 +724,8 @@ let tests =
       engine_timer_periodic;
     Testbed.case "engine instance metrics" `Quick
       engine_instance_metrics;
-    Testbed.case "engine wheel vs heap-only equivalence" `Quick
-      engine_heap_only_equivalence;
+    Testbed.case "engine fires in model (time, seq) order" `Quick
+      engine_fires_in_model_order;
     Testbed.case "pool static reservation" `Quick pool_reservation;
     Testbed.case "pool DT caps one queue" `Quick
       pool_dt_limits_single_port;

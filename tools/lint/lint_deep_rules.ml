@@ -54,8 +54,7 @@ let default_hot_roots =
     "Planck_netsim__Engine.step";
     "Planck_netsim__Engine.Timer.reschedule_at";
     "Planck_util__Timer_wheel.schedule";
-    "Planck_util__Timer_wheel.next_key";
-    "Planck_util__Timer_wheel.take";
+    "Planck_util__Timer_wheel.take_until";
     "Planck_util__Timer_wheel.cancel";
   ]
 
