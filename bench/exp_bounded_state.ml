@@ -52,7 +52,10 @@ let state_bound () =
      the promotion threshold, mice stay in the sketch. *)
   (* Switch id 999 keeps this synthetic instance's "sw999" telemetry
      label clear of the fat-tree runs' real sw0..sw19 counters. *)
-  let tiered = Tiered.create ~switch:999 ~flow_timeout:(Time.s 10) () in
+  let tiered =
+    Tiered.create ~switch:999 ~flow_timeout:(Time.s 10)
+      ~journal:Journal.default ()
+  in
   let now = ref Time.zero in
   for i = 0 to n - 1 do
     let key = key_of i in

@@ -347,7 +347,10 @@ let test_tiered_sample =
      sketch-only path: tick + exact-tier miss + conservative update,
      the cost mice pay per sample. *)
   let config = { Tiered.default_config with Tiered.promote_bytes = max_int } in
-  let tiered = Tiered.create ~config ~switch:0 ~flow_timeout:(Time_u.s 10) () in
+  let tiered =
+    Tiered.create ~config ~switch:0 ~flow_timeout:(Time_u.s 10)
+      ~journal:Journal.default ()
+  in
   let now = ref 0 in
   Test.make ~name:"tiered sample (mouse, sketch-only path)"
     (Staged.stage (fun () ->

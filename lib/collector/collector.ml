@@ -67,7 +67,8 @@ type table_backend = {
    switch needs its own state. *)
 type table_kind =
   | Exact
-  | Custom_backend of (switch:int -> flow_timeout:Time.t -> table_backend)
+  | Custom_backend of
+      (switch:int -> flow_timeout:Time.t -> journal:Journal.t -> table_backend)
 
 type config = {
   min_gap : Time.t;
@@ -141,7 +142,9 @@ let create engine ~switch ~routing ~link_rate ?(config = default_config) () =
   let backend =
     match config.table with
     | Exact -> exact_backend ~flow_timeout:config.flow_timeout
-    | Custom_backend make -> make ~switch ~flow_timeout:config.flow_timeout
+    | Custom_backend make ->
+        make ~switch ~flow_timeout:config.flow_timeout
+          ~journal:(Engine.journal engine)
   in
   let tel_evictions = tel "flow_table_evictions" in
   Flow_table.add_on_expire backend.b_table (fun ~now:_ _entry ->
@@ -247,7 +250,8 @@ let check_congestion t ~port =
            journal event downstream (notify, decide, install,
            effective) carries it, so Inspect can decompose the loop
            into the Fig 12/15 stages. *)
-        let corr = Journal.next_corr Journal.default in
+        let journal = Engine.journal t.engine in
+        let corr = Journal.next_corr journal in
         let event =
           {
             time = now;
@@ -259,8 +263,8 @@ let check_congestion t ~port =
             corr;
           }
         in
-        if Journal.enabled Journal.default then
-          Journal.record Journal.default ~ts:now ~corr
+        if Journal.enabled journal then
+          Journal.record journal ~ts:now ~corr
             (Journal.Congestion_detected
                {
                  switch = t.switch;
@@ -370,8 +374,9 @@ let process t ~arrival ~rx (packet : Packet.t) =
               with
               | Some rate ->
                   Metrics.Counter.incr t.tel_estimates;
-                  if Journal.enabled Journal.default then
-                    Journal.record Journal.default ~ts:rx
+                  let journal = Engine.journal t.engine in
+                  if Journal.enabled journal then
+                    Journal.record journal ~ts:rx
                       (Journal.Estimate_update
                          {
                            switch = t.switch;

@@ -80,14 +80,16 @@ type table_backend = {
 
 (** How the collector keeps per-flow state. [Exact] is the paper's
     one-entry-per-sampled-5-tuple table. [Custom_backend] receives the
-    monitored switch id and the configured flow timeout and builds the
-    backend — a factory because one config is shared across every
-    monitored switch ({!Planck_controller} creates many collectors from
-    a single config) and each needs its own state. *)
+    monitored switch id, the configured flow timeout and the journal of
+    the collector's engine, and builds the backend — a factory because
+    one config is shared across every monitored switch
+    ({!Planck_controller} creates many collectors from a single config)
+    and each needs its own state. *)
 type table_kind =
   | Exact
   | Custom_backend of
-      (switch:int -> flow_timeout:Planck_util.Time.t -> table_backend)
+      (switch:int -> flow_timeout:Planck_util.Time.t ->
+       journal:Planck_telemetry.Journal.t -> table_backend)
 
 type config = {
   min_gap : Planck_util.Time.t;  (** burst separator, 200 µs *)

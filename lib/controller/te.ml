@@ -99,11 +99,12 @@ let greedy_route_flow t ~corr flow =
           Metrics.Counter.incr t.tel_reroutes;
           flow.Net_view.no_reroute_until <- now + t.config.reroute_cooldown;
           Net_view.set_route t.view flow !best_mac;
+          let journal = Engine.journal t.engine in
           let on_install =
-            if Journal.enabled Journal.default then begin
+            if Journal.enabled journal then begin
               let key = flow.Net_view.key in
               let label = Format.asprintf "%a" Flow_key.pp key in
-              Journal.record Journal.default ~ts:now ~corr
+              Journal.record journal ~ts:now ~corr
                 (Journal.Reroute_decision
                    {
                      flow = label;
@@ -118,9 +119,7 @@ let greedy_route_flow t ~corr flow =
               Some
                 (fun () ->
                   armed := true;
-                  Journal.record Journal.default
-                    ~ts:(Engine.now t.engine)
-                    ~corr
+                  Journal.record journal ~ts:(Engine.now t.engine) ~corr
                     (Journal.Reroute_install
                        {
                          flow = label;
@@ -150,8 +149,9 @@ let process t (event : Collector.congestion) =
   t.notifications <- t.notifications + 1;
   Metrics.Counter.incr t.tel_notifications;
   let now = Engine.now t.engine in
-  if Journal.enabled Journal.default then
-    Journal.record Journal.default ~ts:now ~corr:event.Collector.corr
+  let journal = Engine.journal t.engine in
+  if Journal.enabled journal then
+    Journal.record journal ~ts:now ~corr:event.Collector.corr
       (Journal.Controller_notified
          { switch = event.Collector.switch; port = event.Collector.port });
   let flows =
@@ -201,7 +201,8 @@ let create engine ~routing ~channel ~collectors ~link_rate
      only feeds the journal, so it is installed only when the journal is
      already enabled at deploy time, and it decodes a frame only while
      some reroute awaits its stamp. *)
-  if Journal.enabled Journal.default then
+  let journal = Engine.journal engine in
+  if Journal.enabled journal then
     List.iter
       (fun collector ->
         Collector.set_tap collector (fun ~rx ~arrival:_ packet ->
@@ -213,7 +214,7 @@ let create engine ~routing ~channel ~collectors ~link_rate
                   | Some (corr, mac, armed)
                     when !armed && Mac.equal (Packet.dst_mac packet) mac ->
                       Flow_key.Table.remove t.pending_effective key;
-                      Journal.record Journal.default ~ts:rx ~corr
+                      Journal.record journal ~ts:rx ~corr
                         (Journal.Reroute_effective
                            {
                              flow = Format.asprintf "%a" Flow_key.pp key;

@@ -1,6 +1,7 @@
 module Time = Planck_util.Time
 module Wheel = Planck_util.Timer_wheel
 module Metrics = Planck_telemetry.Metrics
+module Journal = Planck_telemetry.Journal
 
 (* Process-wide aggregates (label-less) for CLI and bench snapshots;
    each engine additionally registers instance metrics under its own
@@ -27,13 +28,14 @@ type t = {
   mutable max_pending : int;
   tel_pending_hw : Metrics.gauge;
   tel_cancelled : Metrics.counter;
+  journal : Journal.t;
 }
 
 (* Sized like the queue's id arrays: a small testbed's set-up fills the
    table without growing it in the major heap. *)
 let initial_ids = 512
 
-let create ?label () =
+let create ?label ?(journal = Journal.default) () =
   let label =
     match label with
     | Some l -> l
@@ -53,10 +55,12 @@ let create ?label () =
       Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ~label ();
     tel_cancelled =
       Metrics.counter ~subsystem:"engine" ~name:"timers_cancelled" ~label ();
+    journal;
   }
 
 let now t = t.clock
 let label t = t.label
+let journal t = t.journal
 
 let note_scheduled t =
   let n = Wheel.length t.queue in

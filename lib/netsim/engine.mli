@@ -10,14 +10,19 @@
 
 type t
 
-val create : ?label:string -> unit -> t
+val create : ?label:string -> ?journal:Planck_telemetry.Journal.t -> unit -> t
 (** [label] names this engine's instance metrics (default: a fresh
-    ["engine<N>"]). *)
+    ["engine<N>"]); [journal] is {!journal} (default
+    {!Planck_telemetry.Journal.default}). *)
 
 val now : t -> Planck_util.Time.t
 (** Current simulated time. *)
 
 val label : t -> string
+
+val journal : t -> Planck_telemetry.Journal.t
+(** The journal this engine's switches, flows, collectors and TE record
+    into; each engine of a {!Shard} group has its own. *)
 
 val schedule : t -> delay:Planck_util.Time.t -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t + delay]. Raises

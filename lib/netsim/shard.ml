@@ -47,8 +47,6 @@ type barrier = {
 type group = {
   n : int;
   engines : Engine.t array;
-  (* whole-run, unbounded; empty until the journal is enabled *)
-  journals : Journal.t array;
   mutable look : Time.t option;
   (* per-destination channels, registration order *)
   incoming : chan list array;
@@ -60,14 +58,19 @@ type group = {
   flags : bool array array;
 }
 
+(* Each engine records into its own whole-run shard journal, which is on
+   iff [Journal.default] is on now: enable it before building a group. *)
 let create ~shards =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
+  let on = Journal.enabled Journal.default in
+  let engine i =
+    let journal = Journal.shard_journal ~shard:i in
+    Journal.set_enabled journal on;
+    Engine.create ~label:(Printf.sprintf "shard%d" i) ~journal ()
+  in
   {
     n = shards;
-    engines =
-      Array.init shards (fun i ->
-          Engine.create ~label:(Printf.sprintf "shard%d" i) ());
-    journals = Array.init shards (fun i -> Journal.shard_journal ~shard:i);
+    engines = Array.init shards engine;
     look = None;
     incoming = Array.make shards [];
     rounds = Array.make shards 0;
@@ -92,10 +95,6 @@ let check_shard g s label =
 let engine g s =
   check_shard g s "engine";
   g.engines.(s)
-
-let journal g s =
-  check_shard g s "journal";
-  g.journals.(s)
 
 let lookahead g = g.look
 
@@ -178,26 +177,22 @@ let drain g me r =
     g.incoming.(me)
 
 let shard_body g me ~horizon ~local_done =
-  Journal.set_shard_redirect (Some g.journals.(me));
-  Fun.protect
-    ~finally:(fun () -> Journal.set_shard_redirect None)
-    (fun () ->
-      let eng = g.engines.(me) in
-      let w = window g in
-      let rec loop r t =
-        g.flags.(r land 1).(me) <- local_done me;
-        if barrier_await g.barrier then begin
-          let all_done = Array.for_all Fun.id g.flags.(r land 1) in
-          if not (all_done || t >= horizon) then begin
-            drain g me r;
-            g.rounds.(me) <- r;
-            let until = min horizon (t + w) in
-            Engine.run ~until eng;
-            loop (r + 1) until
-          end
-        end
-      in
-      loop 0 Time.zero)
+  let eng = g.engines.(me) in
+  let w = window g in
+  let rec loop r t =
+    g.flags.(r land 1).(me) <- local_done me;
+    if barrier_await g.barrier then begin
+      let all_done = Array.for_all Fun.id g.flags.(r land 1) in
+      if not (all_done || t >= horizon) then begin
+        drain g me r;
+        g.rounds.(me) <- r;
+        let until = min horizon (t + w) in
+        Engine.run ~until eng;
+        loop (r + 1) until
+      end
+    end
+  in
+  loop 0 Time.zero
 
 let run g ~horizon ~local_done =
   let doms =
@@ -217,4 +212,5 @@ let run g ~horizon ~local_done =
   match !first_exn with None -> () | Some exn -> raise exn
 
 let merge_journals g ~into =
-  Journal.merge_into into (List.init g.n (fun i -> (i, g.journals.(i))))
+  Journal.merge_into into
+    (List.init g.n (fun i -> (i, Engine.journal g.engines.(i))))

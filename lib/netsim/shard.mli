@@ -2,9 +2,9 @@
     synchronized with conservative lookahead.
 
     A {!group} owns [n] engines (labelled ["shard0"].. so each shard's
-    instance metrics are distinguishable), one journal per shard that
-    holds the shard's whole run until {!merge_journals} and grows with
-    what it records, and the SPSC channels carrying cross-shard frames.
+    instance metrics are distinguishable), each holding its shard's
+    whole run in its own journal until {!merge_journals}, and the SPSC
+    channels carrying cross-shard frames.
     Simulated time advances in lockstep windows of
     [W = min (lookahead, 10ms)], where the lookahead bound is the
     smallest propagation delay of any cross-shard link: a frame
@@ -23,19 +23,15 @@
 type group
 
 val create : shards:int -> group
-(** [shards] engines named ["shard<i>"], no channels yet. Raises
-    [Invalid_argument] if [shards < 1]. *)
+(** [shards] engines named ["shard<i>"], no channels yet. Their shard
+    journals record iff [Journal.default] is enabled at this call.
+    Raises [Invalid_argument] if [shards < 1]. *)
 
 val shards : group -> int
 
 val engine : group -> int -> Engine.t
 (** The shard's engine. Shard 0's engine doubles as the group's
     reference clock (phase markers, post-run readouts). *)
-
-val journal : group -> int -> Planck_telemetry.Journal.t
-(** The shard's private journal; {!run} redirects
-    [Journal.default] into it on that shard's domain. It never evicts:
-    see {!Planck_telemetry.Journal.shard_journal}. *)
 
 val lookahead : group -> Planck_util.Time.t option
 (** Smallest cross-link propagation delay registered so far; [None]
@@ -70,11 +66,11 @@ val run :
     windows until every shard reports [local_done] at a window boundary
     or the horizon is reached (whichever comes first; the clocks end
     equal on the boundary). [local_done shard] runs on that shard's
-    domain and must touch only state owned by it. Each domain redirects
-    [Journal.default] into its shard journal for the duration.
-    Exceptions raised inside a shard abort the whole group and re-raise
-    (the first one, by shard id) on the caller. *)
+    domain and must touch only state owned by it. Exceptions raised
+    inside a shard abort the whole group and re-raise (the first one,
+    by shard id) on the caller. *)
 
 val merge_journals : group -> into:Planck_telemetry.Journal.t -> unit
-(** Fold the per-shard journals into [into], deterministically ordered
-    by (sim-time, shard id) — see {!Planck_telemetry.Journal.merge_into}. *)
+(** Fold the engines' shard journals into [into], deterministically
+    ordered by (sim-time, shard id) — see
+    {!Planck_telemetry.Journal.merge_into}. *)

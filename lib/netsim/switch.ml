@@ -187,8 +187,9 @@ let drop t ~port ~mirror =
     t.counters.(port).data_drops <- t.counters.(port).data_drops + 1;
     Metrics.Counter.incr t.tel.tel_data_drops.(port)
   end;
-  if Journal.enabled Journal.default then
-    Journal.record Journal.default ~ts:(Engine.now t.engine)
+  let journal = Engine.journal t.engine in
+  if Journal.enabled journal then
+    Journal.record journal ~ts:(Engine.now t.engine)
       (Journal.Packet_drop { switch = t.name; port; mirror })
 
 let note_high_water t =
@@ -199,7 +200,7 @@ let note_high_water t =
   in
   if level > t.hw_level then begin
     t.hw_level <- level;
-    Journal.record Journal.default ~ts:(Engine.now t.engine)
+    Journal.record (Engine.journal t.engine) ~ts:(Engine.now t.engine)
       (Journal.Queue_high_water
          {
            switch = t.name;
@@ -224,7 +225,7 @@ let enqueue t ~port ~cls ~mirror packet =
         let hw = Buffer_pool.shared_high_water t.buffer in
         if hw <> int_of_float (Metrics.Gauge.value t.tel.tel_buffer_hw) then
           Metrics.Gauge.set_int t.tel.tel_buffer_hw hw;
-        if Journal.enabled Journal.default then note_high_water t;
+        if Journal.enabled (Engine.journal t.engine) then note_high_water t;
         match Txport.enqueue txport ~cls packet with
         | () -> ()
         | exception e ->

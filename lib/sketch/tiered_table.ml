@@ -35,6 +35,7 @@ type meta = { promoted_at : Time.t; est_at_promotion : int }
 type t = {
   config : config;
   switch : int;
+  journal : Journal.t;
   cms : Count_min.t;
   table : Flow_table.t;
   meta : meta Flow_key.Table.t;
@@ -63,8 +64,8 @@ let demote t ~now (entry : Flow_table.entry) =
       let (_ : int) = Count_min.update t.cms entry.key fold in
       t.demotions <- t.demotions + 1;
       Metrics.Counter.incr t.tel_demotions;
-      if Journal.enabled Journal.default then
-        Journal.record Journal.default ~ts:now
+      if Journal.enabled t.journal then
+        Journal.record t.journal ~ts:now
           (Journal.Flow_demoted
              {
                switch = t.switch;
@@ -73,7 +74,7 @@ let demote t ~now (entry : Flow_table.entry) =
                lifetime_ns = now - m.promoted_at;
              })
 
-let create ?(config = default_config) ~switch ~flow_timeout () =
+let create ?(config = default_config) ~switch ~flow_timeout ~journal () =
   let table = Flow_table.create ~timeout:flow_timeout () in
   let label = "sw" ^ string_of_int switch in
   let gauge name = Metrics.gauge ~subsystem:"sketch" ~name ~label () in
@@ -82,6 +83,7 @@ let create ?(config = default_config) ~switch ~flow_timeout () =
     {
       config;
       switch;
+      journal;
       cms =
         Count_min.create ~seed:config.seed ~depth:config.depth
           ~width:config.width ();
@@ -136,8 +138,8 @@ let sample t ~key ~now ~bytes ~max_rate ~dst_mac =
             (float_of_int (est - t.config.promote_bytes)
             /. float_of_int t.config.promote_bytes
             *. 100.0);
-        if Journal.enabled Journal.default then
-          Journal.record Journal.default ~ts:now
+        if Journal.enabled t.journal then
+          Journal.record t.journal ~ts:now
             (Journal.Flow_promoted
                {
                  switch = t.switch;
@@ -175,8 +177,8 @@ let backend t =
 
 let table_kind ?config () =
   Collector.Custom_backend
-    (fun ~switch ~flow_timeout ->
-      backend (create ?config ~switch ~flow_timeout ()))
+    (fun ~switch ~flow_timeout ~journal ->
+      backend (create ?config ~switch ~flow_timeout ~journal ()))
 
 let sketch t = t.cms
 let exact_size t = Flow_table.size t.table

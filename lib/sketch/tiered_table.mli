@@ -15,8 +15,7 @@
     with the default [Exact] backend nothing here runs. Per-switch
     occupancy, promotion/demotion, and estimate-error telemetry go to
     {!Planck_telemetry.Metrics.default} (subsystem ["sketch"]), and
-    promotions/demotions are journaled when the default journal is
-    enabled. *)
+    promotions/demotions go to the journal given to {!create}. *)
 
 type config = {
   seed : int;  (** sketch hash seeds derive from this *)
@@ -40,9 +39,11 @@ val default_config : config
 type t
 
 val create :
-  ?config:config -> switch:int -> flow_timeout:Planck_util.Time.t -> unit -> t
+  ?config:config -> switch:int -> flow_timeout:Planck_util.Time.t ->
+  journal:Planck_telemetry.Journal.t -> unit -> t
 (** One tier pair for one monitored switch. [flow_timeout] is the
-    exact tier's idle timeout (the collector passes its own). *)
+    exact tier's idle timeout (the collector passes its own), and
+    [journal] records its promotions and demotions. *)
 
 val sample :
   t ->

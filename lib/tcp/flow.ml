@@ -266,8 +266,8 @@ and transmit_segment t ~seq ~len ~retransmission =
   | Some packet ->
       if retransmission then begin
         t.retransmits <- t.retransmits + 1;
-        if Journal.enabled Journal.default then
-          Journal.record Journal.default ~ts:(Engine.now t.engine)
+        if Journal.enabled (Engine.journal t.engine) then
+          Journal.record (Engine.journal t.engine) ~ts:(Engine.now t.engine)
             (Journal.Tcp_retransmit { flow = flow_label t; seq })
       end;
       Host.send (src_host t) packet
@@ -329,8 +329,8 @@ and on_timeout t =
   end
   else if t.phase = Established && flight t > 0 then begin
     t.timeouts <- t.timeouts + 1;
-    if Journal.enabled Journal.default then
-      Journal.record Journal.default ~ts:(Engine.now t.engine)
+    if Journal.enabled (Engine.journal t.engine) then
+      Journal.record (Engine.journal t.engine) ~ts:(Engine.now t.engine)
         (Journal.Tcp_timeout { flow = flow_label t; rto_ns = t.rto });
     let mss = float_of_int t.params.mss in
     t.ssthresh <- cubic_on_loss t;
@@ -377,8 +377,8 @@ let complete t =
 (* ---- Sender: ACK processing ---- *)
 
 let enter_recovery t =
-  if Journal.enabled Journal.default then
-    Journal.record Journal.default ~ts:(Engine.now t.engine)
+  if Journal.enabled (Engine.journal t.engine) then
+    Journal.record (Engine.journal t.engine) ~ts:(Engine.now t.engine)
       (Journal.Tcp_recovery_enter { flow = flow_label t });
   t.ssthresh <- cubic_on_loss t;
   t.recover <- t.snd_nxt;

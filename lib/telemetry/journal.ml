@@ -52,6 +52,7 @@ type t = {
   mutable on : bool;
   store : store;
   mutable evicted : int;
+  corr_base : int;  (* [clear] resets [corr] here *)
   mutable corr : int;
   mutable writer : (string -> unit) option;
 }
@@ -61,6 +62,7 @@ let create ?(capacity = 65536) ?(enabled = true) () =
     on = enabled;
     store = Ring (Ring.create ~capacity);
     evicted = 0;
+    corr_base = 0;
     corr = 0;
     writer = None;
   }
@@ -72,38 +74,24 @@ let default = create ~enabled:false ()
 let set_enabled t on = t.on <- on
 let enabled t = t.on
 
-(* ---- sharded runs ----
-
-   Under the sharded engine every domain redirects {!default} into its
-   own per-shard journal via DLS, so instrumentation points keep
-   writing [Journal.default] unchanged while each shard records into
-   private state. Correlation ids are made globally unique by basing
-   shard [s > 0] at [s lsl 40]; shard 0 keeps base 0 so a 1-shard run
-   mints the exact id sequence of the single-domain engine. *)
-
-let redirect : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-(* Shard journals buffer the whole run (the merge happens after the
+(* A shard journal buffers the whole run (the merge happens after the
    domains join), unlike the default journal whose writer streams as it
-   records, so they grow with what they record and never evict. *)
+   records, so it grows with what it records and never evicts.
+   Correlation ids are made globally unique by basing shard [s > 0] at
+   [s lsl 40]; shard 0 keeps base 0 so a 1-shard run mints the exact id
+   sequence of the single-domain engine. *)
 let shard_journal ~shard =
+  let corr_base = shard lsl 40 in
   {
     on = true;
     store = Log { rev = []; len = 0 };
     evicted = 0;
-    corr = (if shard > 0 then shard lsl 40 else 0);
+    corr_base;
+    corr = corr_base;
     writer = None;
   }
 
-let set_shard_redirect j = Domain.DLS.set redirect j
-
-let[@inline] target t =
-  if t == default then
-    match Domain.DLS.get redirect with Some j -> j | None -> t
-  else t
-
 let next_corr t =
-  let t = target t in
   t.corr <- t.corr + 1;
   t.corr
 
@@ -124,7 +112,7 @@ let clear t =
       l.rev <- [];
       l.len <- 0);
   t.evicted <- 0;
-  t.corr <- 0
+  t.corr <- t.corr_base
 
 let set_writer t w = t.writer <- w
 
@@ -379,7 +367,6 @@ let of_ndjson s =
    occupancy) must guard that work with [enabled] themselves. *)
 let record t ~ts ?corr body =
   if t.on then begin
-    let t = target t in
     let ev = { ts; corr; body } in
     (match t.store with
     | Ring r ->

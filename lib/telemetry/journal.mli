@@ -13,10 +13,12 @@
     them as a Chrome/Perfetto timeline; the journal is the only event
     stream the stack records.
 
-    Like {!Metrics}, the process-wide {!default} journal is disabled by
-    default and every instrumentation point costs a single branch when
-    it is off. Event bodies allocate, so hot call sites must guard
-    construction with [if Journal.enabled Journal.default]. *)
+    Instrumentation records into its engine's journal
+    ([Planck_netsim.Engine.journal]), which is {!default} unless the
+    engine belongs to a sharded group. Like {!Metrics}, {!default} is
+    disabled by default and an instrumentation point costs a single
+    branch when its journal is off. Event bodies allocate, so hot call
+    sites must guard construction with [if Journal.enabled j]. *)
 
 module Time = Planck_util.Time
 
@@ -93,15 +95,15 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     [capacity] (default 65536) events. *)
 
 val default : t
-(** The process-wide journal every built-in instrumentation point
-    records into. Disabled by default. *)
+(** The process-wide journal: every engine's unless created with its
+    own, and where phase markers and merged shard journals land. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val next_corr : t -> int
-(** Mint a fresh correlation id (1, 2, ...). Independent of
-    {!enabled}. *)
+(** Mint a fresh correlation id (1, 2, ... above the journal's base;
+    see {!shard_journal}). Independent of {!enabled}. *)
 
 val record : t -> ts:Time.t -> ?corr:int -> body -> unit
 (** Append an event. A single branch when the journal is disabled; when
@@ -122,32 +124,27 @@ val evicted : t -> int
     still has them); always 0 for a {!shard_journal}. *)
 
 val clear : t -> unit
-(** Empty the journal and reset the eviction and correlation counters,
-    so consecutive runs against the same journal mint comparable ids. *)
+(** Empty the journal and reset the eviction and correlation counters
+    (to the journal's id base), so consecutive runs mint the same ids. *)
 
 val set_writer : t -> (string -> unit) option -> unit
 
 (** {2 Sharded runs}
 
-    The sharded engine gives every shard domain a private journal and
-    redirects {!default} into it through domain-local storage, so the
-    instrumentation points scattered through the stack need no changes.
-    After the domains join, {!merge_into} folds the per-shard journals
-    back into one deterministic stream. *)
+    The sharded engine gives every shard engine a private journal, so
+    each domain records only into state it owns. After the domains
+    join, {!merge_into} folds the per-shard journals back into one
+    deterministic stream. *)
 
 val shard_journal : shard:int -> t
 (** An enabled journal for shard [shard]. Correlation ids for shard
-    [s > 0] are based at [s lsl 40] so ids stay globally unique;
-    shard 0 keeps base 0, preserving the single-domain id sequence.
-    The whole run buffers here until the post-join merge, so a shard
-    journal has no ring: it holds every event it records, never evicts
-    ({!evicted} stays 0), and its storage grows with what it records —
-    an empty one costs a few words. *)
-
-val set_shard_redirect : t option -> unit
-(** Install ([Some j]) or remove ([None]) the calling domain's redirect:
-    while installed, {!record} and {!next_corr} against {!default} act
-    on [j] instead. Affects only the calling domain. *)
+    [s] are based at [s lsl 40] so ids stay globally unique; shard 0
+    keeps base 0, preserving the single-domain id sequence, and
+    {!clear} returns to the base. The whole run buffers here until the
+    post-join merge, so a shard journal has no ring: it holds every
+    event it records, never evicts ({!evicted} stays 0), and its
+    storage grows with what it records — an empty one costs a few
+    words. *)
 
 val merge_into : t -> (int * t) list -> unit
 (** [merge_into dst shards] appends every event of the [(shard id,

@@ -11,8 +11,9 @@
     uninstrumented run pays one branch per instrumentation point.
     Experiments and the CLI/bench [--metrics-out] / [--journal-out]
     flags flip the process-wide {!Metrics.default} / {!Journal.default}
-    on. The journal is the only event stream: timelines are rendered
-    from it after the run. *)
+    on; each engine of a sharded group records into its own shard
+    journal. The journal is the only event stream: timelines are
+    rendered from it after the run. *)
 
 module Json = Json
 module Metrics = Metrics

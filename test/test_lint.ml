@@ -234,7 +234,6 @@ let test_no_cmt_fails () =
           Engine.cmt_dirs = [ dir ];
           baseline_file = None;
           dead_export = true;
-          shared_state_out = None;
         }
       in
       match Engine.lint_paths opts [ dir ] with
@@ -271,7 +270,6 @@ let test_repo_clean () =
           Engine.cmt_dirs = [ "." ];
           baseline_file = Some "tools/lint/lint_baseline.txt";
           dead_export = false;
-          shared_state_out = None;
         }
       in
       let r = Engine.lint_paths opts [ "lib" ] in

@@ -1,7 +1,6 @@
 (* The domain-safety tier: the mutable-state classification lattice,
    the three shard-confinement rules (positive and negative fixtures
-   each), the baseline and inventory round-trips, and the repo
-   self-check against the committed shared-state inventory.
+   each), baseline absorption and the JSON report's classification.
 
    Fixtures are type-checked in-process against the stdlib environment
    (same harness as test_lint_deep); fixture files live under [lib/]
@@ -229,61 +228,6 @@ let test_json_report_carries_class () =
     "JSON payload carries the classification" true
     (contains ~needle:{|"class":"shared-mutable"|} doc)
 
-(* ---- inventory formats ---- *)
-
-let test_inventory_round_trip () =
-  let ix = index_of [ ("Fix", "lib/fix/fix.ml", rules_fixture) ] in
-  let t = Deep.prepare ~hot_roots:[ "Fix.ingress" ] ix in
-  let entries = Dom.inventory t in
-  let path = Filename.temp_file "planck_shared_state" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc (Dom.inventory_text entries);
-      close_out oc;
-      let loaded =
-        match Dom.load_inventory path with
-        | Ok pairs -> pairs
-        | Error e -> Alcotest.failf "inventory should parse: %s" e
-      in
-      Alcotest.(check (list (pair string string)))
-        "text format round-trips to (class, symbol)"
-        (List.map
-           (fun e -> (Dom.class_label e.Dom.e_class, e.Dom.e_id))
-           entries)
-        loaded);
-  Alcotest.(check bool)
-    "text inventory names the shared state" true
-    (contains ~needle:"\nshared-mutable Fix.table -- " (Dom.inventory_text entries))
-
-(* ---- repo self-check ----
-
-   The committed inventory must match what the tier computes from the
-   build tree's cmts — converting a ref to Atomic (or adding shared
-   state) without regenerating tools/lint/shared_state.txt fails
-   here. *)
-let test_committed_inventory_current () =
-  let ix = Test_lint_deep.build_index () in
-  let committed =
-    Filename.concat (Test_lint_deep.build_root ()) "tools/lint/shared_state.txt"
-  in
-  let t = Deep.prepare ix in
-  let computed =
-    List.map
-      (fun e -> (Dom.class_label e.Dom.e_class, e.Dom.e_id))
-      (Dom.inventory t)
-  in
-  let loaded =
-    match Dom.load_inventory committed with
-    | Ok pairs -> pairs
-    | Error e -> Alcotest.failf "committed inventory unreadable: %s" e
-  in
-  Alcotest.(check (list (pair string string)))
-    "tools/lint/shared_state.txt is current (regenerate with \
-     planck_lint --shared-state-out)"
-    computed loaded
-
 let tests =
   [
     Alcotest.test_case "classification lattice" `Quick test_classification;
@@ -304,7 +248,4 @@ let tests =
       test_baseline_absorbs_domain_finding;
     Alcotest.test_case "JSON report carries classification" `Quick
       test_json_report_carries_class;
-    Alcotest.test_case "inventory round-trips" `Quick test_inventory_round_trip;
-    Alcotest.test_case "committed inventory is current" `Quick
-      test_committed_inventory_current;
   ]

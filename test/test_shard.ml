@@ -7,6 +7,7 @@ module Time = Planck_util.Time
 module Spsc = Planck_util.Spsc
 module Engine = Planck_netsim.Engine
 module Shard = Planck_netsim.Shard
+module Switch = Planck_netsim.Switch
 module Fabric = Planck_topology.Fabric
 module Fat_tree = Planck_topology.Fat_tree
 module Journal = Planck_telemetry.Journal
@@ -220,7 +221,7 @@ let empty_shard_pure_advance () =
   Alcotest.(check bool) "clocks end equal on a window boundary" true
     (Engine.now (Shard.engine g 0) = Engine.now (Shard.engine g 1));
   Alcotest.(check int) "nothing buffered in the shard journal" 0
-    (Journal.length (Shard.journal g 0))
+    (Journal.length (Engine.journal (Shard.engine g 0)))
 
 (* A frame transmitted in window r arriving exactly at the window
    boundary (ts = (r+1) * W, the tightest the lookahead bound allows)
@@ -361,6 +362,49 @@ let merge_orders_by_time_then_shard () =
     "sorted by sim-time, ties broken by shard id"
     [ "d"; "a"; "c"; "b" ] names
 
+(* ---- journal ownership ---- *)
+
+(* Run [f] with the process-wide journal on or off, empty before and
+   after. *)
+let with_default_journal on f =
+  let was = Journal.enabled Journal.default in
+  Journal.clear Journal.default;
+  Journal.set_enabled Journal.default on;
+  Fun.protect
+    ~finally:(fun () ->
+      Journal.set_enabled Journal.default was;
+      Journal.clear Journal.default)
+    f
+
+(* What a shard domain records goes to its engine's journal, with that
+   shard's correlation base; the process-wide journal sees it only
+   through the merge. *)
+let shard_engine_owns_its_journal () =
+  with_default_journal true @@ fun () ->
+  let g = Shard.create ~shards:2 in
+  let e1 = Shard.engine g 1 in
+  Engine.schedule e1 ~delay:(Time.us 1) (fun () ->
+      let j = Engine.journal e1 in
+      Journal.record j ~ts:(Engine.now e1) ~corr:(Journal.next_corr j)
+        (marker "on-shard-1"));
+  Shard.run g ~horizon:(Time.us 10) ~local_done:(fun _ -> false);
+  let corrs s =
+    List.map
+      (fun (ev : Journal.event) -> ev.Journal.corr)
+      (Journal.events (Engine.journal (Shard.engine g s)))
+  in
+  Alcotest.(check (list (option int)))
+    "shard 1's journal holds the event at its id base"
+    [ Some ((1 lsl 40) + 1) ]
+    (corrs 1);
+  Alcotest.(check (list (option int))) "shard 0's journal is empty" []
+    (corrs 0);
+  Alcotest.(check int) "the process-wide journal is empty before the merge" 0
+    (Journal.length Journal.default);
+  Shard.merge_journals g ~into:Journal.default;
+  Alcotest.(check int) "the merge brings it over" 1
+    (Journal.length Journal.default)
+
 (* ---- sharded topologies through Testbed/Experiment ---- *)
 
 let sharded_spec ?(shards = 2) () =
@@ -461,6 +505,53 @@ let multi_shard_run_deterministic () =
   Alcotest.(check bool) "aggregate goodput within 25% of single-domain" true
     (rel < 0.25)
 
+(* The shard journals take the process-wide journal's state at group
+   creation: off there (the fanout-k16 benchmark's configuration), a
+   sharded run that drops frames (small switch buffers) records nothing
+   anywhere. *)
+let disabled_shard_journals_stay_empty () =
+  with_default_journal false @@ fun () ->
+  let spec =
+    {
+      (sharded_spec ()) with
+      Testbed_spec.switch_config =
+        {
+          Switch.default_config with
+          Switch.buffer_total = 32 * 1024;
+          buffer_reservation = 2 * 1024;
+        };
+    }
+  in
+  let testbed = ref None in
+  let (_ : Experiment.summary) =
+    Experiment.with_observer
+      (fun tb _ ->
+        testbed := Some tb;
+        None)
+      (fun () ->
+        Experiment.run ~spec ~scheme:Scheme.Static
+          ~workload:(Experiment.Stride 8) ~size:(512 * 1024)
+          ~horizon:(Time.s 5) ())
+  in
+  let tb = Option.get !testbed in
+  let fabric = tb.Testbed_spec.fabric in
+  let drops =
+    List.fold_left ( + ) 0
+      (List.init (Fabric.switch_count fabric) (fun sw ->
+           Switch.total_data_drops (Fabric.switch fabric sw)))
+  in
+  Alcotest.(check bool) (Printf.sprintf "the run drops frames (%d)" drops) true
+    (drops > 0);
+  let g = Option.get tb.Testbed_spec.shard in
+  for s = 0 to Shard.shards g - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d journal stays empty" s)
+      0
+      (Journal.length (Engine.journal (Shard.engine g s)))
+  done;
+  Alcotest.(check int) "the process-wide journal stays empty" 0
+    (Journal.length Journal.default)
+
 (* Control-plane schemes and mid-run workloads refuse multi-shard runs
    loudly instead of racing. *)
 let multi_shard_guards () =
@@ -557,6 +648,10 @@ let tests =
       multi_shard_run_deterministic;
     Testbed.case "multi-shard guards refuse unsafe configs" `Quick
       multi_shard_guards;
+    Testbed.case "shard engine owns its journal" `Quick
+      shard_engine_owns_its_journal;
+    Testbed.case "disabled shard journals stay empty" `Quick
+      disabled_shard_journals_stay_empty;
     Testbed.case "one-shard journal is byte-identical" `Quick
       one_shard_byte_identity;
   ]

@@ -146,73 +146,69 @@ let sample_one t ~key ~now =
     ~dst_mac:(Mac.host 1)
 
 let promotion_demotion_lifecycle () =
-  let was = Journal.enabled Journal.default in
-  Journal.clear Journal.default;
-  Journal.set_enabled Journal.default true;
-  Fun.protect
-    ~finally:(fun () ->
-      Journal.set_enabled Journal.default was;
-      Journal.clear Journal.default)
-    (fun () ->
-      let t =
-        Tiered.create ~config:lifecycle_config ~switch:7
-          ~flow_timeout:(Time.ms 10) ()
-      in
-      let key = key_of 1 in
-      (match sample_one t ~key ~now:(Time.us 1) with
-      | Some _ -> Alcotest.fail "promoted below threshold (1 sample)"
-      | None -> ());
-      (match sample_one t ~key ~now:(Time.us 2) with
-      | Some _ -> Alcotest.fail "promoted below threshold (2 samples)"
-      | None -> ());
-      (match sample_one t ~key ~now:(Time.us 3) with
-      | None -> Alcotest.fail "third sample (est 4380 B) should promote"
-      | Some entry ->
-          (* the collector accounts the payload after a [Some] *)
-          entry.Flow_table.sampled_bytes <-
-            entry.Flow_table.sampled_bytes + 1_460);
-      Alcotest.(check int) "one promotion" 1 (Tiered.promotions t);
-      Alcotest.(check int) "one exact entry" 1 (Tiered.exact_size t);
-      (match sample_one t ~key ~now:(Time.us 4) with
-      | None -> Alcotest.fail "promoted flow lost its exact entry"
-      | Some entry ->
-          entry.Flow_table.sampled_bytes <-
-            entry.Flow_table.sampled_bytes + 1_460);
-      let before = Count_min.query (Tiered.sketch t) key in
-      (* idle past the flow timeout: the next sweep demotes *)
-      Tiered.tick t ~now:(Time.ms 20);
-      Alcotest.(check int) "one demotion" 1 (Tiered.demotions t);
-      Alcotest.(check int) "exact tier drained" 0 (Tiered.exact_size t);
-      Alcotest.(check int) "fold-back credits the sampled bytes"
-        (before + (2 * 1_460))
-        (Count_min.query (Tiered.sketch t) key);
-      let events =
-        List.filter_map
-          (fun (e : Journal.event) ->
-            match e.Journal.body with
-            | Journal.Flow_promoted { switch; flow; est_bytes } ->
-                Some (Printf.sprintf "promoted sw%d %s %dB" switch flow est_bytes)
-            | Journal.Flow_demoted { switch; flow; fold_back_bytes; _ } ->
-                Some
-                  (Printf.sprintf "demoted sw%d %s %dB" switch flow
-                     fold_back_bytes)
-            | _ -> None)
-          (Journal.events Journal.default)
-      in
-      let flow = FK.to_string key in
-      Alcotest.(check (list string))
-        "journal carries the lifecycle"
-        [
-          Printf.sprintf "promoted sw7 %s 4380B" flow;
-          Printf.sprintf "demoted sw7 %s 2920B" flow;
-        ]
-        events)
+  let journal = Journal.create ~capacity:16 () in
+  let t =
+    Tiered.create ~config:lifecycle_config ~switch:7
+      ~flow_timeout:(Time.ms 10) ~journal ()
+  in
+  let key = key_of 1 in
+  (match sample_one t ~key ~now:(Time.us 1) with
+  | Some _ -> Alcotest.fail "promoted below threshold (1 sample)"
+  | None -> ());
+  (match sample_one t ~key ~now:(Time.us 2) with
+  | Some _ -> Alcotest.fail "promoted below threshold (2 samples)"
+  | None -> ());
+  (match sample_one t ~key ~now:(Time.us 3) with
+  | None -> Alcotest.fail "third sample (est 4380 B) should promote"
+  | Some entry ->
+      (* the collector accounts the payload after a [Some] *)
+      entry.Flow_table.sampled_bytes <-
+        entry.Flow_table.sampled_bytes + 1_460);
+  Alcotest.(check int) "one promotion" 1 (Tiered.promotions t);
+  Alcotest.(check int) "one exact entry" 1 (Tiered.exact_size t);
+  (match sample_one t ~key ~now:(Time.us 4) with
+  | None -> Alcotest.fail "promoted flow lost its exact entry"
+  | Some entry ->
+      entry.Flow_table.sampled_bytes <-
+        entry.Flow_table.sampled_bytes + 1_460);
+  let before = Count_min.query (Tiered.sketch t) key in
+  (* idle past the flow timeout: the next sweep demotes *)
+  Tiered.tick t ~now:(Time.ms 20);
+  Alcotest.(check int) "one demotion" 1 (Tiered.demotions t);
+  Alcotest.(check int) "exact tier drained" 0 (Tiered.exact_size t);
+  Alcotest.(check int) "fold-back credits the sampled bytes"
+    (before + (2 * 1_460))
+    (Count_min.query (Tiered.sketch t) key);
+  let events =
+    List.filter_map
+      (fun (e : Journal.event) ->
+        match e.Journal.body with
+        | Journal.Flow_promoted { switch; flow; est_bytes } ->
+            Some (Printf.sprintf "promoted sw%d %s %dB" switch flow est_bytes)
+        | Journal.Flow_demoted { switch; flow; fold_back_bytes; _ } ->
+            Some
+              (Printf.sprintf "demoted sw%d %s %dB" switch flow
+                 fold_back_bytes)
+        | _ -> None)
+      (Journal.events journal)
+  in
+  let flow = FK.to_string key in
+  Alcotest.(check (list string))
+    "journal carries the lifecycle"
+    [
+      Printf.sprintf "promoted sw7 %s 4380B" flow;
+      Printf.sprintf "demoted sw7 %s 2920B" flow;
+    ]
+    events
 
 let promotion_suppressed_at_cap () =
   let config =
     { lifecycle_config with Tiered.promote_bytes = 1_000; max_exact = 1 }
   in
-  let t = Tiered.create ~config ~switch:0 ~flow_timeout:(Time.s 1) () in
+  let t =
+    Tiered.create ~config ~switch:0 ~flow_timeout:(Time.s 1)
+      ~journal:Journal.default ()
+  in
   (match sample_one t ~key:(key_of 1) ~now:(Time.us 1) with
   | None -> Alcotest.fail "first elephant should promote"
   | Some _ -> ());
@@ -227,7 +223,10 @@ let promotion_suppressed_at_cap () =
     (Count_min.query (Tiered.sketch t) (key_of 2) >= 1_460)
 
 let sketch_telemetry_registered () =
-  let t = Tiered.create ~switch:11 ~flow_timeout:(Time.ms 10) () in
+  let t =
+    Tiered.create ~switch:11 ~flow_timeout:(Time.ms 10)
+      ~journal:Journal.default ()
+  in
   ignore (Tiered.exact_size t);
   let has name =
     List.exists

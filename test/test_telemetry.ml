@@ -317,6 +317,17 @@ let journal_writer_streams_past_eviction () =
       | Error e -> Alcotest.failf "bad streamed line %S: %s" line e)
     !lines
 
+(* Clearing a shard journal returns its correlation counter to the
+   shard's base, so shard 1 never mints shard 0's ids. *)
+let shard_journal_clear_keeps_corr_base () =
+  let j = Journal.shard_journal ~shard:1 in
+  ignore (Journal.next_corr j : int);
+  ignore (Journal.next_corr j : int);
+  Journal.clear j;
+  Alcotest.(check int) "first id after clear is the shard's first"
+    ((1 lsl 40) + 1)
+    (Journal.next_corr j)
+
 (* A shard journal buffers the whole run until the post-join merge, so
    it must never evict: one event past 2^20 (the depth of the ring it
    once had) is kept, in record order, and the merge streams every one
@@ -933,6 +944,8 @@ let tests =
       journal_writer_streams_past_eviction;
     Alcotest.test_case "shard journal keeps the whole run" `Quick
       shard_journal_keeps_whole_run;
+    Alcotest.test_case "shard journal clear keeps its id base" `Quick
+      shard_journal_clear_keeps_corr_base;
     Alcotest.test_case "journal NDJSON tolerates unknown/blank lines" `Quick
       journal_ndjson_tolerates_unknown_and_blank;
     Alcotest.test_case "timeseries sampling and CSV round-trip" `Quick

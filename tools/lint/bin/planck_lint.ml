@@ -1,8 +1,7 @@
 (* planck-lint: static analysis for the Planck reproduction.
 
    Usage: planck_lint [--json] [--out FILE] [--list-rules]
-                      [--cmt-dir DIR] [--baseline FILE]
-                      [--shared-state-out FILE] PATH...
+                      [--cmt-dir DIR] [--baseline FILE] PATH...
 
    Loads the repo's .cmt typedtree artifacts (build first) and runs the
    typed rules — call-graph reachability for the hot-path rules,
@@ -26,7 +25,6 @@ let () =
   let list_rules = ref false in
   let cmt_dirs = ref [] in
   let baseline = ref "" in
-  let shared_state_out = ref "" in
   let paths = ref [] in
   let spec =
     [
@@ -41,9 +39,6 @@ let () =
         Arg.Set_string baseline,
         "FILE finding baseline file (default tools/lint/lint_baseline.txt \
          when present)" );
-      ( "--shared-state-out",
-        Arg.Set_string shared_state_out,
-        "FILE write the shard-confinement inventory to FILE" );
     ]
   in
   let usage = "planck_lint [options] PATH..." in
@@ -68,15 +63,7 @@ let () =
     else if Sys.file_exists default_baseline then Some default_baseline
     else None
   in
-  let some_path s = if s = "" then None else Some s in
-  let opts =
-    {
-      Engine.cmt_dirs;
-      baseline_file;
-      dead_export = true;
-      shared_state_out = some_path !shared_state_out;
-    }
-  in
+  let opts = { Engine.cmt_dirs; baseline_file; dead_export = true } in
   let result =
     try Engine.lint_paths opts (List.rev !paths)
     with Failure msg ->

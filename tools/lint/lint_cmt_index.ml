@@ -1135,7 +1135,7 @@ type binding = {
 }
 
 (* collapse the pretty-printer's line breaks so rendered types stay on
-   one line in messages and the committed inventory format *)
+   one line in messages *)
 let squeeze_ws s =
   let buf = Buffer.create (String.length s) in
   let prev_space = ref false in

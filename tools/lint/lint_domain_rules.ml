@@ -18,8 +18,8 @@
    - shared-mutable: a plain mutable global (ref/Hashtbl/mutable
      record), or a closure that captured one at module init.
 
-   Three rules fire on the shared-mutable class; everything else is
-   inventory only. Like the dead-export rule, findings carry a stable
+   Three rules fire on the shared-mutable class; the other classes
+   raise nothing. Like the dead-export rule, findings carry a stable
    symbol so the committed baseline survives line churn. *)
 
 module Ix = Lint_cmt_index
@@ -182,64 +182,14 @@ let nonatomic_findings dr shared =
         :: acc)
     groups []
 
-let findings ?entries dr =
+let findings dr =
   let hot = shard_closure dr in
-  let entries =
-    match entries with Some e -> e | None -> inventory ~closure:hot dr
+  let shared =
+    List.filter
+      (fun e -> e.e_class = Shared_mutable)
+      (inventory ~closure:hot dr)
   in
-  let shared = List.filter (fun e -> e.e_class = Shared_mutable) entries in
   shared_global_findings shared
   @ unsafe_reach_findings hot shared
   @ nonatomic_findings dr shared
   |> List.sort F.compare_by_location
-
-(* ---- Inventory renderers ---- *)
-
-let inventory_text entries =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    "# planck-lint shard-confinement inventory (generated: planck_lint \
-     --shared-state-out)\n\
-     # One line per toplevel lib/ binding: <class> <symbol> -- <type> \
-     [hot]\n\
-     # Classes: immutable < atomic < engine-scoped < shared-mutable.\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s -- %s%s\n" (class_label e.e_class) e.e_id
-           e.e_type
-           (if e.e_hot then " [hot]" else "")))
-    entries;
-  Buffer.contents buf
-
-(* Parse a committed inventory back to (class, symbol) pairs — the
-   line-number- and type-free projection the self-check compares. *)
-let load_inventory path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | line -> (
-            let line = String.trim line in
-            if line = "" || line.[0] = '#' then go acc (lineno + 1)
-            else
-              match String.index_opt line ' ' with
-              | None ->
-                  Error
-                    (Printf.sprintf "%s:%d: expected `<class> <symbol> ...`"
-                       path lineno)
-              | Some i ->
-                  let cls = String.sub line 0 i in
-                  let rest =
-                    String.sub line (i + 1) (String.length line - i - 1)
-                  in
-                  let sym =
-                    match String.index_opt rest ' ' with
-                    | None -> rest
-                    | Some j -> String.sub rest 0 j
-                  in
-                  go ((cls, sym) :: acc) (lineno + 1))
-      in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go [] 1)

@@ -37,14 +37,5 @@ val inventory : ?closure:Lint_callgraph.closure -> Lint_deep_rules.t -> entry li
     stateless functions are excluded. [e_hot] is membership in
     [closure] (default {!shard_closure}). *)
 
-val findings : ?entries:entry list -> Lint_deep_rules.t -> Lint_finding.t list
-(** The three rules over [entries] (computed when not supplied),
-    sorted by location. *)
-
-val inventory_text : entry list -> string
-(** The committed-file format: [<class> <symbol> -- <type> [hot]] with
-    a comment header. Line-number-free, so the file survives churn. *)
-
-val load_inventory : string -> ((string * string) list, string) result
-(** Parse a committed inventory back to [(class, symbol)] pairs — the
-    projection the repo self-check compares against [inventory]. *)
+val findings : Lint_deep_rules.t -> Lint_finding.t list
+(** The three rules over {!inventory}, sorted by location. *)

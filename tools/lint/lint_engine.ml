@@ -130,14 +130,7 @@ type options = {
   cmt_dirs : string list;
   baseline_file : string option;
   dead_export : bool;
-  shared_state_out : string option;
 }
-
-let write_inventory path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
 
 (* Run the typed tiers over the cmt index. Returns the per-file map of
    their findings for the walked file set (findings on files outside
@@ -153,14 +146,9 @@ let typed_findings opts ~walked =
           --cmt-dir"
          (String.concat ", " opts.cmt_dirs));
   let dr = Lint_deep_rules.prepare ix in
-  let domain_entries = Lint_domain_rules.inventory dr in
-  Option.iter
-    (fun path ->
-      write_inventory path (Lint_domain_rules.inventory_text domain_entries))
-    opts.shared_state_out;
   let findings =
     Lint_deep_rules.findings ~dead_export:opts.dead_export dr
-    @ Lint_domain_rules.findings ~entries:domain_entries dr
+    @ Lint_domain_rules.findings dr
   in
   let entries, stale =
     match opts.baseline_file with

@@ -31,9 +31,6 @@ type options = {
   dead_export : bool;
       (** run the dead-export analysis — requires the cmt set to cover
           every referencing unit, or absences fabricate dead exports *)
-  shared_state_out : string option;
-      (** write the shard-confinement inventory, in the committed text
-          format of [tools/lint/shared_state.txt], to this path *)
 }
 
 val lint_paths : options -> string list -> result
