@@ -42,14 +42,15 @@ type counters = {
   mutable mirror_drops : int;
 }
 
-(* Per-port telemetry handles (process-wide registry, labelled
-   "<switch>.p<port>"), plus the per-switch shared-buffer high-water
-   gauge. Registered once at switch creation; every hot-path update is
-   a single enabled-flag branch when telemetry is off. *)
+(* Per-port counter vectors (process-wide registry, one handle per
+   switch and metric; snapshots label the rows "<switch>.p<port>"),
+   plus the per-switch shared-buffer high-water gauge. Registered once
+   at switch creation; every hot-path update is a single enabled-flag
+   branch when telemetry is off. *)
 type telemetry = {
-  tel_enqueued : Metrics.counter array;
-  tel_data_drops : Metrics.counter array;
-  tel_mirror_drops : Metrics.counter array;
+  tel_enqueued : Metrics.counter_vector;
+  tel_data_drops : Metrics.counter_vector;
+  tel_mirror_drops : Metrics.counter_vector;
   tel_buffer_hw : Metrics.gauge;
 }
 
@@ -181,11 +182,11 @@ let monitor_port t = t.monitor
 let drop t ~port ~mirror =
   if mirror then begin
     t.counters.(port).mirror_drops <- t.counters.(port).mirror_drops + 1;
-    Metrics.Counter.incr t.tel.tel_mirror_drops.(port)
+    Metrics.Counter_vector.incr t.tel.tel_mirror_drops port
   end
   else begin
     t.counters.(port).data_drops <- t.counters.(port).data_drops + 1;
-    Metrics.Counter.incr t.tel.tel_data_drops.(port)
+    Metrics.Counter_vector.incr t.tel.tel_data_drops port
   end;
   let journal = Engine.journal t.engine in
   if Journal.enabled journal then
@@ -219,7 +220,7 @@ let enqueue t ~port ~cls ~mirror packet =
       if
         Buffer_pool.try_alloc t.buffer ~port ~bytes_:(Packet.wire_size packet)
       then begin
-        Metrics.Counter.incr t.tel.tel_enqueued.(port);
+        Metrics.Counter_vector.incr t.tel.tel_enqueued port;
         (* Re-setting an unchanged gauge would box a float per frame;
            the high-water mark changes only when it rises. *)
         let hw = Buffer_pool.shared_high_water t.buffer in
@@ -408,10 +409,8 @@ let create engine ~name ~ports ~config ?prng () =
       prng;
       tel =
         (let per_port metric =
-           Array.init ports (fun port ->
-               Metrics.counter ~subsystem:"switch" ~name:metric
-                 ~label:(Printf.sprintf "%s.p%d" name port)
-                 ())
+           Metrics.counter_vector ~subsystem:"switch" ~name:metric ~label:name
+             ~ports ()
          in
          {
            tel_enqueued = per_port "enqueued";

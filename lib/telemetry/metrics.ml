@@ -12,11 +12,15 @@ type registry = {
 
 and entry = { key : key; data : data }
 
-and data = C of counter | G of gauge | H of histogram
+and data = C of counter | G of gauge | H of histogram | V of counter_vector
 
 (* Atomic: shard domains update shared counters concurrently (the
    engine's process-wide event count among them). *)
 and counter = { c_reg : registry; c_value : int Atomic.t }
+
+(* Plain ints: each cell has one writer domain (see metrics.mli). Growth
+   swaps in a longer copy, so updates read [v_cells] afresh. *)
+and counter_vector = { v_reg : registry; mutable v_cells : int array }
 
 and gauge = {
   g_reg : registry;
@@ -58,27 +62,62 @@ let kind_mismatch key =
     (Printf.sprintf "Metrics: %s/%s[%s] already registered with another kind"
        key.k_subsystem key.k_name key.k_label)
 
+(* Labels ending in ".p<digits>" are reserved for vector rows: a scalar
+   may not take one, so no row is ever listed twice. Two vectors' rows
+   never meet either, since a row label splits into its vector's label
+   and index only at its last ".p". *)
+let register_scalar reg ~subsystem ~name ~label make =
+  let n = String.length label in
+  let rec digits_from j =
+    if j > 0 && label.[j - 1] >= '0' && label.[j - 1] <= '9' then
+      digits_from (j - 1)
+    else j
+  in
+  let d = digits_from n in
+  if d < n && d >= 2 && label.[d - 2] = '.' && label.[d - 1] = 'p' then
+    invalid_arg
+      (Printf.sprintf "Metrics: %s/%s[%s] is a counter-vector row label"
+         subsystem name label);
+  register reg ~subsystem ~name ~label make
+
 let counter ?(registry = default) ~subsystem ~name ?(label = "") () =
   match
-    register registry ~subsystem ~name ~label (fun () ->
+    register_scalar registry ~subsystem ~name ~label (fun () ->
         C { c_reg = registry; c_value = Atomic.make 0 })
   with
   | C c -> c
-  | G _ | H _ ->
+  | G _ | H _ | V _ ->
+      kind_mismatch { k_subsystem = subsystem; k_name = name; k_label = label }
+
+let counter_vector ?(registry = default) ~subsystem ~name ?(label = "") ~ports
+    () =
+  match
+    register registry ~subsystem ~name ~label (fun () ->
+        V { v_reg = registry; v_cells = Array.make ports 0 })
+  with
+  | V v ->
+      let cells = v.v_cells in
+      if ports > Array.length cells then begin
+        let grown = Array.make ports 0 in
+        Array.blit cells 0 grown 0 (Array.length cells);
+        v.v_cells <- grown
+      end;
+      v
+  | C _ | G _ | H _ ->
       kind_mismatch { k_subsystem = subsystem; k_name = name; k_label = label }
 
 let gauge ?(registry = default) ~subsystem ~name ?(label = "") () =
   match
-    register registry ~subsystem ~name ~label (fun () ->
+    register_scalar registry ~subsystem ~name ~label (fun () ->
         G { g_reg = registry; g_value = 0.0; g_max = neg_infinity })
   with
   | G g -> g
-  | C _ | H _ ->
+  | C _ | H _ | V _ ->
       kind_mismatch { k_subsystem = subsystem; k_name = name; k_label = label }
 
 let histogram ?(registry = default) ~subsystem ~name ?(label = "") () =
   match
-    register registry ~subsystem ~name ~label (fun () ->
+    register_scalar registry ~subsystem ~name ~label (fun () ->
         H
           {
             h_reg = registry;
@@ -90,7 +129,7 @@ let histogram ?(registry = default) ~subsystem ~name ?(label = "") () =
           })
   with
   | H h -> h
-  | C _ | G _ ->
+  | C _ | G _ | V _ ->
       kind_mismatch { k_subsystem = subsystem; k_name = name; k_label = label }
 
 module Counter = struct
@@ -99,6 +138,14 @@ module Counter = struct
 
   let incr c = add c 1
   let value c = Atomic.get c.c_value
+end
+
+module Counter_vector = struct
+  let incr v i =
+    if v.v_reg.on then begin
+      let cells = v.v_cells in
+      cells.(i) <- cells.(i) + 1
+    end
 end
 
 module Gauge = struct
@@ -200,30 +247,37 @@ type snapshot = {
   value : value;
 }
 
-let snapshot_entry entry =
-  let value =
-    match entry.data with
-    | C c -> Counter_value (Atomic.get c.c_value)
-    | G g -> Gauge_value { value = g.g_value; max = Gauge.max_value g }
-    | H h ->
-        Histogram_value
-          {
-            count = h.h_count;
-            sum = h.h_sum;
-            min = Histogram.min_value h;
-            max = h.h_max;
-            buckets = Histogram.nonzero_buckets h;
-          }
+(* One row per scalar; a vector expands to one counter row per cell,
+   labelled only now. *)
+let snapshot_entry entry acc =
+  let row label value =
+    { subsystem = entry.key.k_subsystem; name = entry.key.k_name; label; value }
   in
-  {
-    subsystem = entry.key.k_subsystem;
-    name = entry.key.k_name;
-    label = entry.key.k_label;
-    value;
-  }
+  let scalar value = row entry.key.k_label value :: acc in
+  match entry.data with
+  | C c -> scalar (Counter_value (Atomic.get c.c_value))
+  | G g -> scalar (Gauge_value { value = g.g_value; max = Gauge.max_value g })
+  | H h ->
+      scalar
+        (Histogram_value
+           {
+             count = h.h_count;
+             sum = h.h_sum;
+             min = Histogram.min_value h;
+             max = h.h_max;
+             buckets = Histogram.nonzero_buckets h;
+           })
+  | V v ->
+      let acc = ref acc in
+      Array.iteri
+        (fun i n ->
+          let label = entry.key.k_label ^ ".p" ^ string_of_int i in
+          acc := row label (Counter_value n) :: !acc)
+        v.v_cells;
+      !acc
 
 let snapshot reg =
-  Hashtbl.fold (fun _ entry acc -> snapshot_entry entry :: acc) reg.entries []
+  Hashtbl.fold (fun _ entry acc -> snapshot_entry entry acc) reg.entries []
   |> List.sort (fun a b ->
          match String.compare a.subsystem b.subsystem with
          | 0 -> (
@@ -245,7 +299,14 @@ let reset reg =
           h.h_count <- 0;
           h.h_sum <- 0;
           h.h_min <- max_int;
-          h.h_max <- 0)
+          h.h_max <- 0
+      | V v -> Array.fill v.v_cells 0 (Array.length v.v_cells) 0)
     reg.entries
 
-let size reg = Hashtbl.length reg.entries
+let size reg =
+  Hashtbl.fold
+    (fun _ entry n ->
+      match entry.data with
+      | V v -> n + Array.length v.v_cells
+      | C _ | G _ | H _ -> n + 1)
+    reg.entries 0

@@ -1,5 +1,6 @@
-(** Typed metric registry: counters, gauges, and log-bucketed integer
-    histograms keyed by [(subsystem, name, label)].
+(** Typed metric registry: counters, per-port counter vectors, gauges,
+    and log-bucketed integer histograms keyed by
+    [(subsystem, name, label)].
 
     Handles are registered once (typically when the instrumented object
     is created — registration deduplicates, so re-creating an object
@@ -18,6 +19,7 @@
 type registry
 
 type counter
+type counter_vector
 type gauge
 type histogram
 
@@ -44,6 +46,37 @@ val counter :
   unit ->
   counter
 
+val counter_vector :
+  ?registry:registry ->
+  subsystem:string ->
+  name:string ->
+  ?label:string ->
+  ports:int ->
+  unit ->
+  counter_vector
+(** One counter per port under a single key: what a switch registers
+    instead of one {!counter} per port. It costs one registration and
+    one array, and builds no per-port label: {!snapshot} expands it to
+    counter rows labelled ["<label>.p<i>"] for [i] in [0, ports), and
+    {!size} counts those rows.
+
+    Growth: re-registering the key returns the same vector, grown to the
+    larger of its length and [ports] with every count kept, so a later
+    switch that reuses a name with more ports shares (and extends) the
+    earlier one's rows, as per-port counters would. A vector never
+    shrinks.
+
+    Labels ending in [".p<digits>"] are reserved for vector rows:
+    {!counter}, {!gauge} and {!histogram} raise [Invalid_argument] on
+    one, so no snapshot holds two rows under one key.
+
+    Writers: cells are plain ints, not atomics, so each cell must have
+    one writer at a time. A switch's vector is updated only by the
+    domain that runs the switch's engine; two switches share a vector
+    only when they share a name, which does not happen within one
+    testbed, and two testbeds in one process do not run at once.
+    {!snapshot} and {!reset} are for when no engine runs. *)
+
 val gauge :
   ?registry:registry ->
   subsystem:string ->
@@ -68,6 +101,13 @@ module Counter : sig
   val incr : counter -> unit
   val add : counter -> int -> unit
   val value : counter -> int
+end
+
+module Counter_vector : sig
+  val incr : counter_vector -> int -> unit
+  (** [incr v i] counts one at cell [i]; one enabled-flag branch when
+      the registry is off. With the registry on, raises
+      [Invalid_argument] if [i] is outside the vector. *)
 end
 
 module Gauge : sig
@@ -133,11 +173,13 @@ type snapshot = {
 }
 
 val snapshot : registry -> snapshot list
-(** Current values, sorted by [(subsystem, name, label)] — deterministic
-    regardless of registration order. *)
+(** Current values, one row per scalar metric and per vector cell,
+    sorted by [(subsystem, name, label)] — deterministic regardless of
+    registration order. *)
 
 val reset : registry -> unit
-(** Zero every metric (handles stay registered and valid). *)
+(** Zero every metric and vector cell (handles stay registered and
+    valid). *)
 
 val size : registry -> int
-(** Number of registered metrics. *)
+(** Number of rows {!snapshot} returns. *)

@@ -33,6 +33,30 @@ let testbed_variants () =
   Alcotest.(check (float 1.0)) "link rate" 10.0
     (Rate.to_gbps (Testbed.link_rate ft))
 
+(* Set-up cost guard: building a k=8 fat tree (80 switches of 9 ports,
+   128 hosts, one route per destination) allocates about 0.12 M minor
+   words (0.118 M once its switch names are registered). When every
+   switch registered one counter per port under its own
+   "<switch>.p<port>" label, it took about 0.27 M (0.25 M warm). The
+   bound is 25% above today's count, so a per-port registration coming
+   back fails here. *)
+let testbed_setup_alloc () =
+  let spec =
+    {
+      Testbed.default_spec with
+      Testbed.topology = Testbed.Fat_tree { k = 8 };
+      alts = Some 1;
+    }
+  in
+  let before = Gc.minor_words () in
+  let tb = Testbed.create spec in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "k=8 hosts" 128 (Testbed.host_count tb);
+  Alcotest.(check bool)
+    (Printf.sprintf "k=8 testbed allocates %.0f minor words (bound 155,000)"
+       words)
+    true (words <= 155_000.)
+
 let scheme_names () =
   Alcotest.(check string) "static" "Static" (Scheme.name Scheme.Static);
   Alcotest.(check string) "planck" "PlanckTE"
@@ -257,6 +281,7 @@ let scalability_guards () =
 let tests =
   [
     case "testbed variants" `Quick testbed_variants;
+    case "testbed set-up allocation" `Quick testbed_setup_alloc;
     case "scheme names" `Quick scheme_names;
     case "scheme deployment shapes" `Quick
       scheme_deployment_shapes;

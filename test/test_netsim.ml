@@ -16,6 +16,7 @@ module H = Planck_packet.Headers
 module Mac = Planck_packet.Mac
 module Ip = Planck_packet.Ipv4_addr
 module FK = Planck_packet.Flow_key
+module Metrics = Planck_telemetry.Metrics
 
 let mk_tcp ?(src = 0) ?(dst = 1) ?(seq = 0) ?(payload = 1460) () =
   P.tcp ~src_mac:(Mac.host src) ~dst_mac:(Mac.host dst) ~src_ip:(Ip.host src)
@@ -504,6 +505,87 @@ let switch_drops_when_buffer_full () =
   Alcotest.(check bool) "data drops recorded" true
     (Switch.total_data_drops sw > 50)
 
+(* The switch's per-port counter vectors, read back as the rows a
+   [--metrics-out] snapshot writes: "<switch>.p<port>" per metric. *)
+let switch_rows name metric =
+  let prefix = name ^ ".p" in
+  let n = String.length prefix in
+  List.filter_map
+    (fun (s : Metrics.snapshot) ->
+      if
+        s.subsystem = "switch" && s.name = metric
+        && String.length s.label > n
+        && String.sub s.label 0 n = prefix
+      then
+        match s.value with
+        | Metrics.Counter_value v ->
+            let port = String.sub s.label n (String.length s.label - n) in
+            Some (int_of_string port, v)
+        | Metrics.Gauge_value _ | Metrics.Histogram_value _ -> None
+      else None)
+    (Metrics.snapshot Metrics.default)
+  |> List.sort compare
+
+let switch_metric_rows () =
+  let was = Metrics.enabled Metrics.default in
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset Metrics.default;
+      Metrics.set_enabled Metrics.default was)
+    (fun () ->
+      let name = "metric_rows" in
+      let e = Engine.create () in
+      let config =
+        {
+          Switch.default_config with
+          Switch.buffer_total = 20_000;
+          buffer_reservation = 0;
+        }
+      in
+      let sw = Switch.create e ~name ~ports:4 ~config () in
+      for port = 0 to 3 do
+        Switch.connect sw ~port ~rate:(Rate.gbps 10.0) ~prop_delay:0
+          ~deliver:ignore ()
+      done;
+      Switch.add_route sw (Mac.host 1) 1;
+      Switch.set_mirror sw ~monitor:3 ~mirrored:[ 0; 1 ];
+      let frames = 100 in
+      Engine.schedule e ~delay:0 (fun () ->
+          for i = 0 to frames - 1 do
+            Switch.ingress sw ~port:0 (mk_tcp ~seq:(i * 1460) ())
+          done);
+      Engine.run e;
+      let stats =
+        List.init 4 (fun port -> (port, Switch.port_stats sw ~port))
+      in
+      let column f = List.map (fun (port, st) -> (port, f st)) stats in
+      let rows = Alcotest.(list (pair int int)) in
+      let data_drops = column (fun st -> st.Switch.data_drops) in
+      let mirror_drops = column (fun st -> st.Switch.mirror_drops) in
+      Alcotest.(check bool) "congested: both kinds of drop" true
+        (List.assoc 1 data_drops > 0 && List.assoc 3 mirror_drops > 0);
+      Alcotest.check rows "data_drops rows = port_stats" data_drops
+        (switch_rows name "data_drops");
+      Alcotest.check rows "mirror_drops rows = port_stats" mirror_drops
+        (switch_rows name "mirror_drops");
+      (* Every admitted frame leaves its egress once the run drains. *)
+      let enqueued = switch_rows name "enqueued" in
+      Alcotest.check rows "enqueued rows = frames sent"
+        (column (fun st -> st.Switch.tx_packets))
+        enqueued;
+      Alcotest.(check int) "port 1: admitted + dropped = offered" frames
+        (List.assoc 1 enqueued + List.assoc 1 data_drops);
+      (* A later switch reusing the name with more ports shares the
+         rows: they grow, and the first switch's counts survive. *)
+      ignore (Switch.create e ~name ~ports:6 ~config () : Switch.t);
+      let grown = enqueued @ [ (4, 0); (5, 0) ] in
+      Alcotest.check rows "counts survive a wider namesake" grown
+        (switch_rows name "enqueued");
+      Alcotest.check rows "drop rows too" (data_drops @ [ (4, 0); (5, 0) ])
+        (switch_rows name "data_drops"))
+
 let switch_inject () =
   let e = Engine.create () in
   let sw, received = switch_pair e in
@@ -745,6 +827,8 @@ let tests =
       switch_mirror_self_rejected;
     Testbed.case "switch drops when buffer full" `Quick
       switch_drops_when_buffer_full;
+    Testbed.case "switch metric rows match port stats" `Quick
+      switch_metric_rows;
     Testbed.case "switch packet-out injection" `Quick switch_inject;
     Testbed.case "host MAC filtering" `Quick host_mac_filter;
     Testbed.case "host stack is FIFO" `Quick host_stack_is_fifo;

@@ -122,6 +122,173 @@ let registry_reset () =
   Metrics.Counter.incr c;
   Alcotest.(check int) "handle still live" 1 (Metrics.Counter.value c)
 
+(* ---- counter vectors ---- *)
+
+let row_values reg =
+  List.map
+    (fun (s : Metrics.snapshot) ->
+      ( s.label,
+        match s.value with
+        | Metrics.Counter_value n -> n
+        | Metrics.Gauge_value _ | Metrics.Histogram_value _ -> -1 ))
+    (Metrics.snapshot reg)
+
+let vector_rows_and_growth () =
+  let reg = Metrics.create () in
+  let v =
+    Metrics.counter_vector ~registry:reg ~subsystem:"switch" ~name:"enqueued"
+      ~label:"s0" ~ports:3 ()
+  in
+  Metrics.Counter_vector.incr v 0;
+  Metrics.Counter_vector.incr v 2;
+  Metrics.Counter_vector.incr v 2;
+  Alcotest.(check (list (pair string int)))
+    "one counter row per port"
+    [ ("s0.p0", 1); ("s0.p1", 0); ("s0.p2", 2) ]
+    (row_values reg);
+  (* A later switch reusing the name with more ports shares the vector:
+     it grows, and the first switch's counts survive. *)
+  let w =
+    Metrics.counter_vector ~registry:reg ~subsystem:"switch" ~name:"enqueued"
+      ~label:"s0" ~ports:11 ()
+  in
+  Metrics.Counter_vector.incr w 10;
+  Metrics.Counter_vector.incr v 2;
+  Alcotest.(check (list (pair string int)))
+    "grown, counts kept, rows sorted by label"
+    [
+      ("s0.p0", 1); ("s0.p1", 0); ("s0.p10", 1); ("s0.p2", 3); ("s0.p3", 0);
+      ("s0.p4", 0); ("s0.p5", 0); ("s0.p6", 0); ("s0.p7", 0); ("s0.p8", 0);
+      ("s0.p9", 0);
+    ]
+    (row_values reg);
+  (* A smaller re-registration neither shrinks nor resets it. *)
+  ignore
+    (Metrics.counter_vector ~registry:reg ~subsystem:"switch" ~name:"enqueued"
+       ~label:"s0" ~ports:2 ()
+      : Metrics.counter_vector);
+  Alcotest.(check int) "never shrinks" 11 (Metrics.size reg);
+  Alcotest.(check int) "size counts rows" 11
+    (List.length (Metrics.snapshot reg))
+
+let vector_kind_clashes () =
+  let reg = Metrics.create () in
+  let raises what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f () : unit);
+         false
+       with Invalid_argument _ -> true)
+  in
+  let vector ?(label = "s0") ports () =
+    ignore
+      (Metrics.counter_vector ~registry:reg ~subsystem:"sw" ~name:"n" ~label
+         ~ports ()
+        : Metrics.counter_vector)
+  in
+  let counter label () =
+    ignore
+      (Metrics.counter ~registry:reg ~subsystem:"sw" ~name:"n" ~label ()
+        : Metrics.counter)
+  in
+  ignore (Metrics.gauge ~registry:reg ~subsystem:"sw" ~name:"n" ~label:"g" ());
+  raises "a gauge's key refuses a vector" (vector ~label:"g" 2);
+  vector 2 ();
+  raises "a vector's key refuses a counter" (counter "s0");
+  raises "a vector's key refuses a histogram" (fun () ->
+      ignore
+        (Metrics.histogram ~registry:reg ~subsystem:"sw" ~name:"n" ~label:"s0"
+           ()));
+  (* Row-shaped labels belong to vectors, whether or not one holds
+     that row yet; other labels stay free. *)
+  raises "a vector row's label refuses a counter" (counter "s0.p1");
+  raises "a label past the vector is refused too" (counter "s0.p2");
+  raises "and a gauge" (fun () ->
+      ignore
+        (Metrics.gauge ~registry:reg ~subsystem:"sw" ~name:"n" ~label:"t.p0"
+           ()));
+  counter "s0.p" ();
+  counter "s0.p1x" ();
+  counter "s0p1" ();
+  vector 3 ();
+  vector ~label:"s0.p1" 1 ();
+  let labels = List.map fst (row_values reg) in
+  Alcotest.(check (list string))
+    "every row once"
+    [ "g"; "s0.p"; "s0.p0"; "s0.p1"; "s0.p1.p0"; "s0.p1x"; "s0.p2"; "s0p1" ]
+    labels
+
+let vector_disabled_and_reset () =
+  let reg = Metrics.create ~enabled:false () in
+  let v =
+    Metrics.counter_vector ~registry:reg ~subsystem:"t" ~name:"v" ~ports:2 ()
+  in
+  Metrics.Counter_vector.incr v 1;
+  Alcotest.(check (list (pair string int)))
+    "disabled registry leaves the cells untouched"
+    [ (".p0", 0); (".p1", 0) ]
+    (row_values reg);
+  Metrics.set_enabled reg true;
+  Metrics.Counter_vector.incr v 1;
+  Metrics.Counter_vector.incr v 0;
+  Metrics.reset reg;
+  Alcotest.(check (list (pair string int)))
+    "reset zeroes the cells" [ (".p0", 0); (".p1", 0) ] (row_values reg);
+  Metrics.Counter_vector.incr v 1;
+  Alcotest.(check (list (pair string int)))
+    "handle still live" [ (".p0", 0); (".p1", 1) ] (row_values reg);
+  Alcotest.(check bool) "out-of-range cell raises" true
+    (try
+       Metrics.Counter_vector.incr v 2;
+       false
+     with Invalid_argument _ -> true)
+
+(* Whatever mix of kinds and labels gets registered (clashes raise and
+   are skipped), a snapshot names each (subsystem, name, label) once
+   and [size] is its length. *)
+let registry_rows_unique =
+  let open QCheck in
+  let label =
+    Gen.oneofl [ "s0"; "s0.p0"; "s0.p1"; "s0.p3"; "s0.p"; "s1"; "s0.p1.p0"; "" ]
+  in
+  let op =
+    Gen.(
+      triple (int_range 0 3) (oneofl [ "a"; "b" ]) (pair label (int_range 1 5)))
+  in
+  let print (kind, name, (label, ports)) =
+    Printf.sprintf "%d %s %S %d" kind name label ports
+  in
+  Test.make ~name:"metrics: snapshot rows unique, size = rows" ~count:300
+    (make ~print:(Print.list print) (Gen.list_size (Gen.int_range 0 25) op))
+    (fun ops ->
+      let reg = Metrics.create () in
+      List.iter
+        (fun (kind, name, (label, ports)) ->
+          try
+            match kind with
+            | 0 ->
+                Metrics.Counter.incr
+                  (Metrics.counter ~registry:reg ~subsystem:"x" ~name ~label ())
+            | 1 ->
+                ignore (Metrics.gauge ~registry:reg ~subsystem:"x" ~name ~label ())
+            | 2 ->
+                ignore
+                  (Metrics.histogram ~registry:reg ~subsystem:"x" ~name ~label ())
+            | _ ->
+                Metrics.Counter_vector.incr
+                  (Metrics.counter_vector ~registry:reg ~subsystem:"x" ~name
+                     ~label ~ports ())
+                  (ports - 1)
+          with Invalid_argument _ -> ())
+        ops;
+      let rows =
+        List.map
+          (fun (s : Metrics.snapshot) -> (s.subsystem, s.name, s.label))
+          (Metrics.snapshot reg)
+      in
+      List.length rows = Metrics.size reg
+      && List.length (List.sort_uniq compare rows) = List.length rows)
+
 (* ---- histogram bucketing ---- *)
 
 let histogram_bucket_boundaries () =
@@ -921,6 +1088,13 @@ let tests =
     Alcotest.test_case "snapshot is deterministic" `Quick
       registry_snapshot_deterministic;
     Alcotest.test_case "reset keeps handles live" `Quick registry_reset;
+    Alcotest.test_case "vector rows grow and keep counts" `Quick
+      vector_rows_and_growth;
+    Alcotest.test_case "vector key and row clashes raise" `Quick
+      vector_kind_clashes;
+    Alcotest.test_case "vector: disabled no-op, reset" `Quick
+      vector_disabled_and_reset;
+    QCheck_alcotest.to_alcotest registry_rows_unique;
     Alcotest.test_case "histogram bucket boundaries" `Quick
       histogram_bucket_boundaries;
     Alcotest.test_case "histogram observations" `Quick histogram_observations;
