@@ -3,18 +3,6 @@ module Wheel = Planck_util.Timer_wheel
 module Metrics = Planck_telemetry.Metrics
 module Journal = Planck_telemetry.Journal
 
-(* Process-wide aggregates (label-less) for CLI and bench snapshots;
-   each engine additionally registers instance metrics under its own
-   label so concurrent testbeds in one process don't clobber each
-   other. The aggregate high-water is kept monotone across engines. *)
-let m_events = Metrics.counter ~subsystem:"engine" ~name:"events_processed" ()
-
-let m_pending_hw =
-  Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ()
-
-let aggregate_hw = Atomic.make 0
-let next_engine_id = Atomic.make 0
-
 (* The queue hands out int ids; [callbacks] maps each id to what runs
    when it fires. A one-shot id is released as it fires, so the table
    stays as large as the most ids ever held at once. *)
@@ -26,23 +14,22 @@ type t = {
   mutable clock : Time.t;
   mutable processed : int;
   mutable max_pending : int;
+  journal : Journal.t;
+  (* rows in [Metrics.default]; [published_*]: counts added to them *)
+  tel_events : Metrics.counter option;
   tel_pending_hw : Metrics.gauge;
   tel_cancelled : Metrics.counter;
-  journal : Journal.t;
+  mutable published_events : int;
+  mutable published_cancelled : int;
 }
 
 (* Sized like the queue's id arrays: a small testbed's set-up fills the
    table without growing it in the major heap. *)
 let initial_ids = 512
 
-let create ?label ?(journal = Journal.default) () =
-  let label =
-    match label with
-    | Some l -> l
-    | None ->
-        let id = Atomic.fetch_and_add next_engine_id 1 in
-        Printf.sprintf "engine%d" id
-  in
+(* A labelled engine (a shard) has no events row: its group adds its
+   events to the label-less one. *)
+let create ?(label = "") ?(journal = Journal.default) () =
   {
     queue = Wheel.create ();
     callbacks = Array.make initial_ids ignore;
@@ -51,11 +38,17 @@ let create ?label ?(journal = Journal.default) () =
     clock = 0;
     processed = 0;
     max_pending = 0;
+    journal;
+    tel_events =
+      (if label = "" then
+         Some (Metrics.counter ~subsystem:"engine" ~name:"events_processed" ())
+       else None);
     tel_pending_hw =
       Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ~label ();
     tel_cancelled =
       Metrics.counter ~subsystem:"engine" ~name:"timers_cancelled" ~label ();
-    journal;
+    published_events = 0;
+    published_cancelled = 0;
   }
 
 let now t = t.clock
@@ -64,20 +57,7 @@ let journal t = t.journal
 
 let note_scheduled t =
   let n = Wheel.length t.queue in
-  if n > t.max_pending then begin
-    t.max_pending <- n;
-    Metrics.Gauge.set_int t.tel_pending_hw n;
-    (* monotone high-water bump: CAS loop so concurrent engines on
-       separate domains never regress the aggregate *)
-    let rec bump () =
-      let cur = Atomic.get aggregate_hw in
-      if n > cur then
-        if Atomic.compare_and_set aggregate_hw cur n then
-          Metrics.Gauge.set_int m_pending_hw n
-        else bump ()
-    in
-    bump ()
-  end
+  if n > t.max_pending then t.max_pending <- n
 
 (* An id from the queue, with its table cells set. Ids are dense, so a
    new one is at most the table's length. *)
@@ -117,9 +97,7 @@ module Timer = struct
   let set_callback tm f = tm.engine.callbacks.(tm.id) <- f
   let pending tm = Wheel.is_pending tm.engine.queue tm.id
 
-  let cancel tm =
-    if Wheel.cancel tm.engine.queue tm.id then
-      Metrics.Counter.incr tm.engine.tel_cancelled
+  let cancel tm = ignore (Wheel.cancel tm.engine.queue tm.id : bool)
 
   (* Scheduling a pending id supersedes it, which the queue counts as
      a cancellation. *)
@@ -127,7 +105,6 @@ module Timer = struct
     let e = tm.engine in
     if time < e.clock then
       invalid_arg "Engine.Timer.reschedule_at: time in the past";
-    if Wheel.is_pending e.queue tm.id then Metrics.Counter.incr e.tel_cancelled;
     Wheel.schedule e.queue tm.id ~key:time;
     note_scheduled e
 
@@ -168,22 +145,31 @@ let step_until t horizon =
        true
      end
 
-(* The process-wide count is fed once per [step]/[run] rather than per
-   event: shard domains run their engines concurrently, and a per-event
-   add would contend on one counter cell. *)
+(* Called on the engine's own domain: a row has one writer while no
+   two engines of its label run at once. *)
+let publish t =
+  (match t.tel_events with
+  | Some c -> Metrics.Counter.add c (t.processed - t.published_events)
+  | None -> ());
+  let cancelled = Wheel.total_cancelled t.queue in
+  Metrics.Counter.add t.tel_cancelled (cancelled - t.published_cancelled);
+  t.published_events <- t.processed;
+  t.published_cancelled <- cancelled;
+  if t.max_pending > int_of_float (Metrics.Gauge.value t.tel_pending_hw) then
+    Metrics.Gauge.set_int t.tel_pending_hw t.max_pending
+
 let step t =
   let fired = step_until t max_int in
-  if fired then Metrics.Counter.incr m_events;
+  publish t;
   fired
 
 let run ?until t =
-  let before = t.processed in
   (match until with
   | None -> while step_until t max_int do () done
   | Some horizon ->
       while step_until t horizon do () done;
       t.clock <- horizon);
-  Metrics.Counter.add m_events (t.processed - before)
+  publish t
 
 let events_processed t = t.processed
 let pending t = Wheel.length t.queue

@@ -11,9 +11,9 @@
 type t
 
 val create : ?label:string -> ?journal:Planck_telemetry.Journal.t -> unit -> t
-(** [label] names this engine's instance metrics (default: a fresh
-    ["engine<N>"]); [journal] is {!journal} (default
-    {!Planck_telemetry.Journal.default}). *)
+(** [label] names this engine's metric rows (default [""], the
+    label-less rows; see Introspection below); [journal] is
+    {!journal} (default {!Planck_telemetry.Journal.default}). *)
 
 val now : t -> Planck_util.Time.t
 (** Current simulated time. *)
@@ -95,13 +95,13 @@ val step : t -> bool
 
 (** {2 Introspection}
 
-    Exposed so telemetry and tests can assert on scheduler state. Each
-    engine also registers instance metrics labelled with {!label}
-    ([engine.pending_high_water], [engine.timers_cancelled]) plus the
-    process-wide aggregates ([engine.events_processed] counter, added
-    to once as each {!step}/{!run} returns, and a monotone
-    [engine.pending_high_water] gauge) in
-    {!Planck_telemetry.Metrics.default}. *)
+    Exposed so telemetry and tests can assert on scheduler state. As
+    {!step}/{!run} return, the engine adds these counts to its
+    [engine.*] rows of {!Planck_telemetry.Metrics.default} under
+    {!label}, raising [pending_high_water] to {!max_pending}: the
+    label-less rows sum over every unlabelled engine a process runs. A
+    labelled engine has no [events_processed] row; {!Shard.run} adds
+    its shards' events to the label-less one. *)
 
 val events_processed : t -> int
 (** Events executed by {!step}/{!run} since creation. *)

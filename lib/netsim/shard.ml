@@ -23,6 +23,7 @@ module Spsc = Planck_util.Spsc
 module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 module Journal = Planck_telemetry.Journal
+module Metrics = Planck_telemetry.Metrics
 
 type entry = { w : int; ts : Time.t; pkt : Packet.t }
 (* [arrivals] holds drained frames waiting for their arrival event, keyed
@@ -56,6 +57,9 @@ type group = {
   barrier : barrier;
   (* done flags, double-buffered by round parity *)
   flags : bool array array;
+  (* the label-less engine rows [run] adds its shards' counts to *)
+  tel_events : Metrics.counter;
+  tel_pending_hw : Metrics.gauge;
 }
 
 (* Each engine records into its own whole-run shard journal, which is on
@@ -84,6 +88,9 @@ let create ~shards =
         aborted = false;
       };
     flags = [| Array.make shards false; Array.make shards false |];
+    tel_events = Metrics.counter ~subsystem:"engine" ~name:"events_processed" ();
+    tel_pending_hw =
+      Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ();
   }
 
 let shards g = g.n
@@ -194,7 +201,11 @@ let shard_body g me ~horizon ~local_done =
   in
   loop 0 Time.zero
 
+let events g =
+  Array.fold_left (fun n e -> n + Engine.events_processed e) 0 g.engines
+
 let run g ~horizon ~local_done =
+  let before = events g in
   let doms =
     Array.init g.n (fun me ->
         Domain.spawn (fun () ->
@@ -209,6 +220,14 @@ let run g ~horizon ~local_done =
       try Domain.join d
       with exn -> if Option.is_none !first_exn then first_exn := Some exn)
     doms;
+  (* On this domain, after the join has ordered the shards' counts
+     before these reads: each shard engine publishes only its own rows. *)
+  Metrics.Counter.add g.tel_events (events g - before);
+  let top =
+    Array.fold_left (fun m e -> max m (Engine.max_pending e)) 0 g.engines
+  in
+  if top > int_of_float (Metrics.Gauge.value g.tel_pending_hw) then
+    Metrics.Gauge.set_int g.tel_pending_hw top;
   match !first_exn with None -> () | Some exn -> raise exn
 
 let merge_journals g ~into =

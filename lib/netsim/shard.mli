@@ -68,7 +68,9 @@ val run :
     equal on the boundary). [local_done shard] runs on that shard's
     domain and must touch only state owned by it. Exceptions raised
     inside a shard abort the whole group and re-raise (the first one,
-    by shard id) on the caller. *)
+    by shard id) on the caller. After the join it adds the shards'
+    events and high-water to the label-less [engine] rows of
+    {!Planck_telemetry.Metrics.default} (see {!Engine}). *)
 
 val merge_journals : group -> into:Planck_telemetry.Journal.t -> unit
 (** Fold the engines' shard journals into [into], deterministically

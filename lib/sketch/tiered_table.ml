@@ -44,6 +44,7 @@ type t = {
   mutable promotions : int;
   mutable demotions : int;
   mutable suppressed : int;
+  metrics : Metrics.registry;  (* the registry of the [tel_*] handles *)
   tel_occupied : Metrics.gauge;
   tel_exact : Metrics.gauge;
   tel_error : Metrics.gauge;
@@ -94,6 +95,7 @@ let create ?(config = default_config) ~switch ~flow_timeout ~journal () =
       promotions = 0;
       demotions = 0;
       suppressed = 0;
+      metrics = Metrics.default;
       tel_occupied = gauge "sketch_occupied";
       tel_exact = gauge "exact_entries";
       tel_error = gauge "promote_overshoot_pct";
@@ -133,7 +135,7 @@ let sample t ~key ~now ~bytes ~max_rate ~dst_mac =
         (* A collision-free sketch crosses the threshold by at most one
            sample's worth of bytes; the overshoot beyond that is
            overestimate noise, our per-switch estimate-error signal. *)
-        if Metrics.enabled Metrics.default then
+        if Metrics.enabled t.metrics then
           Metrics.Gauge.set t.tel_error
             (float_of_int (est - t.config.promote_bytes)
             /. float_of_int t.config.promote_bytes
@@ -161,7 +163,7 @@ let tick t ~now =
   else if now >= t.next_sweep then begin
     let (_ : int) = Flow_table.sweep t.table ~now in
     t.next_sweep <- now + t.config.sweep_interval;
-    if Metrics.enabled Metrics.default then begin
+    if Metrics.enabled t.metrics then begin
       Metrics.Gauge.set_int t.tel_occupied (Count_min.occupied t.cms);
       Metrics.Gauge.set_int t.tel_exact (Flow_table.size t.table)
     end

@@ -14,8 +14,8 @@ and entry = { key : key; data : data }
 
 and data = C of counter | G of gauge | H of histogram | V of counter_vector
 
-(* Atomic: shard domains update shared counters concurrently (the
-   engine's process-wide event count among them). *)
+(* Atomic, so shard domains may share a counter without losing
+   increments. *)
 and counter = { c_reg : registry; c_value : int Atomic.t }
 
 (* Plain ints: each cell has one writer domain (see metrics.mli). Growth

@@ -173,17 +173,64 @@ let engine_timer_periodic () =
   Engine.run ~until:(Time.us 125) e;
   Alcotest.(check int) "resumed at the same period" 6 !hits
 
+(* A labelled engine publishes its high-water and cancellations into
+   rows under its label as [run] returns; its events have no row of
+   their own and stay out of the label-less count. *)
 let engine_instance_metrics () =
-  let e = Engine.create ~label:"tnetsim-metrics" () in
-  Alcotest.(check string) "label" "tnetsim-metrics" (Engine.label e);
-  for i = 1 to 5 do
-    Engine.schedule e ~delay:(Time.us i) (fun () -> ())
-  done;
-  Alcotest.(check int) "pending" 5 (Engine.pending e);
-  Engine.run e;
-  Alcotest.(check int) "drained" 0 (Engine.pending e);
-  Alcotest.(check int) "per-engine high water" 5 (Engine.max_pending e);
-  Alcotest.(check int) "processed" 5 (Engine.events_processed e)
+  let was = Metrics.enabled Metrics.default in
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset Metrics.default;
+      Metrics.set_enabled Metrics.default was)
+    (fun () ->
+      let e = Engine.create ~label:"tnetsim-metrics" () in
+      Alcotest.(check string) "label" "tnetsim-metrics" (Engine.label e);
+      for i = 1 to 5 do
+        Engine.schedule e ~delay:(Time.us i) (fun () -> ())
+      done;
+      let tm = Engine.Timer.create e ignore in
+      Engine.Timer.reschedule tm ~delay:(Time.us 1);
+      Engine.Timer.cancel tm;
+      Alcotest.(check int) "pending" 5 (Engine.pending e);
+      Engine.run e;
+      Alcotest.(check int) "drained" 0 (Engine.pending e);
+      Alcotest.(check int) "per-engine high water" 6 (Engine.max_pending e);
+      Alcotest.(check int) "processed" 5 (Engine.events_processed e);
+      Alcotest.(check int) "cancelled" 1 (Engine.timers_cancelled e);
+      let rows =
+        List.filter_map
+          (fun (r : Metrics.snapshot) ->
+            match r.value with
+            | Metrics.Counter_value n when r.subsystem = "engine" ->
+                Some (r.name, r.label, n)
+            | Metrics.Gauge_value { value; max } when r.subsystem = "engine"
+              ->
+                Alcotest.(check (float 0.0)) "gauge value is its high-water"
+                  max value;
+                Some (r.name, r.label, int_of_float value)
+            | _ -> None)
+          (Metrics.snapshot Metrics.default)
+      in
+      let has name label =
+        List.find_opt (fun (n, l, _) -> n = name && l = label) rows
+      in
+      Alcotest.(check (option (triple string string int)))
+        "labelled high-water row"
+        (Some ("pending_high_water", "tnetsim-metrics", 6))
+        (has "pending_high_water" "tnetsim-metrics");
+      Alcotest.(check (option (triple string string int)))
+        "labelled cancellations row"
+        (Some ("timers_cancelled", "tnetsim-metrics", 1))
+        (has "timers_cancelled" "tnetsim-metrics");
+      Alcotest.(check (option (triple string string int)))
+        "no labelled events row" None
+        (has "events_processed" "tnetsim-metrics");
+      Alcotest.(check bool) "label-less events untouched" true
+        (match has "events_processed" "" with
+        | None | Some (_, _, 0) -> true
+        | Some _ -> false))
 
 (* A program of one-shots, a twice-rescheduled timer and a periodic
    clock against the order a model gives it: every fire sorted by

@@ -323,20 +323,56 @@ let aggregate_events_exact () =
         (Shard.channel g ~src:0 ~dst:1 ~prop_delay:(Time.us 1) ~deliver:ignore
           : Time.t -> P.t -> unit);
       for s = 0 to 1 do
-        ignore
-          (Engine.periodic (Shard.engine g s) ~period:(Time.ns 50) ignore
-            : Engine.Timer.t)
+        let e = Shard.engine g s in
+        ignore (Engine.periodic e ~period:(Time.ns 50) ignore : Engine.Timer.t);
+        (* timers armed and cancelled before the run: shard s counts
+           2s + 1 cancellations and a high-water of 2s + 2, and no
+           event *)
+        let timers =
+          List.init ((2 * s) + 1) (fun _ -> Engine.Timer.create e ignore)
+        in
+        List.iter (fun tm -> Engine.Timer.reschedule tm ~delay:(Time.us 1)) timers;
+        List.iter Engine.Timer.cancel timers
       done;
       Shard.run g ~horizon:(Time.ms 5) ~local_done:(fun _ -> false);
-      let per_engine =
-        List.init 2 (fun s -> Engine.events_processed (Shard.engine g s))
+      let engines = List.init 2 (Shard.engine g) in
+      let row name label =
+        List.find_map
+          (fun (r : Metrics.snapshot) ->
+            if r.subsystem = "engine" && r.name = name && r.label = label
+            then Some r.value
+            else None)
+          (Metrics.snapshot Metrics.default)
       in
+      let events = List.map Engine.events_processed engines in
       Alcotest.(check int) "every shard ran its ticks" 200_000
-        (List.fold_left ( + ) 0 per_engine);
-      Alcotest.(check int) "aggregate counter is the sum of the engines"
-        (List.fold_left ( + ) 0 per_engine)
-        (Metrics.Counter.value
-           (Metrics.counter ~subsystem:"engine" ~name:"events_processed" ())))
+        (List.fold_left ( + ) 0 events);
+      (match row "events_processed" "" with
+      | Some (Metrics.Counter_value n) ->
+          Alcotest.(check int) "aggregate counter is the sum of the engines"
+            (List.fold_left ( + ) 0 events)
+            n
+      | _ -> Alcotest.fail "no label-less events_processed counter");
+      (match row "pending_high_water" "" with
+      | Some (Metrics.Gauge_value { max = hw; _ }) ->
+          Alcotest.(check (list int)) "shard high-waters" [ 2; 4 ]
+            (List.map Engine.max_pending engines);
+          Alcotest.(check int) "aggregate high-water is the largest shard's"
+            (List.fold_left max 0 (List.map Engine.max_pending engines))
+            (int_of_float hw)
+      | _ -> Alcotest.fail "no label-less pending_high_water gauge");
+      List.iteri
+        (fun s e ->
+          match row "timers_cancelled" (Printf.sprintf "shard%d" s) with
+          | Some (Metrics.Counter_value n) ->
+              Alcotest.(check int)
+                (Printf.sprintf "shard%d cancellations" s)
+                ((2 * s) + 1) (Engine.timers_cancelled e);
+              Alcotest.(check int)
+                (Printf.sprintf "shard%d timers_cancelled row" s)
+                (Engine.timers_cancelled e) n
+          | _ -> Alcotest.fail "no shard timers_cancelled counter")
+        engines)
 
 (* ---- journal merge determinism ---- *)
 

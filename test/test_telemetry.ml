@@ -1075,7 +1075,74 @@ let engine_default_registry () =
         Metrics.gauge ~subsystem:"engine" ~name:"pending_high_water" ()
       in
       check_float "default-registry gauge high-water" 10.0
-        (Metrics.Gauge.max_value g))
+        (Metrics.Gauge.max_value g);
+      check_float "default-registry gauge value" 10.0 (Metrics.Gauge.value g);
+      let cancelled =
+        Metrics.counter ~subsystem:"engine" ~name:"timers_cancelled" ()
+      in
+      Alcotest.(check int) "default-registry cancellations" 0
+        (Metrics.Counter.value cancelled))
+
+(* Engines built one after another publish into the same label-less
+   rows: counts add up and the high-water is the larger one. No other
+   engine row appears (labelled engines, which the suites after this one
+   build, would add theirs). *)
+let engines_share_label_less_rows () =
+  let was = Metrics.enabled Metrics.default in
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset Metrics.default;
+      Metrics.set_enabled Metrics.default was)
+    (fun () ->
+      (* [pending] one-shots, and a timer re-armed [rearms] times before
+         it fires, each re-arm superseding a pending fire *)
+      let load engine ~pending ~rearms =
+        for i = 1 to pending do
+          Engine.schedule engine ~delay:(Time.us i) ignore
+        done;
+        let tm = Engine.Timer.create engine ignore in
+        for i = 1 to rearms + 1 do
+          Engine.Timer.reschedule tm ~delay:(Time.us i)
+        done
+      in
+      let a = Engine.create () in
+      load a ~pending:7 ~rearms:3;
+      Engine.run a;
+      let b = Engine.create () in
+      load b ~pending:4 ~rearms:5;
+      while Engine.step b do () done;
+      Alcotest.(check (list int)) "engine counts" [ 8; 3; 8; 5; 5; 5 ]
+        [
+          Engine.events_processed a; Engine.timers_cancelled a;
+          Engine.max_pending a; Engine.events_processed b;
+          Engine.timers_cancelled b; Engine.max_pending b;
+        ];
+      let rows =
+        List.filter_map
+          (fun (r : Metrics.snapshot) ->
+            if r.subsystem <> "engine" then None
+            else
+              let v =
+                match r.value with
+                | Metrics.Counter_value n -> float_of_int n
+                | Metrics.Gauge_value { value; max } ->
+                    check_float "gauge value is its high-water" max value;
+                    value
+                | Metrics.Histogram_value _ -> nan
+              in
+              Some (r.name, r.label, v))
+          (Metrics.snapshot Metrics.default)
+      in
+      Alcotest.(check (list (triple string string (float 0.0))))
+        "three label-less rows: sums and the larger high-water"
+        [
+          ("events_processed", "", 13.0);
+          ("pending_high_water", "", 8.0);
+          ("timers_cancelled", "", 8.0);
+        ]
+        rows)
 
 let tests =
   [
@@ -1108,6 +1175,8 @@ let tests =
     Alcotest.test_case "export metrics JSON shape" `Quick export_shapes;
     Alcotest.test_case "engine feeds the default registry" `Quick
       engine_default_registry;
+    Alcotest.test_case "engines share the label-less rows" `Quick
+      engines_share_label_less_rows;
     Alcotest.test_case "journal disabled flag and corr minting" `Quick
       journal_disabled_and_corr;
     Alcotest.test_case "journal ring bounded eviction" `Quick

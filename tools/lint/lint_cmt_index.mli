@@ -61,7 +61,7 @@ type def = { d_id : string; d_unit : string; d_file : string; d_line : int }
 type export = { x_id : string; x_unit : string; x_file : string; x_line : int }
 
 type binding = {
-  b_id : string;  (** qualified id, e.g. ["Planck_netsim__Engine.aggregate_hw"] *)
+  b_id : string;  (** qualified id, e.g. ["Planck_telemetry__Metrics.default"] *)
   b_unit : string;
   b_file : string;
   b_line : int;
