@@ -40,9 +40,12 @@ let show_topology k seed =
   let tb = Testbed.create { (Testbed.paper_fat_tree ~seed ()) with
                             Testbed.topology = Testbed.Fat_tree { k } } in
   let fabric = tb.Testbed.fabric in
-  Printf.printf "fat-tree k=%d: %d switches, %d hosts, %d routes installed\n" k
-    (Fabric.switch_count fabric) (Fabric.host_count fabric)
-    (Planck_netsim.Switch.route_count (Fabric.switch fabric 0));
+  let hosts = Fabric.host_count fabric
+  and alts = Routing.alts tb.Testbed.routing in
+  Printf.printf
+    "fat-tree k=%d: %d switches, %d hosts, %d routes (%d destinations x %d \
+     alternates)\n"
+    k (Fabric.switch_count fabric) hosts (hosts * alts) hosts alts;
   for sw = 0 to Fabric.switch_count fabric - 1 do
     let ports =
       String.concat " "
@@ -58,7 +61,6 @@ let show_topology k seed =
     Printf.printf "  s%-2d %s\n" sw ports
   done;
   (* Alternate routes for one cross-pod pair. *)
-  let hosts = Fabric.host_count fabric in
   let src = 0 and dst = hosts / 2 in
   Printf.printf "routes h%d -> h%d:\n" src dst;
   for alt = 0 to Routing.alts tb.Testbed.routing - 1 do

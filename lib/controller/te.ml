@@ -64,18 +64,17 @@ let greedy_route_flow t ~corr flow =
     | None -> ()
     | Some dst ->
         let bottleneck_of mac =
-          match Routing.tree t.routing mac with
-          | None -> neg_infinity
-          | Some _ -> (
-              match Ipv4_addr.host_id flow.Net_view.key.Flow_key.src_ip with
-              | None -> neg_infinity
-              | Some src -> (
-                  match Routing.path t.routing ~src ~dst_mac:mac with
-                  | exception Invalid_argument _ -> neg_infinity
-                  | hops ->
-                      Net_view.bottleneck t.view ~capacity:t.link_rate
-                        ~exclude:flow
-                        ~links:(Routing.links_of_path hops)))
+          if not (Routing.routable t.routing mac) then neg_infinity
+          else
+            match Ipv4_addr.host_id flow.Net_view.key.Flow_key.src_ip with
+            | None -> neg_infinity
+            | Some src -> (
+                match Routing.path t.routing ~src ~dst_mac:mac with
+                | exception Invalid_argument _ -> neg_infinity
+                | hops ->
+                    Net_view.bottleneck t.view ~capacity:t.link_rate
+                      ~exclude:flow
+                      ~links:(Routing.links_of_path hops))
         in
         let current_mac = flow.Net_view.dst_mac in
         let best_mac = ref current_mac in

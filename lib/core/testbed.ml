@@ -109,9 +109,7 @@ let create spec =
           | None -> Fat_tree.max_alts shape
         in
         ( fabric,
-          Routing.create fabric ~alts ~tree_fn:(fun ~dst ~alt ->
-              Fat_tree.tree_out_ports shape ~dst
-                ~core:(Fat_tree.core_for shape ~dst ~alt)) )
+          Routing.create fabric ~alts ~out_port:(Fat_tree.out_port shape) )
     | Single_switch { hosts } ->
         let sharding =
           sharding_of
@@ -125,8 +123,7 @@ let create spec =
         ( fabric,
           Routing.create fabric
             ~alts:(Option.value ~default:1 spec.alts)
-            ~tree_fn:(fun ~dst ~alt:_ ->
-              Single_switch.tree_out_ports ~hosts ~dst) )
+            ~out_port:Single_switch.out_port )
     | Jellyfish jf_spec ->
         let sharding =
           sharding_of
@@ -139,10 +136,9 @@ let create spec =
             ~host_stack:spec.host_stack ?sharding ~prng:(Prng.split prng) ()
         in
         ( fabric,
-          Routing.create fabric
-            ~alts:(Option.value ~default:4 spec.alts)
-            ~tree_fn:(fun ~dst ~alt ->
-              Jellyfish.tree_out_ports fabric ~dst ~alt) )
+          let alts = Option.value ~default:4 spec.alts in
+          Routing.create fabric ~alts
+            ~out_port:(Jellyfish.routes fabric ~alts) )
   in
   Routing.install routing;
   Fabric.populate_arp fabric;

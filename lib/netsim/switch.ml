@@ -62,8 +62,10 @@ type t = {
   buffer : Buffer_pool.t;
   tx : Txport.t option array;
   counters : counters array;
-  (* MAC -> egress port and shadow MAC -> base MAC, keyed by the MAC's
-     int: every frame-hop looks its destination up in both. *)
+  (* Computed routes (MAC -> egress port or -1); explicit MAC entries
+     over them ([hidden] hides a computed route) and shadow -> base MAC
+     rewrites, keyed by the MAC's int. *)
+  mutable routes : Mac.t -> int;
   fdb : Int_table.t;
   rewrites : Int_table.t;
   flow_rewrites : Mac.t Planck_packet.Flow_key.Table.t;
@@ -132,16 +134,28 @@ let connect t ~port ~rate ~prop_delay ?handoff ~deliver () =
       (Txport.create t.engine ~rate ~prop_delay ~classes ?priority_class
          ?handoff ~deliver ~on_depart ())
 
+let hidden = max_int
+let set_routes t routes = t.routes <- routes
+
 let add_route t mac port =
   check_port t port "add_route";
   Int_table.replace t.fdb (Mac.to_int mac) port
 
-let reserve_routes t n = Int_table.reserve t.fdb n
-let remove_route t mac = Int_table.remove t.fdb (Mac.to_int mac)
+let remove_route t mac =
+  if t.routes mac < 0 then Int_table.remove t.fdb (Mac.to_int mac)
+  else Int_table.replace t.fdb (Mac.to_int mac) hidden
 
-let route t mac =
-  let port = Int_table.find t.fdb (Mac.to_int mac) in
-  if port < 0 then None else Some port
+(* Explicit entries are looked up only when there are any, the way
+   [forward] skips an empty rewrite table. -1 on a miss. *)
+let[@inline] lookup t mac =
+  match Int_table.length t.fdb with
+  | 0 -> t.routes mac
+  | _ -> (
+      match Int_table.find t.fdb (Mac.to_int mac) with
+      | -1 -> t.routes mac
+      | port -> if port = hidden then -1 else port)
+
+let route t mac = match lookup t mac with -1 -> None | port -> Some port
 
 let route_count t = Int_table.length t.fdb
 
@@ -264,14 +278,14 @@ let forward t ~in_port packet =
   (* Both lookups return -1 on a miss: no option and no exception per
      frame. Only destination edge switches hold shadow->base rewrite
      rules; elsewhere the rewrite lookup is skipped. *)
-  let dst = Mac.to_int (Packet.dst_mac packet) in
-  match Int_table.find t.fdb dst with
+  let dst_mac = Packet.dst_mac packet in
+  match lookup t dst_mac with
   | -1 -> t.unroutable <- t.unroutable + 1
   | out_port ->
       let outgoing =
         if Int_table.length t.rewrites = 0 then packet
         else
-          match Int_table.find t.rewrites dst with
+          match Int_table.find t.rewrites (Mac.to_int dst_mac) with
           | -1 -> packet
           | to_mac -> Packet.with_dst_mac packet (Mac.of_int to_mac)
       in
@@ -389,6 +403,7 @@ let create engine ~name ~ports ~config ?prng () =
       counters =
         Array.init ports (fun _ ->
             { rx_packets = 0; rx_bytes = 0; data_drops = 0; mirror_drops = 0 });
+      routes = (fun _ -> -1);
       fdb = Int_table.create ();
       rewrites = Int_table.create ();
       flow_rewrites = Planck_packet.Flow_key.Table.create 16;

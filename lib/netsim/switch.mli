@@ -5,7 +5,12 @@
     depends on:
 
     - L2 forwarding on destination MAC (the testbed routes on MACs —
-      PAST spanning trees and shadow MACs, paper §4.2/§6.2);
+      PAST spanning trees and shadow MACs, paper §4.2/§6.2). The
+      routes are a lookup the topology computes per frame
+      ({!set_routes}, from [Routing.install]), not a table copied into
+      every switch: the simulator models no MAC-table capacity, so a
+      copy of every tree would buy nothing. Explicit MAC entries
+      ({!add_route}) override it;
     - a shared packet buffer with dynamic-threshold admission
       ({!Buffer_pool}), so congested ports shed load exactly as §5.1
       describes;
@@ -95,17 +100,30 @@ val ingress : t -> port:int -> Planck_packet.Packet.t -> unit
 
 (** {2 Forwarding state} *)
 
-val add_route : t -> Planck_packet.Mac.t -> int -> unit
-(** [add_route t mac port]: frames destined to [mac] leave via [port].
-    Replaces any existing entry. *)
+val set_routes : t -> (Planck_packet.Mac.t -> int) -> unit
+(** [set_routes t lookup]: [lookup mac] is the egress port of a frame
+    to [mac], or [-1] if the switch has no route for it (the frame is
+    dropped and counted in {!unroutable_drops}). Called once per frame
+    that no explicit entry matches, so it must allocate nothing.
+    Replaces the previous lookup; a new switch routes nothing. *)
 
-val reserve_routes : t -> int -> unit
-(** [reserve_routes t n] sizes the forwarding table for [n] routes in
-    all, so installing them does not regrow it route by route. *)
+val add_route : t -> Planck_packet.Mac.t -> int -> unit
+(** [add_route t mac port]: frames destined to [mac] leave via [port],
+    whatever the {!set_routes} lookup says. Replaces any existing
+    entry. *)
 
 val remove_route : t -> Planck_packet.Mac.t -> unit
+(** Drop the explicit entry for [mac]. If the {!set_routes} lookup
+    routes [mac], hide that route instead, so frames to [mac] miss
+    until an {!add_route} for it. *)
+
 val route : t -> Planck_packet.Mac.t -> int option
+(** The egress port a frame to this MAC takes, exactly as forwarding
+    decides it: the explicit entry if there is one, else the lookup. *)
+
 val route_count : t -> int
+(** Explicit entries: {!add_route}s, and routes hidden by
+    {!remove_route}. *)
 
 val add_rewrite :
   t -> from_mac:Planck_packet.Mac.t -> to_mac:Planck_packet.Mac.t -> unit

@@ -27,17 +27,16 @@ let broadcast = mask48
    in the fourth octet, so base<->shadow conversion is purely
    arithmetic. *)
 let host i = of_int (0x0200_0000_0000 lor (i land 0xFFFF))
+let[@inline] host_id t = if t lsr 24 = 0x02_0000 then t land 0xFFFF else -1
+let alt t = (t lsr 16) land 0xFF
 
 let shadow base ~alt =
   if alt < 0 then invalid_arg "Mac.shadow: negative alternate index";
   if alt > 0xFF then invalid_arg "Mac.shadow: alternate index too large";
   (base land lnot (0xFF lsl 16)) lor (alt lsl 16)
 
-let base_of_shadow t =
-  let alt = (t lsr 16) land 0xFF in
-  (shadow t ~alt:0, alt)
+let base_of_shadow t = (shadow t ~alt:0, alt t)
 
 let equal = Int.equal
-let compare = Int.compare
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -31,10 +31,17 @@ val shadow : t -> alt:int -> t
     (1-based) of the host whose base MAC is [base]. [shadow base ~alt:0]
     is [base] itself. Raises [Invalid_argument] for negative [alt]. *)
 
+val host_id : t -> int
+(** [host_id (shadow (host i) ~alt)] is [i] (for [0 <= i < 65536]);
+    [-1] for a MAC outside the testbed's host range. *)
+
+val alt : t -> int
+(** The alternate route index of a host MAC: [alt (shadow base ~alt:a)]
+    is [a]. *)
+
 val base_of_shadow : t -> t * int
 (** Inverse of {!shadow}: recover the base address and the alternate
     route index from any (possibly shadow) host MAC. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

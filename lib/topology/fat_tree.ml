@@ -36,11 +36,6 @@ let host_of s ~pod ~edge ~slot =
 
 let pod_of_host s h = h / (s.edges_per_pod * s.hosts_per_edge)
 
-let edge_of_host s h =
-  h mod (s.edges_per_pod * s.hosts_per_edge) / s.hosts_per_edge
-
-let slot_of_host s h = h mod s.hosts_per_edge
-
 (* Port conventions (all switches have k data ports + 1 monitor port):
    - edge(p,j):  ports 0..k/2-1 down to hosts, port k/2+i up to agg i
    - agg(p,i):   ports 0..k/2-1 down to edge j, port k/2+m up to core
@@ -96,32 +91,37 @@ let build engine ~k ~switch_config ~link_rate ?host_stack ?sharding
 let max_alts s = s.cores
 let core_for s ~dst ~alt = (dst + alt) mod s.cores
 
-let tree_out_ports s ~dst ~core =
-  let half = s.k / 2 in
-  let i_c = core / half (* aggregation index the core attaches to *)
-  and m_c = core mod half in
-  let p_d = pod_of_host s dst
-  and j_d = edge_of_host s dst
-  and s_d = slot_of_host s dst in
-  let out = Array.make s.num_switches (-1) in
-  (* Core: straight down to the destination pod. *)
-  out.(core_id s core) <- p_d;
-  for pod = 0 to s.pods - 1 do
-    let agg = agg_id s ~pod i_c in
-    if pod = p_d then
-      (* Destination pod: aggregation goes down to the right edge. *)
-      out.(agg) <- j_d
-    else
-      (* Remote pods: aggregation goes up to the tree's core. *)
-      out.(agg) <- half + m_c;
-    for j = 0 to s.edges_per_pod - 1 do
-      let edge = edge_id s ~pod j in
-      if pod = p_d && j = j_d then
-        (* Destination edge: down to the host port. *)
-        out.(edge) <- s_d
-      else
-        (* Everyone else climbs to the tree's aggregation switch. *)
-        out.(edge) <- half + i_c
-    done
-  done;
-  out
+(* [core_for] from [r = dst mod cores] (a pod holds [cores] hosts): no
+   division while [alt < cores]. *)
+let[@inline] core_of s r ~alt =
+  let c = r + alt in
+  if c < s.cores then c else c mod s.cores
+
+(* Tier and position are decoded once per switch, not per lookup. *)
+let out_port s ~switch =
+  let half = s.k / 2 and cores = s.cores in
+  let first_edge = cores + (s.pods * s.aggs_per_pod) in
+  if switch < cores then (fun ~dst ~alt ->
+    (* Core: down to the destination pod, if it is the tree's core. *)
+    let pod = dst / cores in
+    if core_of s (dst - (pod * cores)) ~alt = switch then pod else -1)
+  else if switch < first_edge then (
+    let pod = (switch - cores) / half and i = (switch - cores) mod half in
+    fun ~dst ~alt ->
+      (* Aggregation [core / half] of every pod is on the tree: down to
+         the destination edge in its pod, up to the core elsewhere. *)
+      let dst_pod = dst / cores in
+      let r = dst - (dst_pod * cores) in
+      let core = core_of s r ~alt in
+      let agg = core / half in
+      if agg <> i then -1
+      else if dst_pod = pod then r / half
+      else half + (core - (agg * half)))
+  else
+    let first_host = (switch - first_edge) * half in
+    fun ~dst ~alt ->
+      (* Edge of hosts [first_host ..]: down to the host, or up to the
+         tree's aggregation switch. *)
+      let slot = dst - first_host in
+      if slot >= 0 && slot < half then slot
+      else half + (core_of s (dst mod cores) ~alt / half)

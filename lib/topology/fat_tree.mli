@@ -60,9 +60,10 @@ val core_for : shape -> dst:int -> alt:int -> int
 (** Core switch whose spanning tree carries alternate [alt] to host
     [dst]. *)
 
-val tree_out_ports : shape -> dst:int -> core:int -> int array
-(** Per-switch output port of the destination-oriented spanning tree of
-    [dst] through [core]; [-1] for switches off the tree. *)
+val out_port : shape -> switch:int -> dst:int -> alt:int -> int
+(** Egress port of [switch] on the spanning tree of [dst] through core
+    {!core_for}[ ~dst ~alt]; [-1] for switches off the tree. Computed,
+    not stored: [out_port s ~switch] is the switch's lookup. *)
 
 val max_alts : shape -> int
 (** Number of distinct trees available per destination = number of

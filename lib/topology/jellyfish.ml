@@ -75,7 +75,7 @@ let build engine ~spec ~switch_config ~link_rate ?host_stack ?sharding ~prng () 
   done;
   fabric
 
-let tree_out_ports fabric ~dst ~alt =
+let tree fabric ~dst ~alt =
   let n = Fabric.switch_count fabric in
   let root, host_port = Fabric.host_attachment fabric ~host:dst in
   let out = Array.make n (-1) in
@@ -103,3 +103,10 @@ let tree_out_ports fabric ~dst ~alt =
     done
   done;
   out
+
+let routes fabric ~alts =
+  let trees =
+    Array.init (Fabric.host_count fabric * alts) (fun i ->
+        tree fabric ~dst:(i / alts) ~alt:(i mod alts))
+  in
+  fun ~switch ~dst ~alt -> trees.((dst * alts) + alt).(switch)

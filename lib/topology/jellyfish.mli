@@ -28,6 +28,7 @@ val build :
     port. Raises [Invalid_argument] on infeasible specs (odd total
     degree, degree >= switches, ...). *)
 
-val tree_out_ports : Fabric.t -> dst:int -> alt:int -> int array
-(** BFS spanning tree toward [dst]'s switch; [alt] seeds the neighbor
-    visiting order. *)
+val routes : Fabric.t -> alts:int -> switch:int -> dst:int -> alt:int -> int
+(** The {!Routing.create} route function over a BFS spanning tree toward
+    each host's switch per alternate ([alt] seeds the neighbor visiting
+    order). Not closed-form, so [routes fabric ~alts] tabulates them. *)

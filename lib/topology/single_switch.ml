@@ -9,4 +9,4 @@ let build engine ~hosts ~switch_config ~link_rate ?host_stack ?sharding ~prng ()
   Fabric.reserve_monitor fabric ~switch:0 ~port:hosts;
   fabric
 
-let tree_out_ports ~hosts:_ ~dst = [| dst |]
+let out_port ~switch:_ ~dst ~alt:_ = dst

@@ -14,5 +14,6 @@ val build :
   Fabric.t
 (** Host [i] on port [i]; the monitor port is port [hosts]. *)
 
-val tree_out_ports : hosts:int -> dst:int -> int array
-(** The trivial one-switch "spanning tree" for {!Routing.create}. *)
+val out_port : switch:int -> dst:int -> alt:int -> int
+(** The trivial one-switch "spanning tree" for {!Routing.create}: host
+    [dst]'s port, on every alternate. *)

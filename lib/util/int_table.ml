@@ -17,8 +17,6 @@ let multiplier = 0x2545_F491_4F6C_DD1D
 (* Index of [key]'s home slot in [slots]: even, below its length. *)
 let home shift key = 2 * ((key * multiplier) lsr shift)
 
-let rec bits_for n bits = if 1 lsl bits >= n then bits else bits_for n (bits + 1)
-
 let make_slots bits = Array.make (2 lsl bits) empty
 
 let create () = { slots = make_slots 3; shift = 60; size = 0 }
@@ -51,10 +49,6 @@ let resize t bits =
       t.slots.(j + 1) <- old.((2 * i) + 1)
     end
   done
-
-let reserve t n =
-  let bits = bits_for (2 * n) (63 - t.shift) in
-  if bits > 63 - t.shift then resize t bits
 
 let replace t key v =
   check "replace" key;

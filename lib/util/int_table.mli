@@ -13,10 +13,6 @@ type t
 val create : unit -> t
 (** An empty table with room for 4 bindings; it doubles as it fills. *)
 
-val reserve : t -> int -> unit
-(** [reserve t n] makes room for [n] bindings in all: until [t] holds
-    more than [n], {!replace} allocates nothing. *)
-
 val length : t -> int
 
 val find : t -> int -> int

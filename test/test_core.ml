@@ -57,6 +57,25 @@ let testbed_setup_alloc () =
        words)
     true (words <= 155_000.)
 
+(* The live heap of a fresh k=8 fat tree at its default 16 alternates.
+   Switches look routes up in the topology instead of each holding a
+   copy of every spanning tree that crosses it; the copies made this
+   testbed 712k words, 193k without them. *)
+let testbed_live_words () =
+  let tb =
+    Testbed.create
+      {
+        Testbed.default_spec with
+        Testbed.topology = Testbed.Fat_tree { k = 8 };
+      }
+  in
+  Alcotest.(check int) "default alternates" 16
+    (Planck_topology.Routing.alts tb.Testbed.routing);
+  let words = Obj.reachable_words (Obj.repr tb) in
+  Alcotest.(check bool)
+    (Printf.sprintf "k=8 testbed holds %d live words (bound 300,000)" words)
+    true (words < 300_000)
+
 let scheme_names () =
   Alcotest.(check string) "static" "Static" (Scheme.name Scheme.Static);
   Alcotest.(check string) "planck" "PlanckTE"
@@ -282,6 +301,7 @@ let tests =
   [
     case "testbed variants" `Quick testbed_variants;
     case "testbed set-up allocation" `Quick testbed_setup_alloc;
+    case "testbed live heap" `Quick testbed_live_words;
     case "scheme names" `Quick scheme_names;
     case "scheme deployment shapes" `Quick
       scheme_deployment_shapes;

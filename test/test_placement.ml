@@ -105,7 +105,7 @@ let gff_moves_are_valid_qcheck =
       && List.for_all
            (fun (f, mac) ->
              (not (Mac.equal mac f.Placement.current_mac))
-             && Routing.tree routing mac <> None
+             && Routing.routable routing mac
              &&
              let dst = Option.get (Ip.host_id f.Placement.key.FK.dst_ip) in
              Mac.equal (fst (Mac.base_of_shadow mac)) (Mac.host dst))

@@ -76,8 +76,8 @@ let hosts_contiguous_in_pods () =
 
 let routing_for fabric s =
   let routing =
-    Routing.create fabric ~alts:(Fat_tree.max_alts s) ~tree_fn:(fun ~dst ~alt ->
-        Fat_tree.tree_out_ports s ~dst ~core:(Fat_tree.core_for s ~dst ~alt))
+    Routing.create fabric ~alts:(Fat_tree.max_alts s)
+      ~out_port:(Fat_tree.out_port s)
   in
   Routing.install routing;
   routing
@@ -163,10 +163,67 @@ let tree_validity_qcheck =
       let dst = dst mod s.Fat_tree.num_hosts in
       let alt = alt mod s.Fat_tree.cores in
       let core = Fat_tree.core_for s ~dst ~alt in
-      let out = Fat_tree.tree_out_ports s ~dst ~core in
+      let out =
+        Array.init s.Fat_tree.num_switches (fun switch ->
+            Fat_tree.out_port s ~switch ~dst ~alt)
+      in
       (* Walk from every edge switch and check arrival at dst's edge. *)
       Array.length out = s.Fat_tree.num_switches
       && out.(Fat_tree.core_id s core) >= 0)
+
+(* The per-switch ports of the tree of [dst] through [core], built the
+   way fat-tree trees were stored before routes were computed: the
+   reference the computed lookups must agree with. *)
+let reference_tree s ~dst ~core =
+  let { Fat_tree.k; cores; pods; num_switches; _ } = s in
+  let half = k / 2 in
+  let first_agg = cores and first_edge = cores + (pods * half) in
+  let p_d = dst / (half * half) and j_d = dst mod (half * half) / half in
+  let out = Array.make num_switches (-1) in
+  out.(core) <- p_d;
+  for pod = 0 to pods - 1 do
+    out.(first_agg + (pod * half) + (core / half)) <-
+      (if pod = p_d then j_d else half + (core mod half));
+    for j = 0 to half - 1 do
+      out.(first_edge + (pod * half) + j) <-
+        (if pod = p_d && j = j_d then dst mod half else half + (core / half))
+    done
+  done;
+  out
+
+(* Every (switch, dst, alt) lookup of an installed k = 4, 6, 8 fat tree
+   at its full alternate count, against the reference trees, and the
+   whole table against the digest the stored trees gave. *)
+let fat_tree_routes_match_trees () =
+  let table = Buffer.create (1 lsl 19) in
+  List.iter
+    (fun k ->
+      let fabric, s = build_ft k in
+      let routing = routing_for fabric s in
+      for dst = 0 to s.Fat_tree.num_hosts - 1 do
+        for alt = 0 to Fat_tree.max_alts s - 1 do
+          let mac = Routing.mac_for routing ~dst ~alt in
+          let want =
+            reference_tree s ~dst ~core:(Fat_tree.core_for s ~dst ~alt)
+          in
+          for sw = 0 to s.Fat_tree.num_switches - 1 do
+            let port =
+              Option.value ~default:(-1)
+                (Switch.route (Fabric.switch fabric sw) mac)
+            in
+            if port <> want.(sw) then
+              Alcotest.failf "k=%d switch %d dst %d alt %d: port %d, tree %d"
+                k sw dst alt port want.(sw);
+            Buffer.add_string table (string_of_int port);
+            Buffer.add_char table ','
+          done
+        done
+      done;
+      Buffer.add_char table ';')
+    [ 4; 6; 8 ];
+  Alcotest.(check string)
+    "route table digest" "3458a8c7ac4d4a42be6351e6282827e0"
+    (Digest.to_hex (Digest.string (Buffer.contents table)))
 
 let single_switch_routes () =
   let engine = Engine.create () in
@@ -175,8 +232,7 @@ let single_switch_routes () =
       ~link_rate:(Rate.gbps 10.0) ~prng:(Prng.create ~seed:1) ()
   in
   let routing =
-    Routing.create fabric ~alts:1 ~tree_fn:(fun ~dst ~alt:_ ->
-        Single_switch.tree_out_ports ~hosts:8 ~dst)
+    Routing.create fabric ~alts:1 ~out_port:Single_switch.out_port
   in
   Routing.install routing;
   let hops = Routing.path routing ~src:0 ~dst_mac:(Mac.host 7) in
@@ -194,8 +250,7 @@ let jellyfish_builds_and_routes () =
   in
   Alcotest.(check int) "hosts" 20 (Fabric.host_count fabric);
   let routing =
-    Routing.create fabric ~alts:4 ~tree_fn:(fun ~dst ~alt ->
-        Jellyfish.tree_out_ports fabric ~dst ~alt)
+    Routing.create fabric ~alts:4 ~out_port:(Jellyfish.routes fabric ~alts:4)
   in
   Routing.install routing;
   (* Every pair has a valid path on every alternate. *)
@@ -310,6 +365,8 @@ let tests =
     Testbed.case "shadow routes installed at edge" `Quick
       shadow_rewrites_installed;
     qtest tree_validity_qcheck;
+    Testbed.case "fat-tree routes agree with the stored trees" `Quick
+      fat_tree_routes_match_trees;
     Testbed.case "single-switch routing" `Quick single_switch_routes;
     Testbed.case "jellyfish builds and routes" `Quick
       jellyfish_builds_and_routes;

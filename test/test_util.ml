@@ -137,15 +137,13 @@ type int_table_op =
   | Replace of int * int
   | Remove of int
   | Find of int
-  | Reserve of int
 
 (* 24 small keys and 24 keys shaped like host and shadow MACs (which
    differ only in the low and the third octet). The table starts at 8
    slots, so a sequence piles keys onto shared home slots, wraps probe
-   chains past the end of the array, doubles it more than once (or
-   rehashes it at once on [reserve]), and deletes from the middle of
-   chains. Every step is checked against Hashtbl, and at the end every
-   key of the universe is. *)
+   chains past the end of the array, doubles it more than once, and
+   deletes from the middle of chains. Every step is checked against
+   Hashtbl, and at the end every key of the universe is. *)
 let int_table_universe =
   List.init 24 Fun.id
   @ List.init 24 (fun i ->
@@ -161,15 +159,13 @@ let int_table_matches_hashtbl_qcheck =
              (3, map2 (fun k v -> Replace (k, v)) key (int_bound 1_000));
              (2, map (fun k -> Remove k) key);
              (2, map (fun k -> Find k) key);
-             (1, map (fun n -> Reserve n) (int_bound 64));
            ]))
   in
   let print =
     QCheck.Print.list (function
       | Replace (k, v) -> Printf.sprintf "replace %#x %d" k v
       | Remove k -> Printf.sprintf "remove %#x" k
-      | Find k -> Printf.sprintf "find %#x" k
-      | Reserve n -> Printf.sprintf "reserve %d" n)
+      | Find k -> Printf.sprintf "find %#x" k)
   in
   QCheck.Test.make ~name:"int_table matches Hashtbl" ~count:500
     (QCheck.make ~print gen)
@@ -188,11 +184,8 @@ let int_table_matches_hashtbl_qcheck =
           | Remove k ->
               Int_table.remove t k;
               Hashtbl.remove model k
-          | Find _ -> ()
-          | Reserve n -> Int_table.reserve t n);
-          (match op with
-          | Replace (k, _) | Remove k | Find k -> agrees k
-          | Reserve _ -> true)
+          | Find _ -> ());
+          (match op with Replace (k, _) | Remove k | Find k -> agrees k)
           && Int_table.length t = Hashtbl.length model)
         ops
       && List.for_all agrees int_table_universe)

@@ -47,8 +47,7 @@ let single_switch ?(hosts = 4) ?(rate = rate_10g) ?(seed = 42)
       ~prng ()
   in
   let routing =
-    Routing.create fabric ~alts:1 ~tree_fn:(fun ~dst ~alt:_ ->
-        Single_switch.tree_out_ports ~hosts ~dst)
+    Routing.create fabric ~alts:1 ~out_port:Single_switch.out_port
   in
   Routing.install routing;
   Fabric.populate_arp fabric;
@@ -67,9 +66,7 @@ let fat_tree ?(k = 4) ?(rate = rate_10g) ?(seed = 42)
   in
   let routing =
     Routing.create fabric ~alts:(Fat_tree.max_alts shape)
-      ~tree_fn:(fun ~dst ~alt ->
-        Fat_tree.tree_out_ports shape ~dst
-          ~core:(Fat_tree.core_for shape ~dst ~alt))
+      ~out_port:(Fat_tree.out_port shape)
   in
   Routing.install routing;
   Fabric.populate_arp fabric;
