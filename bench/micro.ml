@@ -59,11 +59,11 @@ let heap_pop heap =
   key
 
 let test_heap =
-  let heap = Heap.create ~dummy:() () in
+  let heap = Heap.create () in
   let prng = Prng.create ~seed:1 in
   Test.make ~name:"event heap add+pop"
     (Staged.stage (fun () ->
-         Heap.add heap ~key:(Prng.int prng 1_000_000) ();
+         Heap.add heap ~key:(Prng.int prng 1_000_000) 0;
          ignore (heap_pop heap : int)))
 
 (* ---- event-queue trajectory: min-heap baseline vs the event queue ----
@@ -78,12 +78,12 @@ let timer_delay prng =
   else Prng.int prng 100_000_000 (* <=100ms *)
 
 let queue_transient_heap =
-  let heap = Heap.create ~dummy:() () in
+  let heap = Heap.create () in
   let prng = Prng.create ~seed:2 in
   let now = ref 0 in
   Test.make ~name:"event-queue transient add+pop (heap baseline)"
     (Staged.stage (fun () ->
-         Heap.add heap ~key:(!now + timer_delay prng) ();
+         Heap.add heap ~key:(!now + timer_delay prng) 0;
          now := heap_pop heap))
 
 (* The wheel rows schedule and pop one-shot ids the way the engine
@@ -110,16 +110,16 @@ let queue_transient_wheel =
    through it. Spread over 100 ms, nearly all of them wait in the
    queue's far-tier heap, so this row prices that heap, not the ring. *)
 let queue_steady_heap =
-  let heap = Heap.create ~dummy:() () in
+  let heap = Heap.create () in
   let prng = Prng.create ~seed:4 in
   let now = ref 0 in
   for _ = 1 to 8_192 do
-    Heap.add heap ~key:(timer_delay prng) ()
+    Heap.add heap ~key:(timer_delay prng) 0
   done;
   Test.make ~name:"event-queue 8k-pending add+pop (heap baseline)"
     (Staged.stage (fun () ->
          now := heap_pop heap;
-         Heap.add heap ~key:(!now + timer_delay prng) ()))
+         Heap.add heap ~key:(!now + timer_delay prng) 0))
 
 let queue_steady_wheel =
   let wheel = Wheel.create () in
@@ -142,16 +142,16 @@ let dense_pending = 256
 let dense_delay prng = Prng.int prng 16
 
 let queue_dense_heap =
-  let heap = Heap.create ~dummy:() () in
+  let heap = Heap.create () in
   let prng = Prng.create ~seed:6 in
   let now = ref 0 in
   for _ = 1 to dense_pending do
-    Heap.add heap ~key:(dense_delay prng) ()
+    Heap.add heap ~key:(dense_delay prng) 0
   done;
   Test.make ~name:"event-queue dense-tick add+pop (heap baseline)"
     (Staged.stage (fun () ->
          now := heap_pop heap;
-         Heap.add heap ~key:(!now + dense_delay prng) ()))
+         Heap.add heap ~key:(!now + dense_delay prng) 0))
 
 let queue_dense_wheel =
   let wheel = Wheel.create () in
@@ -185,7 +185,7 @@ let churn_wheel =
          Wheel.schedule wheel id ~key:(!now + rto)))
 
 let churn_heap_zombies =
-  let heap = Heap.create ~dummy:0 () in
+  let heap = Heap.create () in
   let now = ref 0 in
   let generation = ref 0 in
   Test.make ~name:"rto churn zombie discard (heap baseline)"

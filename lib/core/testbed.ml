@@ -123,7 +123,7 @@ let create spec =
         ( fabric,
           Routing.create fabric
             ~alts:(Option.value ~default:1 spec.alts)
-            ~out_port:Single_switch.out_port )
+            ~out_port:(Single_switch.out_port ~hosts) )
     | Jellyfish jf_spec ->
         let sharding =
           sharding_of
@@ -138,7 +138,7 @@ let create spec =
         ( fabric,
           let alts = Option.value ~default:4 spec.alts in
           Routing.create fabric ~alts
-            ~out_port:(Jellyfish.routes fabric ~alts) )
+            ~out_port:(Jellyfish.routes fabric) )
   in
   Routing.install routing;
   Fabric.populate_arp fabric;

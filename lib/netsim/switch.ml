@@ -88,7 +88,7 @@ type t = {
      port wait in [pipe_packets]/[pipe_ports], and freed slots are
      recycled through the [pipe_free] stack, so admitting a frame
      allocates nothing. *)
-  pipeline : int Heap.t;
+  pipeline : Heap.t;
   mutable pipe_packets : Packet.t array;
   mutable pipe_ports : int array;
   mutable pipe_free : int array;
@@ -414,7 +414,7 @@ let create engine ~name ~ports ~config ?prng () =
       mirror_total = 0;
       mirror_special = 0;
       hw_level = 0;
-      pipeline = Heap.create ~dummy:0 ();
+      pipeline = Heap.create ();
       pipe_packets = [||];
       pipe_ports = [||];
       pipe_free = [||];

@@ -3,32 +3,69 @@ module Rate = Planck_util.Rate
 module Fifo = Planck_util.Fifo
 module Packet = Planck_packet.Packet
 
+(* A port's frames sit in one growable ring in transmit order, indexed
+   by absolute cursors [head <= sent <= tail] (a cursor's cell is
+   [cursor land mask]):
+
+   - [head, sent): transmitted, propagating towards the peer; their
+     arrival times are in [arrivals]. The propagation delay is a
+     per-port constant, so arrivals are FIFO and one timer paces them
+     all; no per-frame closure is allocated.
+   - [sent]: the frame on the serializer, while [sent < tail].
+   - (sent, tail): frames waiting behind it, on a single-class port.
+
+   A frame is written into its cell once and cleared once, at delivery
+   (at tx-done on a handoff port), so the ring never keeps a delivered
+   frame reachable. A multi-class port keeps its waiting frames in the
+   class queues and appends the one it picks when the serializer takes
+   it, so its ring holds at most the serializer frame past [sent]. *)
 type t = {
   engine : Engine.t;
   rate : Rate.t;
   prop_delay : Time.t;
-  queues : Packet.t Fifo.t array; (* keys unused *)
+  (* Class queues of a multi-class port; empty on a single-class one.
+     Keys unused. *)
+  queues : Packet.t Fifo.t array;
   priority_class : int option;
   deliver : Packet.t -> unit;
   on_depart : Packet.t -> unit;
   (* Cross-shard links: when set, the propagation leg is the peer
      shard's business — hand the frame and its arrival time to the
-     channel instead of the local deliveries queue. *)
+     channel instead of keeping it in the ring. *)
   handoff : (Time.t -> Packet.t -> unit) option;
   mutable next_class : int; (* round-robin scan position *)
-  mutable busy : bool;
-  mutable in_flight : Packet.t; (* frame on the serializer, while [busy] *)
-  (* Frames propagating towards the peer, keyed by arrival time. The
-     propagation delay is a per-port constant, so arrivals are FIFO and
-     one timer paces them all; no per-packet closure is allocated. *)
-  deliveries : Packet.t Fifo.t;
+  mutable frames : Packet.t array;
+  mutable arrivals : int array;
+  mutable mask : int;
+  mutable head : int;
+  mutable sent : int;
+  mutable tail : int;
   tx_timer : Engine.Timer.t;
   delivery_timer : Engine.Timer.t;
+  (* Frames waiting for the serializer (not the one on it). *)
   mutable queued_bytes : int;
   mutable queued_packets : int;
   mutable tx_packets : int;
   mutable tx_bytes : int;
 }
+
+(* Double the ring; every cursor keeps its frame. *)
+let grow t =
+  let cap = max 8 (2 * Array.length t.frames) in
+  let frames = Array.make cap Packet.placeholder in
+  let arrivals = Array.make cap 0 in
+  for c = t.head to t.tail - 1 do
+    frames.(c land (cap - 1)) <- t.frames.(c land t.mask);
+    arrivals.(c land (cap - 1)) <- t.arrivals.(c land t.mask)
+  done;
+  t.frames <- frames;
+  t.arrivals <- arrivals;
+  t.mask <- cap - 1
+
+let[@inline] append t packet =
+  if t.tail - t.head = Array.length t.frames then grow t;
+  t.frames.(t.tail land t.mask) <- packet;
+  t.tail <- t.tail + 1
 
 let is_priority t cls =
   match t.priority_class with Some p -> p = cls | None -> false
@@ -50,40 +87,49 @@ let pop_next t =
   | Some p when not (Fifo.is_empty t.queues.(p)) -> Fifo.pop t.queues.(p)
   | Some _ | None -> scan t 0
 
-let rec transmit_next t =
-  if t.queued_packets = 0 then t.busy <- false
-  else begin
-    let packet = pop_next t in
-    t.busy <- true;
-    t.in_flight <- packet;
-    t.queued_bytes <- t.queued_bytes - Packet.wire_size packet;
+(* Start serializing the next waiting frame, if any. Called only while
+   the serializer is idle ([sent = tail] on a multi-class port). *)
+let transmit_next t =
+  if t.queued_packets > 0 then begin
+    if Array.length t.queues > 0 then append t (pop_next t);
+    let bytes = Packet.wire_size t.frames.(t.sent land t.mask) in
+    t.queued_bytes <- t.queued_bytes - bytes;
     t.queued_packets <- t.queued_packets - 1;
-    let tx = Rate.tx_time t.rate ~bytes_:(Packet.wire_size packet) in
-    Engine.Timer.reschedule t.tx_timer ~delay:tx
+    Engine.Timer.reschedule t.tx_timer ~delay:(Rate.tx_time t.rate ~bytes_:bytes)
   end
 
-and on_tx_done t =
-  if t.busy then begin
-    let packet = t.in_flight in
-    t.in_flight <- Packet.placeholder;
+let on_tx_done t =
+  if t.sent < t.tail then begin
+    let i = t.sent land t.mask in
+    let packet = t.frames.(i) in
+    t.sent <- t.sent + 1;
     t.tx_packets <- t.tx_packets + 1;
     t.tx_bytes <- t.tx_bytes + Packet.wire_size packet;
     t.on_depart packet;
     let ready = Engine.now t.engine + t.prop_delay in
     (match t.handoff with
-    | Some h -> h ready packet
+    | Some h ->
+        t.frames.(i) <- Packet.placeholder;
+        t.head <- t.sent;
+        h ready packet
     | None ->
-        Fifo.push t.deliveries ~key:ready packet;
+        t.arrivals.(i) <- ready;
         if not (Engine.Timer.pending t.delivery_timer) then
           Engine.Timer.reschedule_at t.delivery_timer ~time:ready);
     transmit_next t
   end
 
 let on_delivery t =
-  if not (Fifo.is_empty t.deliveries) then t.deliver (Fifo.pop t.deliveries);
-  if not (Fifo.is_empty t.deliveries) then
+  if t.head < t.sent then begin
+    let i = t.head land t.mask in
+    let packet = t.frames.(i) in
+    t.frames.(i) <- Packet.placeholder;
+    t.head <- t.head + 1;
+    t.deliver packet
+  end;
+  if t.head < t.sent then
     Engine.Timer.reschedule_at t.delivery_timer
-      ~time:(Fifo.peek_key t.deliveries)
+      ~time:t.arrivals.(t.head land t.mask)
 
 let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
     ~on_depart () =
@@ -98,15 +144,20 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
       rate;
       prop_delay;
       queues =
-        Array.init classes (fun _ -> Fifo.create ~dummy:Packet.placeholder ());
+        (if classes = 1 then [||]
+         else
+           Array.init classes (fun _ -> Fifo.create ~dummy:Packet.placeholder ()));
       priority_class;
       deliver;
       on_depart;
       handoff;
       next_class = 0;
-      busy = false;
-      in_flight = Packet.placeholder;
-      deliveries = Fifo.create ~dummy:Packet.placeholder ();
+      frames = [||];
+      arrivals = [||];
+      mask = 0;
+      head = 0;
+      sent = 0;
+      tail = 0;
       tx_timer = Engine.Timer.create engine ignore;
       delivery_timer = Engine.Timer.create engine ignore;
       queued_bytes = 0;
@@ -120,13 +171,17 @@ let create engine ~rate ~prop_delay ~classes ?priority_class ?handoff ~deliver
   t
 
 let enqueue t ~cls packet =
-  Fifo.push t.queues.(cls) ~key:0 packet;
+  let idle = t.sent = t.tail in
+  if Array.length t.queues > 0 then Fifo.push t.queues.(cls) ~key:0 packet
+  else if cls = 0 then append t packet
+  else invalid_arg "Txport.enqueue: class out of range";
   t.queued_bytes <- t.queued_bytes + Packet.wire_size packet;
   t.queued_packets <- t.queued_packets + 1;
-  if not t.busy then transmit_next t
+  if idle then transmit_next t
 
 let held_bytes t =
-  if t.busy then t.queued_bytes + Packet.wire_size t.in_flight
+  if t.sent < t.tail then
+    t.queued_bytes + Packet.wire_size t.frames.(t.sent land t.mask)
   else t.queued_bytes
 
 let tx_packets t = t.tx_packets

@@ -5,11 +5,17 @@
     propagation delay (store-and-forward: the peer sees the frame when
     its last bit lands).
 
-    The queue is an array of per-class sub-queues served round-robin.
-    With a single class this degenerates to FIFO — hosts and normal
-    switch ports use that. A switch monitor port uses one class per
+    A port keeps its frames in one ring in transmit order: frames
+    propagating to the peer, the frame on the serializer and, on a
+    single-class port, the frames waiting behind it. Each frame is
+    written into the ring once and cleared once, when it is delivered
+    (or handed off). Hosts and normal switch ports have a single class,
+    so they are plain FIFO. A multi-class port (a switch monitor port
+    under [Round_robin] arbitration, or with the strict-priority class)
+    keeps per-class sub-queues served round-robin, one class per
     mirrored source port, reproducing the round-robin interleaving of
-    samples the paper observes (Figures 5–7). *)
+    samples the paper observes (Figures 5–7); the serializer moves the
+    frame it picks into the ring. *)
 
 type t
 

@@ -28,7 +28,7 @@ let broadcast = mask48
    arithmetic. *)
 let host i = of_int (0x0200_0000_0000 lor (i land 0xFFFF))
 let[@inline] host_id t = if t lsr 24 = 0x02_0000 then t land 0xFFFF else -1
-let alt t = (t lsr 16) land 0xFF
+let[@inline] alt t = (t lsr 16) land 0xFF
 
 let shadow base ~alt =
   if alt < 0 then invalid_arg "Mac.shadow: negative alternate index";

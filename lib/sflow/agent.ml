@@ -16,7 +16,7 @@ type sample = {
   sampling_rate : int;
 }
 
-(* Fills the export heap's empty cells; never delivered. *)
+(* Fills the empty cells of the pending-sample slots; never delivered. *)
 let no_sample =
   {
     time = 0;
@@ -54,8 +54,13 @@ type t = {
   mutable last_refill : Time.t;
   (* Datagrams in flight to the collector. Export latency is random so
      arrivals are non-monotone: a min-heap orders them and one
-     preallocated timer tracks its head. *)
-  pending : sample Heap.t;
+     preallocated timer tracks its head. The heap holds slot numbers:
+     a sample waits in [slots], and freed slots are recycled through
+     the [free] stack, the way the switch pipeline keeps its frames. *)
+  pending : Heap.t;
+  mutable slots : sample array;
+  mutable free : int array;
+  mutable n_free : int;
   export_timer : Engine.Timer.t;
   mutable export_armed_at : Time.t;
   mutable selected : int;
@@ -88,14 +93,35 @@ let on_export t =
   let rec loop () =
     if (not (Heap.is_empty t.pending)) && Heap.top_key t.pending <= now
     then begin
-      let sample = Heap.top t.pending in
+      let slot = Heap.top t.pending in
       Heap.drop t.pending;
+      let sample = t.slots.(slot) in
+      t.slots.(slot) <- no_sample;
+      t.free.(t.n_free) <- slot;
+      t.n_free <- t.n_free + 1;
       t.collector sample;
       loop ()
     end
   in
   loop ();
   arm_export t
+
+(* Double the slot arrays; the new slots go on the free stack. *)
+let grow_slots t =
+  let cap = Array.length t.slots in
+  let cap' = max 8 (2 * cap) in
+  let slots = Array.make cap' no_sample in
+  Array.blit t.slots 0 slots 0 cap;
+  t.slots <- slots;
+  t.free <- Array.init cap' (fun i -> cap' - 1 - i);
+  t.n_free <- cap' - cap
+
+let enter t ~at sample =
+  if t.n_free = 0 then grow_slots t;
+  t.n_free <- t.n_free - 1;
+  let slot = t.free.(t.n_free) in
+  t.slots.(slot) <- sample;
+  Heap.add t.pending ~key:at slot
 
 let export t ~in_port ~out_port packet =
   refill t;
@@ -108,7 +134,7 @@ let export t ~in_port ~out_port packet =
           (max 1 (t.cfg.export_latency_max - t.cfg.export_latency_min))
     in
     let at = Engine.now t.engine + latency in
-    Heap.add t.pending ~key:at
+    enter t ~at
       {
         time = at;
         key = Flow_key.of_packet packet;
@@ -133,7 +159,10 @@ let attach engine switch ?(config = default_config) ~prng ~collector () =
       collector;
       tokens = bucket_burst;
       last_refill = 0;
-      pending = Heap.create ~dummy:no_sample ();
+      pending = Heap.create ();
+      slots = [||];
+      free = [||];
+      n_free = 0;
       export_timer = Engine.Timer.create engine ignore;
       export_armed_at = 0;
       selected = 0;

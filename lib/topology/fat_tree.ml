@@ -1,3 +1,5 @@
+module Mac = Planck_packet.Mac
+
 type shape = {
   k : int;
   pods : int;
@@ -91,37 +93,58 @@ let build engine ~k ~switch_config ~link_rate ?host_stack ?sharding
 let max_alts s = s.cores
 let core_for s ~dst ~alt = (dst + alt) mod s.cores
 
-(* [core_for] from [r = dst mod cores] (a pod holds [cores] hosts): no
-   division while [alt < cores]. *)
-let[@inline] core_of s r ~alt =
+(* [x / d] for [0 <= x < 2^17] and [0 < d < 2^16] by a multiply and a
+   shift: with [r = recip d = 2^40 / d + 1], [(x * r) lsr 40] is exact
+   while [x * d < 2^40], and [x * r] stays below 2^58. Host ids are
+   16-bit and a core sum below [cores + 256], so a lookup divides
+   nothing. *)
+let recip d = (1 lsl 40 / d) + 1
+let[@inline] div x r = (x * r) lsr 40
+
+(* [core_for] from [r = dst mod cores] (a pod holds [cores] hosts). *)
+let[@inline] core_of ~cores ~rc r ~alt =
   let c = r + alt in
-  if c < s.cores then c else c mod s.cores
+  if c < cores then c else c - (cores * div c rc)
 
 (* Tier and position are decoded once per switch, not per lookup. *)
-let out_port s ~switch =
-  let half = s.k / 2 and cores = s.cores in
+let out_port s ~alts ~switch =
+  let half = s.k / 2 and cores = s.cores and hosts = s.num_hosts in
+  let rh = recip half and rc = recip cores in
   let first_edge = cores + (s.pods * s.aggs_per_pod) in
-  if switch < cores then (fun ~dst ~alt ->
+  if switch < cores then (fun mac ->
     (* Core: down to the destination pod, if it is the tree's core. *)
-    let pod = dst / cores in
-    if core_of s (dst - (pod * cores)) ~alt = switch then pod else -1)
+    let dst = Routing.dst_of ~hosts ~alts mac in
+    if dst < 0 then -1
+    else
+      let pod = div dst rc in
+      if core_of ~cores ~rc (dst - (pod * cores)) ~alt:(Mac.alt mac) = switch
+      then pod
+      else -1)
   else if switch < first_edge then (
     let pod = (switch - cores) / half and i = (switch - cores) mod half in
-    fun ~dst ~alt ->
+    fun mac ->
       (* Aggregation [core / half] of every pod is on the tree: down to
          the destination edge in its pod, up to the core elsewhere. *)
-      let dst_pod = dst / cores in
-      let r = dst - (dst_pod * cores) in
-      let core = core_of s r ~alt in
-      let agg = core / half in
-      if agg <> i then -1
-      else if dst_pod = pod then r / half
-      else half + (core - (agg * half)))
+      let dst = Routing.dst_of ~hosts ~alts mac in
+      if dst < 0 then -1
+      else
+        let dst_pod = div dst rc in
+        let r = dst - (dst_pod * cores) in
+        let core = core_of ~cores ~rc r ~alt:(Mac.alt mac) in
+        let agg = div core rh in
+        if agg <> i then -1
+        else if dst_pod = pod then div r rh
+        else half + (core - (agg * half)))
   else
     let first_host = (switch - first_edge) * half in
-    fun ~dst ~alt ->
+    fun mac ->
       (* Edge of hosts [first_host ..]: down to the host, or up to the
          tree's aggregation switch. *)
-      let slot = dst - first_host in
-      if slot >= 0 && slot < half then slot
-      else half + (core_of s (dst mod cores) ~alt / half)
+      let dst = Routing.dst_of ~hosts ~alts mac in
+      if dst < 0 then -1
+      else
+        let slot = dst - first_host in
+        if slot >= 0 && slot < half then slot
+        else
+          let r = dst - (cores * div dst rc) in
+          half + div (core_of ~cores ~rc r ~alt:(Mac.alt mac)) rh

@@ -60,10 +60,14 @@ val core_for : shape -> dst:int -> alt:int -> int
 (** Core switch whose spanning tree carries alternate [alt] to host
     [dst]. *)
 
-val out_port : shape -> switch:int -> dst:int -> alt:int -> int
-(** Egress port of [switch] on the spanning tree of [dst] through core
-    {!core_for}[ ~dst ~alt]; [-1] for switches off the tree. Computed,
-    not stored: [out_port s ~switch] is the switch's lookup. *)
+val out_port : shape -> alts:int -> switch:int -> Planck_packet.Mac.t -> int
+(** The {!Routing.create} route function: [out_port s ~alts ~switch mac]
+    is the egress port of [switch] on the spanning tree of [dst]
+    through core {!core_for}[ ~dst ~alt], for
+    [mac = Mac.shadow (Mac.host dst) ~alt] with [alt < alts]; [-1] for
+    switches off the tree and for any other MAC. Computed, not stored:
+    [out_port s ~alts ~switch] is the switch's lookup, and it divides
+    nothing. *)
 
 val max_alts : shape -> int
 (** Number of distinct trees available per destination = number of

@@ -105,8 +105,15 @@ let tree fabric ~dst ~alt =
   out
 
 let routes fabric ~alts =
+  let hosts = Fabric.host_count fabric in
   let trees =
-    Array.init (Fabric.host_count fabric * alts) (fun i ->
+    Array.init (hosts * alts) (fun i ->
         tree fabric ~dst:(i / alts) ~alt:(i mod alts))
   in
-  fun ~switch ~dst ~alt -> trees.((dst * alts) + alt).(switch)
+  fun ~switch ->
+    let lookup mac =
+      let dst = Routing.dst_of ~hosts ~alts mac in
+      if dst < 0 then -1
+      else trees.((dst * alts) + Planck_packet.Mac.alt mac).(switch)
+    in
+    lookup

@@ -28,7 +28,9 @@ val build :
     port. Raises [Invalid_argument] on infeasible specs (odd total
     degree, degree >= switches, ...). *)
 
-val routes : Fabric.t -> alts:int -> switch:int -> dst:int -> alt:int -> int
-(** The {!Routing.create} route function over a BFS spanning tree toward
-    each host's switch per alternate ([alt] seeds the neighbor visiting
-    order). Not closed-form, so [routes fabric ~alts] tabulates them. *)
+val routes :
+  Fabric.t -> alts:int -> switch:int -> Planck_packet.Mac.t -> int
+(** The {!Routing.create} route function ([~out_port:(routes fabric)])
+    over a BFS spanning tree toward each host's switch per alternate
+    ([alt] seeds the neighbor visiting order). Not closed-form, so
+    [routes fabric ~alts] tabulates them. *)

@@ -5,35 +5,31 @@ type t = {
   fabric : Fabric.t;
   hosts : int;
   alts : int;
-  (* [out_port ~switch] of each switch, for [install] and [path]. *)
-  out_ports : (dst:int -> alt:int -> int) array;
+  (* Each switch's lookup, for [install] and [path]. *)
+  lookups : (Mac.t -> int) array;
 }
 
 let create fabric ~alts ~out_port =
   if alts < 1 then invalid_arg "Routing.create: need at least one route";
-  let out_ports =
+  let out_port = out_port ~alts in
+  let lookups =
     Array.init (Fabric.switch_count fabric) (fun switch -> out_port ~switch)
   in
-  { fabric; hosts = Fabric.host_count fabric; alts; out_ports }
+  { fabric; hosts = Fabric.host_count fabric; alts; lookups }
 
 let fabric t = t.fabric
 let alts t = t.alts
 
-(* [dst] of a routable MAC, [Mac.shadow (Mac.host dst) ~alt] with [dst]
-   and [alt] in range; else -1. *)
-let[@inline] dst_of t mac =
+let[@inline] dst_of ~hosts ~alts mac =
   let dst = Mac.host_id mac in
-  if dst < t.hosts && Mac.alt mac < t.alts then dst else -1
+  if dst < hosts && Mac.alt mac < alts then dst else -1
 
-let routable t mac = dst_of t mac >= 0
+let routable t mac = dst_of ~hosts:t.hosts ~alts:t.alts mac >= 0
 
 let install t =
   Array.iteri
-    (fun sw out_port ->
-      Switch.set_routes (Fabric.switch t.fabric sw) (fun mac ->
-          let dst = dst_of t mac in
-          if dst < 0 then -1 else out_port ~dst ~alt:(Mac.alt mac)))
-    t.out_ports;
+    (fun sw lookup -> Switch.set_routes (Fabric.switch t.fabric sw) lookup)
+    t.lookups;
   (* Shadow MACs must be rewritten to the base MAC at the destination's
      edge switch or the host NIC will filter the frame (paper §6.2). *)
   for dst = 0 to t.hosts - 1 do
@@ -53,14 +49,14 @@ let mac_for t ~dst ~alt =
 type hop = { switch : int; in_port : int; out_port : int }
 
 let path t ~src ~dst_mac =
-  let dst = dst_of t dst_mac and alt = Mac.alt dst_mac in
+  let dst = dst_of ~hosts:t.hosts ~alts:t.alts dst_mac in
   if dst < 0 then
     invalid_arg
       (Printf.sprintf "Routing.path: unknown MAC %s" (Mac.to_string dst_mac));
   let max_hops = Fabric.switch_count t.fabric + 1 in
   let rec walk switch in_port hops remaining =
     if remaining = 0 then invalid_arg "Routing.path: loop detected";
-    let out_port = t.out_ports.(switch) ~dst ~alt in
+    let out_port = t.lookups.(switch) dst_mac in
     if out_port < 0 then invalid_arg "Routing.path: walked off the tree";
     let hop = { switch; in_port; out_port } in
     match Fabric.peer t.fabric ~switch ~port:out_port with

@@ -6,21 +6,29 @@
     [Mac.shadow (Mac.host d) ~alt:a]; the destination's edge switch
     rewrites shadow MACs back to the base MAC so the host accepts the
     frame. The trees are a function of the topology, not tables:
-    {!install} gives every simulated switch a lookup that decodes the
-    destination MAC and asks that function. *)
+    {!install} gives every simulated switch the topology's lookup, one
+    closure over the destination MAC. *)
 
 type t
 
 val create :
   Fabric.t ->
   alts:int ->
-  out_port:(switch:int -> dst:int -> alt:int -> int) ->
+  out_port:(alts:int -> switch:int -> Planck_packet.Mac.t -> int) ->
   t
 (** Routes to every host over alternates [0 .. alts-1] ([alt 0] = base
-    route). [out_port ~switch ~dst ~alt] ({!Fat_tree.out_port},
-    {!Single_switch.out_port}, {!Jellyfish.routes}) is [switch]'s port on
-    the tree of ([dst], [alt]), [-1] off it; it is applied to [~switch]
-    once per switch, here. Raises [Invalid_argument] if [alts < 1]. *)
+    route). [out_port ~alts ~switch] ({!Fat_tree.out_port},
+    {!Single_switch.out_port}, {!Jellyfish.routes}) is [switch]'s
+    lookup: the egress port of [mac_for ~dst ~alt] on the tree of
+    ([dst], [alt]) for a host [dst] and [alt < alts], and [-1] off that
+    tree or for any other MAC ({!dst_of} decodes it). It is applied to
+    [~alts] once and to [~switch] once per switch, here. Raises
+    [Invalid_argument] if [alts < 1]. *)
+
+val dst_of : hosts:int -> alts:int -> Planck_packet.Mac.t -> int
+(** [dst_of ~hosts ~alts mac] is [dst] if [mac] is
+    [Mac.shadow (Mac.host dst) ~alt] with [dst < hosts] and
+    [alt < alts], else [-1]. *)
 
 val fabric : t -> Fabric.t
 val alts : t -> int

@@ -9,4 +9,6 @@ let build engine ~hosts ~switch_config ~link_rate ?host_stack ?sharding ~prng ()
   Fabric.reserve_monitor fabric ~switch:0 ~port:hosts;
   fabric
 
-let out_port ~switch:_ ~dst ~alt:_ = dst
+let out_port ~hosts ~alts ~switch:_ =
+  let lookup mac = Routing.dst_of ~hosts ~alts mac in
+  lookup

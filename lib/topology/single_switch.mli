@@ -14,6 +14,8 @@ val build :
   Fabric.t
 (** Host [i] on port [i]; the monitor port is port [hosts]. *)
 
-val out_port : switch:int -> dst:int -> alt:int -> int
-(** The trivial one-switch "spanning tree" for {!Routing.create}: host
-    [dst]'s port, on every alternate. *)
+val out_port :
+  hosts:int -> alts:int -> switch:int -> Planck_packet.Mac.t -> int
+(** The trivial one-switch "spanning tree" for {!Routing.create}
+    ([~out_port:(out_port ~hosts)]): host [dst]'s port, on every
+    alternate. *)

@@ -1,8 +1,11 @@
 (** An unbounded FIFO of (int key, value) pairs.
 
-    The per-frame queue of the simulated data plane: port class queues,
-    frames propagating on a wire, and the host stack's send and receive
-    queues. Keys and values sit in parallel arrays of a growable ring,
+    Frame queues of the simulated data plane: the class queues of a
+    multi-class (monitor) port, the host stack's send and receive
+    queues, the sink's receive ring, a shard's cross-shard arrivals and
+    a collector's vantage capture. A single-class port keeps its frames
+    in its own transmit-order ring instead ([Planck_netsim.Txport]).
+    Keys and values sit in parallel arrays of a growable ring,
     so {!push}, {!peek_key} and {!pop} allocate nothing beyond the
     occasional doubling. *)
 

@@ -1,24 +1,23 @@
-(* An array-backed binary min-heap kept in three parallel arrays: keys,
-   insertion sequence numbers and values. Each entry's seq is strictly
-   increasing, so equal keys pop in insertion order, which the
-   simulator relies on for deterministic event ordering.
+(* An array-backed binary min-heap of ints kept in three parallel int
+   arrays: keys, insertion sequence numbers and values. Each entry's
+   seq is strictly increasing, so equal keys pop in insertion order,
+   which the simulator relies on for deterministic event ordering.
 
-   Nothing is boxed per entry: an add writes three cells and a removal
-   moves a hole rather than swapping, so steady-state adds and drops
-   allocate nothing. Vacated value cells are overwritten with the
-   sentinel given at creation, so no removed value stays reachable. *)
+   Nothing is boxed per entry and no cell holds a pointer: an add
+   writes three ints and a removal moves a hole rather than swapping,
+   so sifts pay no write barrier and steady-state adds and drops
+   allocate nothing. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
-  dummy : 'a;
 }
 
-let create ~dummy () =
-  { keys = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0; dummy }
+let create () =
+  { keys = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 let is_empty h = h.size = 0
@@ -27,7 +26,7 @@ let grow h =
   let capacity = max 16 (2 * h.size) in
   let keys = Array.make capacity 0 in
   let seqs = Array.make capacity 0 in
-  let values = Array.make capacity h.dummy in
+  let values = Array.make capacity 0 in
   Array.blit h.keys 0 keys 0 h.size;
   Array.blit h.seqs 0 seqs 0 h.size;
   Array.blit h.values 0 values 0 h.size;
@@ -35,7 +34,7 @@ let grow h =
   h.seqs <- seqs;
   h.values <- values
 
-let[@inline] set h i key seq v =
+let[@inline] set h i key seq (v : int) =
   h.keys.(i) <- key;
   h.seqs.(i) <- seq;
   h.values.(i) <- v
@@ -93,5 +92,4 @@ let drop h =
   if h.size = 0 then invalid_arg "Heap.drop: empty heap";
   let n = h.size - 1 in
   h.size <- n;
-  if n > 0 then sift_down h n 0 h.keys.(n) h.seqs.(n) h.values.(n);
-  h.values.(n) <- h.dummy
+  if n > 0 then sift_down h n 0 h.keys.(n) h.seqs.(n) h.values.(n)

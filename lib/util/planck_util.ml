@@ -1,6 +1,7 @@
-(** Shared utilities for the Planck reproduction: simulated time, event
-    heap, array FIFOs, int hash tables, ring buffers, deterministic PRNG,
-    statistics, data rates and table rendering. *)
+(** Shared utilities for the Planck reproduction: simulated time, an
+    int-valued min-heap, array FIFOs, int hash tables, the engine's
+    exact-time event queue, ring buffers, an SPSC channel,
+    deterministic PRNG, statistics, data rates and table rendering. *)
 
 module Time = Time
 module Heap = Heap

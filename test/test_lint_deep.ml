@@ -79,13 +79,14 @@ let build_index () =
   ix
 
 (* The acceptance witness: with the repo's real cmt artifacts, the hot
-   closure reaches [Planck_util__Heap.add] through the engine/timer
-   wheel — a function the old hot-dir x hot-stem heuristic could never
-   flag (lib/util/ was not a hot dir). *)
+   closure reaches [Planck_util__Heap.add] through the switch pipeline
+   ([Switch.ingress -> Switch.pipe_enter -> Heap.add]) — a function the
+   old hot-dir x hot-stem heuristic could never flag (lib/util/ was not
+   a hot dir). *)
 let test_hot_includes_heap_add () =
   let t = Deep.prepare (build_index ()) in
   Alcotest.(check bool)
-    "Heap.add is hot via the timer wheel" true
+    "Heap.add is hot via the switch pipeline" true
     (Deep.is_hot t "Planck_util__Heap.add");
   (* Heap.add is not itself a root, so the witness chain must show a
      genuine transitive step from one. *)

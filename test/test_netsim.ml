@@ -390,6 +390,141 @@ let txport_round_robin () =
     (List.map seq_of [ a1; b; c; a2; a3 ])
     (List.rev !order)
 
+(* Random enqueue bursts on a 1-class, a 3-class round-robin and a
+   3-class port with a strict-priority class. Bursts of up to 40 frames
+   grow the port's ring past its first capacities, and the gaps between
+   them let it drain, so its cursors wrap many times. Checked: frames of
+   one class are delivered in enqueue order, each delivery lands exactly
+   [prop_delay] after its frame left the serializer, and after every
+   event [held_bytes] is the bytes enqueued and not yet departed (the
+   waiting frames plus the one on the serializer). *)
+let txport_bursts_qcheck =
+  let burst = QCheck.(pair (int_bound 20_000) (list_of_size Gen.(int_range 1 40) (pair (int_bound 2) (int_bound 1460)))) in
+  QCheck.Test.make
+    ~name:"txport: class FIFO, exact delivery, held bytes under bursts"
+    ~count:120
+    QCheck.(pair (int_bound 2) (list_of_size Gen.(int_range 1 25) burst))
+    (fun (kind, bursts) ->
+      let e = Engine.create () in
+      let prop_delay = Time.ns 700 in
+      let classes, priority_class =
+        match kind with 0 -> (1, None) | 1 -> (3, None) | _ -> (3, Some 2)
+      in
+      let n = List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 bursts in
+      let cls_of = Array.make n 0 and departed_at = Array.make n (-1) in
+      let delivered = Array.make classes [] in
+      let held = ref 0 and ok = ref true in
+      let tx =
+        Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay ~classes
+          ?priority_class
+          ~deliver:(fun p ->
+            let id = seq_of p in
+            if Engine.now e <> departed_at.(id) + prop_delay then ok := false;
+            delivered.(cls_of.(id)) <- id :: delivered.(cls_of.(id)))
+          ~on_depart:(fun p ->
+            departed_at.(seq_of p) <- Engine.now e;
+            held := !held - P.wire_size p)
+          ()
+      in
+      let next = ref 0 and at = ref 0 in
+      List.iter
+        (fun (gap, frames) ->
+          at := !at + gap;
+          let frames =
+            List.map
+              (fun (c, payload) ->
+                let c = if classes = 1 then 0 else c in
+                let id = !next in
+                incr next;
+                cls_of.(id) <- c;
+                (c, mk_tcp ~seq:id ~payload ()))
+              frames
+          in
+          Engine.schedule_at e ~time:!at (fun () ->
+              List.iter
+                (fun (cls, p) ->
+                  Txport.enqueue tx ~cls p;
+                  held := !held + P.wire_size p)
+                frames))
+        bursts;
+      while Engine.step e do
+        if Txport.held_bytes tx <> !held then ok := false
+      done;
+      let in_order c =
+        List.rev delivered.(c)
+        = List.filter (fun id -> cls_of.(id) = c) (List.init n Fun.id)
+      in
+      !ok && !held = 0
+      && Txport.held_bytes tx = 0
+      && Txport.tx_packets tx = n
+      && List.for_all in_order (List.init classes Fun.id))
+
+(* A cross-shard port hands every frame, in order, to its channel with
+   its arrival time, delivers none itself, and keeps none reachable
+   once it has handed it on: its ring grows by two 33-word arrays at
+   20 frames, while the 20 frames would add over 200 words. *)
+let txport_handoff () =
+  let e = Engine.create () in
+  let prop_delay = Time.us 5 and n = 20 in
+  (* Preallocated, so the closures' reach does not grow in the run. *)
+  let handed_at = Array.make n (-1) and handed = Array.make n (-1) in
+  let departed = Array.make n (-1) and count = ref 0 in
+  let tx =
+    Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay ~classes:1
+      ~handoff:(fun ready p ->
+        handed_at.(!count) <- ready;
+        handed.(!count) <- seq_of p;
+        incr count)
+      ~deliver:(fun _ -> Alcotest.fail "handoff port delivered locally")
+      ~on_depart:(fun p -> departed.(seq_of p) <- Engine.now e)
+      ()
+  in
+  Engine.run e;
+  let empty = Obj.reachable_words (Obj.repr tx) in
+  for seq = 0 to n - 1 do
+    Txport.enqueue tx ~cls:0 (mk_tcp ~seq ~payload:(70 * seq) ())
+  done;
+  Engine.run e;
+  Alcotest.(check (array int)) "every frame handed in order"
+    (Array.init n Fun.id) handed;
+  Alcotest.(check (array int)) "arrival = departure + prop_delay"
+    (Array.map (fun at -> at + prop_delay) departed)
+    handed_at;
+  Alcotest.(check int) "holds nothing" 0 (Txport.held_bytes tx);
+  let grown = Obj.reachable_words (Obj.repr tx) - empty in
+  if grown > 4 * n then
+    Alcotest.failf "handoff port grew %d words over %d handed frames" grown n
+
+(* A drained port keeps no frame reachable: after a 1,000-frame burst
+   its reachable size may grow by its ring and class-queue arrays (at
+   most 4 words per burst frame here), while the frames themselves, had
+   any cell kept one, would add over 10 words each. *)
+let txport_drained_burst_retains_nothing () =
+  List.iter
+    (fun classes ->
+      let e = Engine.create () in
+      let delivered = ref 0 in
+      let tx =
+        Txport.create e ~rate:(Rate.gbps 10.0) ~prop_delay:(Time.ns 300)
+          ~classes
+          ~deliver:(fun _ -> incr delivered)
+          ~on_depart:(fun _ -> ())
+          ()
+      in
+      Engine.run e;
+      let empty = Obj.reachable_words (Obj.repr tx) in
+      let burst = 1_000 in
+      for seq = 0 to burst - 1 do
+        Txport.enqueue tx ~cls:(seq mod classes) (mk_tcp ~seq ())
+      done;
+      Engine.run e;
+      Alcotest.(check int) "all delivered" burst !delivered;
+      let grown = Obj.reachable_words (Obj.repr tx) - empty in
+      if grown > 4 * burst then
+        Alcotest.failf "%d-class port grew %d words over a drained burst"
+          classes grown)
+    [ 1; 3 ]
+
 (* ---- Switch ---- *)
 
 let switch_pair engine =
@@ -864,6 +999,10 @@ let tests =
     Testbed.case "txport serialization timing" `Quick
       txport_serialization_timing;
     Testbed.case "txport round robin" `Quick txport_round_robin;
+    qtest txport_bursts_qcheck;
+    Testbed.case "txport handoff sends in order" `Quick txport_handoff;
+    Testbed.case "txport drained burst retains no frame" `Quick
+      txport_drained_burst_retains_nothing;
     Testbed.case "switch forwards on MAC" `Quick switch_forwards;
     Testbed.case "switch counts unroutable" `Quick switch_unroutable;
     Testbed.case "switch egress rewrite" `Quick switch_egress_rewrite;

@@ -163,9 +163,10 @@ let tree_validity_qcheck =
       let dst = dst mod s.Fat_tree.num_hosts in
       let alt = alt mod s.Fat_tree.cores in
       let core = Fat_tree.core_for s ~dst ~alt in
+      let mac = Mac.shadow (Mac.host dst) ~alt in
       let out =
         Array.init s.Fat_tree.num_switches (fun switch ->
-            Fat_tree.out_port s ~switch ~dst ~alt)
+            Fat_tree.out_port s ~alts:s.Fat_tree.cores ~switch mac)
       in
       (* Walk from every edge switch and check arrival at dst's edge. *)
       Array.length out = s.Fat_tree.num_switches
@@ -232,7 +233,7 @@ let single_switch_routes () =
       ~link_rate:(Rate.gbps 10.0) ~prng:(Prng.create ~seed:1) ()
   in
   let routing =
-    Routing.create fabric ~alts:1 ~out_port:Single_switch.out_port
+    Routing.create fabric ~alts:1 ~out_port:(Single_switch.out_port ~hosts:8)
   in
   Routing.install routing;
   let hops = Routing.path routing ~src:0 ~dst_mac:(Mac.host 7) in
@@ -250,7 +251,7 @@ let jellyfish_builds_and_routes () =
   in
   Alcotest.(check int) "hosts" 20 (Fabric.host_count fabric);
   let routing =
-    Routing.create fabric ~alts:4 ~out_port:(Jellyfish.routes fabric ~alts:4)
+    Routing.create fabric ~alts:4 ~out_port:(Jellyfish.routes fabric)
   in
   Routing.install routing;
   (* Every pair has a valid path on every alternate. *)

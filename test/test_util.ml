@@ -39,39 +39,39 @@ let heap_pop h =
   end
 
 let heap_basic () =
-  let h = Heap.create ~dummy:"" () in
+  let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check int) "empty top_key" max_int (Heap.top_key h);
-  Heap.add h ~key:5 "five";
-  Heap.add h ~key:1 "one";
-  Heap.add h ~key:3 "three";
+  Heap.add h ~key:5 50;
+  Heap.add h ~key:1 10;
+  Heap.add h ~key:3 30;
   Alcotest.(check int) "min" 1 (Heap.top_key h);
-  Alcotest.(check (option (pair int string)))
-    "pop order 1" (Some (1, "one")) (heap_pop h);
-  Alcotest.(check (option (pair int string)))
-    "pop order 2" (Some (3, "three")) (heap_pop h);
-  Alcotest.(check (option (pair int string)))
-    "pop order 3" (Some (5, "five")) (heap_pop h);
-  Alcotest.(check (option (pair int string))) "pop empty" None (heap_pop h);
+  Alcotest.(check (option (pair int int)))
+    "pop order 1" (Some (1, 10)) (heap_pop h);
+  Alcotest.(check (option (pair int int)))
+    "pop order 2" (Some (3, 30)) (heap_pop h);
+  Alcotest.(check (option (pair int int)))
+    "pop order 3" (Some (5, 50)) (heap_pop h);
+  Alcotest.(check (option (pair int int))) "pop empty" None (heap_pop h);
   Alcotest.check_raises "drop on empty"
     (Invalid_argument "Heap.drop: empty heap") (fun () -> Heap.drop h)
 
 let heap_fifo_ties () =
-  let h = Heap.create ~dummy:"" () in
-  List.iter (fun v -> Heap.add h ~key:7 v) [ "a"; "b"; "c" ];
+  let h = Heap.create () in
+  List.iter (fun v -> Heap.add h ~key:7 v) [ 3; 1; 2 ];
   let order = List.init 3 (fun _ -> snd (Option.get (heap_pop h))) in
-  Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c" ] order
+  Alcotest.(check (list int)) "FIFO among equal keys" [ 3; 1; 2 ] order
 
 let heap_sorts_qcheck =
   QCheck.Test.make ~name:"heap pops keys in sorted order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create ~dummy:() () in
-      List.iter (fun k -> Heap.add h ~key:k ()) keys;
+      let h = Heap.create () in
+      List.iter (fun k -> Heap.add h ~key:k 0) keys;
       let rec drain acc =
         match heap_pop h with
         | None -> List.rev acc
-        | Some (k, ()) -> drain (k :: acc)
+        | Some (k, _) -> drain (k :: acc)
       in
       drain [] = List.sort compare keys)
 
@@ -82,7 +82,7 @@ let heap_stable_sort_qcheck =
     ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400) (int_bound 3))
     (fun keys ->
-      let h = Heap.create ~dummy:(-1) () in
+      let h = Heap.create () in
       List.iteri (fun i k -> Heap.add h ~key:k i) keys;
       let rec drain acc =
         match heap_pop h with None -> List.rev acc | Some e -> drain (e :: acc)
@@ -101,7 +101,7 @@ let heap_mixed_ops_qcheck =
     ~count:300
     QCheck.(list (pair bool (int_bound 50)))
     (fun ops ->
-      let h = Heap.create ~dummy:(-1) () in
+      let h = Heap.create () in
       let model = ref [] in
       let idx = ref 0 in
       let take_min () =
@@ -289,8 +289,10 @@ let fifo_wrap_then_grow () =
   Alcotest.check_raises "pop on empty"
     (Invalid_argument "Fifo.pop: empty queue") (fun () -> ignore (Fifo.pop q))
 
-(* A removed value must not stay reachable from the container's arrays:
-   the cell is overwritten with the sentinel. *)
+(* A removed value must not stay reachable from the container's arrays.
+   Fifo overwrites the vacated cell with the sentinel; Heap holds only
+   ints, so whatever it held, all it keeps reachable is its record and
+   three int arrays. *)
 let containers_release_removed () =
   let collected push pop =
     let w = Weak.create 1 in
@@ -307,16 +309,18 @@ let containers_release_removed () =
   let q = Fifo.create ~dummy:(ref 0) () in
   Alcotest.(check bool) "fifo drops popped value" true
     (collected (fun v -> Fifo.push q ~key:0 v) (fun () -> Fifo.pop q));
-  let h = Heap.create ~dummy:(ref 0) () in
-  Heap.add h ~key:1 (ref 1);
-  Alcotest.(check bool) "heap drops removed value" true
-    (collected
-       (fun v -> Heap.add h ~key:0 v)
-       (fun () ->
-         let v = Heap.top h in
-         Heap.drop h;
-         v));
-  Alcotest.(check int) "survivor kept" 1 !(Heap.top h)
+  let h = Heap.create () in
+  for i = 1 to 100 do
+    Heap.add h ~key:(i mod 7) i
+  done;
+  for _ = 1 to 60 do
+    Heap.drop h
+  done;
+  (* 16 -> 32 -> 64 -> 128 cells per array after 100 adds. *)
+  Alcotest.(check int) "heap keeps only its int arrays"
+    ((1 + 5) + (3 * (1 + 128)))
+    (Obj.reachable_words (Obj.repr h));
+  Alcotest.(check int) "survivors kept" 40 (Heap.length h)
 
 (* ---- Timer wheel ---- *)
 
@@ -503,7 +507,9 @@ let run_wheel_program program =
    surfaces. The heap pops by (key, insertion order), which is the
    order the queue must reproduce. *)
 let run_model_program program =
-  let heap = Heap.create ~dummy:(-1, -1) () in
+  let heap = Heap.create () in
+  (* The heap holds generations; [slot_of] maps each back to its slot. *)
+  let slot_of = Hashtbl.create 64 in
   let state = Hashtbl.create 64 in
   let n_slots = ref 0 in
   let next_gen = ref 0 in
@@ -512,7 +518,8 @@ let run_model_program program =
   let trace = ref [] in
   let enter slot key =
     Hashtbl.replace state slot (`Pending !next_gen);
-    Heap.add heap ~key (slot, !next_gen);
+    Hashtbl.replace slot_of !next_gen slot;
+    Heap.add heap ~key !next_gen;
     incr next_gen
   in
   let add_at key =
@@ -524,7 +531,8 @@ let run_model_program program =
      generation. *)
   let rec live_top () =
     if not (Heap.is_empty heap) then begin
-      let slot, gen = Heap.top heap in
+      let gen = Heap.top heap in
+      let slot = Hashtbl.find slot_of gen in
       if Hashtbl.find state slot <> `Pending gen then begin
         Heap.drop heap;
         live_top ()
@@ -541,7 +549,8 @@ let run_model_program program =
       state 0
   in
   let fire () =
-    let key = Heap.top_key heap and slot, _ = Heap.top heap in
+    let key = Heap.top_key heap
+    and slot = Hashtbl.find slot_of (Heap.top heap) in
     Heap.drop heap;
     Hashtbl.replace state slot `Idle;
     now := key;

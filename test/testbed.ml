@@ -47,7 +47,7 @@ let single_switch ?(hosts = 4) ?(rate = rate_10g) ?(seed = 42)
       ~prng ()
   in
   let routing =
-    Routing.create fabric ~alts:1 ~out_port:Single_switch.out_port
+    Routing.create fabric ~alts:1 ~out_port:(Single_switch.out_port ~hosts)
   in
   Routing.install routing;
   Fabric.populate_arp fabric;
